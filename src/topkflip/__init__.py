@@ -74,7 +74,7 @@ from .metrics import (
     stable_points,
     stable_rows,
 )
-from .oracle import angle_sweep_single, simplex_sweep_k2
+from .oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from .synth import SynthConfig, generate, generate_clinical
 
 __all__ = [name for name in dir() if not name.startswith("_")]

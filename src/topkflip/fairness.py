@@ -10,6 +10,7 @@ rows.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -39,10 +40,12 @@ class GroupRateReport:
     """Extreme group counts in the top set over all blend weights.
 
     Rates are counts over kappa. When a direction hits the solver budget
-    the count field holds the best achievable incumbent and the bound
-    field the proven bound on that side; they match when the status is
-    optimal. One-hot counts use the deterministic index tie-break and so
-    must sit inside [min_count, max_count].
+    the count field holds the best count known to be achievable (the
+    solver's incumbent or a realized one-hot or uniform count, whichever
+    is better) and the bound field the proven bound on that side; they
+    match when the status is optimal. One-hot counts use the
+    deterministic index tie-break and so must sit inside
+    [min_count, max_count].
     """
 
     group_label: str
@@ -94,7 +97,18 @@ def _normalized(alpha):
     return alpha / total if total > 0 else alpha
 
 
-def _simplest_attaining(P, kappa, mask, count, witness):
+def _simple_blends(P, kappa, mask):
+    """Each one-hot blend, then the uniform blend, with the group count it
+    realizes under the deterministic index tie-break."""
+    K = P.shape[1]
+    out = []
+    for alpha in [np.eye(K)[k] for k in range(K)] + [np.full(K, 1.0 / K)]:
+        flags = rank_descending(P @ alpha, kappa).top_flags
+        out.append((alpha, int(np.count_nonzero(flags & mask))))
+    return out
+
+
+def _simplest_attaining(blends, count, witness):
     """Prefer a one-hot (then uniform) blend among exact maximizer ties.
 
     The solver certifies the extreme count but its witness is an
@@ -102,13 +116,8 @@ def _simplest_attaining(P, kappa, mask, count, witness):
     count equals the certified extreme is an equally valid witness, and
     a vertex generalizes better and reads better than an interior blend.
     """
-    if count is None:
-        return _normalized(witness)
-    K = P.shape[1]
-    candidates = [np.eye(K)[k] for k in range(K)] + [np.full(K, 1.0 / K)]
-    for alpha in candidates:
-        flags = rank_descending(P @ alpha, kappa).top_flags
-        if int(np.count_nonzero(flags & mask)) == count:
+    for alpha, realized in blends:
+        if realized == count:
             return alpha
     return _normalized(witness)
 
@@ -121,7 +130,12 @@ def group_rate_extremes(
     group_label: str = "group",
     config: SolverConfig | None = None,
 ) -> GroupRateReport:
-    """Certified min and/or max of the group's top-set count over blends."""
+    """Certified min and/or max of the group's top-set count over blends.
+
+    A side that stops short of optimality reports the better of the
+    solver's incumbent and the counts the one-hot and uniform blends
+    realize, so the one-hot counts still sit inside the reported range.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     P = np.asarray(preds, dtype=np.float64)
@@ -134,23 +148,27 @@ def group_rate_extremes(
     cfg = config or SolverConfig()
     region = SimplexRegion(dim=K)
     group_rows = np.flatnonzero(mask)
+    blends = _simple_blends(P, kappa, mask)
+    # The pairs do not depend on the sense, so both sides share one build.
+    inst = group_query("max", region, P, group_rows, kappa)
 
     fields: dict = {}
     for sense in ("min", "max"):
         if direction not in (sense, "both"):
             continue
-        sol = solve(group_query(sense, region, P, group_rows, kappa), cfg)
+        sol = solve(dataclasses.replace(inst, sense=sense), cfg)
         count = None if sol.value is None else int(sol.value)
+        if sol.status != "optimal":
+            better = min if sense == "min" else max
+            realized = better(c for _, c in blends)
+            count = realized if count is None else better(count, realized)
         fields[f"{sense}_count"] = count
         fields[f"{sense}_rate"] = None if count is None else count / kappa
-        fields[f"alpha_at_{sense}"] = _simplest_attaining(P, kappa, mask, count, sol.witness)
+        fields[f"alpha_at_{sense}"] = _simplest_attaining(blends, count, sol.witness)
         fields[f"status_{sense}"] = sol.status
         fields[f"bound_{sense}"] = None if sol.bound is None else int(sol.bound)
 
-    one_hot_counts = []
-    for k in range(K):
-        flags = rank_descending(P[:, k], kappa).top_flags
-        one_hot_counts.append(int(np.count_nonzero(flags & mask)))
+    one_hot_counts = [c for _, c in blends[:K]]
     return GroupRateReport(
         group_label=group_label,
         kappa=kappa,

@@ -3,7 +3,8 @@
 Nothing here touches the branch-and-bound machinery. Each routine
 enumerates candidate parameter values directly (boundary angles of a
 two-dimensional coefficient disc, blend breakpoints of a two-target
-simplex) and scores every candidate with optimistic tie counting, which is
+simplex, tie-line arrangement vertices of a three-target simplex) and
+scores every candidate with optimistic tie counting, which is
 exactly the freedom the pairwise comparison encoding grants at ties.
 Quadratic and unapologetically slow; meant for small cross-check instances.
 
@@ -195,12 +196,34 @@ def group_count_range(
 
 @dataclass(frozen=True)
 class SimplexSweep:
-    """Result of a two-target blend sweep."""
+    """Result of a two- or three-target blend sweep."""
 
     min_ranks: NDArray[np.int64]
     max_ranks: NDArray[np.int64]
     group_min: int | None
     group_max: int | None
+
+
+def _sweep_scores(P, alphas, kappa, group_mask) -> SimplexSweep:
+    """Envelope of optimistic rank bounds and group-count ranges over a list
+    of candidate blends."""
+    n = P.shape[0]
+    min_ranks = np.full(n, n + 1, dtype=np.int64)
+    max_ranks = np.zeros(n, dtype=np.int64)
+    group_lo: int | None = None
+    group_hi: int | None = None
+    for alpha in alphas:
+        s = P @ alpha
+        lo, hi = optimistic_rank_bounds(s)
+        np.minimum(min_ranks, lo, out=min_ranks)
+        np.maximum(max_ranks, hi, out=max_ranks)
+        if group_mask is not None:
+            glo, ghi = group_count_range(s, kappa, group_mask)
+            group_lo = glo if group_lo is None else min(group_lo, glo)
+            group_hi = ghi if group_hi is None else max(group_hi, ghi)
+    return SimplexSweep(
+        min_ranks=min_ranks, max_ranks=max_ranks, group_min=group_lo, group_max=group_hi
+    )
 
 
 def simplex_sweep_k2(
@@ -235,23 +258,94 @@ def simplex_sweep_k2(
             merged.append(t)
     candidates = list(merged)
     candidates.extend(0.5 * (a + b) for a, b in zip(merged, merged[1:]))
+    return _sweep_scores(P, [np.array([t, 1.0 - t]) for t in candidates], kappa, group_mask)
 
-    min_ranks = np.full(n, n + 1, dtype=np.int64)
-    max_ranks = np.zeros(n, dtype=np.int64)
-    group_lo: int | None = None
-    group_hi: int | None = None
-    for t in candidates:
-        s = t * P[:, 0] + (1.0 - t) * P[:, 1]
-        lo, hi = optimistic_rank_bounds(s)
-        np.minimum(min_ranks, lo, out=min_ranks)
-        np.maximum(max_ranks, hi, out=max_ranks)
-        if group_mask is not None:
-            glo, ghi = group_count_range(s, kappa, group_mask)
-            group_lo = glo if group_lo is None else min(group_lo, glo)
-            group_hi = ghi if group_hi is None else max(group_hi, ghi)
-    return SimplexSweep(
-        min_ranks=min_ranks, max_ranks=max_ranks, group_min=group_lo, group_max=group_hi
+
+def simplex_sweep_k3(
+    preds: NDArray[np.float64],
+    kappa: int,
+    group_mask: NDArray[np.bool_] | None = None,
+) -> SimplexSweep:
+    """Exact rank ranges (and group count range) over three-target blends.
+
+    The blend weight is alpha = (a1, a2, 1 - a1 - a2) over the triangle
+    a1, a2 >= 0, a1 + a2 <= 1. Every pairwise gap is affine in (a1, a2),
+    so each pair ties along one line and the ordering is constant on the
+    cells that these lines and the triangle's edges cut out. Candidates
+    are the arrangement vertices inside the triangle (corners, line-edge
+    and line-line intersections) plus a midpoint of every cell, taken a
+    short step to either side of the midpoint of each arrangement edge.
+
+    Why vertices suffice: a pair strictly ordered at a vertex keeps that
+    order throughout every cell whose closure holds the vertex, and pairs
+    tied there may go either way, so optimistic scoring at the vertex
+    covers every ordering those cells realize. The cell midpoints score
+    the untied orderings directly, as a cross-check on the vertices.
+    """
+    P = np.asarray(preds, dtype=np.float64)
+    n, K = P.shape
+    if K != 3:
+        raise ValueError(f"simplex sweep handles exactly 3 targets, got {K}")
+
+    # Each line holds c1*a1 + c2*a2 + c0 = 0: the triangle's edges first,
+    # then one tie line per pair whose gap is not constant over blends.
+    lines = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, -1.0)]
+    for i, j in itertools.combinations(range(n), 2):
+        d = P[i] - P[j]
+        c1, c2 = float(d[0] - d[2]), float(d[1] - d[2])
+        if max(abs(c1), abs(c2)) <= 1e-300:
+            continue  # gap constant over the simplex; ties everywhere or nowhere
+        lines.append((c1, c2, float(d[2])))
+    L = np.array(lines)
+    L /= np.hypot(L[:, 0], L[:, 1])[:, None]  # unit normals: values are distances
+
+    def inside(pts):
+        return (pts[:, 0] >= -1e-12) & (pts[:, 1] >= -1e-12) & (pts.sum(axis=1) <= 1.0 + 1e-12)
+
+    # Vertices: every pair of non-parallel lines, solved by Cramer's rule.
+    a, b = np.triu_indices(L.shape[0], k=1)
+    det = L[a, 0] * L[b, 1] - L[a, 1] * L[b, 0]
+    ok = np.abs(det) > 1e-12
+    a, b, det = a[ok], b[ok], det[ok]
+    verts = np.column_stack(
+        [
+            (L[a, 1] * L[b, 2] - L[a, 2] * L[b, 1]) / det,
+            (L[a, 2] * L[b, 0] - L[a, 0] * L[b, 2]) / det,
+        ]
     )
+    keep = inside(verts)
+    a, b, verts = a[keep], b[keep], verts[keep]
+    candidates = [verts]
+    on_line = np.concatenate([a, b])
+    line_pts = np.concatenate([verts, verts])
+
+    # Cell midpoints: walk each line's vertices in order; from the middle
+    # of each edge between neighbours, step half the distance to the
+    # nearest other line to both sides, which lands inside both cells
+    # that share the edge.
+    for k in range(L.shape[0]):
+        pts = line_pts[on_line == k]
+        if pts.shape[0] < 2:
+            continue
+        along = pts @ np.array([-L[k, 1], L[k, 0]])
+        order = np.argsort(along)
+        pts, along = pts[order], along[order]
+        step = np.diff(along) > 1e-12
+        mids = 0.5 * (pts[:-1][step] + pts[1:][step])
+        if not mids.shape[0]:
+            continue
+        dist = np.abs(mids @ L[:, :2].T + L[:, 2])
+        dist[dist <= 1e-12] = np.inf  # this line and any line coinciding with it
+        delta = 0.5 * dist.min(axis=1, initial=1.0)
+        for side in (1.0, -1.0):
+            moved = mids + side * delta[:, None] * L[k, :2]
+            candidates.append(moved[inside(moved)])
+
+    pts = np.clip(np.concatenate(candidates), 0.0, 1.0)
+    total = pts.sum(axis=1)
+    pts[total > 1.0] /= total[total > 1.0][:, None]
+    alphas = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
+    return _sweep_scores(P, alphas, kappa, group_mask)
 
 
 def monte_carlo_flips(

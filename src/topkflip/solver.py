@@ -23,6 +23,7 @@ and the whole search is deterministic for a fixed node budget.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -179,30 +180,56 @@ def group_query(
     Pairs between two non-group rows carry no indicator: they influence no
     group row's rank and no term of the objective, so omitting them loses
     nothing.
+
+    Group rows whose membership the whole region already settles are
+    resolved before the search, using the root presolve's rule for a
+    strict order (a gap range clear of zero by ``1e-12 * scale``, with the
+    scale taken over every pair touching a group row):
+
+    * a group row with at least ``kappa`` rows strictly above it is never
+      selected; it leaves ``group_rows`` and its pairs are dropped;
+    * a group row with at least ``n - kappa`` rows strictly below it is
+      always selected; it stays in ``group_rows`` with no pairs, so its
+      losses stay 0 and it always counts.
+
+    Only pairs touching a group row whose membership can still change are
+    kept. This is exact: the objective reads the losses of the remaining
+    changeable rows only, every pair touching them is kept, and a blend
+    that realizes the kept orientations also orients the dropped pairs.
     """
     V = np.asarray(row_vectors, dtype=np.float64)
     n = V.shape[0]
+    group_rows = tuple(int(g) for g in group_rows)
+    kappa = int(kappa)
     in_group = np.zeros(n, dtype=bool)
     in_group[list(group_rows)] = True
-    above = []
-    below = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if in_group[a] or in_group[b]:
-                above.append(a)
-                below.append(b)
-    above = np.array(above, dtype=np.int64)
-    below = np.array(below, dtype=np.int64)
+    # Every pair (a, b), a < b, with a group endpoint, in lexicographic order.
+    above, below = np.nonzero(np.triu(in_group[:, None] | in_group[None, :], k=1))
+    gaps = V[above] - V[below]
+
+    _, glo, ghi, scale = _snapped_ranges(region, gaps)
+    tol = 1e-12 * scale
+    above_wins = glo > tol
+    below_wins = ghi < -tol
+    n_above = np.bincount(below[above_wins], minlength=n) + np.bincount(
+        above[below_wins], minlength=n
+    )
+    n_below = np.bincount(above[above_wins], minlength=n) + np.bincount(
+        below[below_wins], minlength=n
+    )
+    never_top = in_group & (n_above >= kappa)
+    changeable = in_group & ~never_top & (n_below < n - kappa)
+    keep = changeable[above] | changeable[below]
     return MipInstance(
         sense=sense,
         objective="group_count",
         region=region,
-        gaps=V[above] - V[below],
-        above=above,
-        below=below,
+        gaps=gaps[keep],
+        above=above[keep],
+        below=below[keep],
         n_rows=n,
-        group_rows=tuple(int(g) for g in group_rows),
-        kappa=int(kappa),
+        group_rows=tuple(r for r in group_rows if not never_top[r]),
+        kappa=kappa,
     )
 
 
@@ -221,8 +248,29 @@ def gap_ranges(
         spread = region.radius * np.linalg.norm(G, axis=1)
         return mid - spread, mid + spread
     if isinstance(region, SimplexRegion):
-        return G.min(axis=1), G.max(axis=1)
+        # Column by column: far faster than reducing many short rows.
+        return functools.reduce(np.minimum, G.T), functools.reduce(np.maximum, G.T)
     raise TypeError(f"unknown region type {type(region)!r}")
+
+
+def _snapped_ranges(region: "BallRegion | SimplexRegion", gaps: NDArray[np.float64]):
+    """Gaps with rounding-noise components snapped to zero, their exact
+    ranges over the region, and the scale the root presolve measures its
+    tolerances against.
+
+    Gap components at rounding-noise level (exactly tied pairs seen
+    through upstream factorizations) would otherwise turn halfspace
+    intersections into ill-conditioned slivers; snapping them to zero
+    represents an exact tie exactly.
+    """
+    G = np.asarray(gaps, dtype=np.float64).copy()
+    if G.shape[0]:
+        g_scale = float(np.max(np.abs(G)))
+        if g_scale > 0:
+            G[np.abs(G) <= 1e-13 * g_scale] = 0.0
+    glo, ghi = gap_ranges(region, G)
+    scale = max(1.0, float(np.max(np.abs(glo), initial=0.0)), float(np.max(np.abs(ghi), initial=0.0)))
+    return G, glo, ghi, scale
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +597,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     obj = _Objective(inst)
     sense = inst.sense
     n = inst.n_rows
-    G = np.asarray(inst.gaps, dtype=np.float64).copy()
+    G, glo, ghi, scale = _snapped_ranges(inst.region, inst.gaps)
     P = G.shape[0]
-    if P:
-        # Gap components at rounding-noise level (exactly tied pairs seen
-        # through upstream factorizations) would otherwise turn halfspace
-        # intersections into ill-conditioned slivers; snap them to zero so
-        # an exact tie is represented exactly.
-        g_scale = float(np.max(np.abs(G)))
-        if g_scale > 0:
-            G[np.abs(G) <= 1e-13 * g_scale] = 0.0
-
-    glo, ghi = gap_ranges(inst.region, G)
-    scale = max(1.0, float(np.max(np.abs(glo), initial=0.0)), float(np.max(np.abs(ghi), initial=0.0)))
     tol_forced = 1e-12 * scale
     mtol = cfg.margin * scale
     # Ball feasibility compares distances in parameter units; the simplex
@@ -720,18 +757,15 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         if ranges is None:
             return
         r_lo, r_hi = ranges
-        force1 = r_lo > tol_forced
-        force0 = r_hi < -tol_forced
-        for k in np.flatnonzero(force1):
-            pidx = int(open_ids[k])
-            node.assign[pidx] = 1
-            node.losses[inst.below[pidx]] += 1
-            node.n_assigned += 1
-        for k in np.flatnonzero(force0):
-            pidx = int(open_ids[k])
-            node.assign[pidx] = 0
-            node.losses[inst.above[pidx]] += 1
-            node.n_assigned += 1
+        force1 = open_ids[r_lo > tol_forced]
+        force0 = open_ids[r_hi < -tol_forced]
+        if not (force1.shape[0] or force0.shape[0]):
+            return
+        node.assign[force1] = 1
+        node.assign[force0] = 0
+        np.add.at(node.losses, inst.below[force1], 1)
+        np.add.at(node.losses, inst.above[force0], 1)
+        node.n_assigned += force1.shape[0] + force0.shape[0]
 
     root_assign = np.full(P, -1, dtype=np.int8)
     root_assign[forced1] = 1

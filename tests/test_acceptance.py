@@ -24,7 +24,7 @@ from topkflip.index_model import (
 )
 from topkflip.linear_fit import fit_ols, fit_on_rows, make_ball, rss
 from topkflip.metrics import ambiguity_curve, stable_points
-from topkflip.oracle import angle_sweep_single, simplex_sweep_k2
+from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import resolve_kappa
 from topkflip.rashomon_single import flip_reports_single, flip_search, prune_unflippable
 from topkflip.synth import SynthConfig, generate
@@ -33,12 +33,8 @@ from conftest import random_design
 
 KAPPA_PERCENT = "3%"
 CURVE_EPSILONS = [0.005, 0.01, 0.02, 0.04, 0.08, 0.09]
-
-# cross-test stashes: the oracle-comparison instances feed the pruning
-# and witness audits, the curve plateaus feed the ambiguity ordering
-_single_instances = []
-_multi_instances = []
-_plateau_ambiguity = {}
+# seed of the oracle-comparison instances; the same as the shared rng fixture
+ORACLE_SEED = 1234
 
 
 def _verdict(name, ok, detail):
@@ -54,6 +50,60 @@ def holdout_ortho(clinical_subset):
     sub = clinical_subset.subset(clinical_subset.split_mask("holdout"))
     q, _ = orthonormalize(sub)
     return q
+
+
+@pytest.fixture(scope="module")
+def clinical_curves(holdout_ortho):
+    """Ambiguity fractions per target over CURVE_EPSILONS on the holdout."""
+    q = holdout_ortho
+    kappa = resolve_kappa(KAPPA_PERCENT, q.n)
+    curves = {}
+    for name in q.target_names:
+        curve = ambiguity_curve(q.features, q.target(name), kappa, CURVE_EPSILONS)
+        curves[name] = [pt.ambiguity_all for pt in curve]
+    return curves
+
+
+# ------------------------------------------------- oracle-checked instances
+
+
+@pytest.fixture(scope="module")
+def single_instances():
+    """Single-feature instances with their disc-oracle rank ranges:
+    (X, ball, kappa, min_ranks, max_ranks)."""
+    rng = np.random.default_rng(ORACLE_SEED)
+    out = []
+    for _ in range(50):
+        n = int(rng.integers(12, 41))
+        A = np.column_stack([np.ones(n), rng.uniform(20, 80, size=n)])
+        Q, R = np.linalg.qr(A)
+        X = Q * np.sign(np.diag(R))
+        y = rng.normal(size=n)
+        model = fit_ols(X, y)
+        kappa = int(rng.choice([2, 5, 10]))
+        kappa = min(kappa, n - 1)
+        for eps in (0.01, 0.1, 1.0):
+            ball = make_ball(model, X, y, eps, "relative")
+            lo, hi = angle_sweep_single(X, ball.center, ball.radius)
+            out.append((X, ball, kappa, lo, hi))
+    return out
+
+
+@pytest.fixture(scope="module")
+def multi_instances():
+    """Two-target instances with their blend-sweep ranges:
+    (preds, kappa, group_mask, sweep)."""
+    rng = np.random.default_rng(ORACLE_SEED)
+    out = []
+    for _ in range(50):
+        n = int(rng.integers(12, 41))
+        P = rng.normal(size=(n, 2))
+        kappa = int(rng.integers(2, max(3, n // 3)))
+        mask = rng.random(n) < 0.3
+        if not mask.any():
+            mask[int(rng.integers(0, n))] = True
+        out.append((P, kappa, mask, simplex_sweep_k2(P, kappa, group_mask=mask)))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -97,29 +147,17 @@ def test_c01_loss_identity_after_orthonormalization(rng):
     )
 
 
-def test_c02_rank_ranges_match_angle_sweep(rng):
+def test_c02_rank_ranges_match_angle_sweep(single_instances):
     """Solver vs disc oracle, 50 single-feature instances, integer equality, < 2 min."""
     t0 = time.perf_counter()
     mismatches = 0
     checked = 0
-    for _ in range(50):
-        n = int(rng.integers(12, 41))
-        A = np.column_stack([np.ones(n), rng.uniform(20, 80, size=n)])
-        Q, R = np.linalg.qr(A)
-        X = Q * np.sign(np.diag(R))
-        y = rng.normal(size=n)
-        model = fit_ols(X, y)
-        kappa = int(rng.choice([2, 5, 10]))
-        kappa = min(kappa, n - 1)
-        for eps in (0.01, 0.1, 1.0):
-            ball = make_ball(model, X, y, eps, "relative")
-            reports = flip_search(X, ball, kappa, rank_mode="exact")
-            lo, hi = angle_sweep_single(X, ball.center, ball.radius)
-            _single_instances.append((X, ball, kappa, lo, hi))
-            for i, rep in enumerate(reports):
-                checked += 1
-                if (rep.min_rank, rep.max_rank) != (int(lo[i]), int(hi[i])):
-                    mismatches += 1
+    for X, ball, kappa, lo, hi in single_instances:
+        reports = flip_search(X, ball, kappa, rank_mode="exact")
+        for i, rep in enumerate(reports):
+            checked += 1
+            if (rep.min_rank, rep.max_rank) != (int(lo[i]), int(hi[i])):
+                mismatches += 1
     elapsed = time.perf_counter() - t0
     _verdict(
         "single-target rank ranges vs sweep",
@@ -128,22 +166,14 @@ def test_c02_rank_ranges_match_angle_sweep(rng):
     )
 
 
-def test_c03_blend_ranges_match_simplex_sweep(rng):
+def test_c03_blend_ranges_match_simplex_sweep(multi_instances):
     """Solver vs two-target sweep for ranks and group counts, 50 instances, < 2 min."""
     t0 = time.perf_counter()
     rank_bad = 0
     group_bad = 0
     checked = 0
-    for _ in range(50):
-        n = int(rng.integers(12, 41))
-        P = rng.normal(size=(n, 2))
-        kappa = int(rng.integers(2, max(3, n // 3)))
-        mask = rng.random(n) < 0.3
-        if not mask.any():
-            mask[int(rng.integers(0, n))] = True
+    for P, kappa, mask, sweep in multi_instances:
         reports = flip_search_multi(P, kappa, rank_mode="exact")
-        sweep = simplex_sweep_k2(P, kappa, group_mask=mask)
-        _multi_instances.append((P, kappa, mask, sweep))
         for i, rep in enumerate(reports):
             checked += 1
             if (rep.min_rank, rep.max_rank) != (int(sweep.min_ranks[i]), int(sweep.max_ranks[i])):
@@ -159,13 +189,12 @@ def test_c03_blend_ranges_match_simplex_sweep(rng):
     )
 
 
-def test_c04_pruning_soundness_and_witness_membership():
+def test_c04_pruning_soundness_and_witness_membership(single_instances, multi_instances):
     """No pruned row flips under any oracle; witnesses within 1e-10 of the region."""
-    assert _single_instances and _multi_instances, "oracle comparisons must run first"
     prune_bad = 0
     member_bad = 0
     worst_member = 0.0
-    for X, ball, kappa, lo, hi in _single_instances:
+    for X, ball, kappa, lo, hi in single_instances:
         pr = prune_unflippable(X, ball.center, ball.radius, kappa)
         for i in np.flatnonzero(pr.never_top):
             if lo[i] <= kappa:
@@ -179,7 +208,7 @@ def test_c04_pruning_soundness_and_witness_membership():
                 worst_member = max(worst_member, excess)
                 if excess > 1e-10:
                     member_bad += 1
-    for P, kappa, mask, sweep in _multi_instances:
+    for P, kappa, mask, sweep in multi_instances:
         pr = prune_never_top_multi(P, kappa)
         for i in np.flatnonzero(pr.never_top):
             if sweep.min_ranks[i] <= kappa:
@@ -226,19 +255,14 @@ def test_c05_index_variable_equivalence(rng):
     )
 
 
-def test_c06_curves_nondecreasing_with_plateau(holdout_ortho, rng):
+def test_c06_curves_nondecreasing_with_plateau(clinical_curves, rng):
     """Every curve nondecreasing; clinical curves flat between the two largest tested tolerances."""
-    q = holdout_ortho
-    kappa = resolve_kappa(KAPPA_PERCENT, q.n)
     monotone_ok = True
     plateau_ok = True
     details = []
-    for name in q.target_names:
-        curve = ambiguity_curve(q.features, q.target(name), kappa, CURVE_EPSILONS)
-        fracs = [pt.ambiguity_all for pt in curve]
+    for name, fracs in clinical_curves.items():
         monotone_ok &= all(b >= a for a, b in zip(fracs, fracs[1:]))
         plateau_ok &= fracs[-1] == fracs[-2]
-        _plateau_ambiguity[name] = fracs[-1]
         details.append(f"{name} {fracs[-1]:.4f}")
     for _ in range(3):
         X = random_design(rng, 30, 3)
@@ -253,10 +277,10 @@ def test_c06_curves_nondecreasing_with_plateau(holdout_ortho, rng):
     )
 
 
-def test_c07_clinical_orderings(clinical_subset, clinical_ensemble):
+def test_c07_clinical_orderings(clinical_subset, clinical_ensemble, clinical_curves):
     """Blend-family ambiguity beats every single-target one; the rate-maximizing
-    blend matches or beats the best single model's group count on holdout. < 30 min."""
-    assert _plateau_ambiguity, "curve plateaus must be computed first"
+    blend, whose tune-split maximum is certified optimal, matches or beats the
+    best single model's group count on holdout. < 30 min."""
     t0 = time.perf_counter()
     ds = clinical_subset
     _, preds = clinical_ensemble
@@ -264,19 +288,22 @@ def test_c07_clinical_orderings(clinical_subset, clinical_ensemble):
     kappa = resolve_kappa(KAPPA_PERCENT, int(ho.sum()))
     reports, _ = flip_reports_multi(ds.features[ho], clinical_ensemble[0], kappa)
     multi = ambiguity_multi(reports, kappa).all_fraction
-    singles = dict(_plateau_ambiguity)
+    singles = {name: fracs[-1] for name, fracs in clinical_curves.items()}
     part_a = all(multi > v for v in singles.values())
 
     bundle = fairness_workflow(ds, ds.target_names, "black", KAPPA_PERCENT, direction="max")
     index_count = bundle.evaluations[0].group_count
     single_counts = [ev.group_count for ev in bundle.evaluations[1:]]
     part_b = index_count >= max(single_counts)
+    status_max = bundle.tune_report.status_max
     elapsed = time.perf_counter() - t0
     _verdict(
         "clinical ambiguity and selection-rate ordering",
-        part_a and part_b and elapsed < 1800.0,
+        part_a and part_b and status_max == "optimal" and elapsed < 1800.0,
         f"blend ambiguity {multi:.4f} vs singles {sorted(singles.values())}; "
-        f"group counts: blend {index_count} vs singles {single_counts}; {elapsed:.0f}s (limit 1800s)",
+        f"group counts: blend {index_count} vs singles {single_counts}; "
+        f"tune max {bundle.tune_report.max_count} {status_max} (need optimal); "
+        f"{elapsed:.0f}s (limit 1800s)",
     )
 
 
@@ -392,4 +419,35 @@ def test_c10_cli_determinism(tmp_path):
         "repeat-run determinism",
         not bad,
         f"{len(results)} commands compared, mismatches: {bad or 'none'}",
+    )
+
+
+def test_c11_three_target_ranges_match_simplex_sweep(rng):
+    """Solver vs three-target sweep for ranks and group counts, 30 instances
+    with n <= 15, < 2 min."""
+    t0 = time.perf_counter()
+    rank_bad = 0
+    group_bad = 0
+    checked = 0
+    for _ in range(30):
+        n = int(rng.integers(8, 16))
+        P = rng.normal(size=(n, 3))
+        kappa = int(rng.integers(2, max(3, n // 3)))
+        mask = rng.random(n) < 0.3
+        if not mask.any():
+            mask[int(rng.integers(0, n))] = True
+        sweep = simplex_sweep_k3(P, kappa, group_mask=mask)
+        reports = flip_search_multi(P, kappa, rank_mode="exact")
+        for i, rep in enumerate(reports):
+            checked += 1
+            if (rep.min_rank, rep.max_rank) != (int(sweep.min_ranks[i]), int(sweep.max_ranks[i])):
+                rank_bad += 1
+        grep = group_rate_extremes(P, kappa, mask, direction="both")
+        if (grep.min_count, grep.max_count) != (sweep.group_min, sweep.group_max):
+            group_bad += 1
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        "three-target rank and group ranges vs sweep",
+        rank_bad == 0 and group_bad == 0 and elapsed < 120.0,
+        f"{rank_bad} rank and {group_bad} group mismatches over {checked} rows in {elapsed:.1f}s (limits 0, 120s)",
     )

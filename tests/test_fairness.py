@@ -12,6 +12,7 @@ from topkflip.fairness import (
 from topkflip.oracle import simplex_sweep_k2
 from topkflip.ranking import rank_descending
 from topkflip.reports import meta_record, read_csv_with_meta
+from topkflip.solver import SolverConfig
 from topkflip.synth import SynthConfig, generate
 
 
@@ -36,6 +37,20 @@ def test_one_hots_sit_inside_the_range(rng):
         assert rep.min_count <= c <= rep.max_count
     assert rep.min_rate == rep.min_count / 7
     assert rep.max_rate == rep.max_count / 7
+
+
+def test_budget_exhausted_sides_still_bracket_the_one_hots(rng):
+    cfg = SolverConfig(node_budget=1)
+    stopped = 0
+    for _ in range(8):
+        P = rng.normal(size=(30, 3))
+        mask = rng.random(30) < 0.4
+        rep = group_rate_extremes(P, 8, mask, config=cfg)
+        stopped += (rep.status_min, rep.status_max).count("budget_exhausted")
+        for c in rep.one_hot_counts:
+            assert rep.min_count <= c <= rep.max_count
+        assert rep.bound_min <= rep.min_count and rep.max_count <= rep.bound_max
+    assert stopped  # the budget really cut some side short
 
 
 def test_witness_blends_realize_their_counts(rng):

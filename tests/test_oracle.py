@@ -6,7 +6,7 @@ them."""
 import numpy as np
 import pytest
 
-from topkflip.oracle import angle_sweep_single, simplex_sweep_k2
+from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import rank_descending
 
 from conftest import random_design
@@ -113,3 +113,39 @@ def test_simplex_sweep_vertices_are_included(rng):
     for col in (0, 1):
         r = rank_descending(P[:, col], 12).ranks
         assert np.all(sweep.min_ranks <= r) and np.all(r <= sweep.max_ranks)
+
+
+def test_simplex_sweep_k3_reduces_to_k2_on_a_repeated_target(rng):
+    # a third target equal to the first spans the same family of scorings
+    for _ in range(4):
+        P = rng.normal(size=(13, 2))
+        mask = rng.random(13) < 0.4
+        two = simplex_sweep_k2(P, 4, group_mask=mask)
+        three = simplex_sweep_k3(np.column_stack([P, P[:, 0]]), 4, group_mask=mask)
+        np.testing.assert_array_equal(three.min_ranks, two.min_ranks)
+        np.testing.assert_array_equal(three.max_ranks, two.max_ranks)
+        assert (three.group_min, three.group_max) == (two.group_min, two.group_max)
+
+
+def test_simplex_sweep_k3_brackets_dirichlet_sample(rng):
+    """Soundness direction only, as for the disc sweep: sampled blends can
+    miss narrow cells and never see ties."""
+    for _ in range(3):
+        P = rng.normal(size=(12, 3))
+        mask = rng.random(12) < 0.4
+        sweep = simplex_sweep_k3(P, 4, group_mask=mask)
+        lo = np.full(12, 13, dtype=int)
+        hi = np.zeros(12, dtype=int)
+        counts = set()
+        for alpha in np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=4000)]):
+            rv = rank_descending(P @ alpha, 4)
+            lo = np.minimum(lo, rv.ranks)
+            hi = np.maximum(hi, rv.ranks)
+            counts.add(int(np.count_nonzero(rv.top_flags & mask)))
+        assert np.all(sweep.min_ranks <= lo) and np.all(sweep.max_ranks >= hi)
+        assert sweep.group_min <= min(counts) and sweep.group_max >= max(counts)
+
+
+def test_simplex_sweep_k3_rejects_wrong_width(rng):
+    with pytest.raises(ValueError):
+        simplex_sweep_k3(rng.normal(size=(6, 2)), 2)

@@ -11,6 +11,7 @@ import pytest
 from topkflip.ranking import rank_descending
 from topkflip.solver import (
     BallRegion,
+    MipInstance,
     SimplexRegion,
     SolverConfig,
     dump_instance,
@@ -85,6 +86,56 @@ def test_group_query_over_simplex_matches_dense_grid(rng):
     assert gmin.value <= min(counts)
     assert gmax.value >= max(counts)
     assert gmax.value - max(counts) <= 1 and min(counts) - gmin.value <= 1
+
+
+def _unreduced_group_query(sense, region, V, group_rows, kappa):
+    """Group-count instance with every pair that touches a group row and no
+    presolve: the formulation the reduced builder must agree with."""
+    n = V.shape[0]
+    in_group = np.zeros(n, dtype=bool)
+    in_group[list(group_rows)] = True
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if in_group[a] or in_group[b]]
+    above = np.array([a for a, _ in pairs], dtype=np.int64)
+    below = np.array([b for _, b in pairs], dtype=np.int64)
+    return MipInstance(
+        sense=sense,
+        objective="group_count",
+        region=region,
+        gaps=V[above] - V[below],
+        above=above,
+        below=below,
+        n_rows=n,
+        group_rows=tuple(int(g) for g in group_rows),
+        kappa=int(kappa),
+    )
+
+
+@pytest.mark.parametrize("family", ["simplex2", "simplex3", "ball"])
+def test_group_presolve_matches_unreduced_instance(family, rng):
+    """The settled-membership reduction keeps (status, value) on both sides,
+    with and without exact ties."""
+    reduced_some = 0
+    for trial in range(60):
+        n = int(rng.integers(6, 11) if family == "ball" else rng.integers(8, 15))
+        if family == "ball":
+            d = int(rng.integers(2, 4))
+            V = random_design(rng, n, d)
+            region = BallRegion(center=rng.normal(size=d), radius=float(rng.uniform(0.1, 0.8)))
+        else:
+            K = 2 if family == "simplex2" else 3
+            V = rng.normal(size=(n, K))
+            region = SimplexRegion(dim=K)
+        if trial % 2:
+            V = np.round(V, 1)  # exact ties between rows and across targets
+        kappa = int(rng.integers(1, n // 2 + 1))
+        group = np.flatnonzero(rng.random(n) < 0.4)
+        for sense in ("min", "max"):
+            reduced = group_query(sense, region, V, group, kappa)
+            full = _unreduced_group_query(sense, region, V, group, kappa)
+            a, b = solve(reduced), solve(full)
+            assert (a.status, a.value) == (b.status, b.value), (family, trial, sense)
+            reduced_some += reduced.gaps.shape[0] < full.gaps.shape[0]
+    assert reduced_some  # the presolve really dropped pairs
 
 
 def test_zero_radius_ball_pins_the_center_ranking(rng):

@@ -17,7 +17,13 @@ from numpy.typing import NDArray
 
 from .linear_fit import LinearModel, fit_on_rows
 from .ranking import rank_descending
-from .rashomon_single import AmbiguityResult, PruneResult, ambiguity_single, prune_from_sup_matrix
+from .rashomon_single import (
+    AmbiguityResult,
+    PruneResult,
+    _pool_rank_envelope,
+    ambiguity_single,
+    prune_from_sup_matrix,
+)
 from .reports import FlipReport
 from .solver import SimplexRegion, SolverConfig, rank_query, solve
 
@@ -280,23 +286,7 @@ def flip_search_multi(
     prune = prune_never_top_multi(P, kappa)
 
     pool = witness_pool_alphas(K)
-    seen_min = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    seen_max = np.zeros(n, dtype=np.int64)
-    enter_alpha: "list[NDArray | None]" = [None] * n
-    exit_alpha: "list[NDArray | None]" = [None] * n
-    scores = P @ pool.T
-    for col in range(pool.shape[0]):
-        ranks = rank_descending(scores[:, col], kappa).ranks
-        improved_in = ranks < seen_min
-        improved_out = ranks > seen_max
-        np.minimum(seen_min, ranks, out=seen_min)
-        np.maximum(seen_max, ranks, out=seen_max)
-        for i in np.flatnonzero(improved_in & (ranks <= kappa)):
-            if enter_alpha[i] is None:
-                enter_alpha[i] = pool[col]
-        for i in np.flatnonzero(improved_out & (ranks > kappa)):
-            if exit_alpha[i] is None:
-                exit_alpha[i] = pool[col]
+    enter_col, exit_col = _pool_rank_envelope(P, pool, kappa)
 
     region = SimplexRegion(dim=K)
     reports: list[FlipReport] = []
@@ -318,8 +308,8 @@ def flip_search_multi(
                     )
                 )
                 continue
-            if seen_min[i] <= kappa < seen_max[i]:
-                wit = exit_alpha[i] if b_rank <= kappa else enter_alpha[i]
+            if enter_col[i] >= 0 and exit_col[i] >= 0:
+                wit = pool[exit_col[i] if b_rank <= kappa else enter_col[i]]
                 reports.append(
                     FlipReport(
                         row_id=row_ids[i],
@@ -329,7 +319,7 @@ def flip_search_multi(
                         flippable=True,
                         method="closed_form_flip",
                         witness=wit,
-                        witness_kind=None if wit is None else "alpha",
+                        witness_kind="alpha",
                     )
                 )
                 continue

@@ -347,68 +347,3 @@ def simplex_sweep_k3(
     alphas = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
     return _sweep_scores(P, alphas, kappa, group_mask)
 
-
-def monte_carlo_flips(
-    X: NDArray[np.float64],
-    center: NDArray[np.float64],
-    radius: float,
-    n_samples: int = 2000,
-    seed: int = 0,
-) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
-    """Sampled inner bound on per-row rank ranges over the coefficient ball.
-
-    Every evaluated point lies inside the ball, so the observed range is
-    contained in the true one; it certifies reachability, never absence.
-    The pool always includes the center and, per row, the boundary points
-    that maximize and minimize that row's own prediction.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    w0 = np.asarray(center, dtype=np.float64)
-    n, p = X.shape
-    rng = np.random.default_rng(seed)
-
-    pool = [w0]
-    if radius > 0:
-        norms = np.linalg.norm(X, axis=1)
-        for i in range(n):
-            if norms[i] > 0:
-                pool.append(w0 + radius * X[i] / norms[i])
-                pool.append(w0 - radius * X[i] / norms[i])
-        g = rng.standard_normal((n_samples, p))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        u = rng.random(n_samples) ** (1.0 / p)
-        pool.extend(w0 + radius * u[:, None] * g)
-
-    min_ranks = np.full(n, n + 1, dtype=np.int64)
-    max_ranks = np.zeros(n, dtype=np.int64)
-    for w in pool:
-        lo, hi = optimistic_rank_bounds(X @ w)
-        np.minimum(min_ranks, lo, out=min_ranks)
-        np.maximum(max_ranks, hi, out=max_ranks)
-    return min_ranks, max_ranks
-
-
-def monte_carlo_flips_multi(
-    preds: NDArray[np.float64],
-    n_samples: int = 2000,
-    seed: int = 0,
-) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
-    """Sampled inner bound on rank ranges over blend weights on the simplex.
-
-    The pool holds each one-hot weight, the uniform weight, and Dirichlet
-    draws. Same one-sided guarantee as :func:`monte_carlo_flips`.
-    """
-    P = np.asarray(preds, dtype=np.float64)
-    n, K = P.shape
-    rng = np.random.default_rng(seed)
-    alphas = [np.eye(K)[k] for k in range(K)]
-    alphas.append(np.full(K, 1.0 / K))
-    alphas.extend(rng.dirichlet(np.ones(K), size=n_samples))
-
-    min_ranks = np.full(n, n + 1, dtype=np.int64)
-    max_ranks = np.zeros(n, dtype=np.int64)
-    for a in alphas:
-        lo, hi = optimistic_rank_bounds(P @ a)
-        np.minimum(min_ranks, lo, out=min_ranks)
-        np.maximum(max_ranks, hi, out=max_ranks)
-    return min_ranks, max_ranks

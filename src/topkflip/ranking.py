@@ -41,17 +41,6 @@ class RankVector:
     def n(self) -> int:
         return int(self.ranks.shape[0])
 
-    def boundary_tied(self, scores: NDArray[np.float64]) -> bool:
-        """True when the kappa-th and (kappa+1)-th scores are equal.
-
-        A tie exactly at the cut means membership of the boundary rows in the
-        top set is an artifact of the index tie-break.
-        """
-        if self.kappa >= self.n:
-            return False
-        order = np.argsort(self.ranks)
-        return bool(scores[order[self.kappa - 1]] == scores[order[self.kappa]])
-
 
 def rank_descending(scores: NDArray[np.float64], kappa: int) -> RankVector:
     """Rank scores in descending order with index tie-break.

@@ -102,59 +102,63 @@ def max_prediction_model(
     return center + radius * x / norm
 
 
-def min_prediction_model(
-    x_row: NDArray[np.float64], center: NDArray[np.float64], radius: float
-) -> NDArray[np.float64]:
-    """Mirror of :func:`max_prediction_model`."""
-    x = np.asarray(x_row, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or radius == 0.0:
-        return np.asarray(center, dtype=np.float64).copy()
-    return center - radius * x / norm
-
-
 def witness_pool(
     X: NDArray[np.float64], center: NDArray[np.float64], radius: float
 ) -> NDArray[np.float64]:
-    """Deterministic ball models worth checking: the center plus, per row,
-    the extremizers of that row's own prediction."""
+    """Deterministic ball models worth checking: the center plus, per row
+    with a nonzero norm, the extremizers of that row's own prediction
+    (``+step`` then ``-step``, rows in order)."""
     X = np.asarray(X, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
-    pool = [center]
-    if radius > 0:
-        norms = np.linalg.norm(X, axis=1)
-        for i in range(X.shape[0]):
-            if norms[i] > 0:
-                step = radius * X[i] / norms[i]
-                pool.append(center + step)
-                pool.append(center - step)
-    return np.vstack(pool)
+    if not radius > 0:
+        return center[None, :].copy()
+    norms = np.linalg.norm(X, axis=1)
+    nz = norms > 0
+    steps = radius * X[nz] / norms[nz, None]
+    pairs = np.stack([center + steps, center - steps], axis=1)  # (rows, 2, p)
+    return np.vstack([center[None, :], pairs.reshape(-1, center.shape[0])])
+
+
+# Pool columns ranked per pass of the envelope: bounds the (n, block)
+# temporaries while keeping the per-pass numpy overhead small.
+ENVELOPE_BLOCK = 256
 
 
 def _pool_rank_envelope(
     X: NDArray[np.float64], pool: NDArray[np.float64], kappa: int
-) -> "tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64], NDArray[np.int64]]":
-    """Attained rank envelope over the pool with index tie-breaking.
+) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
+    """First pool column ranking each row inside the top kappa and first
+    ranking it outside (-1 when none), under index tie-breaking.
 
-    Every evaluated rank is realizable, so the envelope certifies
-    reachability one-sided; it deliberately does not exploit tie freedom,
-    keeping this route independent of the enumeration oracle. Also
-    returns, per row, the first pool column attaining a rank within kappa
-    and the first attaining one beyond it (-1 when never).
+    A column's top kappa is every row scoring strictly above its kappa-th
+    largest score, plus the lowest-indexed rows tied at that score until
+    kappa are taken: the selection :func:`rank_descending` makes. Every
+    evaluated ranking is realizable, so a column certifies reachability
+    one-sided; tie freedom is deliberately not exploited, keeping this
+    route independent of the enumeration oracle. The score matrix is
+    formed once and ranked in column blocks.
     """
     n = X.shape[0]
-    seen_min = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    seen_max = np.zeros(n, dtype=np.int64)
+    scores = X @ pool.T  # (n, m)
+    if not np.all(np.isfinite(scores)):
+        bad = np.argwhere(~np.isfinite(scores))[0]
+        raise ValueError(f"non-finite score at row {bad[0]}, pool column {bad[1]}")
     enter_col = np.full(n, -1, dtype=np.int64)
     exit_col = np.full(n, -1, dtype=np.int64)
-    scores = X @ pool.T  # (n, m)
-    for col in range(scores.shape[1]):
-        ranks = rank_descending(scores[:, col], kappa).ranks
-        np.minimum(seen_min, ranks, out=seen_min)
-        np.maximum(seen_max, ranks, out=seen_max)
-        enter_col[(enter_col < 0) & (ranks <= kappa)] = col
-        exit_col[(exit_col < 0) & (ranks > kappa)] = col
-    return seen_min, seen_max, enter_col, exit_col
+    for c0 in range(0, scores.shape[1], ENVELOPE_BLOCK):
+        S = scores[:, c0 : c0 + ENVELOPE_BLOCK].T.copy()  # one pool column per row
+        cut = np.partition(S, n - kappa, axis=1)[:, n - kappa, None]  # kappa-th largest
+        top = S > cut
+        room = kappa - top.sum(axis=1)
+        tied = S == cut
+        # Tied rows fill the remaining room in ascending row order.
+        over = tied.sum(axis=1) > room
+        tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
+        top |= tied
+        for cols, hit in ((enter_col, top), (exit_col, ~top)):
+            fresh = (cols < 0) & hit.any(axis=0)
+            cols[fresh] = c0 + hit[:, fresh].argmax(axis=0)
+    return enter_col, exit_col
 
 
 def flip_search(
@@ -201,7 +205,7 @@ def flip_search(
         ]
         if members:
             pool = np.vstack([pool] + members)
-    seen_min, seen_max, enter_col, exit_col = _pool_rank_envelope(X, pool, kappa)
+    enter_col, exit_col = _pool_rank_envelope(X, pool, kappa)
 
     region = BallRegion(center=w0, radius=r)
     reports: list[FlipReport] = []
@@ -224,7 +228,7 @@ def flip_search(
                     )
                 )
                 continue
-            if not in_top and seen_min[i] <= kappa:
+            if not in_top and enter_col[i] >= 0:
                 reports.append(
                     FlipReport(
                         row_id=row_ids[i],
@@ -238,7 +242,7 @@ def flip_search(
                     )
                 )
                 continue
-            if in_top and seen_max[i] > kappa:
+            if in_top and exit_col[i] >= 0:
                 reports.append(
                     FlipReport(
                         row_id=row_ids[i],
@@ -320,30 +324,6 @@ def flip_reports_single(
     ball = make_ball(model, X, y, epsilon, epsilon_mode)
     reports = flip_search(X, ball, kappa, row_ids=row_ids, rank_mode=rank_mode, config=config)
     return reports, ball
-
-
-def flip_reports_from_ranks(
-    row_ids,
-    baseline_ranks,
-    min_ranks,
-    max_ranks,
-    kappa: int,
-    method: str = "oracle_certified",
-) -> "list[FlipReport]":
-    """Assemble reports from externally certified exact rank ranges."""
-    reports = []
-    for rid, b, lo, hi in zip(row_ids, baseline_ranks, min_ranks, max_ranks):
-        reports.append(
-            FlipReport(
-                row_id=rid,
-                baseline_rank=int(b),
-                min_rank=int(lo),
-                max_rank=int(hi),
-                flippable=int(lo) <= kappa < int(hi),
-                method=method,
-            )
-        )
-    return reports
 
 
 @dataclass(frozen=True)

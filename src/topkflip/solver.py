@@ -10,7 +10,9 @@ branches on orientations, checking region nonemptiness exactly:
 
 * ball: distance from the center to the intersection of homogeneous
   halfspaces via a nonnegative least-squares projection onto the polar
-  cone, with a Farkas-style certificate when infeasible;
+  cone, with a Farkas-style certificate when infeasible; a child whose
+  new halfspace its parent's certified witness already meets inherits
+  that witness and skips the projection;
 * two-target simplex: an interval in the first blend weight;
 * three targets: polygon clipping;
 * more targets: small feasibility LPs.
@@ -324,6 +326,9 @@ def _nnls_active_set(A, b, inner_cap: int = 400):
 
 
 class _BallGeom:
+    """Ball state: the imposed halfspace rows plus, when known, a certified
+    point of the region they cut (inherited from the parent node)."""
+
     def __init__(self, region: BallRegion, tol: float):
         self.center = np.asarray(region.center, dtype=np.float64)
         self.radius = float(region.radius)
@@ -332,10 +337,17 @@ class _BallGeom:
         self.ktol = 1e-9 * max(1.0, float(np.linalg.norm(self.center)) + self.radius)
 
     def root(self):
-        return ()
+        return (), self.center
 
-    def child(self, state, halfspace_row):
-        return state + (halfspace_row,)
+    def child(self, state, halfspace_row, witness):
+        """The parent's rows plus one more. The parent's certified witness
+        stays certified when it meets the new halfspace within the tie
+        band ``_certify`` accepts. Sibling halfspaces are opposite, so at
+        least one of the two always inherits."""
+        rows, _ = state
+        norm = float(np.linalg.norm(halfspace_row))
+        slack = float((halfspace_row / norm) @ witness) if norm > 0 else 0.0
+        return rows + (halfspace_row,), (witness if slack <= self.ktol else None)
 
     def _certify(self, An, lam):
         """Try both one-sided certificates for a candidate multiplier.
@@ -369,14 +381,16 @@ class _BallGeom:
     def feasible(self, state):
         """Ball-cone intersection test via polar projection, certified.
 
-        Columns are normalized so the multipliers stay tame; BVLS is the
-        fast path and a local active-set solve the fallback. Either way
-        the answer is accepted only with its certificate, and a cone that
-        defeats both solvers raises instead of guessing.
+        An inherited witness answers at once. Otherwise columns are
+        normalized so the multipliers stay tame; BVLS is the fast path and
+        a local active-set solve the fallback. Either way the answer is
+        accepted only with its certificate, and a cone that defeats both
+        solvers raises instead of guessing.
         """
-        if not state:
-            return True, self.center
-        A_T = np.column_stack(state)  # (p, m)
+        rows, witness = state
+        if witness is not None:
+            return True, witness
+        A_T = np.column_stack(rows)  # (p, m)
         norms = np.linalg.norm(A_T, axis=0)
         An = A_T / np.where(norms > 0, norms, 1.0)
         res = lsq_linear(An, self.center, bounds=(0.0, np.inf), method="bvls", tol=1e-14)
@@ -406,7 +420,7 @@ class _IntervalGeom:
     def root(self):
         return (0.0, 1.0)
 
-    def child(self, state, halfspace_row):
+    def child(self, state, halfspace_row, witness):
         lo, hi = state
         g0, g1 = float(halfspace_row[0]), float(halfspace_row[1])
         a = g0 - g1  # halfspace: a * t + g1 <= 0
@@ -450,7 +464,7 @@ class _PolyGeom:
         # value at (a1, a2): c1*a1 + c2*a2 + c0 with a3 = 1 - a1 - a2
         return g[0] - g[2], g[1] - g[2], g[2]
 
-    def child(self, state, halfspace_row):
+    def child(self, state, halfspace_row, witness):
         c1, c2, c0 = self._coeffs(halfspace_row)
         verts = state
         out = []
@@ -499,7 +513,7 @@ class _LPGeom:
     def root(self):
         return ()
 
-    def child(self, state, halfspace_row):
+    def child(self, state, halfspace_row, witness):
         return state + (halfspace_row,)
 
     def feasible(self, state):
@@ -732,7 +746,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             return 1 if want_loss_on_below else 0
         return 0
 
-    def make_child(node: _Node, pidx: int, orientation: int) -> _Node:
+    def make_child(node: _Node, pidx: int, orientation: int, param) -> _Node:
         assign = node.assign.copy()
         assign[pidx] = orientation
         losses = node.losses.copy()
@@ -742,7 +756,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             state = node.region_state  # trivial halfspace; geometry unchanged
         else:
             row = -G[pidx] if orientation == 1 else G[pidx]
-            state = geom.child(node.region_state, row)
+            state = geom.child(node.region_state, row, param)
         return _Node(assign=assign, n_assigned=node.n_assigned + 1, losses=losses, region_state=state)
 
     def propagate(node: _Node) -> None:
@@ -812,8 +826,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         if pidx is None:
             continue
         pref = preferred_orientation(pidx)
-        stack.append(make_child(node, pidx, 1 - pref))
-        stack.append(make_child(node, pidx, pref))
+        stack.append(make_child(node, pidx, 1 - pref, param))
+        stack.append(make_child(node, pidx, pref, param))
 
     if not exhausted:
         status = "optimal"

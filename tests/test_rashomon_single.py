@@ -5,6 +5,8 @@ from topkflip.linear_fit import fit_ols, make_ball
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
 from topkflip.rashomon_single import (
+    ENVELOPE_BLOCK,
+    _pool_rank_envelope,
     ambiguity_single,
     flip_reports_single,
     flip_search,
@@ -59,6 +61,45 @@ def test_prune_is_sound_against_the_sweep(rng):
             assert lo[i] > kappa
         # outer bounds bracket the exact range
         assert np.all(pruned.outer_min <= lo) and np.all(pruned.outer_max >= hi)
+
+
+def _envelope_by_column(X, pool, kappa):
+    """Reference envelope: rank every pool column on its own."""
+    scores = X @ pool.T
+    enter = np.full(X.shape[0], -1)
+    exit_ = np.full(X.shape[0], -1)
+    for col in range(scores.shape[1]):
+        ranks = rank_descending(scores[:, col], kappa).ranks
+        enter[(enter < 0) & (ranks <= kappa)] = col
+        exit_[(exit_ < 0) & (ranks > kappa)] = col
+    return enter, exit_
+
+
+@pytest.mark.parametrize("width", [ENVELOPE_BLOCK - 1, ENVELOPE_BLOCK, 2 * ENVELOPE_BLOCK + 3])
+def test_pool_envelope_matches_per_column_ranking(width, rng):
+    """Blockwise top-kappa selection equals index-tie-break ranking, also
+    where many rows tie at the cut."""
+    n = 40
+    base = np.round(rng.normal(size=(n - 12, 3)), 1)
+    X = np.vstack([base, base[:8], np.zeros((4, 3))])[rng.permutation(n)]
+    rounded = np.round(rng.normal(size=(width, 3)), 1)
+    integral = rng.integers(-1, 2, size=(width, 3)).astype(float)
+    late = rounded.copy()
+    late[:-5] = late[0]  # most rows first change side in the last columns
+    for pool in (rounded, integral, late):
+        for kappa in (1, n // 2, n):
+            got = _pool_rank_envelope(X, pool, kappa)
+            want = _envelope_by_column(X, pool, kappa)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_pool_envelope_rejects_non_finite_scores(rng):
+    X = rng.normal(size=(10, 2))
+    pool = rng.normal(size=(5, 2))
+    pool[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        _pool_rank_envelope(X, pool, 3)
 
 
 def test_flip_search_agrees_with_sweep_exact_mode(rng):

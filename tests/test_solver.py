@@ -8,6 +8,8 @@ exact-oracle comparisons live with the acceptance checks.
 import numpy as np
 import pytest
 
+from topkflip import solver
+from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
 from topkflip.solver import (
     BallRegion,
@@ -136,6 +138,37 @@ def test_group_presolve_matches_unreduced_instance(family, rng):
             assert (a.status, a.value) == (b.status, b.value), (family, trial, sense)
             reduced_some += reduced.gaps.shape[0] < full.gaps.shape[0]
     assert reduced_some  # the presolve really dropped pairs
+
+
+def test_ball_children_inherit_the_parent_witness(monkeypatch):
+    """A child that its parent's certified witness already satisfies skips
+    the projection, so far fewer than one projection per non-root node
+    runs, with ranks unchanged and every witness inside the ball."""
+    calls = []
+    projection = solver.lsq_linear
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return projection(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "lsq_linear", counting)
+    nodes = solves = 0
+    for seed, radius in ((2, 1.0), (3, 0.6)):
+        rng = np.random.default_rng(seed)
+        V = random_design(rng, 16, 2)
+        center = rng.normal(size=2)
+        region = BallRegion(center=center, radius=radius)
+        lo, hi = angle_sweep_single(V, center, radius)
+        for focal in range(V.shape[0]):
+            for sense, want in (("min", lo), ("max", hi)):
+                sol = solve(rank_query(sense, region, V, focal))
+                assert sol.status == "optimal"
+                assert sol.value == int(want[focal]), (seed, focal, sense)
+                assert np.linalg.norm(sol.witness - center) <= radius + 1e-10
+                nodes += sol.nodes
+                solves += 1
+    assert nodes > 10 * solves  # the searches really branch
+    assert len(calls) < 0.75 * nodes
 
 
 def test_zero_radius_ball_pins_the_center_ranking(rng):

@@ -37,7 +37,6 @@ from .rashomon_single import (
     flip_reports_single,
     flip_search,
     gap_bound,
-    max_prediction_model,
     prune_from_sup_matrix,
     prune_unflippable,
 )
@@ -49,9 +48,7 @@ from .index_model import (
     fit_index_variable,
     flip_reports_multi,
     flip_search_multi,
-    gap_bound_multi,
     gap_sup_multi,
-    max_prediction_alpha,
     prune_never_top_multi,
 )
 from .fairness import (

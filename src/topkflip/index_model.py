@@ -5,7 +5,8 @@ standardizer frozen on a reference sample; a blend weight alpha on the
 simplex turns the standardized per-target predictions into one index
 score per row. Flippability here needs no baseline model: a row is
 changeable when its rank range straddles the cutoff anywhere on the
-simplex. The uniform blend serves as the reported reference point.
+simplex. The uniform blend serves as the reported reference point; it
+lies in the simplex, so it also witnesses its own side of the cut.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linear_fit import LinearModel, fit_on_rows
-from .ranking import rank_descending
 from .rashomon_single import (
     AmbiguityResult,
     PruneResult,
-    _pool_rank_envelope,
+    _certify_rows,
     ambiguity_single,
     prune_from_sup_matrix,
 )
 from .reports import FlipReport
-from .solver import SimplexRegion, SolverConfig, rank_query, solve
+from .solver import SimplexRegion, SolverConfig
 
 STANDARDIZATIONS = ("zscore", "percentile", "none")
 
@@ -202,26 +202,6 @@ def fit_index_variable(
     return fit_on_rows(X, y_blend, target_name=target_name)
 
 
-def gap_bound_multi(
-    preds: NDArray[np.float64], alpha_ref=None
-) -> NDArray[np.float64]:
-    """Screening bound on the blend gap: reference gap plus the L1 bound
-    on how far the gap can move from the reference blend.
-
-    Entry [i, j] bounds score(i) - score(j) from above over the simplex;
-    the uniform blend is the default reference. Looser than
-    :func:`gap_sup_multi` but mirrors the additive center-plus-spread
-    shape of the single-target bound.
-    """
-    P = np.asarray(preds, dtype=np.float64)
-    n, K = P.shape
-    if alpha_ref is None:
-        alpha_ref = np.full(K, 1.0 / K)
-    ref = P @ np.asarray(alpha_ref, dtype=np.float64)
-    diff_l1 = np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2)
-    return ref[:, None] - ref[None, :] + diff_l1
-
-
 def gap_sup_multi(preds: NDArray[np.float64]) -> NDArray[np.float64]:
     """Exact supremum of score(i) - score(j) over the simplex: the gap is
     linear in alpha, so the extreme sits at a one-hot vertex."""
@@ -234,15 +214,6 @@ def prune_never_top_multi(preds: NDArray[np.float64], kappa: int) -> PruneResult
     """Membership fixed by exact vertex gap ranges, trimming the simplex
     search the same way the ball bounds trim the single-target one."""
     return prune_from_sup_matrix(gap_sup_multi(preds), kappa)
-
-
-def max_prediction_alpha(pred_row: NDArray[np.float64]) -> NDArray[np.float64]:
-    """One-hot weight maximizing this row's index score (lowest index on
-    ties)."""
-    row = np.asarray(pred_row, dtype=np.float64)
-    alpha = np.zeros(row.shape[0])
-    alpha[int(np.argmax(row))] = 1.0
-    return alpha
 
 
 def witness_pool_alphas(K: int) -> NDArray[np.float64]:
@@ -267,113 +238,23 @@ def flip_search_multi(
 ) -> "list[FlipReport]":
     """Certify each row's top membership behavior across blend weights.
 
-    Mirrors the single-target staging; the baseline rank is taken at the
-    uniform blend and a row is flippable when its certified rank range
-    straddles kappa anywhere on the simplex.
+    The single-target staging over the simplex; the baseline rank is taken
+    at the uniform blend and a row is flippable when its certified rank
+    range straddles kappa anywhere on the simplex.
     """
-    if rank_mode not in ("status", "exact"):
-        raise ValueError(f"rank_mode must be status or exact, got {rank_mode!r}")
     P = np.asarray(preds, dtype=np.float64)
-    n, K = P.shape
-    cfg = config or SolverConfig()
-    if row_ids is None:
-        row_ids = [str(i) for i in range(n)]
-    if not 1 <= kappa <= n:
-        raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-
-    uniform = np.full(K, 1.0 / K)
-    base = rank_descending(P @ uniform, kappa)
-    prune = prune_never_top_multi(P, kappa)
-
-    pool = witness_pool_alphas(K)
-    enter_col, exit_col = _pool_rank_envelope(P, pool, kappa)
-
-    region = SimplexRegion(dim=K)
-    reports: list[FlipReport] = []
-    for i in range(n):
-        b_rank = int(base.ranks[i])
-        omin = int(prune.outer_min[i])
-        omax = int(prune.outer_max[i])
-
-        if rank_mode == "status":
-            if prune.never_top[i] or prune.always_top[i]:
-                reports.append(
-                    FlipReport(
-                        row_id=row_ids[i],
-                        baseline_rank=b_rank,
-                        min_rank=omin,
-                        max_rank=omax,
-                        flippable=False,
-                        method="pruned_unflippable",
-                    )
-                )
-                continue
-            if enter_col[i] >= 0 and exit_col[i] >= 0:
-                wit = pool[exit_col[i] if b_rank <= kappa else enter_col[i]]
-                reports.append(
-                    FlipReport(
-                        row_id=row_ids[i],
-                        baseline_rank=b_rank,
-                        min_rank=omin,
-                        max_rank=omax,
-                        flippable=True,
-                        method="closed_form_flip",
-                        witness=wit,
-                        witness_kind="alpha",
-                    )
-                )
-                continue
-
-        sol_min = solve(rank_query("min", region, P, i), cfg)
-        sol_max = solve(rank_query("max", region, P, i), cfg)
-        if sol_min.status == "optimal" and sol_max.status == "optimal":
-            mn, mx = int(sol_min.value), int(sol_max.value)
-            flippable = mn <= kappa < mx
-            wit = None
-            if flippable:
-                wit = sol_max.witness if b_rank <= kappa else sol_min.witness
-            reports.append(
-                FlipReport(
-                    row_id=row_ids[i],
-                    baseline_rank=b_rank,
-                    min_rank=mn,
-                    max_rank=mx,
-                    flippable=flippable,
-                    method="mip_certified",
-                    witness=wit,
-                    witness_kind=None if wit is None else "alpha",
-                )
-            )
-        else:
-            lo = omin if sol_min.bound is None else max(omin, int(sol_min.bound))
-            hi = omax if sol_max.bound is None else min(omax, int(sol_max.bound))
-            can_enter = None
-            if sol_min.value is not None and sol_min.value <= kappa:
-                can_enter = True
-            elif lo > kappa:
-                can_enter = False
-            can_exit = None
-            if sol_max.value is not None and sol_max.value > kappa:
-                can_exit = True
-            elif hi <= kappa:
-                can_exit = False
-            if can_enter is False or can_exit is False:
-                flippable: bool | None = False
-            elif can_enter and can_exit:
-                flippable = True
-            else:
-                flippable = None
-            reports.append(
-                FlipReport(
-                    row_id=row_ids[i],
-                    baseline_rank=b_rank,
-                    min_rank=lo,
-                    max_rank=hi,
-                    flippable=flippable,
-                    method="undetermined",
-                )
-            )
-    return reports
+    K = P.shape[1]
+    return _certify_rows(
+        P,
+        SimplexRegion(dim=K),
+        np.full(K, 1.0 / K),
+        prune_never_top_multi(P, kappa),
+        witness_pool_alphas(K),
+        kappa,
+        row_ids=row_ids,
+        rank_mode=rank_mode,
+        config=config,
+    )
 
 
 def flip_reports_multi(

@@ -3,10 +3,11 @@
 The solve order per row is cheap to expensive: closed-form pairwise gap
 bounds prune rows whose membership cannot change, a deterministic pool of
 boundary witnesses certifies most changeable rows, and only the remainder
-goes to the branch-and-bound certifier. The slow-path oracle in
-:mod:`topkflip.oracle` is never consulted here; witness evaluation uses
-plain index-tie-break ranking so the two certification routes stay
-independent.
+goes to the branch-and-bound certifier. The blend family in
+:mod:`topkflip.index_model` runs through the same staging. The slow-path
+oracle in :mod:`topkflip.oracle` is never consulted here; witness
+evaluation uses plain index-tie-break ranking so the two certification
+routes stay independent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.spatial.distance import cdist
 from .linear_fit import RashomonBall, fit_ols, make_ball
 from .ranking import rank_descending
 from .reports import FlipReport
-from .solver import BallRegion, SolverConfig, rank_query, solve
+from .solver import BallRegion, SimplexRegion, SolverConfig, rank_query, solve
 
 PRUNE_REL_TOL = 1e-12
 
@@ -46,7 +47,7 @@ class PruneResult:
 
     ``outer_min[i] <= true min rank`` and ``outer_max[i] >= true max rank``
     for every row; ``never_top`` and ``always_top`` mark rows whose top
-    membership is fixed across the whole ball.
+    membership is fixed across the whole model family.
     """
 
     never_top: NDArray[np.bool_]
@@ -88,18 +89,6 @@ def prune_unflippable(
     """Fix top membership for rows decided by the ball's pairwise gap
     bounds."""
     return prune_from_sup_matrix(gap_bound(X, center, radius), kappa)
-
-
-def max_prediction_model(
-    x_row: NDArray[np.float64], center: NDArray[np.float64], radius: float
-) -> NDArray[np.float64]:
-    """The ball model maximizing one row's prediction: walk the radius
-    along the row's feature direction. Returns the center for a zero row."""
-    x = np.asarray(x_row, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or radius == 0.0:
-        return np.asarray(center, dtype=np.float64).copy()
-    return center + radius * x / norm
 
 
 def witness_pool(
@@ -161,53 +150,43 @@ def _pool_rank_envelope(
     return enter_col, exit_col
 
 
-def flip_search(
-    X: NDArray[np.float64],
-    ball: RashomonBall,
+def _certify_rows(
+    V: NDArray[np.float64],
+    region: "BallRegion | SimplexRegion",
+    baseline: NDArray[np.float64],
+    prune: PruneResult,
+    pool: NDArray[np.float64],
     kappa: int,
-    row_ids=None,
-    rank_mode: str = "status",
-    config: SolverConfig | None = None,
-    extra_models=None,
+    row_ids,
+    rank_mode: str,
+    config: SolverConfig | None,
 ) -> "list[FlipReport]":
-    """Certify each row's top membership behavior across the ball.
+    """Certify each row's top membership behavior across a model family.
 
-    ``rank_mode="status"`` decides flippability with the cheapest
-    sufficient evidence; rank fields are certified outer bounds unless the
-    row went through the certifier. ``rank_mode="exact"`` solves both rank
-    extremes for every row. Budget exhaustion degrades a row to method
-    ``undetermined`` with outer bounds; its flippable flag stays None
-    unless the surviving bounds already decide it. ``extra_models`` adds
-    candidate coefficient vectors to the witness pool; non-members of the
-    ball are dropped, so carrying witnesses from a smaller tolerance is
-    always safe.
+    The staging both families share. ``V`` maps rows to score
+    coefficients over ``region``; ``baseline`` is a parameter inside the
+    region that gives the reported baseline rank; ``prune`` holds gap
+    screen bounds over the whole region and ``pool`` candidate witnesses
+    inside it. In status mode a row is settled by the screen when its
+    membership is fixed, and is a closed-form flip when some pool model
+    puts it on the other side of the cut: the baseline witnesses its own
+    side. Other rows, and every row in exact mode, get both rank extremes
+    from the certifier. Witnesses are coefficient vectors over a ball and
+    blend weights over the simplex.
     """
     if rank_mode not in ("status", "exact"):
         raise ValueError(f"rank_mode must be status or exact, got {rank_mode!r}")
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    n = V.shape[0]
+    if not 1 <= kappa <= n:
+        raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
     cfg = config or SolverConfig()
     if row_ids is None:
         row_ids = [str(i) for i in range(n)]
-    w0 = ball.center
-    r = ball.radius
-    if not 1 <= kappa <= n:
-        raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
+    witness_kind = "coef" if isinstance(region, BallRegion) else "alpha"
 
-    base = rank_descending(X @ w0, kappa)
-    prune = prune_unflippable(X, w0, r, kappa)
-    pool = witness_pool(X, w0, r)
-    if extra_models is not None:
-        members = [
-            np.asarray(w, dtype=np.float64)
-            for w in extra_models
-            if ball.contains(np.asarray(w, dtype=np.float64))
-        ]
-        if members:
-            pool = np.vstack([pool] + members)
-    enter_col, exit_col = _pool_rank_envelope(X, pool, kappa)
+    base = rank_descending(V @ baseline, kappa)
+    enter_col, exit_col = _pool_rank_envelope(V, pool, kappa)
 
-    region = BallRegion(center=w0, radius=r)
     reports: list[FlipReport] = []
     for i in range(n):
         b_rank = int(base.ranks[i])
@@ -216,7 +195,9 @@ def flip_search(
         omax = int(prune.outer_max[i])
 
         if rank_mode == "status":
-            if prune.never_top[i] or (in_top and prune.always_top[i]):
+            # always_top implies in_top: the row is inside the top at every
+            # point of the region, the baseline included.
+            if prune.never_top[i] or prune.always_top[i]:
                 reports.append(
                     FlipReport(
                         row_id=row_ids[i],
@@ -228,7 +209,8 @@ def flip_search(
                     )
                 )
                 continue
-            if not in_top and enter_col[i] >= 0:
+            flip_col = exit_col[i] if in_top else enter_col[i]
+            if flip_col >= 0:
                 reports.append(
                     FlipReport(
                         row_id=row_ids[i],
@@ -237,28 +219,14 @@ def flip_search(
                         max_rank=omax,
                         flippable=True,
                         method="closed_form_flip",
-                        witness=pool[enter_col[i]],
-                        witness_kind="coef",
-                    )
-                )
-                continue
-            if in_top and exit_col[i] >= 0:
-                reports.append(
-                    FlipReport(
-                        row_id=row_ids[i],
-                        baseline_rank=b_rank,
-                        min_rank=omin,
-                        max_rank=omax,
-                        flippable=True,
-                        method="closed_form_flip",
-                        witness=pool[exit_col[i]],
-                        witness_kind="coef",
+                        witness=pool[flip_col],
+                        witness_kind=witness_kind,
                     )
                 )
                 continue
 
-        sol_min = solve(rank_query("min", region, X, i), cfg)
-        sol_max = solve(rank_query("max", region, X, i), cfg)
+        sol_min = solve(rank_query("min", region, V, i), cfg)
+        sol_max = solve(rank_query("max", region, V, i), cfg)
         if sol_min.status == "optimal" and sol_max.status == "optimal":
             mn, mx = int(sol_min.value), int(sol_max.value)
             flippable = mn <= kappa < mx
@@ -274,7 +242,7 @@ def flip_search(
                     flippable=flippable,
                     method="mip_certified",
                     witness=wit,
-                    witness_kind=None if wit is None else "coef",
+                    witness_kind=None if wit is None else witness_kind,
                 )
             )
         else:
@@ -307,6 +275,52 @@ def flip_search(
                 )
             )
     return reports
+
+
+def flip_search(
+    X: NDArray[np.float64],
+    ball: RashomonBall,
+    kappa: int,
+    row_ids=None,
+    rank_mode: str = "status",
+    config: SolverConfig | None = None,
+    extra_models=None,
+) -> "list[FlipReport]":
+    """Certify each row's top membership behavior across the ball.
+
+    ``rank_mode="status"`` decides flippability with the cheapest
+    sufficient evidence; rank fields are certified outer bounds unless the
+    row went through the certifier. ``rank_mode="exact"`` solves both rank
+    extremes for every row. Budget exhaustion degrades a row to method
+    ``undetermined`` with outer bounds; its flippable flag stays None
+    unless the surviving bounds already decide it. ``extra_models`` adds
+    candidate coefficient vectors to the witness pool; non-members of the
+    ball are dropped, so carrying witnesses from a smaller tolerance is
+    always safe.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    w0 = ball.center
+    r = ball.radius
+    pool = witness_pool(X, w0, r)
+    if extra_models is not None:
+        members = [
+            np.asarray(w, dtype=np.float64)
+            for w in extra_models
+            if ball.contains(np.asarray(w, dtype=np.float64))
+        ]
+        if members:
+            pool = np.vstack([pool] + members)
+    return _certify_rows(
+        X,
+        BallRegion(center=w0, radius=r),
+        w0,
+        prune_unflippable(X, w0, r, kappa),
+        pool,
+        kappa,
+        row_ids=row_ids,
+        rank_mode=rank_mode,
+        config=config,
+    )
 
 
 def flip_reports_single(

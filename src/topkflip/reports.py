@@ -21,7 +21,6 @@ METHODS = (
     "pruned_unflippable",
     "closed_form_flip",
     "mip_certified",
-    "oracle_certified",
     "undetermined",
 )
 

@@ -37,11 +37,10 @@ from scipy.optimize import linprog, lsq_linear
 DEFAULT_NODE_BUDGET = 1_000_000
 DEFAULT_TIME_BUDGET = 60.0
 
-# Lower edge of the soft box on the total blend weight. The pattern
-# constraints are homogeneous, so any total in (0, 1] reaches the same
-# orientation patterns and the optimum sits at total 1; the value is
-# recorded in instance dumps for completeness.
-DEFAULT_SUM_LOWER = 0.1
+# Simplex feasibility slack and witness safety margin, both relative to
+# the instance's gap scale.
+FEAS_TOL = 1e-9
+MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class SimplexRegion:
     """Blend weights: alpha >= 0 summing to 1 over ``dim`` targets."""
 
     dim: int
-    sum_lower: float = DEFAULT_SUM_LOWER
 
 
 @dataclass(frozen=True)
@@ -107,16 +105,12 @@ class MipInstance:
 class SolverConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
     time_budget: float = DEFAULT_TIME_BUDGET
-    feas_tol: float = 1e-9
-    margin: float = 1e-9
 
     def __post_init__(self):
         if self.node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
         if self.time_budget <= 0:
             raise ValueError(f"time_budget must be positive, got {self.time_budget}")
-        if self.feas_tol <= 0 or self.margin < 0:
-            raise ValueError("tolerances must be positive (feas_tol) / nonnegative (margin)")
 
 
 @dataclass(frozen=True)
@@ -125,9 +119,7 @@ class MipSolution:
 
     ``value`` is in final units (a rank, or a selected-group count) and is
     attained by ``witness``; ``bound`` is the proven limit on the optimum
-    (equal to ``value`` when status is ``optimal``). ``objective_value``
-    restates the value in the formulation's objective units, including the
-    half-unit blend-total term for simplex regions.
+    (equal to ``value`` when status is ``optimal``).
     """
 
     status: str  # "optimal" | "infeasible" | "budget_exhausted"
@@ -137,7 +129,6 @@ class MipSolution:
     nodes: int
     presolve_fixed: int
     free_pairs: int
-    objective_value: float | None
 
     def __post_init__(self):
         if self.status not in ("optimal", "infeasible", "budget_exhausted"):
@@ -329,10 +320,9 @@ class _BallGeom:
     """Ball state: the imposed halfspace rows plus, when known, a certified
     point of the region they cut (inherited from the parent node)."""
 
-    def __init__(self, region: BallRegion, tol: float):
+    def __init__(self, region: BallRegion):
         self.center = np.asarray(region.center, dtype=np.float64)
         self.radius = float(region.radius)
-        self.tol = tol * max(1.0, self.radius)
         # Halfspace slack in normalized-gap units; one tie-tolerance band.
         self.ktol = 1e-9 * max(1.0, float(np.linalg.norm(self.center)) + self.radius)
 
@@ -542,8 +532,10 @@ class _LPGeom:
 
 
 def _make_geom(region, tol):
+    """The region's geometry; ``tol`` is the simplex constraint slack in
+    gap units (the ball keeps its own tie band)."""
     if isinstance(region, BallRegion):
-        return _BallGeom(region, tol)
+        return _BallGeom(region)
     if isinstance(region, SimplexRegion):
         if region.dim == 2:
             return _IntervalGeom(region, tol)
@@ -614,11 +606,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     G, glo, ghi, scale = _snapped_ranges(inst.region, inst.gaps)
     P = G.shape[0]
     tol_forced = 1e-12 * scale
-    mtol = cfg.margin * scale
-    # Ball feasibility compares distances in parameter units; the simplex
-    # geometries compare constraint values in gap units.
-    geom_tol = cfg.feas_tol if isinstance(inst.region, BallRegion) else cfg.feas_tol * scale
-    geom = _make_geom(inst.region, geom_tol)
+    mtol = MARGIN * scale
+    geom = _make_geom(inst.region, FEAS_TOL * scale)
 
     # Root presolve: orientations forced by a sign-definite gap range.
     forced1 = glo > tol_forced
@@ -852,16 +841,6 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         # this would mean the budget died before the first feasibility call.
         status = "budget_exhausted" if exhausted else "infeasible"
 
-    objective_value = None
-    if incumbent_value is not None:
-        if inst.objective == "rank":
-            raw = float(incumbent_value - 1)
-        else:
-            raw = float(incumbent_value)
-        if isinstance(inst.region, SimplexRegion):
-            raw += -0.5 if sense == "min" else 0.5
-        objective_value = raw
-
     return MipSolution(
         status=status,
         value=incumbent_value,
@@ -870,7 +849,6 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         nodes=nodes,
         presolve_fixed=int(n_fixed),
         free_pairs=int(F),
-        objective_value=objective_value,
     )
 
 
@@ -879,13 +857,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
 
 
 def dump_instance(inst: MipInstance, path) -> None:
-    """Write the query as JSON, including certified per-pair link constants.
-
-    ``big_m_above`` bounds the gap from above over the region (slack of the
-    orientation-1 link), ``big_m_below`` bounds its negation; both come
-    from the exact gap ranges rather than a norm product.
-    """
-    glo, ghi = gap_ranges(inst.region, inst.gaps)
+    """Write the query as JSON."""
     if isinstance(inst.region, BallRegion):
         region = {
             "kind": "ball",
@@ -896,7 +868,6 @@ def dump_instance(inst: MipInstance, path) -> None:
         region = {
             "kind": "simplex",
             "dim": int(inst.region.dim),
-            "sum_lower": float(inst.region.sum_lower),
         }
     doc = {
         "sense": inst.sense,
@@ -911,8 +882,6 @@ def dump_instance(inst: MipInstance, path) -> None:
                 "above": int(inst.above[p]),
                 "below": int(inst.below[p]),
                 "gap": [float(v) for v in inst.gaps[p]],
-                "big_m_above": max(0.0, float(ghi[p])),
-                "big_m_below": max(0.0, float(-glo[p])),
             }
             for p in range(inst.gaps.shape[0])
         ],
@@ -923,7 +892,8 @@ def dump_instance(inst: MipInstance, path) -> None:
 
 
 def load_instance(path) -> MipInstance:
-    """Inverse of :func:`dump_instance`."""
+    """Inverse of :func:`dump_instance`. Keys it does not write, such as
+    those of older dumps, are ignored."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc["region"]["kind"] == "ball":
@@ -932,7 +902,7 @@ def load_instance(path) -> MipInstance:
             radius=float(doc["region"]["radius"]),
         )
     else:
-        region = SimplexRegion(dim=int(doc["region"]["dim"]), sum_lower=float(doc["region"]["sum_lower"]))
+        region = SimplexRegion(dim=int(doc["region"]["dim"]))
     pairs = doc["pairs"]
     dim = region.dim if isinstance(region, SimplexRegion) else region.center.shape[0]
     gaps = np.array([p["gap"] for p in pairs], dtype=np.float64).reshape(len(pairs), dim)

@@ -7,9 +7,7 @@ from topkflip.index_model import (
     build_ensemble,
     fit_index_variable,
     flip_search_multi,
-    gap_bound_multi,
     gap_sup_multi,
-    max_prediction_alpha,
     prune_never_top_multi,
     witness_pool_alphas,
 )
@@ -88,8 +86,6 @@ def test_index_variable_equals_blended_predictions(rng):
 def test_gap_bounds_nest(rng):
     P = _random_preds(rng, 12, 3)
     sup = gap_sup_multi(P)
-    screen = gap_bound_multi(P)
-    assert np.all(sup <= screen + 1e-12)
     # the exact sup is attained at some vertex
     for _ in range(200):
         a = rng.dirichlet(np.ones(3))
@@ -120,6 +116,28 @@ def test_flip_search_multi_exact_equals_sweep(rng):
         assert rep.flippable == (rep.min_rank <= kappa < rep.max_rank)
 
 
+@pytest.mark.parametrize("K", [2, 3])
+def test_status_mode_matches_exact_verdicts(K, rng):
+    """Status-mode staging over the simplex, on predictions with many exact
+    ties: one-decimal values and duplicated rows."""
+    kappa = 6
+    seen_closed_form = 0
+    for _ in range(8):
+        base = np.round(rng.normal(size=(16, K)), 1)
+        P = np.vstack([base, base[:6]])[rng.permutation(22)]
+        fast = flip_search_multi(P, kappa)
+        slow = flip_search_multi(P, kappa, rank_mode="exact")
+        base_flags = rank_descending(P @ np.full(K, 1.0 / K), kappa).top_flags
+        for i, (f, s) in enumerate(zip(fast, slow)):
+            assert f.flippable == s.flippable
+            # status-mode ranges are certified outer bounds
+            assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
+            if f.method == "closed_form_flip":
+                seen_closed_form += 1
+                assert rank_descending(P @ f.witness, kappa).top_flags[i] != base_flags[i]
+    assert seen_closed_form > 0
+
+
 def test_identical_targets_pin_every_rank(rng):
     col = rng.normal(size=25)
     P = np.column_stack([col, col, col])
@@ -137,13 +155,6 @@ def test_alpha_witnesses_on_simplex(rng):
             a = rep.witness
             assert np.all(a >= -1e-9)
             assert float(a.sum()) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_max_prediction_alpha_is_vertex(rng):
-    row = rng.normal(size=4)
-    a = max_prediction_alpha(row)
-    assert sorted(a) == [0.0, 0.0, 0.0, 1.0]
-    assert float(row @ a) == pytest.approx(float(row.max()))
 
 
 def test_witness_pool_covers_vertices_and_uniform():

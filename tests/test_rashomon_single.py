@@ -11,7 +11,6 @@ from topkflip.rashomon_single import (
     flip_reports_single,
     flip_search,
     gap_bound,
-    max_prediction_model,
     prune_unflippable,
 )
 from topkflip.solver import SolverConfig
@@ -30,20 +29,6 @@ def test_gap_bound_dominates_sampled_gaps(rng):
         s = X @ (center + u)
         gaps = s[:, None] - s[None, :]
         assert np.all(gaps <= sup + 1e-9)
-
-
-def test_max_prediction_model_is_the_row_argmax(rng):
-    X = random_design(rng, 10, 3)
-    center = rng.normal(size=3)
-    radius = 0.7
-    for i in range(10):
-        w = max_prediction_model(X[i], center, radius)
-        assert np.linalg.norm(w - center) <= radius + 1e-12
-        best = float(X[i] @ w)
-        for _ in range(200):
-            u = rng.normal(size=3)
-            u *= radius / np.linalg.norm(u)
-            assert float(X[i] @ (center + u)) <= best + 1e-9
 
 
 def test_prune_is_sound_against_the_sweep(rng):

@@ -5,6 +5,8 @@ independent (if only probabilistic) route to the same extremes; the
 exact-oracle comparisons live with the acceptance checks.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,18 @@ def test_instance_round_trip(tmp_path, rng):
     dump_instance(sim, p)
     again = load_instance(p)
     assert solve(again).value == solve(sim).value
+
+    # Older dumps also carry a blend-total lower edge and per-pair link
+    # constants; loading ignores them.
+    doc = json.loads(p.read_text())
+    doc["region"]["sum_lower"] = 0.1
+    for pair in doc["pairs"]:
+        pair["big_m_above"] = pair["big_m_below"] = 1.0
+    p.write_text(json.dumps(doc))
+    legacy = load_instance(p)
+    assert legacy.region == sim.region
+    np.testing.assert_array_equal(legacy.gaps, sim.gaps)
+    assert solve(legacy).value == solve(sim).value
 
 
 def test_config_rejects_nonsense():

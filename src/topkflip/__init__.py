@@ -22,22 +22,21 @@ from .solver import (
     BallRegion,
     MipInstance,
     MipSolution,
+    PruneResult,
     SimplexRegion,
     SolverConfig,
     dump_instance,
     group_query,
     load_instance,
     rank_query,
+    screen_membership,
     solve,
 )
 from .rashomon_single import (
     AmbiguityResult,
-    PruneResult,
     ambiguity_single,
     flip_reports_single,
     flip_search,
-    gap_bound,
-    prune_from_sup_matrix,
     prune_unflippable,
 )
 from .index_model import (
@@ -48,7 +47,6 @@ from .index_model import (
     fit_index_variable,
     flip_reports_multi,
     flip_search_multi,
-    gap_sup_multi,
     prune_never_top_multi,
 )
 from .fairness import (

@@ -187,7 +187,9 @@ def _cmd_fit(args) -> int:
                 "coef": [float(c) for c in model.coef],
             }
         )
-    meta = _base_meta(args, "fit", data=str(args.data), n_fit=int(fit_rows.sum()))
+    meta = meta_record(
+        command="fit", seed=args.seed, data=str(args.data), n_fit=int(fit_rows.sum())
+    )
     doc = {"meta": meta, "models": models}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -197,19 +199,17 @@ def _cmd_fit(args) -> int:
 # --------------------------------------------------- ambiguity-single
 
 
-def _certify_single(q: Dataset, y, kappa: int, epsilons, epsilon_mode: str) -> None:
-    """Cross-check flip verdicts against the disc sweep on tiny inputs."""
+def _certify_single(q: Dataset, curve) -> None:
+    """Cross-check an exact-mode curve's rank ranges against the disc sweep
+    on tiny inputs."""
     if q.features.shape[1] != 2 or q.n > 60:
         return
-    for eps in epsilons:
-        reports, ball = flip_reports_single(
-            q.features, y, eps, kappa, epsilon_mode=epsilon_mode, rank_mode="exact"
-        )
-        lo, hi = angle_sweep_single(q.features, ball.center, ball.radius)
-        for rep, omin, omax in zip(reports, lo, hi):
+    for point in curve:
+        lo, hi = angle_sweep_single(q.features, point.ball.center, point.ball.radius)
+        for rep, omin, omax in zip(point.reports, lo, hi):
             if rep.min_rank != omin or rep.max_rank != omax:
                 raise CertifyError(
-                    f"rank range mismatch at epsilon={eps}, row {rep.row_id}: "
+                    f"rank range mismatch at epsilon={point.epsilon}, row {rep.row_id}: "
                     f"solver [{rep.min_rank}, {rep.max_rank}] vs sweep [{omin}, {omax}]"
                 )
 
@@ -232,7 +232,7 @@ def _cmd_ambiguity_single(args) -> int:
         config=_solver_config(args),
     )
     if args.certify:
-        _certify_single(q, q.target(args.target), kappa, epsilons, args.epsilon_mode)
+        _certify_single(q, curve)
     meta = _base_meta(
         args,
         "ambiguity-single",
@@ -476,28 +476,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="topkflip", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--node-budget", type=int, default=None)
-        p.add_argument("--time-budget", type=float, default=None)
-        p.add_argument(
-            "--certify",
+    shared_flags = {
+        "--node-budget": dict(type=int, default=None),
+        "--time-budget": dict(type=float, default=None),
+        "--certify": dict(
             action="store_true",
             help="run exact rank searches and cross-check oracles on small inputs",
-        )
-        p.add_argument("--drop-regex", default=None, help="drop matching feature columns")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="fan out independent solves where applicable (kappa sweeps)",
-        )
+        ),
+        "--drop-regex": dict(default=None, help="drop matching feature columns"),
+        "--workers": dict(type=int, default=1, help="fan the kappa sweep out over processes"),
+    }
+
+    def common(p, *flags):
+        """``--seed`` plus the named shared flags, each only where it is read."""
+        p.add_argument("--seed", type=int, default=0)
+        for flag in flags:
+            p.add_argument(flag, **shared_flags[flag])
+
+    budgets = ("--node-budget", "--time-budget")
 
     p = sub.add_parser("fit", help="least-squares models per target")
     p.add_argument("--data", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, "--drop-regex")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("ambiguity-single", help="ambiguity curve over model tolerance")
@@ -508,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("all", "top", "both"), default="both")
     p.add_argument("--epsilon-mode", choices=("relative", "absolute"), default="relative")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, *budgets, "--drop-regex", "--certify")
     p.set_defaults(func=_cmd_ambiguity_single)
 
     p = sub.add_parser("ambiguity-multi", help="per-row flip reports over target blends")
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True)
     p.add_argument("--standardize", choices=STANDARDIZATIONS, default="zscore")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, *budgets, "--drop-regex", "--certify")
     p.set_defaults(func=_cmd_ambiguity_multi)
 
     p = sub.add_parser("fairness-range", help="group selection rate range and audit")
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True)
     p.add_argument("--direction", choices=("min", "max", "both"), default="both")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, *budgets, "--drop-regex", "--certify")
     p.set_defaults(func=_cmd_fairness_range)
 
     p = sub.add_parser("stable-points", help="stable fraction across a kappa sweep")
@@ -540,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", default=None, help="targets for the index family")
     p.add_argument("--standardize", choices=STANDARDIZATIONS, default="zscore")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, *budgets, "--drop-regex", "--workers")
     p.set_defaults(func=_cmd_stable_points)
 
     p = sub.add_parser("synth", help="two-target age study table")

@@ -17,15 +17,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linear_fit import LinearModel, fit_on_rows
-from .rashomon_single import (
-    AmbiguityResult,
-    PruneResult,
-    _certify_rows,
-    ambiguity_single,
-    prune_from_sup_matrix,
-)
+from .rashomon_single import AmbiguityResult, _certify_rows, ambiguity_single
 from .reports import FlipReport
-from .solver import SimplexRegion, SolverConfig
+from .solver import PruneResult, SimplexRegion, SolverConfig, screen_membership
 
 STANDARDIZATIONS = ("zscore", "percentile", "none")
 
@@ -202,18 +196,11 @@ def fit_index_variable(
     return fit_on_rows(X, y_blend, target_name=target_name)
 
 
-def gap_sup_multi(preds: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Exact supremum of score(i) - score(j) over the simplex: the gap is
-    linear in alpha, so the extreme sits at a one-hot vertex."""
-    P = np.asarray(preds, dtype=np.float64)
-    diffs = P[:, None, :] - P[None, :, :]
-    return diffs.max(axis=2)
-
-
 def prune_never_top_multi(preds: NDArray[np.float64], kappa: int) -> PruneResult:
     """Membership fixed by exact vertex gap ranges, trimming the simplex
     search the same way the ball bounds trim the single-target one."""
-    return prune_from_sup_matrix(gap_sup_multi(preds), kappa)
+    P = np.asarray(preds, dtype=np.float64)
+    return screen_membership(SimplexRegion(dim=P.shape[1]), P, kappa)
 
 
 def witness_pool_alphas(K: int) -> NDArray[np.float64]:

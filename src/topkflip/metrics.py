@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .linear_fit import fit_ols, make_ball
+from .linear_fit import RashomonBall, fit_ols, make_ball
 from .ranking import rank_descending
 from .rashomon_single import ambiguity_single, flip_search
 from .solver import SolverConfig
@@ -59,12 +59,14 @@ def stable_points(reports, kappa: int, family: str) -> StableSet:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One tolerance setting's ambiguity fractions."""
+    """One tolerance setting's ambiguity fractions, its ball and row reports."""
 
     epsilon: float
     ambiguity_all: float
     ambiguity_top: float
     n_undetermined: int
+    ball: RashomonBall = field(repr=False, compare=False)
+    reports: tuple = field(repr=False, compare=False)
 
 
 def ambiguity_curve(
@@ -111,6 +113,8 @@ def ambiguity_curve(
                 ambiguity_all=amb.all_fraction,
                 ambiguity_top=amb.top_fraction,
                 n_undetermined=amb.n_undetermined,
+                ball=ball,
+                reports=tuple(reports),
             )
         )
         for rep in reports:

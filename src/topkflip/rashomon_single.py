@@ -16,68 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial.distance import cdist
 
 from .linear_fit import RashomonBall, fit_ols, make_ball
 from .ranking import rank_descending
 from .reports import FlipReport
-from .solver import BallRegion, SimplexRegion, SolverConfig, rank_query, solve
-
-PRUNE_REL_TOL = 1e-12
-
-
-def gap_bound(
-    X: NDArray[np.float64], center: NDArray[np.float64], radius: float
-) -> NDArray[np.float64]:
-    """Supremum of score(row i) - score(row j) over the ball, as a matrix.
-
-    The gap is linear in the coefficients, so the supremum is the center
-    gap plus radius times the feature-difference norm, attained on the
-    boundary. Entry [i, j] < 0 certifies that row j outranks row i at
-    every model in the ball.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    scores = X @ np.asarray(center, dtype=np.float64)
-    return scores[:, None] - scores[None, :] + radius * cdist(X, X)
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    """Certified outer rank bounds from pairwise gap bounds alone.
-
-    ``outer_min[i] <= true min rank`` and ``outer_max[i] >= true max rank``
-    for every row; ``never_top`` and ``always_top`` mark rows whose top
-    membership is fixed across the whole model family.
-    """
-
-    never_top: NDArray[np.bool_]
-    always_top: NDArray[np.bool_]
-    outer_min: NDArray[np.int64]
-    outer_max: NDArray[np.int64]
-
-
-def prune_from_sup_matrix(sup_gap: NDArray[np.float64], kappa: int) -> PruneResult:
-    """Outer rank bounds from any matrix of pairwise gap suprema.
-
-    ``sup_gap[i, j]`` must upper-bound score(i) - score(j) over the model
-    family. A row with at least kappa rows strictly above it everywhere
-    can never enter the top; one with at least n - kappa rows strictly
-    below it everywhere can never leave.
-    """
-    B = np.asarray(sup_gap, dtype=np.float64)
-    n = B.shape[0]
-    tol = PRUNE_REL_TOL * max(1.0, float(np.max(np.abs(B))))
-    strictly_below = B < -tol  # [i, j]: i always strictly below j
-    count_above = strictly_below.sum(axis=1)
-    count_below = strictly_below.sum(axis=0)
-    outer_min = 1 + count_above.astype(np.int64)
-    outer_max = (n - count_below).astype(np.int64)
-    return PruneResult(
-        never_top=outer_min > kappa,
-        always_top=outer_max <= kappa,
-        outer_min=outer_min,
-        outer_max=outer_max,
-    )
+from .solver import (
+    BallRegion,
+    PruneResult,
+    SimplexRegion,
+    SolverConfig,
+    rank_query,
+    screen_membership,
+    solve,
+)
 
 
 def prune_unflippable(
@@ -88,7 +39,7 @@ def prune_unflippable(
 ) -> PruneResult:
     """Fix top membership for rows decided by the ball's pairwise gap
     bounds."""
-    return prune_from_sup_matrix(gap_bound(X, center, radius), kappa)
+    return screen_membership(BallRegion(center=center, radius=radius), X, kappa)
 
 
 def witness_pool(

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linprog, lsq_linear
+from scipy.spatial.distance import cdist
 
 DEFAULT_NODE_BUDGET = 1_000_000
 DEFAULT_TIME_BUDGET = 60.0
@@ -174,54 +175,43 @@ def group_query(
     group row's rank and no term of the objective, so omitting them loses
     nothing.
 
-    Group rows whose membership the whole region already settles are
-    resolved before the search, using the root presolve's rule for a
-    strict order (a gap range clear of zero by ``1e-12 * scale``, with the
-    scale taken over every pair touching a group row):
-
-    * a group row with at least ``kappa`` rows strictly above it is never
-      selected; it leaves ``group_rows`` and its pairs are dropped;
-    * a group row with at least ``n - kappa`` rows strictly below it is
-      always selected; it stays in ``group_rows`` with no pairs, so its
-      losses stay 0 and it always counts.
-
-    Only pairs touching a group row whose membership can still change are
-    kept. This is exact: the objective reads the losses of the remaining
-    changeable rows only, every pair touching them is kept, and a blend
-    that realizes the kept orientations also orients the dropped pairs.
+    Group rows whose membership :func:`screen_membership` fixes over the
+    whole region are settled before the search: a never-top row leaves
+    ``group_rows``, and an always-top row stays with no pairs, so it
+    always counts. Only the pairs (a, b), a < b, that touch a group row
+    whose membership can still change are built, in lexicographic order.
+    This is exact: the objective reads the losses of the changeable rows
+    only, every pair touching them is kept, and a blend that realizes the
+    kept orientations also orients the dropped pairs.
     """
     V = np.asarray(row_vectors, dtype=np.float64)
     n = V.shape[0]
     group_rows = tuple(int(g) for g in group_rows)
     kappa = int(kappa)
-    in_group = np.zeros(n, dtype=bool)
-    in_group[list(group_rows)] = True
-    # Every pair (a, b), a < b, with a group endpoint, in lexicographic order.
-    above, below = np.nonzero(np.triu(in_group[:, None] | in_group[None, :], k=1))
-    gaps = V[above] - V[below]
-
-    _, glo, ghi, scale = _snapped_ranges(region, gaps)
-    tol = 1e-12 * scale
-    above_wins = glo > tol
-    below_wins = ghi < -tol
-    n_above = np.bincount(below[above_wins], minlength=n) + np.bincount(
-        above[below_wins], minlength=n
-    )
-    n_below = np.bincount(above[above_wins], minlength=n) + np.bincount(
-        below[below_wins], minlength=n
-    )
-    never_top = in_group & (n_above >= kappa)
-    changeable = in_group & ~never_top & (n_below < n - kappa)
-    keep = changeable[above] | changeable[below]
+    screen = screen_membership(region, V, kappa)
+    changeable = np.zeros(n, dtype=bool)
+    changeable[list(group_rows)] = True
+    changeable &= ~(screen.never_top | screen.always_top)
+    # Row a pairs with every later row when it is changeable, else with
+    # every later changeable row.
+    C = np.flatnonzero(changeable)
+    rows = np.arange(n)
+    first_later = np.searchsorted(C, rows, side="right")
+    counts = np.where(changeable, n - 1 - rows, C.shape[0] - first_later)
+    above = np.repeat(rows, counts)
+    step = np.arange(above.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    below = above + 1 + step
+    fixed = ~changeable[above]
+    below[fixed] = C[first_later[above[fixed]] + step[fixed]]
     return MipInstance(
         sense=sense,
         objective="group_count",
         region=region,
-        gaps=gaps[keep],
-        above=above[keep],
-        below=below[keep],
+        gaps=V[above] - V[below],
+        above=above,
+        below=below,
         n_rows=n,
-        group_rows=tuple(r for r in group_rows if not never_top[r]),
+        group_rows=tuple(r for r in group_rows if not screen.never_top[r]),
         kappa=kappa,
     )
 
@@ -246,24 +236,81 @@ def gap_ranges(
     raise TypeError(f"unknown region type {type(region)!r}")
 
 
-def _snapped_ranges(region: "BallRegion | SimplexRegion", gaps: NDArray[np.float64]):
-    """Gaps with rounding-noise components snapped to zero, their exact
-    ranges over the region, and the scale the root presolve measures its
-    tolerances against.
+# ---------------------------------------------------------------------------
+# Fixed-membership screen.
 
-    Gap components at rounding-noise level (exactly tied pairs seen
-    through upstream factorizations) would otherwise turn halfspace
-    intersections into ill-conditioned slivers; snapping them to zero
-    represents an exact tie exactly.
+# Rows per screen block: each block holds a few (SCREEN_BLOCK, n) arrays.
+SCREEN_BLOCK = 256
+PRUNE_REL_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class PruneResult:
+    """Certified outer rank bounds from pairwise gap bounds alone.
+
+    ``outer_min[i] <= true min rank`` and ``outer_max[i] >= true max rank``
+    for every row; ``never_top`` and ``always_top`` mark rows whose top
+    membership is fixed across the whole region.
     """
-    G = np.asarray(gaps, dtype=np.float64).copy()
-    if G.shape[0]:
-        g_scale = float(np.max(np.abs(G)))
-        if g_scale > 0:
-            G[np.abs(G) <= 1e-13 * g_scale] = 0.0
-    glo, ghi = gap_ranges(region, G)
-    scale = max(1.0, float(np.max(np.abs(glo), initial=0.0)), float(np.max(np.abs(ghi), initial=0.0)))
-    return G, glo, ghi, scale
+
+    never_top: NDArray[np.bool_]
+    always_top: NDArray[np.bool_]
+    outer_min: NDArray[np.int64]
+    outer_max: NDArray[np.int64]
+
+
+def screen_membership(
+    region: "BallRegion | SimplexRegion", V: NDArray[np.float64], kappa: int
+) -> PruneResult:
+    """Rows whose top-kappa membership the whole region fixes.
+
+    ``V`` maps rows to score coefficients over ``region``. Row j is
+    strictly above row i everywhere when the region supremum of
+    score(i) - score(j) is below ``-PRUNE_REL_TOL * max(1, spread)``; the
+    spread, the highest score over the region minus the lowest, bounds
+    every such supremum. The supremum is the center gap plus the radius
+    times the row distance over a ball, and the largest per-target gap
+    over the simplex (a linear gap peaks at a one-hot vertex). It is
+    formed for ``SCREEN_BLOCK`` rows at a time against every row.
+
+    A row with at least kappa rows strictly above it can never enter the
+    top; one with at least n - kappa rows strictly below it can never
+    leave.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    n = V.shape[0]
+    if isinstance(region, BallRegion):
+        scores = V @ region.center
+        reach = region.radius * np.linalg.norm(V, axis=1)
+        spread = np.max(scores + reach) - np.min(scores - reach)
+    elif isinstance(region, SimplexRegion):
+        spread = V.max() - V.min()
+    else:
+        raise TypeError(f"unknown region type {type(region)!r}")
+    tol = PRUNE_REL_TOL * max(1.0, float(spread))
+    count_above = np.zeros(n, dtype=np.int64)
+    count_below = np.zeros(n, dtype=np.int64)
+    for r0 in range(0, n, SCREEN_BLOCK):
+        rows = slice(r0, r0 + SCREEN_BLOCK)
+        if isinstance(region, BallRegion):
+            sup = cdist(V[rows], V)
+            sup *= region.radius
+            sup += scores[rows, None] - scores[None, :]
+        else:
+            sup = V[rows, 0, None] - V[None, :, 0]
+            for k in range(1, V.shape[1]):
+                np.maximum(sup, V[rows, k, None] - V[None, :, k], out=sup)
+        strictly_below = sup < -tol  # [i, j]: row i always below row j
+        count_above[rows] = strictly_below.sum(axis=1)
+        count_below += strictly_below.sum(axis=0)
+    outer_min = 1 + count_above
+    outer_max = n - count_below
+    return PruneResult(
+        never_top=outer_min > kappa,
+        always_top=outer_max <= kappa,
+        outer_min=outer_min,
+        outer_max=outer_max,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +650,17 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     obj = _Objective(inst)
     sense = inst.sense
     n = inst.n_rows
-    G, glo, ghi, scale = _snapped_ranges(inst.region, inst.gaps)
+    # Snap rounding-noise gap components (exactly tied pairs seen through
+    # upstream factorizations) to zero: an exact tie then stays exact
+    # instead of cutting an ill-conditioned sliver of the region.
+    G = np.asarray(inst.gaps, dtype=np.float64).copy()
     P = G.shape[0]
+    if P:
+        g_scale = float(np.max(np.abs(G)))
+        if g_scale > 0:
+            G[np.abs(G) <= 1e-13 * g_scale] = 0.0
+    glo, ghi = gap_ranges(inst.region, G)
+    scale = max(1.0, float(np.max(np.abs(glo), initial=0.0)), float(np.max(np.abs(ghi), initial=0.0)))
     tol_forced = 1e-12 * scale
     mtol = MARGIN * scale
     geom = _make_geom(inst.region, FEAS_TOL * scale)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from topkflip import cli, metrics, rashomon_single
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl
 
@@ -85,19 +86,56 @@ def test_ambiguity_multi_reports(table, tmp_path):
         assert rep.flippable == (rep.min_rank <= int(meta["kappa_resolved"]) < rep.max_rank)
 
 
-def test_certify_smoke(table, tmp_path):
-    # small enough for both oracle cross-checks to actually run
+def _count_calls(monkeypatch, fn, *modules):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls
+
+
+def test_certify_smoke(table, tmp_path, monkeypatch):
+    # small enough for both oracle cross-checks to actually run; the
+    # single-target design keeps two columns once y2 is dropped too
     small = tmp_path / "s.csv"
     main(["synth", "--n", "150", "--b", "0.4", "--seed", "3", "--out", str(small)])
     assert main([
         "ambiguity-multi", "--data", str(small), "--targets", "y1,y2",
         "--kappa", "8", "--certify", "--out", str(tmp_path / "cm.jsonl"),
     ]) == EXIT_OK
+    # The single-target check reads the curve's own exact reports: one
+    # certified pass and one sweep per epsilon.
+    searches = _count_calls(monkeypatch, rashomon_single.flip_search, metrics, rashomon_single)
+    sweeps = _count_calls(monkeypatch, cli.angle_sweep_single, cli)
     assert main([
         "ambiguity-single", "--data", str(small), "--target", "y1", "--kappa", "8",
-        "--epsilons", "0.02,0.1", "--certify", "--drop-regex", "visits",
+        "--epsilons", "0.02,0.1", "--certify", "--drop-regex", "visits|y2",
         "--out", str(tmp_path / "cs.csv"),
     ]) == EXIT_OK
+    assert len(searches) == len(sweeps) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["synth", "--n", "20", "--b", "0.5"], ["--workers", "2"]),
+        (["synth", "--n", "20", "--b", "0.5"], ["--drop-regex", "x"]),
+        (["fit", "--targets", "y1"], ["--node-budget", "5"]),
+        (
+            ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5"],
+            ["--certify"],
+        ),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(table, tmp_path, capsys, command, flag):
+    data = [] if command[0] == "synth" else ["--data", str(table)]
+    assert main(command + data + flag + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().err)
+    assert f"unrecognized arguments: {' '.join(flag)}" in err["error"]["message"]
 
 
 def test_fairness_range_outputs(table, tmp_path):

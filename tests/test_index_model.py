@@ -7,7 +7,6 @@ from topkflip.index_model import (
     build_ensemble,
     fit_index_variable,
     flip_search_multi,
-    gap_sup_multi,
     prune_never_top_multi,
     witness_pool_alphas,
 )
@@ -83,14 +82,13 @@ def test_index_variable_equals_blended_predictions(rng):
     np.testing.assert_allclose(iv.predict(X_new), blended, atol=1e-8)
 
 
-def test_gap_bounds_nest(rng):
+def test_screen_bounds_hold_at_dirichlet_blends(rng):
     P = _random_preds(rng, 12, 3)
-    sup = gap_sup_multi(P)
-    # the exact sup is attained at some vertex
+    kappa = 4
+    pr = prune_never_top_multi(P, kappa)
     for _ in range(200):
-        a = rng.dirichlet(np.ones(3))
-        s = P @ a
-        assert np.all(s[:, None] - s[None, :] <= sup + 1e-9)
+        ranks = rank_descending(P @ rng.dirichlet(np.ones(3)), kappa).ranks
+        assert np.all(pr.outer_min <= ranks) and np.all(ranks <= pr.outer_max)
 
 
 def test_prune_multi_sound_against_sweep(rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from topkflip.linear_fit import fit_ols, make_ball
+from topkflip.index_model import flip_search_multi, prune_never_top_multi
+from topkflip.linear_fit import RashomonBall, fit_ols, make_ball
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
 from topkflip.rashomon_single import (
@@ -10,7 +11,6 @@ from topkflip.rashomon_single import (
     ambiguity_single,
     flip_reports_single,
     flip_search,
-    gap_bound,
     prune_unflippable,
 )
 from topkflip.solver import SolverConfig
@@ -18,17 +18,17 @@ from topkflip.solver import SolverConfig
 from conftest import random_design
 
 
-def test_gap_bound_dominates_sampled_gaps(rng):
+def test_screen_bounds_hold_at_sampled_ball_points(rng):
     X = random_design(rng, 15, 3)
     center = rng.normal(size=3)
     radius = 0.5
-    sup = gap_bound(X, center, radius)
+    kappa = 4
+    pr = prune_unflippable(X, center, radius, kappa)
     for _ in range(300):
         u = rng.normal(size=3)
         u *= radius * rng.random() ** (1 / 3) / np.linalg.norm(u)
-        s = X @ (center + u)
-        gaps = s[:, None] - s[None, :]
-        assert np.all(gaps <= sup + 1e-9)
+        ranks = rank_descending(X @ (center + u), kappa).ranks
+        assert np.all(pr.outer_min <= ranks) and np.all(ranks <= pr.outer_max)
 
 
 def test_prune_is_sound_against_the_sweep(rng):
@@ -184,3 +184,62 @@ def test_budget_exhaustion_leaves_undetermined(rng):
         if rep.method == "undetermined":
             assert rep.flippable is None or isinstance(rep.flippable, bool)
             assert rep.min_rank <= rep.max_rank
+
+
+def _always_top_edge_instance(rng, family):
+    """Rows built so that a crossing pair has outer_max = kappa + 1:
+    kappa - 1 rows sit above both of them and the rest below both over
+    the whole region, with two of the rows below duplicated."""
+    kappa = int(rng.integers(1, 5))
+    n_below = int(rng.integers(3, 8))
+    offsets = np.concatenate([rng.uniform(3, 6, kappa - 1), rng.uniform(-6, -3, n_below)])
+    ball = None
+    if family == "ball":
+        d = int(rng.integers(2, 4))
+        unit = rng.normal(size=d)
+        unit /= np.linalg.norm(unit)
+        radius = float(rng.uniform(0.3, 0.8))
+        ball = RashomonBall(
+            center=2.0 * unit, epsilon=radius**2, epsilon_input=radius**2,
+            epsilon_mode="absolute", rss0=1.0,
+        )
+        # The pair differs mostly across the center direction, so its
+        # order flips inside the ball.
+        u = rng.normal(size=d)
+        u -= (u @ unit) * unit
+        u *= 0.1 / np.linalg.norm(u)
+        u += 0.01 * unit
+        mid = rng.normal(size=d)
+        far = mid + offsets[:, None] * unit + rng.uniform(-0.1, 0.1, size=(offsets.size, d))
+        rows = np.vstack([far, mid + u, mid - u])
+    else:
+        K = int(rng.integers(2, 4))
+        first = 0.3 * rng.normal(size=K)
+        step = rng.normal(size=K)
+        step[0], step[1] = abs(step[0]) + 0.1, -abs(step[1]) - 0.1
+        far = offsets[:, None] + rng.uniform(-0.1, 0.1, size=(offsets.size, K))
+        rows = np.vstack([far, first, first + step])
+    rows = np.vstack([rows, rows[kappa - 1 : kappa + 1]])
+    return rows[rng.permutation(rows.shape[0])], ball, kappa
+
+
+@pytest.mark.parametrize("family", ["ball", "simplex"])
+def test_status_matches_exact_next_to_the_always_top_bound(family, rng):
+    """A flippable row whose screen bound is outer_max = kappa + 1 must
+    not be settled as always selected."""
+    at_edge = 0
+    for _ in range(10):
+        V, ball, kappa = _always_top_edge_instance(rng, family)
+        if family == "ball":
+            pr = prune_unflippable(V, ball.center, ball.radius, kappa)
+            fast = flip_search(V, ball, kappa)
+            slow = flip_search(V, ball, kappa, rank_mode="exact")
+        else:
+            pr = prune_never_top_multi(V, kappa)
+            fast = flip_search_multi(V, kappa)
+            slow = flip_search_multi(V, kappa, rank_mode="exact")
+        for i, (f, s) in enumerate(zip(fast, slow)):
+            assert f.flippable == s.flippable, (family, i)
+            assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
+            at_edge += bool(s.flippable and pr.outer_max[i] == kappa + 1)
+    assert at_edge == 20  # both rows of every crossing pair

@@ -6,14 +6,19 @@ exact-oracle comparisons live with the acceptance checks.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from topkflip import solver
+from topkflip.index_model import prune_never_top_multi
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
+from topkflip.rashomon_single import prune_unflippable
 from topkflip.solver import (
+    SCREEN_BLOCK,
     BallRegion,
     MipInstance,
     SimplexRegion,
@@ -22,6 +27,7 @@ from topkflip.solver import (
     group_query,
     load_instance,
     rank_query,
+    screen_membership,
     solve,
 )
 
@@ -240,3 +246,83 @@ def test_config_rejects_nonsense():
         SolverConfig(node_budget=0)
     with pytest.raises(ValueError):
         SolverConfig(time_budget=-1.0)
+
+
+def _dense_gap_sup(region, V):
+    """Reference: the whole matrix of region suprema of score(i) - score(j),
+    formed at once as the dense ball and simplex screens did."""
+    if isinstance(region, BallRegion):
+        scores = V @ region.center
+        return scores[:, None] - scores[None, :] + region.radius * cdist(V, V)
+    diffs = V[:, None, :] - V[None, :, :]
+    return diffs.max(axis=2)
+
+
+def _dense_prune(sup_gap, kappa):
+    """Reference: outer rank bounds from a dense suprema matrix, with the
+    tolerance scaled by its largest entry."""
+    n = sup_gap.shape[0]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(sup_gap))))
+    strictly_below = sup_gap < -tol
+    outer_min = 1 + strictly_below.sum(axis=1).astype(np.int64)
+    outer_max = (n - strictly_below.sum(axis=0)).astype(np.int64)
+    return outer_min > kappa, outer_max <= kappa, outer_min, outer_max
+
+
+@pytest.mark.parametrize(
+    "n", [1, SCREEN_BLOCK - 1, SCREEN_BLOCK, SCREEN_BLOCK + 1, 2 * SCREEN_BLOCK + 1]
+)
+def test_blockwise_screen_matches_the_dense_screen(n, rng):
+    """Same bounds as the dense screens across block edges, on rows with
+    one-decimal ties and duplicates, and the group-count builder keeps
+    exactly the pairs touching a changeable group row, in (a, b) order."""
+    regions = [
+        BallRegion(center=rng.normal(size=3), radius=0.0),
+        BallRegion(center=rng.normal(size=3), radius=0.3),
+        SimplexRegion(dim=2),
+        SimplexRegion(dim=3),
+        SimplexRegion(dim=5),
+    ]
+    for region in regions:
+        dim = region.dim
+        V = np.round(rng.normal(size=(n, dim)), 1)
+        V[rng.permutation(n)[: n // 4]] = V[rng.integers(0, n, size=n // 4)]
+        sup = _dense_gap_sup(region, V)
+        for kappa in sorted({1, max(1, n // 7), n}):
+            got = screen_membership(region, V, kappa)
+            want = _dense_prune(sup, kappa)
+            for name, w in zip(("never_top", "always_top", "outer_min", "outer_max"), want):
+                g = getattr(got, name)
+                assert g.dtype == w.dtype and np.array_equal(g, w), (region, n, kappa, name)
+
+            group = np.flatnonzero(rng.random(n) < 0.3)
+            inst = group_query("max", region, V, group, kappa)
+            changeable = np.zeros(n, dtype=bool)
+            changeable[group] = True
+            changeable &= ~(want[0] | want[1])
+            above, below = np.nonzero(np.triu(changeable[:, None] | changeable[None, :], k=1))
+            assert np.array_equal(inst.above, above) and np.array_equal(inst.below, below)
+            assert np.array_equal(inst.gaps, V[above] - V[below])
+            assert inst.group_rows == tuple(int(g) for g in group if not want[0][g])
+
+
+def test_screen_memory_stays_linear_in_rows():
+    """Cohort-sized screens run in row blocks: the dense (n, n, K) tensor
+    for 12,000 rows and 3 targets alone would take about 3.5 GB."""
+    rng = np.random.default_rng(5)
+    n = 12_000
+    P = rng.normal(size=(n, 3))
+    X = rng.normal(size=(n, 11))
+    center = rng.normal(size=11)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        multi = prune_never_top_multi(P, 360)
+        _, peak_multi = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        single = prune_unflippable(X, center, 0.05, 360)
+        _, peak_single = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert multi.outer_min.shape == single.outer_max.shape == (n,)
+    assert peak_multi < 100e6 and peak_single < 100e6, (peak_multi, peak_single)

@@ -34,7 +34,7 @@ from .fairness import fairness_workflow, write_fairness_csv, write_fairness_json
 from .index_model import STANDARDIZATIONS, build_ensemble, flip_reports_multi
 from .linear_fit import fit_on_rows
 from .metrics import ambiguity_curve, curve_rows, stable_points, stable_rows
-from .oracle import angle_sweep_single, simplex_sweep_k2
+from .oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from .ranking import resolve_kappa
 from .rashomon_single import flip_reports_single
 from .reports import meta_record, write_csv_with_meta, write_reports_jsonl
@@ -199,10 +199,42 @@ def _cmd_fit(args) -> int:
 # --------------------------------------------------- ambiguity-single
 
 
+# Row caps of the exact oracles under --certify. The three-target sweep
+# grows steeply: about 1.6 s at 20 rows, 15 s at 30 and 73 s at 40.
+SWEEP_MAX_ROWS = 60
+SWEEP_K3_MAX_ROWS = 20
+
+
+def _certify_note(text: str) -> None:
+    """Say on stderr what --certify checked, or why it checked nothing."""
+    print(f"certify: {text}", file=sys.stderr)
+
+
+def _blend_sweep(n_targets: int, n_rows: int):
+    """The exact blend sweep for this many targets and rows, as
+    ``(sweep, name)``, or None after saying why none applies."""
+    sweeps = {
+        2: (simplex_sweep_k2, "simplex_sweep_k2", SWEEP_MAX_ROWS),
+        3: (simplex_sweep_k3, "simplex_sweep_k3", SWEEP_K3_MAX_ROWS),
+    }
+    if n_targets not in sweeps:
+        _certify_note(f"no oracle applies ({n_targets} targets; the blend sweeps take 2 or 3)")
+        return None
+    sweep, name, cap = sweeps[n_targets]
+    if n_rows > cap:
+        _certify_note(f"no oracle applies ({n_rows} rows, over the {cap}-row cap of {name})")
+        return None
+    return sweep, name
+
+
 def _certify_single(q: Dataset, curve) -> None:
     """Cross-check an exact-mode curve's rank ranges against the disc sweep
     on tiny inputs."""
-    if q.features.shape[1] != 2 or q.n > 60:
+    if q.features.shape[1] != 2:
+        _certify_note(f"no oracle applies ({q.features.shape[1]} design columns; the disc sweep takes 2)")
+        return
+    if q.n > SWEEP_MAX_ROWS:
+        _certify_note(f"no oracle applies ({q.n} rows, over the {SWEEP_MAX_ROWS}-row cap of angle_sweep_single)")
         return
     for point in curve:
         lo, hi = angle_sweep_single(q.features, point.ball.center, point.ball.radius)
@@ -212,6 +244,7 @@ def _certify_single(q: Dataset, curve) -> None:
                     f"rank range mismatch at epsilon={point.epsilon}, row {rep.row_id}: "
                     f"solver [{rep.min_rank}, {rep.max_rank}] vs sweep [{omin}, {omax}]"
                 )
+    _certify_note(f"angle_sweep_single checked rank ranges at {len(curve)} epsilons on {q.n} rows")
 
 
 def _cmd_ambiguity_single(args) -> int:
@@ -264,9 +297,11 @@ def _cmd_ambiguity_single(args) -> int:
 
 
 def _certify_multi(preds, kappa: int, reports) -> None:
-    if preds.shape[1] != 2 or preds.shape[0] > 60:
+    oracle = _blend_sweep(preds.shape[1], preds.shape[0])
+    if oracle is None:
         return
-    sweep = simplex_sweep_k2(preds, kappa)
+    sweep_fn, name = oracle
+    sweep = sweep_fn(preds, kappa)
     for i, rep in enumerate(reports):
         omin, omax = int(sweep.min_ranks[i]), int(sweep.max_ranks[i])
         if rep.min_rank != omin or rep.max_rank != omax:
@@ -274,6 +309,7 @@ def _certify_multi(preds, kappa: int, reports) -> None:
                 f"rank range mismatch at row {rep.row_id}: "
                 f"solver [{rep.min_rank}, {rep.max_rank}] vs sweep [{omin}, {omax}]"
             )
+    _certify_note(f"{name} checked rank ranges on {preds.shape[0]} rows")
 
 
 def _cmd_ambiguity_multi(args) -> int:
@@ -354,11 +390,14 @@ def _cmd_fairness_range(args) -> int:
 
 
 def _certify_fairness(ds, targets, args, bundle) -> None:
-    if len(targets) != 2:
-        return
     tune = ds.split_mask("tune")
-    if not tune.any() or int(tune.sum()) > 60:
+    if not tune.any():
+        _certify_note("no oracle applies (no tune rows)")
         return
+    oracle = _blend_sweep(len(targets), int(tune.sum()))
+    if oracle is None:
+        return
+    sweep_fn, name = oracle
     fit_rows, ref_rows, _ = _phase_views(ds)
     Y = np.column_stack([ds.target(t) for t in targets])
     ensemble = build_ensemble(
@@ -366,14 +405,15 @@ def _certify_fairness(ds, targets, args, bundle) -> None:
     )
     preds = ensemble.predictions(ds.features[tune])
     mask = ds.group_mask(args.group)[tune]
-    sweep = simplex_sweep_k2(preds, bundle.kappa_tune, group_mask=mask)
+    sweep = sweep_fn(preds, bundle.kappa_tune, group_mask=mask)
     rep = bundle.tune_report
-    for ours, oracle, name in (
+    for ours, theirs, side in (
         (rep.min_count, sweep.group_min, "min"),
         (rep.max_count, sweep.group_max, "max"),
     ):
-        if ours is not None and oracle is not None and ours != int(oracle):
-            raise CertifyError(f"group count {name} mismatch: solver {ours} vs sweep {int(oracle)}")
+        if ours is not None and theirs is not None and ours != int(theirs):
+            raise CertifyError(f"group count {side} mismatch: solver {ours} vs sweep {int(theirs)}")
+    _certify_note(f"{name} checked the group count range on {preds.shape[0]} rows")
 
 
 # ------------------------------------------------------ stable-points

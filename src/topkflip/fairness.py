@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dataset import Dataset
-from .index_model import IndexEnsemble, build_ensemble
+from .index_model import build_ensemble
 from .ranking import rank_descending, resolve_kappa
 from .reports import write_csv_with_meta
 from .solver import SimplexRegion, SolverConfig, group_query, solve

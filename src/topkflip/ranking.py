@@ -2,8 +2,9 @@
 
 Scores are ranked 1..n with 1 assigned to the largest score. Ties are broken
 by ascending row index so that repeated runs and independent implementations
-agree bit for bit. Ties are never silently merged: the count of tied rows is
-carried on the result so callers can surface a warning.
+agree bit for bit. Ties are never silently merged: the result carries the
+count of rows that share their score with another row. No caller reports
+it yet.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ class RankVector:
     top_flags : ndarray of bool
         ``top_flags[i]`` is True iff ``ranks[i] <= kappa``.
     tie_count : int
-        Number of rows that share their score with at least one other row.
-        Deterministic index order resolved them; nonzero values deserve a
-        warning upstream because rank extremes at ties depend on convention.
+        Number of rows that share their score with at least one other row;
+        deterministic index order resolved them, so a nonzero count means
+        some ranks depend on the tie convention.
     """
 
     ranks: NDArray[np.int64]

@@ -17,6 +17,13 @@ branches on orientations, checking region nonemptiness exactly:
 * three targets: polygon clipping;
 * more targets: small feasibility LPs.
 
+After the root presolve fixes the sign-definite pairs, the search runs on
+a compact state: the free pairs only, permuted once into the static
+branch order, and one loss count per objective row (the focal row, or
+each distinct group row) plus a catch-all slot that nothing reads. Rank
+and group queries differ only in their value and bound formulas and in
+one sign, whether a loss on an objective row helps the sense.
+
 Bounds are admissible counting arguments, incumbents come from feasibility
 witnesses with a safety margin so a reported value is always attainable,
 and the whole search is deterministic for a fixed node budget.
@@ -24,7 +31,6 @@ and the whole search is deterministic for a fixed node budget.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import time
@@ -598,46 +604,9 @@ def _make_geom(region, tol):
 
 @dataclass
 class _Node:
-    assign: NDArray[np.int8]  # -1 unassigned, else orientation
-    n_assigned: int
-    losses: NDArray[np.int64]  # per-row loss counts from fixed orientations
+    assign: NDArray[np.int8]  # per free pair in branch order: -1 open, else orientation
+    losses: NDArray[np.int64]  # per objective slot, then the catch-all slot
     region_state: object
-
-
-class _Objective:
-    """Bound and value arithmetic shared by the search loop.
-
-    Losses are tracked for every row; only the focal row (rank) or the
-    group rows (group_count) feed the objective.
-    """
-
-    def __init__(self, inst: MipInstance):
-        self.inst = inst
-        self.n = inst.n_rows
-        if inst.objective == "group_count":
-            self.group_mask = np.zeros(self.n, dtype=bool)
-            self.group_mask[list(inst.group_rows)] = True
-            self.kappa = inst.kappa
-
-    def value_from_losses(self, losses):
-        if self.inst.objective == "rank":
-            return 1 + int(losses[self.inst.focal])
-        ranks = 1 + losses[self.group_mask]
-        return int(np.sum(ranks <= self.kappa))
-
-    def bound(self, losses, potential):
-        """Admissible bound given fixed losses and per-row counts of
-        still-unassigned pairs touching each row."""
-        if self.inst.objective == "rank":
-            base = 1 + int(losses[self.inst.focal])
-            if self.inst.sense == "min":
-                return base
-            return base + int(potential[self.inst.focal])
-        L = losses[self.group_mask]
-        U = potential[self.group_mask]
-        if self.inst.sense == "max":
-            return int(np.sum(L + 1 <= self.kappa))
-        return int(np.sum(L + U + 1 <= self.kappa))
 
 
 def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
@@ -647,9 +616,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     safety valve checked every few hundred nodes.
     """
     cfg = config or SolverConfig()
-    obj = _Objective(inst)
     sense = inst.sense
-    n = inst.n_rows
+    rank = inst.objective == "rank"
     # Snap rounding-noise gap components (exactly tied pairs seen through
     # upstream factorizations) to zero: an exact tie then stays exact
     # instead of cutting an ill-conditioned sliver of the region.
@@ -665,110 +633,103 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     mtol = MARGIN * scale
     geom = _make_geom(inst.region, FEAS_TOL * scale)
 
+    # Losses are kept per objective row only: slot 0 is the focal row, or
+    # slots 0..m-1 are the distinct group rows; slot m takes every other
+    # row's losses and is never read.
+    obj_rows = [inst.focal] if rank else sorted(set(inst.group_rows))
+    m = len(obj_rows)
+    slot = np.full(inst.n_rows, m, dtype=np.int64)
+    slot[obj_rows] = np.arange(m)
+    s_above = slot[inst.above]
+    s_below = slot[inst.below]
+    # The one place the objectives differ in sign: whether a loss on an
+    # objective row moves the value toward the sense.
+    loss_helps = (sense == "max") == rank
+
+    def count(slots) -> NDArray[np.int64]:
+        return np.bincount(slots, minlength=m + 1)
+
     # Root presolve: orientations forced by a sign-definite gap range.
     forced1 = glo > tol_forced
     forced0 = ghi < -tol_forced
     gap_norm = np.max(np.abs(G), axis=1) if P else np.zeros(0)
     wild = gap_norm <= 1e-12 * scale  # identical score vectors; never constrains
-
-    base_losses = np.zeros(n, dtype=np.int64)
-    np.add.at(base_losses, inst.below[forced1], 1)
-    np.add.at(base_losses, inst.above[forced0], 1)
-
     free = ~(forced1 | forced0)
-    if inst.objective == "rank":
-        # A wild pair never constrains the region and only the focal row's
-        # count matters, so resolve it greedily by sense.
-        if sense == "max":
-            np.add.at(base_losses, inst.below[free & wild], 1)
-        free = free & ~wild
-    else:
-        # A wild pair touching exactly one group row is also greedy: charge
-        # the loss off the group for max, onto it for min. Group-group wild
-        # pairs are genuinely combinatorial and stay branchable.
-        gm = obj.group_mask
-        mixed_wild = free & wild & (gm[inst.above] != gm[inst.below])
-        if mixed_wild.any():
-            a_in = gm[inst.above[mixed_wild]]
-            target_rows = np.where(
-                a_in == (sense == "min"), inst.above[mixed_wild], inst.below[mixed_wild]
-            )
-            np.add.at(base_losses, target_rows, 1)
-            free = free & ~mixed_wild
-    free_idx = np.flatnonzero(free)
-    F = free_idx.shape[0]
-    n_fixed = P - F
+    # A wild pair touching exactly one objective row is greedy: its loss
+    # goes onto that row when a loss helps, else onto the other end. Wild
+    # pairs between two group rows are genuinely combinatorial and stay.
+    greedy = free & wild & ((s_above < m) != (s_below < m))
+    onto = np.where((s_above < m) == loss_helps, s_above, s_below)
+    base_losses = count(s_below[forced1]) + count(s_above[forced0]) + count(onto[greedy])
+    free &= ~greedy
 
     # Static branch order: most evenly split gap range first, then larger
-    # reach, then index for determinism.
-    if F:
-        fr_lo = glo[free_idx]
-        fr_hi = ghi[free_idx]
-        span = fr_hi - fr_lo
-        # Zero-span (wild) pairs carry no geometry; branch them last.
-        fracdev = np.where(
-            span > 1e-12 * scale,
-            np.abs(fr_hi / np.where(span > 0, span, 1.0) - 0.5),
-            np.inf,
-        )
-        order = np.lexsort((free_idx, -np.abs(fr_hi), fracdev))
-        branch_order = free_idx[order]
-    else:
-        branch_order = free_idx
+    # reach, then index for determinism. The search runs on the free pairs
+    # permuted into this order, so the first open pair is the branch pair.
+    free_idx = np.flatnonzero(free)
+    F = free_idx.shape[0]
+    fr_lo = glo[free_idx]
+    fr_hi = ghi[free_idx]
+    span = fr_hi - fr_lo
+    # Zero-span (wild) pairs carry no geometry; branch them last.
+    fracdev = np.where(
+        span > 1e-12 * scale,
+        np.abs(fr_hi / np.where(span > 0, span, 1.0) - 0.5),
+        np.inf,
+    )
+    order = free_idx[np.lexsort((free_idx, -np.abs(fr_hi), fracdev))]
+    G = G[order]
+    wild = wild[order]
+    s_above = s_above[order]
+    s_below = s_below[order]
+    # The child searched first puts the loss on a pair's lone objective end
+    # when a loss helps, and on its other end when not; a pair with both
+    # or neither end on an objective row tries orientation 0 first.
+    a_obj = s_above < m
+    preferred = np.where(a_obj != (s_below < m), a_obj != loss_helps, False).astype(np.int8)
 
-    free_touch = np.zeros(n, dtype=np.int64)
-    np.add.at(free_touch, inst.above[free_idx], 1)
-    np.add.at(free_touch, inst.below[free_idx], 1)
-
-    better = min if sense == "min" else max
     incumbent_value: int | None = None
     incumbent_witness: NDArray[np.float64] | None = None
 
-    def witness_update(node: _Node, param):
+    def value(losses) -> int:
+        if rank:
+            return 1 + int(losses[0])
+        return int(np.sum(1 + losses[:m] <= inst.kappa))
+
+    def node_bound(node: _Node, open_mask) -> int:
+        """Admissible bound: every open pair touching an objective row may
+        still go either way."""
+        L = node.losses[:m]
+        if rank and sense == "min":
+            return 1 + int(L[0])
+        if not rank and sense == "max":
+            return int(np.sum(L + 1 <= inst.kappa))
+        potential = (count(s_above[open_mask]) + count(s_below[open_mask]))[:m]
+        if rank:
+            return 1 + int(L[0]) + int(potential[0])
+        return int(np.sum(L + potential + 1 <= inst.kappa))
+
+    def witness_update(node: _Node, open_mask, param):
         """Turn a feasibility witness into an attained objective value.
 
-        Unassigned pairs orient by the gap sign at the witness with a
-        safety margin; ambiguous pairs resolve pessimistically so the
-        claimed value is always attainable.
+        Open pairs orient by the gap sign at the witness with a safety
+        margin. An ambiguous pair resolves pessimistically, so the claimed
+        value is always attainable: it charges both ends when a loss hurts
+        and nobody when a loss helps.
         """
         nonlocal incumbent_value, incumbent_witness
-        losses = node.losses.copy()
-        open_idx = branch_order[np.flatnonzero(node.assign[branch_order] < 0)]
-        if open_idx.shape[0]:
-            vals = G[open_idx] @ param
-            ab = inst.above[open_idx]
-            be = inst.below[open_idx]
-            if inst.objective == "rank":
-                if sense == "min":
-                    np.add.at(losses, be[vals > -mtol], 1)
-                else:
-                    np.add.at(losses, be[vals >= mtol], 1)
-            else:
-                gm = obj.group_mask
-                sure_above = vals >= mtol
-                sure_below = vals <= -mtol
-                amb = ~(sure_above | sure_below)
-                np.add.at(losses, be[sure_above], 1)
-                np.add.at(losses, ab[sure_below], 1)
-                if sense == "max":
-                    # phantom losses onto group endpoints: only understates
-                    np.add.at(losses, ab[amb & gm[ab]], 1)
-                    np.add.at(losses, be[amb & gm[be]], 1)
-                # min: ambiguous pairs charge nobody, which only overstates
-        v = obj.value_from_losses(losses)
-        if incumbent_value is None or better(incumbent_value, v) == v:
-            if incumbent_value is None or v != incumbent_value:
-                incumbent_value = v
-                incumbent_witness = np.asarray(param, dtype=np.float64).copy()
-
-    def node_bound(node: _Node) -> int:
-        open_mask = node.assign < 0
-        open_ids = free_idx[open_mask[free_idx]] if F else free_idx
-        potential = np.zeros(n, dtype=np.int64)
-        if open_ids.shape[0]:
-            np.add.at(potential, inst.above[open_ids], 1)
-            np.add.at(potential, inst.below[open_ids], 1)
-        return obj.bound(node.losses, potential)
+        losses = node.losses
+        idx = np.flatnonzero(open_mask)
+        if idx.shape[0]:
+            vals = G[idx] @ param
+            losses = losses + count(s_below[idx[vals >= mtol]]) + count(s_above[idx[vals <= -mtol]])
+            if not loss_helps:
+                amb = idx[np.abs(vals) < mtol]
+                losses += count(s_above[amb]) + count(s_below[amb])
+        v = value(losses)
+        if incumbent_value is None or (v < incumbent_value if sense == "min" else v > incumbent_value):
+            incumbent_value = v
+            incumbent_witness = np.asarray(param, dtype=np.float64).copy()
 
     def prunable(bound_val: int) -> bool:
         if incumbent_value is None:
@@ -777,79 +738,46 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             return bound_val >= incumbent_value
         return bound_val <= incumbent_value
 
-    def preferred_orientation(pidx: int) -> int:
-        if inst.objective == "rank":
-            return 0 if sense == "min" else 1
-        gm = obj.group_mask
-        a_in = gm[inst.above[pidx]]
-        b_in = gm[inst.below[pidx]]
-        if a_in and not b_in:
-            want_loss_on_above = sense == "min"
-            return 0 if want_loss_on_above else 1
-        if b_in and not a_in:
-            want_loss_on_below = sense == "min"
-            return 1 if want_loss_on_below else 0
-        return 0
-
-    def make_child(node: _Node, pidx: int, orientation: int, param) -> _Node:
+    def make_child(node: _Node, c: int, orientation: int, param) -> _Node:
         assign = node.assign.copy()
-        assign[pidx] = orientation
+        assign[c] = orientation
         losses = node.losses.copy()
-        loser = inst.below[pidx] if orientation == 1 else inst.above[pidx]
-        losses[loser] += 1
-        if wild[pidx]:
+        losses[s_below[c] if orientation == 1 else s_above[c]] += 1
+        if wild[c]:
             state = node.region_state  # trivial halfspace; geometry unchanged
         else:
-            row = -G[pidx] if orientation == 1 else G[pidx]
+            row = -G[c] if orientation == 1 else G[c]
             state = geom.child(node.region_state, row, param)
-        return _Node(assign=assign, n_assigned=node.n_assigned + 1, losses=losses, region_state=state)
+        return _Node(assign=assign, losses=losses, region_state=state)
 
-    def propagate(node: _Node) -> None:
+    def propagate(node: _Node):
         """Force orientations whose gap became sign-definite on the current
-        region. Forced halfspaces are redundant there, so the region state
-        stays put and one pass suffices."""
+        region, and return the pairs left open. Forced halfspaces are
+        redundant there, so the region state stays put and one pass
+        suffices."""
         open_mask = node.assign < 0
-        open_ids = free_idx[open_mask[free_idx]]
-        if not open_ids.shape[0]:
-            return
-        ranges = geom.free_ranges(node.region_state, G[open_ids])
+        if not open_mask.any():
+            return open_mask
+        ranges = geom.free_ranges(node.region_state, G[open_mask])
         if ranges is None:
-            return
+            return open_mask
         r_lo, r_hi = ranges
+        open_ids = np.flatnonzero(open_mask)
         force1 = open_ids[r_lo > tol_forced]
         force0 = open_ids[r_hi < -tol_forced]
         if not (force1.shape[0] or force0.shape[0]):
-            return
+            return open_mask
         node.assign[force1] = 1
         node.assign[force0] = 0
-        np.add.at(node.losses, inst.below[force1], 1)
-        np.add.at(node.losses, inst.above[force0], 1)
-        node.n_assigned += force1.shape[0] + force0.shape[0]
+        node.losses += count(s_below[force1]) + count(s_above[force0])
+        return node.assign < 0
 
-    root_assign = np.full(P, -1, dtype=np.int8)
-    root_assign[forced1] = 1
-    root_assign[forced0] = 0
-    if inst.objective == "rank":
-        root_assign[wild & ~(forced1 | forced0)] = 1 if sense == "max" else 0
-    else:
-        still = (root_assign < 0) & wild & ~free
-        root_assign[still] = 0  # mixed wild pairs resolved above; mark assigned
-    root = _Node(
-        assign=root_assign,
-        n_assigned=P - F,
-        losses=base_losses.copy(),
-        region_state=geom.root(),
-    )
-
-    stack = [root]
+    stack = [_Node(assign=np.full(F, -1, dtype=np.int8), losses=base_losses, region_state=geom.root())]
     nodes = 0
     start = time.monotonic()
     exhausted = False
     while stack:
-        if nodes >= cfg.node_budget:
-            exhausted = True
-            break
-        if nodes % 256 == 0 and time.monotonic() - start > cfg.time_budget:
+        if nodes >= cfg.node_budget or (nodes % 256 == 0 and time.monotonic() - start > cfg.time_budget):
             exhausted = True
             break
         node = stack.pop()
@@ -857,40 +785,27 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         ok, param = geom.feasible(node.region_state)
         if not ok:
             continue
-        propagate(node)
-        witness_update(node, param)
-        if node.n_assigned == P:
+        open_mask = propagate(node)
+        witness_update(node, open_mask, param)
+        if not open_mask.any():
             continue  # leaf; witness_update already recorded its exact value
-        if prunable(node_bound(node)):
+        if prunable(node_bound(node, open_mask)):
             continue
-        pidx = None
-        for cand in branch_order:
-            if node.assign[cand] < 0:
-                pidx = int(cand)
-                break
-        if pidx is None:
-            continue
-        pref = preferred_orientation(pidx)
-        stack.append(make_child(node, pidx, 1 - pref, param))
-        stack.append(make_child(node, pidx, pref, param))
+        c = int(np.argmax(open_mask))
+        pref = int(preferred[c])
+        stack.append(make_child(node, c, 1 - pref, param))
+        stack.append(make_child(node, c, pref, param))
 
     if not exhausted:
         status = "optimal"
         bound = incumbent_value
     else:
-        open_bounds = [node_bound(nd) for nd in stack]
-        if sense == "min":
-            outer = min(open_bounds) if open_bounds else incumbent_value
-            if incumbent_value is not None and outer is not None and outer >= incumbent_value:
-                status, bound = "optimal", incumbent_value
-            else:
-                status, bound = "budget_exhausted", outer
+        open_bounds = [node_bound(nd, nd.assign < 0) for nd in stack]
+        outer = (min if sense == "min" else max)(open_bounds, default=incumbent_value)
+        if outer is not None and prunable(outer):
+            status, bound = "optimal", incumbent_value
         else:
-            outer = max(open_bounds) if open_bounds else incumbent_value
-            if incumbent_value is not None and outer is not None and outer <= incumbent_value:
-                status, bound = "optimal", incumbent_value
-            else:
-                status, bound = "budget_exhausted", outer
+            status, bound = "budget_exhausted", outer
 
     if incumbent_value is None:
         # The root region is never empty for the supported region types, so
@@ -900,10 +815,10 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     return MipSolution(
         status=status,
         value=incumbent_value,
-        bound=bound if incumbent_value is not None or bound is not None else None,
+        bound=bound,
         witness=incumbent_witness,
         nodes=nodes,
-        presolve_fixed=int(n_fixed),
+        presolve_fixed=int(P - F),
         free_pairs=int(F),
     )
 

@@ -7,7 +7,9 @@ import pytest
 
 from topkflip import cli, metrics, rashomon_single
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from topkflip.dataset import write_csv
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl
+from topkflip.synth import generate_clinical
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +119,66 @@ def test_certify_smoke(table, tmp_path, monkeypatch):
         "--out", str(tmp_path / "cs.csv"),
     ]) == EXIT_OK
     assert len(searches) == len(sweeps) == 2
+
+
+def test_certify_says_what_it_checked(tmp_path, capsys):
+    small = tmp_path / "s.csv"
+    main(["synth", "--n", "150", "--b", "0.4", "--seed", "3", "--out", str(small)])
+    capsys.readouterr()
+    assert main([
+        "ambiguity-multi", "--data", str(small), "--targets", "y1,y2",
+        "--kappa", "8", "--certify", "--out", str(tmp_path / "cm.jsonl"),
+    ]) == EXIT_OK
+    n = int(read_reports_jsonl(tmp_path / "cm.jsonl")[0]["n"])
+    assert n <= cli.SWEEP_MAX_ROWS
+    assert capsys.readouterr().err == f"certify: simplex_sweep_k2 checked rank ranges on {n} rows\n"
+    # With y2 left in, the single-target design has three columns.
+    assert main([
+        "ambiguity-single", "--data", str(small), "--target", "y1", "--kappa", "8",
+        "--epsilons", "0.1", "--certify", "--drop-regex", "visits",
+        "--out", str(tmp_path / "cs.csv"),
+    ]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "certify: no oracle applies (3 design columns; the disc sweep takes 2)\n"
+    )
+
+
+def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
+    """Three targets on a small clinical table: both the rank ranges and the
+    group count range are checked against the three-target sweep."""
+    ds = generate_clinical(n=50)
+    tune_rows = np.flatnonzero(ds.split_mask("tune"))
+    keep = np.ones(ds.n, dtype=bool)
+    keep[tune_rows[cli.SWEEP_K3_MAX_ROWS - 2:]] = False
+    ds = ds.subset(keep)
+    data = tmp_path / "clinical.csv"
+    write_csv(ds, data)
+    targets = ",".join(ds.target_names)
+    holdout = int(ds.split_mask("holdout").sum())
+    tune = int(ds.split_mask("tune").sum())
+    assert max(holdout, tune) <= cli.SWEEP_K3_MAX_ROWS
+    assert main([
+        "ambiguity-multi", "--data", str(data), "--targets", targets,
+        "--kappa", "3", "--certify", "--out", str(tmp_path / "m.jsonl"),
+    ]) == EXIT_OK
+    assert capsys.readouterr().err == f"certify: simplex_sweep_k3 checked rank ranges on {holdout} rows\n"
+    assert main([
+        "fairness-range", "--data", str(data), "--targets", targets, "--group", "black",
+        "--kappa", "20%", "--certify", "--out", str(tmp_path / "f.json"),
+    ]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        f"certify: simplex_sweep_k3 checked the group count range on {tune} rows\n"
+    )
+    # Above the cap the sweep is skipped, and the run says so.
+    big = tmp_path / "big.csv"
+    write_csv(generate_clinical(n=80), big)
+    assert main([
+        "ambiguity-multi", "--data", str(big), "--targets", targets,
+        "--kappa", "3", "--certify", "--out", str(tmp_path / "b.jsonl"),
+    ]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "certify: no oracle applies (21 rows, over the 20-row cap of simplex_sweep_k3)\n"
+    )
 
 
 @pytest.mark.parametrize(

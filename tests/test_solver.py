@@ -326,3 +326,97 @@ def test_screen_memory_stays_linear_in_rows():
         tracemalloc.stop()
     assert multi.outer_min.shape == single.outer_max.shape == (n,)
     assert peak_multi < 100e6 and peak_single < 100e6, (peak_multi, peak_single)
+
+
+def _pinned_grid():
+    """Fixed seeded instances over every geometry, both objectives and both
+    senses; odd cases use one-decimal rows with duplicates, so exact ties
+    and wild pairs (identical score vectors) occur."""
+    for case, family in enumerate(("ball", "ball", "interval", "interval", "polygon", "polygon", "lp", "lp")):
+        rng = np.random.default_rng(100 + case)
+        if family == "ball":
+            n, d = 12, 2 + case % 2
+            V = random_design(rng, n, d)
+            region = BallRegion(center=rng.normal(size=d), radius=float(rng.uniform(0.5, 1.0)))
+        else:
+            K = {"interval": 2, "polygon": 3, "lp": 4}[family]
+            n = 9 if family == "lp" else 16
+            V = rng.normal(size=(n, K))
+            region = SimplexRegion(dim=K)
+        if case % 2:
+            V = np.round(V, 1)
+            V[rng.permutation(n)[:3]] = V[rng.integers(0, n, size=3)]
+        kappa = int(rng.integers(2, n // 2 + 1))
+        group = np.flatnonzero(rng.random(n) < 0.4)
+        focal = int(rng.integers(0, n))
+        for sense in ("min", "max"):
+            yield (case, family, "rank", sense), rank_query(sense, region, V, focal)
+            yield (case, family, "group", sense), group_query(sense, region, V, group, kappa)
+
+
+# (status, value, bound, nodes, presolve_fixed, free_pairs) per grid case.
+PINNED_SEARCH = {
+    (0, 'ball', 'rank', 'min'): ('optimal', 1, 1, 23, 0, 11),
+    (0, 'ball', 'group', 'min'): ('optimal', 0, 0, 91, 0, 56),
+    (0, 'ball', 'rank', 'max'): ('optimal', 12, 12, 23, 0, 11),
+    (0, 'ball', 'group', 'max'): ('optimal', 7, 7, 169, 0, 56),
+    (1, 'ball', 'rank', 'min'): ('optimal', 1, 1, 23, 0, 11),
+    (1, 'ball', 'group', 'min'): ('budget_exhausted', 1, 0, 300, 6, 15),
+    (1, 'ball', 'rank', 'max'): ('optimal', 12, 12, 17, 0, 11),
+    (1, 'ball', 'group', 'max'): ('optimal', 1, 1, 25, 6, 15),
+    (2, 'interval', 'rank', 'min'): ('optimal', 2, 2, 3, 10, 5),
+    (2, 'interval', 'group', 'min'): ('optimal', 4, 4, 71, 40, 44),
+    (2, 'interval', 'rank', 'max'): ('optimal', 4, 4, 9, 10, 5),
+    (2, 'interval', 'group', 'max'): ('optimal', 4, 4, 71, 40, 44),
+    (3, 'interval', 'rank', 'min'): ('optimal', 4, 4, 9, 8, 7),
+    (3, 'interval', 'group', 'min'): ('optimal', 1, 1, 45, 32, 43),
+    (3, 'interval', 'rank', 'max'): ('optimal', 6, 6, 7, 8, 7),
+    (3, 'interval', 'group', 'max'): ('optimal', 2, 2, 63, 32, 43),
+    (4, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 19, 3, 12),
+    (4, 'polygon', 'group', 'min'): ('optimal', 0, 0, 5, 9, 45),
+    (4, 'polygon', 'rank', 'max'): ('optimal', 16, 16, 9, 3, 12),
+    (4, 'polygon', 'group', 'max'): ('optimal', 2, 2, 59, 9, 45),
+    (5, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 19, 5, 10),
+    (5, 'polygon', 'group', 'min'): ('budget_exhausted', 3, 0, 300, 23, 76),
+    (5, 'polygon', 'rank', 'max'): ('optimal', 11, 11, 17, 5, 10),
+    (5, 'polygon', 'group', 'max'): ('budget_exhausted', 5, 9, 300, 23, 76),
+    (6, 'lp', 'rank', 'min'): ('optimal', 1, 1, 1, 0, 8),
+    (6, 'lp', 'group', 'min'): ('budget_exhausted', 1, 0, 300, 3, 18),
+    (6, 'lp', 'rank', 'max'): ('optimal', 9, 9, 7, 0, 8),
+    (6, 'lp', 'group', 'max'): ('optimal', 3, 3, 5, 3, 18),
+    (7, 'lp', 'rank', 'min'): ('optimal', 1, 1, 9, 0, 8),
+    (7, 'lp', 'group', 'min'): ('optimal', 0, 0, 1, 0, 30),
+    (7, 'lp', 'rank', 'max'): ('optimal', 8, 8, 17, 0, 8),
+    (7, 'lp', 'group', 'max'): ('budget_exhausted', 2, 5, 300, 0, 30),
+}
+
+
+def test_search_counters_are_pinned():
+    """Node order, bounds and presolve counts of the search stay fixed."""
+    cfg = SolverConfig(node_budget=300, time_budget=1e9)
+    got = {}
+    for key, inst in _pinned_grid():
+        s = solve(inst, cfg)
+        got[key] = (s.status, s.value, s.bound, s.nodes, s.presolve_fixed, s.free_pairs)
+    assert got == PINNED_SEARCH
+
+
+def test_repeated_group_rows_solve_like_distinct_ones(rng):
+    """A group row listed twice still counts once: every solution field
+    matches the de-duplicated query."""
+    cfg = SolverConfig(node_budget=300, time_budget=1e9)
+    for trial in range(20):
+        n, K = int(rng.integers(8, 13)), 2 + trial % 2
+        V = rng.normal(size=(n, K))
+        if trial % 4 >= 2:
+            V = np.round(V, 1)
+        group = np.flatnonzero(rng.random(n) < 0.5)
+        repeated = np.concatenate([group, group[: 1 + trial % 3]])
+        kappa = int(rng.integers(1, n // 2 + 1))
+        for sense in ("min", "max"):
+            a = solve(group_query(sense, SimplexRegion(dim=K), V, group, kappa), cfg)
+            b = solve(group_query(sense, SimplexRegion(dim=K), V, repeated, kappa), cfg)
+            assert (a.status, a.value, a.bound, a.nodes, a.presolve_fixed, a.free_pairs) == (
+                b.status, b.value, b.bound, b.nodes, b.presolve_fixed, b.free_pairs
+            ), (trial, sense)
+            np.testing.assert_array_equal(a.witness, b.witness)

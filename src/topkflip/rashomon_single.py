@@ -12,7 +12,7 @@ routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,18 +75,19 @@ def _pool_rank_envelope(
     kappa are taken: the selection :func:`rank_descending` makes. Every
     evaluated ranking is realizable, so a column certifies reachability
     one-sided; tie freedom is deliberately not exploited, keeping this
-    route independent of the enumeration oracle. The score matrix is
-    formed once and ranked in column blocks.
+    route independent of the enumeration oracle. Scores are formed one
+    block of pool columns at a time, so memory grows linearly with the row
+    count.
     """
     n = X.shape[0]
-    scores = X @ pool.T  # (n, m)
-    if not np.all(np.isfinite(scores)):
-        bad = np.argwhere(~np.isfinite(scores))[0]
-        raise ValueError(f"non-finite score at row {bad[0]}, pool column {bad[1]}")
+    XT = np.ascontiguousarray(X.T)
     enter_col = np.full(n, -1, dtype=np.int64)
     exit_col = np.full(n, -1, dtype=np.int64)
-    for c0 in range(0, scores.shape[1], ENVELOPE_BLOCK):
-        S = scores[:, c0 : c0 + ENVELOPE_BLOCK].T.copy()  # one pool column per row
+    for c0 in range(0, pool.shape[0], ENVELOPE_BLOCK):
+        S = pool[c0 : c0 + ENVELOPE_BLOCK] @ XT  # one pool column per row
+        if not np.all(np.isfinite(S)):
+            col, row = np.argwhere(~np.isfinite(S))[0]
+            raise ValueError(f"non-finite score at row {row}, pool column {c0 + col}")
         cut = np.partition(S, n - kappa, axis=1)[:, n - kappa, None]  # kappa-th largest
         top = S > cut
         room = kappa - top.sum(axis=1)
@@ -176,8 +177,9 @@ def _certify_rows(
                 )
                 continue
 
-        sol_min = solve(rank_query("min", region, V, i), cfg)
-        sol_max = solve(rank_query("max", region, V, i), cfg)
+        inst = rank_query("min", region, V, i)
+        sol_min = solve(inst, cfg)
+        sol_max = solve(replace(inst, sense="max"), cfg)
         if sol_min.status == "optimal" and sol_max.status == "optimal":
             mn, mx = int(sol_min.value), int(sol_max.value)
             flippable = mn <= kappa < mx

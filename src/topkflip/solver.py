@@ -9,10 +9,11 @@ definite sign), and the objective depends only on orientations. The search
 branches on orientations, checking region nonemptiness exactly:
 
 * ball: distance from the center to the intersection of homogeneous
-  halfspaces via a nonnegative least-squares projection onto the polar
-  cone, with a Farkas-style certificate when infeasible; a child whose
-  new halfspace its parent's certified witness already meets inherits
-  that witness and skips the projection;
+  halfspaces via a compiled nonnegative least-squares projection onto the
+  polar cone (bounded-variable least squares as the fallback), with a
+  Farkas-style certificate when infeasible; a child whose new halfspace
+  its parent's certified witness already meets inherits that witness and
+  skips the projection;
 * two-target simplex: an interval in the first blend weight;
 * three targets: polygon clipping;
 * more targets: small feasibility LPs.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog, lsq_linear
+from scipy.optimize import linprog, lsq_linear, nnls
 from scipy.spatial.distance import cdist
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -155,7 +156,7 @@ def rank_query(
     """
     V = np.asarray(row_vectors, dtype=np.float64)
     n = V.shape[0]
-    others = np.array([i for i in range(n) if i != focal], dtype=np.int64)
+    others = np.delete(np.arange(n, dtype=np.int64), focal)
     return MipInstance(
         sense=sense,
         objective="rank",
@@ -323,52 +324,6 @@ def screen_membership(
 # Region state: immutable per-node geometry with an exact feasibility test.
 
 
-def _nnls_active_set(A, b, inner_cap: int = 400):
-    """Lawson-Hanson nonnegative least squares, min ||A lam - b||, lam >= 0.
-
-    Fallback for cones where the library routine mis-converges; callers
-    verify the KKT certificate afterwards, so this only needs to land on a
-    certifiable point, not to be fast.
-    """
-    m = A.shape[1]
-    passive = np.zeros(m, dtype=bool)
-    lam = np.zeros(m)
-    steps = 0
-    while steps < inner_cap:
-        steps += 1
-        grad = A.T @ (b - A @ lam)
-        cand = np.flatnonzero(~passive)
-        if cand.size == 0:
-            break
-        j = cand[np.argmax(grad[cand])]
-        if grad[j] <= 1e-12 * max(1.0, float(np.linalg.norm(b))):
-            break
-        passive[j] = True
-        while steps < inner_cap:
-            steps += 1
-            idx = np.flatnonzero(passive)
-            z, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            if z.size == 0 or z.min() > 0:
-                lam[:] = 0.0
-                lam[idx] = z
-                break
-            neg = z <= 0
-            denom = lam[idx][neg] - z[neg]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alphas = np.where(denom > 0, lam[idx][neg] / denom, np.inf)
-            alpha = float(alphas.min())
-            if not np.isfinite(alpha) or alpha <= 0:
-                # degenerate subproblem: evict the most negative entry
-                worst = idx[neg][int(np.argmin(z[neg]))]
-                passive[worst] = False
-                lam[worst] = 0.0
-                continue
-            lam[idx] = lam[idx] + alpha * (z - lam[idx])
-            passive[idx[lam[idx] <= 0.0]] = False
-            lam[lam <= 0.0] = 0.0
-    return lam
-
-
 class _BallGeom:
     """Ball state: the imposed halfspace rows plus, when known, a certified
     point of the region they cut (inherited from the parent node)."""
@@ -425,10 +380,12 @@ class _BallGeom:
         """Ball-cone intersection test via polar projection, certified.
 
         An inherited witness answers at once. Otherwise columns are
-        normalized so the multipliers stay tame; BVLS is the fast path and
-        a local active-set solve the fallback. Either way the answer is
-        accepted only with its certificate, and a cone that defeats both
-        solvers raises instead of guessing.
+        normalized so the multipliers stay tame and the compiled
+        Lawson-Hanson NNLS projects the center onto the polar cone. BVLS
+        is the fallback when NNLS hits its iteration cap or its multipliers
+        certify neither side. Either way the answer is accepted only with
+        its certificate, and a cone that defeats both solvers raises
+        instead of guessing.
         """
         rows, witness = state
         if witness is not None:
@@ -436,11 +393,15 @@ class _BallGeom:
         A_T = np.column_stack(rows)  # (p, m)
         norms = np.linalg.norm(A_T, axis=0)
         An = A_T / np.where(norms > 0, norms, 1.0)
-        res = lsq_linear(An, self.center, bounds=(0.0, np.inf), method="bvls", tol=1e-14)
-        verdict, point = self._certify(An, np.maximum(res.x, 0.0))
+        try:
+            lam, _ = nnls(An, self.center)
+        except RuntimeError:  # iteration cap
+            verdict = None
+        else:
+            verdict, point = self._certify(An, lam)
         if verdict is None:
-            lam = _nnls_active_set(An, self.center)
-            verdict, point = self._certify(An, np.maximum(lam, 0.0))
+            res = lsq_linear(An, self.center, bounds=(0.0, np.inf), method="bvls", tol=1e-14)
+            verdict, point = self._certify(An, np.maximum(res.x, 0.0))
         if verdict is None:
             raise RuntimeError(
                 "ball-cone feasibility could not be certified either way; "

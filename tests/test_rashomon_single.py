@@ -12,6 +12,7 @@ from topkflip.rashomon_single import (
     flip_reports_single,
     flip_search,
     prune_unflippable,
+    witness_pool,
 )
 from topkflip.solver import SolverConfig
 
@@ -77,6 +78,18 @@ def test_pool_envelope_matches_per_column_ranking(width, rng):
             want = _envelope_by_column(X, pool, kappa)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+    # Unrounded data of the curve workload's shape: 11 columns and a ball
+    # pool of 2n + 1 columns spanning several blocks, where blockwise
+    # products must rank like the whole-matrix product.
+    n = 200 + width
+    X = rng.normal(size=(n, 11))
+    pool = witness_pool(X, rng.normal(size=11), 0.3)
+    assert pool.shape[0] == 2 * n + 1 > 3 * ENVELOPE_BLOCK
+    for kappa in (1, 3 * n // 100, n // 2, n):
+        got = _pool_rank_envelope(X, pool, kappa)
+        want = _envelope_by_column(X, pool, kappa)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_pool_envelope_rejects_non_finite_scores(rng):

@@ -16,7 +16,7 @@ from topkflip import solver
 from topkflip.index_model import prune_never_top_multi
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
-from topkflip.rashomon_single import prune_unflippable
+from topkflip.rashomon_single import _pool_rank_envelope, prune_unflippable, witness_pool
 from topkflip.solver import (
     SCREEN_BLOCK,
     BallRegion,
@@ -148,18 +148,10 @@ def test_group_presolve_matches_unreduced_instance(family, rng):
     assert reduced_some  # the presolve really dropped pairs
 
 
-def test_ball_children_inherit_the_parent_witness(monkeypatch):
-    """A child that its parent's certified witness already satisfies skips
-    the projection, so far fewer than one projection per non-root node
-    runs, with ranks unchanged and every witness inside the ball."""
-    calls = []
-    projection = solver.lsq_linear
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return projection(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "lsq_linear", counting)
+def _two_column_ball_solves():
+    """Every rank extreme of the seed-2 and seed-3 two-column ball
+    instances, checked against the angle sweep; every witness lies in the
+    ball. Returns the total node count and the number of solves."""
     nodes = solves = 0
     for seed, radius in ((2, 1.0), (3, 0.6)):
         rng = np.random.default_rng(seed)
@@ -175,8 +167,48 @@ def test_ball_children_inherit_the_parent_witness(monkeypatch):
                 assert np.linalg.norm(sol.witness - center) <= radius + 1e-10
                 nodes += sol.nodes
                 solves += 1
+    return nodes, solves
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``solver.<name>`` so each call is recorded before it runs."""
+    calls = []
+    target = getattr(solver, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+def test_ball_children_inherit_the_parent_witness(monkeypatch):
+    """A child that its parent's certified witness already satisfies skips
+    the projection, so far fewer than one projection per non-root node
+    runs, with ranks unchanged and every witness inside the ball."""
+    calls = _counting(monkeypatch, "nnls")
+    nodes, solves = _two_column_ball_solves()
     assert nodes > 10 * solves  # the searches really branch
     assert len(calls) < 0.75 * nodes
+
+
+def _nnls_hits_its_cap(A, b):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+def _nnls_certifies_nothing(A, b):
+    return np.zeros(A.shape[1]), float(np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("broken", [_nnls_hits_its_cap, _nnls_certifies_nothing])
+def test_ball_projection_falls_back_to_bvls(broken, monkeypatch):
+    """When NNLS stops at its iteration cap, or returns multipliers that
+    certify neither side, BVLS settles the node and the ranks stay exact."""
+    monkeypatch.setattr(solver, "nnls", broken)
+    calls = _counting(monkeypatch, "lsq_linear")
+    _two_column_ball_solves()
+    assert calls
 
 
 def test_zero_radius_ball_pins_the_center_ranking(rng):
@@ -326,6 +358,26 @@ def test_screen_memory_stays_linear_in_rows():
         tracemalloc.stop()
     assert multi.outer_min.shape == single.outer_max.shape == (n,)
     assert peak_multi < 100e6 and peak_single < 100e6, (peak_multi, peak_single)
+
+
+def test_pool_envelope_memory_stays_linear_in_rows():
+    """The envelope forms scores one pool block at a time: the whole
+    10,000 x 20,001 score matrix of a cohort-sized ball pool alone would
+    take 1.6 GB."""
+    rng = np.random.default_rng(6)
+    n = 10_000
+    X = rng.normal(size=(n, 11))
+    pool = witness_pool(X, rng.normal(size=11), 0.05)
+    assert pool.shape == (2 * n + 1, 11)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        enter, exit_ = _pool_rank_envelope(X, pool, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enter.shape == exit_.shape == (n,)
+    assert peak < 100e6, peak
 
 
 def _pinned_grid():

@@ -3,9 +3,9 @@
 When several defensible outcome definitions exist, each one trains its
 own score. Blending their standardized predictions with nonnegative
 weights summing to one sweeps out a family of composite scores; this
-demo certifies, for every row, the best and worst rank attainable over
-all blends, then compares the churn to what single-target tolerance
-balls produce.
+demo certifies, for every row, whether some blend moves it across the
+cutoff, with certified outer bounds on its best and worst rank, then
+compares the churn to what single-target tolerance balls produce.
 """
 
 import numpy as np
@@ -55,7 +55,9 @@ def main():
         key=lambda r: r.max_rank - r.min_rank,
         reverse=True,
     )
-    print("\nwidest certified ranges under the blend family:")
+    # Status mode solves only the rank extreme each verdict needs, so
+    # these ranges are certified outer bounds, not exact extremes.
+    print("\nwidest certified outer rank ranges under the blend family:")
     for r in movers[:5]:
         print(f"  row {r.row_id}: rank {r.min_rank}..{r.max_rank} "
               f"(baseline {r.baseline_rank} under the uniform blend)")

@@ -6,7 +6,8 @@ points, and generate the synthetic study tables. Every output embeds a
 metadata header sufficient to replay the run; apart from the timestamp
 field, identical flags and seed produce byte-identical files.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 budget exhausted
+Exit codes: 0 success, 2 usage error, 3 data error, 4 a search stopped
+short of a certified answer: budget exhausted or a ball node undecided
 (partial results are still written). Errors are mirrored as a one-line
 JSON object on stderr.
 """
@@ -384,7 +385,7 @@ def _cmd_fairness_range(args) -> int:
     table = table[: -len(".json")] + "_models.csv" if table.endswith(".json") else table + "_models.csv"
     write_fairness_csv(table, meta, bundle)
     statuses = (bundle.tune_report.status_min, bundle.tune_report.status_max)
-    if "budget_exhausted" in statuses:
+    if any(status not in (None, "optimal") for status in statuses):
         return EXIT_BUDGET
     return EXIT_OK
 

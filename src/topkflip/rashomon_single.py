@@ -122,9 +122,14 @@ def _certify_rows(
     inside it. In status mode a row is settled by the screen when its
     membership is fixed, and is a closed-form flip when some pool model
     puts it on the other side of the cut: the baseline witnesses its own
-    side. Other rows, and every row in exact mode, get both rank extremes
-    from the certifier. Witnesses are coefficient vectors over a ball and
-    blend weights over the simplex.
+    side. Other rows go to the certifier with the one question their
+    verdict needs, the max rank of a baseline-top row or the min rank of
+    any other; the other rank field stays the screen's outer bound. In
+    exact mode every row gets both rank extremes from the certifier. A
+    certifier row whose search stops short of optimality is
+    ``undetermined``, with its rank fields tightened by the search's
+    bounds. Witnesses are coefficient vectors over a ball and blend
+    weights over the simplex.
     """
     if rank_mode not in ("status", "exact"):
         raise ValueError(f"rank_mode must be status or exact, got {rank_mode!r}")
@@ -177,56 +182,40 @@ def _certify_rows(
                 )
                 continue
 
+        # A baseline-top row flips exactly when its max rank exceeds kappa,
+        # any other row exactly when its min rank is at most kappa. Status
+        # mode solves only that side; the other keeps the screen's bound.
+        verdict = "max" if in_top else "min"
         inst = rank_query("min", region, V, i)
-        sol_min = solve(inst, cfg)
-        sol_max = solve(replace(inst, sense="max"), cfg)
-        if sol_min.status == "optimal" and sol_max.status == "optimal":
-            mn, mx = int(sol_min.value), int(sol_max.value)
-            flippable = mn <= kappa < mx
-            wit = None
-            if flippable:
-                wit = sol_max.witness if in_top else sol_min.witness
-            reports.append(
-                FlipReport(
-                    row_id=row_ids[i],
-                    baseline_rank=b_rank,
-                    min_rank=mn,
-                    max_rank=mx,
-                    flippable=flippable,
-                    method="mip_certified",
-                    witness=wit,
-                    witness_kind=None if wit is None else witness_kind,
-                )
-            )
+        senses = ("min", "max") if rank_mode == "exact" else (verdict,)
+        sols = {s: solve(replace(inst, sense=s), cfg) for s in senses}
+        ranks = {"min": omin, "max": omax}
+        for side, sol in sols.items():
+            if sol.status == "optimal":
+                ranks[side] = int(sol.value)
+            elif sol.bound is not None:
+                ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
+        certified = all(sol.status == "optimal" for sol in sols.values())
+        sol = sols[verdict]
+        if sol.value is not None and (sol.value > kappa if in_top else sol.value <= kappa):
+            flippable = True
+        elif ranks["max"] <= kappa if in_top else ranks["min"] > kappa:
+            flippable = False
         else:
-            lo = omin if sol_min.bound is None else max(omin, int(sol_min.bound))
-            hi = omax if sol_max.bound is None else min(omax, int(sol_max.bound))
-            can_enter = None
-            if sol_min.value is not None and sol_min.value <= kappa:
-                can_enter = True
-            elif lo > kappa:
-                can_enter = False
-            can_exit = None
-            if sol_max.value is not None and sol_max.value > kappa:
-                can_exit = True
-            elif hi <= kappa:
-                can_exit = False
-            if can_enter is False or can_exit is False:
-                flippable = False
-            elif can_enter and can_exit:
-                flippable = True
-            else:
-                flippable = None
-            reports.append(
-                FlipReport(
-                    row_id=row_ids[i],
-                    baseline_rank=b_rank,
-                    min_rank=lo,
-                    max_rank=hi,
-                    flippable=flippable,
-                    method="undetermined",
-                )
+            flippable = None
+        wit = sol.witness if certified and flippable else None
+        reports.append(
+            FlipReport(
+                row_id=row_ids[i],
+                baseline_rank=b_rank,
+                min_rank=ranks["min"],
+                max_rank=ranks["max"],
+                flippable=flippable,
+                method="mip_certified" if certified else "undetermined",
+                witness=wit,
+                witness_kind=None if wit is None else witness_kind,
             )
+        )
     return reports
 
 
@@ -242,14 +231,16 @@ def flip_search(
     """Certify each row's top membership behavior across the ball.
 
     ``rank_mode="status"`` decides flippability with the cheapest
-    sufficient evidence; rank fields are certified outer bounds unless the
-    row went through the certifier. ``rank_mode="exact"`` solves both rank
-    extremes for every row. Budget exhaustion degrades a row to method
-    ``undetermined`` with outer bounds; its flippable flag stays None
-    unless the surviving bounds already decide it. ``extra_models`` adds
-    candidate coefficient vectors to the witness pool; non-members of the
-    ball are dropped, so carrying witnesses from a smaller tolerance is
-    always safe.
+    sufficient evidence; rank fields are certified outer bounds, except
+    the one side the certifier solved for its verdict: the max rank of a
+    baseline-top row, the min rank of any other. ``rank_mode="exact"``
+    solves both rank extremes for every row. A search that stops short of
+    optimality (budget exhaustion, or an undecided ball node) degrades a
+    row to method ``undetermined`` with outer bounds; its flippable flag
+    stays None unless the surviving bounds already decide it.
+    ``extra_models`` adds candidate coefficient vectors to the witness
+    pool; non-members of the ball are dropped, so carrying witnesses from
+    a smaller tolerance is always safe.
     """
     X = np.asarray(X, dtype=np.float64)
     w0 = ball.center

@@ -36,10 +36,13 @@ def package_version() -> str:
 class FlipReport:
     """Certified rank range for one row under one model family.
 
-    ``flippable`` is None only when the certification budget ran out
-    before either side was decided (method ``undetermined``); for methods
+    ``flippable`` is None only when the certifier stopped short of
+    deciding the row (method ``undetermined``). For methods
     ``pruned_unflippable`` and ``closed_form_flip`` the rank fields are
-    certified outer bounds, for the certified methods they are exact.
+    certified outer bounds. For ``mip_certified`` the side the verdict
+    needs is exact: the max rank of a baseline-top row, the min rank of
+    any other. In status mode the other side is a certified outer bound;
+    in exact mode both are exact.
     """
 
     row_id: str

@@ -130,7 +130,10 @@ class MipSolution:
     (equal to ``value`` when status is ``optimal``).
     """
 
-    status: str  # "optimal" | "infeasible" | "budget_exhausted"
+    # "optimal" | "infeasible" | "budget_exhausted" | "undecided"; the
+    # last means a node's feasibility could not be certified either way
+    # and the incumbent does not prune that node's bound.
+    status: str
     value: int | None
     bound: int | None
     witness: NDArray[np.float64] | None
@@ -139,7 +142,7 @@ class MipSolution:
     free_pairs: int
 
     def __post_init__(self):
-        if self.status not in ("optimal", "infeasible", "budget_exhausted"):
+        if self.status not in ("optimal", "infeasible", "budget_exhausted", "undecided"):
             raise ValueError(f"unknown status {self.status!r}")
 
 
@@ -324,6 +327,10 @@ def screen_membership(
 # Region state: immutable per-node geometry with an exact feasibility test.
 
 
+class FeasibilityUndecided(RuntimeError):
+    """No certificate settles a node's feasibility either way."""
+
+
 class _BallGeom:
     """Ball state: the imposed halfspace rows plus, when known, a certified
     point of the region they cut (inherited from the parent node)."""
@@ -385,7 +392,7 @@ class _BallGeom:
         is the fallback when NNLS hits its iteration cap or its multipliers
         certify neither side. Either way the answer is accepted only with
         its certificate, and a cone that defeats both solvers raises
-        instead of guessing.
+        :class:`FeasibilityUndecided` instead of guessing.
         """
         rows, witness = state
         if witness is not None:
@@ -403,7 +410,7 @@ class _BallGeom:
             res = lsq_linear(An, self.center, bounds=(0.0, np.inf), method="bvls", tol=1e-14)
             verdict, point = self._certify(An, np.maximum(res.x, 0.0))
         if verdict is None:
-            raise RuntimeError(
+            raise FeasibilityUndecided(
                 "ball-cone feasibility could not be certified either way; "
                 "the halfspace system is numerically degenerate"
             )
@@ -574,7 +581,10 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     """Run the query to optimality or budget exhaustion.
 
     Deterministic for a fixed node budget; the time budget is a coarse
-    safety valve checked every few hundred nodes.
+    safety valve checked every few hundred nodes. A node whose
+    feasibility no certificate settles yields no incumbent and is not
+    branched; its bound joins the outer bound, and unless the incumbent
+    prunes it the query ends ``undecided``.
     """
     cfg = config or SolverConfig()
     sense = inst.sense
@@ -734,6 +744,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         return node.assign < 0
 
     stack = [_Node(assign=np.full(F, -1, dtype=np.int8), losses=base_losses, region_state=geom.root())]
+    undecided_bounds: list[int] = []
     nodes = 0
     start = time.monotonic()
     exhausted = False
@@ -743,7 +754,11 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             break
         node = stack.pop()
         nodes += 1
-        ok, param = geom.feasible(node.region_state)
+        try:
+            ok, param = geom.feasible(node.region_state)
+        except FeasibilityUndecided:
+            undecided_bounds.append(node_bound(node, node.assign < 0))
+            continue
         if not ok:
             continue
         open_mask = propagate(node)
@@ -757,21 +772,18 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         stack.append(make_child(node, c, 1 - pref, param))
         stack.append(make_child(node, c, pref, param))
 
-    if not exhausted:
-        status = "optimal"
-        bound = incumbent_value
+    open_bounds = undecided_bounds + [node_bound(nd, nd.assign < 0) for nd in stack]
+    outer = (min if sense == "min" else max)(open_bounds, default=None)
+    if not open_bounds or prunable(outer):
+        status, bound = "optimal", incumbent_value
     else:
-        open_bounds = [node_bound(nd, nd.assign < 0) for nd in stack]
-        outer = (min if sense == "min" else max)(open_bounds, default=incumbent_value)
-        if outer is not None and prunable(outer):
-            status, bound = "optimal", incumbent_value
-        else:
-            status, bound = "budget_exhausted", outer
+        status, bound = ("budget_exhausted" if exhausted else "undecided"), outer
 
     if incumbent_value is None:
         # The root region is never empty for the supported region types, so
-        # this would mean the budget died before the first feasibility call.
-        status = "budget_exhausted" if exhausted else "infeasible"
+        # this means the budget died, or the root stayed undecided, before
+        # any witness.
+        status = "budget_exhausted" if exhausted else "undecided" if undecided_bounds else "infeasible"
 
     return MipSolution(
         status=status,

@@ -1,11 +1,12 @@
 """In-process CLI exercises via main(argv)."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from topkflip import cli, metrics, rashomon_single
+from topkflip import cli, metrics, rashomon_single, solver
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.dataset import write_csv
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl
@@ -279,3 +280,20 @@ def test_budget_exhaustion_still_writes(table, tmp_path):
     _, reports = read_reports_jsonl(out)
     assert len(reports) > 0
     assert any(r.method == "undetermined" for r in reports)
+
+
+def test_undecided_ball_nodes_exit_4_not_1(table, tmp_path, monkeypatch):
+    """A ball node that no certificate settles ends its query undecided;
+    the curve is still written and the run exits 4 instead of raising."""
+    monkeypatch.setattr(solver, "nnls", lambda A, b: (np.zeros(A.shape[1]), 0.0))
+    monkeypatch.setattr(
+        solver, "lsq_linear", lambda A, b, **kw: SimpleNamespace(x=np.zeros(A.shape[1]))
+    )
+    out = tmp_path / "c.csv"
+    code = main([
+        "ambiguity-single", "--data", str(table), "--target", "y1",
+        "--kappa", "10%", "--epsilons", "0.01,0.05,0.1", "--out", str(out),
+    ])
+    assert code == EXIT_BUDGET
+    _, _, rows = read_csv_with_meta(out)
+    assert [r[0] for r in rows] == ["0.01", "0.05", "0.1"]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from topkflip import rashomon_single
 from topkflip.index_model import flip_search_multi, prune_never_top_multi
 from topkflip.linear_fit import RashomonBall, fit_ols, make_ball
+from topkflip.metrics import stable_points
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
 from topkflip.rashomon_single import (
@@ -256,3 +258,60 @@ def test_status_matches_exact_next_to_the_always_top_bound(family, rng):
             assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
             at_edge += bool(s.flippable and pr.outer_max[i] == kappa + 1)
     assert at_edge == 20  # both rows of every crossing pair
+
+
+def _one_question_instances(rng):
+    """(family, search) pairs: seeded balls, two- and three-target blends."""
+    for epsilon in (0.01, 0.03, 0.1) * 2:
+        X = random_design(rng, 24, 3)
+        y = rng.normal(size=24)
+        model = fit_ols(X, y)
+        ball = make_ball(model, X, y, epsilon, "relative")
+        yield "ball", lambda mode, X=X, ball=ball: flip_search(X, ball, 6, rank_mode=mode)
+    for K in (2, 3):
+        for _ in range(6):
+            P = rng.normal(size=(20, K))
+            yield "simplex", lambda mode, P=P: flip_search_multi(P, 5, rank_mode=mode)
+
+
+def test_status_mode_asks_one_question_per_row(rng, monkeypatch):
+    """A certified row costs one solve in status mode: the max rank of a
+    baseline-top row, the min rank of any other. That side equals exact
+    mode's, the other field bounds it from outside, and every verdict,
+    witness and stable set is exact mode's."""
+    calls = []
+    original = rashomon_single.solve
+
+    def recording(inst, config=None):
+        calls.append((inst.focal, inst.sense))
+        return original(inst, config)
+
+    monkeypatch.setattr(rashomon_single, "solve", recording)
+    senses = set()
+    for family, search in _one_question_instances(rng):
+        slow = search("exact")
+        calls.clear()
+        fast = search("status")
+        kappa = 6 if family == "ball" else 5
+        want = []
+        for i, (f, s) in enumerate(zip(fast, slow)):
+            assert s.method == "mip_certified"
+            assert (f.flippable, f.witness_kind) == (s.flippable, s.witness_kind)
+            if f.method == "mip_certified":
+                sense = "max" if f.baseline_rank <= kappa else "min"
+                want.append((i, sense))
+                senses.add(sense)
+                np.testing.assert_array_equal(f.witness, s.witness)
+                if sense == "max":
+                    assert f.max_rank == s.max_rank and f.min_rank <= s.min_rank
+                else:
+                    assert f.min_rank == s.min_rank and f.max_rank >= s.max_rank
+            else:
+                assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
+        assert calls == want
+        tag = "rashomon" if family == "ball" else "index"
+        a, b = stable_points(fast, kappa, tag), stable_points(slow, kappa, tag)
+        assert (a.stable_selected, a.stable_unselected, a.undetermined) == (
+            b.stable_selected, b.stable_unselected, b.undetermined
+        )
+    assert senses == {"min", "max"}

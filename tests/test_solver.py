@@ -7,6 +7,7 @@ exact-oracle comparisons live with the acceptance checks.
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,6 +210,47 @@ def test_ball_projection_falls_back_to_bvls(broken, monkeypatch):
     calls = _counting(monkeypatch, "lsq_linear")
     _two_column_ball_solves()
     assert calls
+
+
+def _certify_nothing(monkeypatch):
+    """Make both projections return all-zero multipliers, so a node whose
+    cone excludes the ball's center has no certificate either way."""
+    monkeypatch.setattr(solver, "nnls", _nnls_certifies_nothing)
+    monkeypatch.setattr(
+        solver, "lsq_linear", lambda A, b, **kw: SimpleNamespace(x=np.zeros(A.shape[1]))
+    )
+
+
+def test_undecided_ball_nodes_never_raise(monkeypatch):
+    """A node no certificate settles yields no incumbent and is not
+    branched. Under zero multipliers the only certified point is the
+    center, so every value is the focal rank there, and the query is
+    ``optimal`` only when that incumbent prunes the undecided bounds."""
+    rng = np.random.default_rng(5)
+    V = random_design(rng, 12, 3)
+    center = rng.normal(size=3)
+    region = BallRegion(center=center, radius=0.5)
+    queries = [(sense, focal) for focal in range(12) for sense in ("min", "max")]
+    exact = {q: solve(rank_query(q[0], region, V, q[1])) for q in queries}
+    at_center = {
+        q: solve(rank_query(q[0], BallRegion(center=center, radius=0.0), V, q[1])).value
+        for q in queries
+    }
+    _certify_nothing(monkeypatch)
+    undecided = 0
+    for sense, focal in queries:
+        sol = solve(rank_query(sense, region, V, focal))
+        truth = exact[sense, focal].value
+        np.testing.assert_array_equal(sol.witness, center)
+        assert sol.value == at_center[sense, focal]
+        if sol.status == "optimal":
+            assert sol.value == sol.bound == truth
+        else:
+            assert sol.status == "undecided"
+            undecided += 1
+            # The bound is admissible: it brackets the optimum from outside.
+            assert (sol.bound <= truth) if sense == "min" else (sol.bound >= truth)
+    assert undecided > len(queries) // 2
 
 
 def test_zero_radius_ball_pins_the_center_ranking(rng):

@@ -31,7 +31,7 @@ from .dataset import (
     orthonormalize,
     write_csv,
 )
-from .fairness import fairness_workflow, write_fairness_csv, write_fairness_json
+from .fairness import PhaseError, fairness_workflow, write_fairness_csv, write_fairness_json
 from .index_model import STANDARDIZATIONS, build_ensemble, flip_reports_multi
 from .linear_fit import fit_on_rows
 from .metrics import ambiguity_curve, curve_rows, stable_points, stable_rows
@@ -89,6 +89,8 @@ def _parse_epsilons(raw: str) -> list[float]:
         raise UsageError(f"bad epsilon list {raw!r}: {exc}") from None
     if not eps:
         raise UsageError("no epsilon values given")
+    if not np.all(np.isfinite(eps)):
+        raise UsageError(f"epsilons must be finite, got {raw!r}")
     return eps
 
 
@@ -197,13 +199,21 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-# --------------------------------------------------- ambiguity-single
+# ------------------------------------------------------------- certify
 
 
-# Row caps of the exact oracles under --certify. The three-target sweep
+# The exact oracle for each (family, dimension) under --certify, by name
+# (resolved in this module at lookup) and row cap. The three-target sweep
 # grows steeply: about 1.6 s at 20 rows, 15 s at 30 and 73 s at 40.
-SWEEP_MAX_ROWS = 60
-SWEEP_K3_MAX_ROWS = 20
+ORACLES = {
+    ("ball", 2): ("angle_sweep_single", 60),
+    ("blend", 2): ("simplex_sweep_k2", 60),
+    ("blend", 3): ("simplex_sweep_k3", 20),
+}
+_DIMENSIONS = {
+    "ball": "design columns; the disc sweep takes 2",
+    "blend": "targets; the blend sweeps take 2 or 3",
+}
 
 
 def _certify_note(text: str) -> None:
@@ -211,41 +221,38 @@ def _certify_note(text: str) -> None:
     print(f"certify: {text}", file=sys.stderr)
 
 
-def _blend_sweep(n_targets: int, n_rows: int):
-    """The exact blend sweep for this many targets and rows, as
-    ``(sweep, name)``, or None after saying why none applies."""
-    sweeps = {
-        2: (simplex_sweep_k2, "simplex_sweep_k2", SWEEP_MAX_ROWS),
-        3: (simplex_sweep_k3, "simplex_sweep_k3", SWEEP_K3_MAX_ROWS),
-    }
-    if n_targets not in sweeps:
-        _certify_note(f"no oracle applies ({n_targets} targets; the blend sweeps take 2 or 3)")
+def _oracle(family: str, dim: int, n_rows: int):
+    """The oracle for this input as ``(oracle, name)``, or None after
+    saying why none applies."""
+    if (family, dim) not in ORACLES:
+        _certify_note(f"no oracle applies ({dim} {_DIMENSIONS[family]})")
         return None
-    sweep, name, cap = sweeps[n_targets]
+    name, cap = ORACLES[family, dim]
     if n_rows > cap:
         _certify_note(f"no oracle applies ({n_rows} rows, over the {cap}-row cap of {name})")
         return None
-    return sweep, name
+    return globals()[name], name
 
 
-def _certify_single(q: Dataset, curve) -> None:
-    """Cross-check an exact-mode curve's rank ranges against the disc sweep
-    on tiny inputs."""
-    if q.features.shape[1] != 2:
-        _certify_note(f"no oracle applies ({q.features.shape[1]} design columns; the disc sweep takes 2)")
-        return
-    if q.n > SWEEP_MAX_ROWS:
-        _certify_note(f"no oracle applies ({q.n} rows, over the {SWEEP_MAX_ROWS}-row cap of angle_sweep_single)")
-        return
-    for point in curve:
-        lo, hi = angle_sweep_single(q.features, point.ball.center, point.ball.radius)
-        for rep, omin, omax in zip(point.reports, lo, hi):
-            if rep.min_rank != omin or rep.max_rank != omax:
-                raise CertifyError(
-                    f"rank range mismatch at epsilon={point.epsilon}, row {rep.row_id}: "
-                    f"solver [{rep.min_rank}, {rep.max_rank}] vs sweep [{omin}, {omax}]"
-                )
-    _certify_note(f"angle_sweep_single checked rank ranges at {len(curve)} epsilons on {q.n} rows")
+def _check(what: str, oracle, lo: int, hi: int) -> None:
+    """The one comparison rule: the oracle's value must lie in ``[lo, hi]``,
+    the span the solver vouches for. A certified value is a span of one; a
+    search that stopped short spans its proven bounds."""
+    if not lo <= oracle <= hi:
+        raise CertifyError(f"{what} mismatch: solver [{lo}, {hi}] vs sweep {oracle}")
+
+
+def _check_ranks(reports, min_ranks, max_ranks, where: str = "") -> None:
+    """Exact-mode rank rows against the oracle's. An undetermined row's
+    fields are outer bounds, so its range must contain both extremes."""
+    for rep, omin, omax in zip(reports, min_ranks, max_ranks):
+        lo, hi = rep.min_rank, rep.max_rank
+        exact = rep.method != "undetermined"
+        _check(f"min rank{where}, row {rep.row_id}", omin, lo, lo if exact else hi)
+        _check(f"max rank{where}, row {rep.row_id}", omax, hi if exact else lo, hi)
+
+
+# --------------------------------------------------- ambiguity-single
 
 
 def _cmd_ambiguity_single(args) -> int:
@@ -255,18 +262,24 @@ def _cmd_ambiguity_single(args) -> int:
     q, _basis = orthonormalize(sub)
     kappa = resolve_kappa(_parse_kappa(args.kappa), q.n)
     epsilons = _parse_epsilons(args.epsilons)
-    rank_mode = "exact" if args.certify else "status"
+    # The CSV holds only ambiguity fractions, which status mode gives
+    # exactly; exact rank ranges are worth solving only for the oracle.
+    oracle = _oracle("ball", q.features.shape[1], q.n) if args.certify else None
     curve = ambiguity_curve(
         q.features,
         q.target(args.target),
         kappa,
         epsilons,
         epsilon_mode=args.epsilon_mode,
-        rank_mode=rank_mode,
+        rank_mode="exact" if oracle else "status",
         config=_solver_config(args),
     )
-    if args.certify:
-        _certify_single(q, curve)
+    if oracle:
+        sweep, name = oracle
+        for point in curve:
+            ranks = sweep(q.features, point.ball.center, point.ball.radius)
+            _check_ranks(point.reports, *ranks, where=f" at epsilon={point.epsilon}")
+        _certify_note(f"{name} checked rank ranges at {len(curve)} epsilons on {q.n} rows")
     meta = _base_meta(
         args,
         "ambiguity-single",
@@ -297,22 +310,6 @@ def _cmd_ambiguity_single(args) -> int:
 # ---------------------------------------------------- ambiguity-multi
 
 
-def _certify_multi(preds, kappa: int, reports) -> None:
-    oracle = _blend_sweep(preds.shape[1], preds.shape[0])
-    if oracle is None:
-        return
-    sweep_fn, name = oracle
-    sweep = sweep_fn(preds, kappa)
-    for i, rep in enumerate(reports):
-        omin, omax = int(sweep.min_ranks[i]), int(sweep.max_ranks[i])
-        if rep.min_rank != omin or rep.max_rank != omax:
-            raise CertifyError(
-                f"rank range mismatch at row {rep.row_id}: "
-                f"solver [{rep.min_rank}, {rep.max_rank}] vs sweep [{omin}, {omax}]"
-            )
-    _certify_note(f"{name} checked rank ranges on {preds.shape[0]} rows")
-
-
 def _cmd_ambiguity_multi(args) -> int:
     targets = _parse_targets(args.targets)
     ds = _load_table(args.data, targets, args.drop_regex, args.seed)
@@ -326,18 +323,22 @@ def _cmd_ambiguity_multi(args) -> int:
         target_names=targets,
     )
     sub_ids = tuple(r for r, m in zip(ds.row_ids, analysis) if m)
-    kappa = resolve_kappa(_parse_kappa(args.kappa), int(analysis.sum()))
-    rank_mode = "exact" if args.certify else "status"
+    n = int(analysis.sum())
+    kappa = resolve_kappa(_parse_kappa(args.kappa), n)
+    oracle = _oracle("blend", len(targets), n) if args.certify else None
     reports, preds = flip_reports_multi(
         ds.features[analysis],
         ensemble,
         kappa,
         row_ids=sub_ids,
-        rank_mode=rank_mode,
+        rank_mode="exact" if args.certify else "status",
         config=_solver_config(args),
     )
-    if args.certify:
-        _certify_multi(preds, kappa, reports)
+    if oracle:
+        sweep_fn, name = oracle
+        sweep = sweep_fn(preds, kappa)
+        _check_ranks(reports, sweep.min_ranks, sweep.max_ranks)
+        _certify_note(f"{name} checked rank ranges on {n} rows")
     meta = _base_meta(
         args,
         "ambiguity-multi",
@@ -346,7 +347,7 @@ def _cmd_ambiguity_multi(args) -> int:
         kappa=str(args.kappa),
         kappa_resolved=kappa,
         standardization=args.standardize,
-        n=int(analysis.sum()),
+        n=n,
     )
     write_reports_jsonl(reports, args.out, meta)
     if any(rep.method == "undetermined" for rep in reports):
@@ -368,8 +369,19 @@ def _cmd_fairness_range(args) -> int:
         direction=args.direction,
         config=_solver_config(args),
     )
-    if args.certify:
-        _certify_fairness(ds, targets, args, bundle)
+    # The tune rows are the workflow's to choose, so the lookup follows it.
+    oracle = _oracle("blend", len(targets), bundle.n_tune) if args.certify else None
+    if oracle:
+        sweep_fn, name = oracle
+        sweep = sweep_fn(bundle.tune_preds, bundle.kappa_tune, group_mask=bundle.tune_group)
+        # A side spans from its proven bound to its achieved count; the two
+        # meet when the side is certified. --direction may leave one out.
+        rep = bundle.tune_report
+        if rep.status_min:
+            _check("group count min", sweep.group_min, rep.bound_min, rep.min_count)
+        if rep.status_max:
+            _check("group count max", sweep.group_max, rep.max_count, rep.bound_max)
+        _certify_note(f"{name} checked the group count range on {bundle.n_tune} rows")
     meta = _base_meta(
         args,
         "fairness-range",
@@ -388,33 +400,6 @@ def _cmd_fairness_range(args) -> int:
     if any(status not in (None, "optimal") for status in statuses):
         return EXIT_BUDGET
     return EXIT_OK
-
-
-def _certify_fairness(ds, targets, args, bundle) -> None:
-    tune = ds.split_mask("tune")
-    if not tune.any():
-        _certify_note("no oracle applies (no tune rows)")
-        return
-    oracle = _blend_sweep(len(targets), int(tune.sum()))
-    if oracle is None:
-        return
-    sweep_fn, name = oracle
-    fit_rows, ref_rows, _ = _phase_views(ds)
-    Y = np.column_stack([ds.target(t) for t in targets])
-    ensemble = build_ensemble(
-        ds.features[fit_rows], Y[fit_rows], ds.features[ref_rows], target_names=targets
-    )
-    preds = ensemble.predictions(ds.features[tune])
-    mask = ds.group_mask(args.group)[tune]
-    sweep = sweep_fn(preds, bundle.kappa_tune, group_mask=mask)
-    rep = bundle.tune_report
-    for ours, theirs, side in (
-        (rep.min_count, sweep.group_min, "min"),
-        (rep.max_count, sweep.group_max, "max"),
-    ):
-        if ours is not None and theirs is not None and ours != int(theirs):
-            raise CertifyError(f"group count {side} mismatch: solver {ours} vs sweep {int(theirs)}")
-    _certify_note(f"{name} checked the group count range on {preds.shape[0]} rows")
 
 
 # ------------------------------------------------------ stable-points
@@ -440,6 +425,10 @@ def _cmd_stable_points(args) -> int:
     kappas_raw = [k.strip() for k in args.kappa_sweep.split(",") if k.strip()]
     if not kappas_raw:
         raise UsageError("empty kappa sweep")
+    if not np.isfinite(args.epsilon):
+        raise UsageError(f"--epsilon must be finite, got {args.epsilon}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cfg = _solver_config(args)
     cfg_kw = {"node_budget": cfg.node_budget, "time_budget": cfg.time_budget}
 
@@ -476,8 +465,10 @@ def _cmd_stable_points(args) -> int:
         payloads = [(preds, k, cfg_kw) for k in kappas]
         worker = _stable_one_index
 
-    if args.workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # A fork-started pool launches all its workers at the first submit.
+    workers = min(args.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             sets = list(pool.map(worker, payloads))
     else:
         sets = [worker(p) for p in payloads]
@@ -604,10 +595,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error(exc, EXIT_USAGE)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, ValueError) as exc:
         _emit_error(exc, EXIT_DATA)
         return EXIT_DATA
-    except ValueError as exc:
+    except PhaseError as exc:
+        # A workflow phase rejecting its input is a data error; any other
+        # failure inside a phase is a bug and keeps its traceback.
+        if not isinstance(exc.cause, (DataError, ValueError)):
+            raise
         _emit_error(exc, EXIT_DATA)
         return EXIT_DATA
     except CertifyError as exc:

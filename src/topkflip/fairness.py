@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -210,8 +210,8 @@ class ModelEvaluation:
 
 @dataclass(frozen=True)
 class FairnessBundle:
-    """Everything the three-phase run produced, serializable as one JSON
-    document."""
+    """Everything the three-phase run produced. All but the tune rows'
+    predictions and group flags serializes as one JSON document."""
 
     group_label: str
     target_names: tuple
@@ -225,6 +225,8 @@ class FairnessBundle:
     tune_report: GroupRateReport
     alpha_star: tuple
     evaluations: tuple
+    tune_preds: NDArray = field(repr=False, compare=False)
+    tune_group: NDArray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -378,6 +380,8 @@ def fairness_workflow(
         tune_report=tune_report,
         alpha_star=tuple(float(v) for v in alpha_star),
         evaluations=tuple(evals),
+        tune_preds=preds_tune,
+        tune_group=group_all[tu],
     )
 
 

@@ -134,8 +134,8 @@ def make_ball(
     epsilon * RSS(w0), so epsilon reads as a fraction of baseline loss. A
     perfect fit (RSS = 0) then yields a degenerate single-point ball.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     rss0 = model.rss(X, y)
     if epsilon_mode == "relative":
         eps_abs = float(epsilon) * rss0

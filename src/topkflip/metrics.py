@@ -80,14 +80,14 @@ def ambiguity_curve(
 ) -> "list[CurvePoint]":
     """Ambiguity as the model tolerance grows.
 
-    The tolerance list must be nonnegative and ascending; the balls are
+    The tolerance list must be finite, nonnegative and ascending; the balls are
     then nested, so each pass hands the flip witnesses it found to the
     next one's candidate pool and a row never loses a certified flip as
     the tolerance grows.
     """
     eps = [float(e) for e in epsilons]
-    if any(e < 0 for e in eps):
-        raise ValueError("epsilons must be nonnegative")
+    if not np.all(np.isfinite(eps)) or any(e < 0 for e in eps):
+        raise ValueError(f"epsilons must be finite and nonnegative, got {eps}")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be ascending")
 

@@ -1,14 +1,16 @@
 """In-process CLI exercises via main(argv)."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from topkflip import cli, metrics, rashomon_single, solver
+from topkflip import cli, fairness, metrics, rashomon_single, solver
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.dataset import write_csv
+from topkflip.fairness import PhaseError
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl
 from topkflip.synth import generate_clinical
 
@@ -131,7 +133,7 @@ def test_certify_says_what_it_checked(tmp_path, capsys):
         "--kappa", "8", "--certify", "--out", str(tmp_path / "cm.jsonl"),
     ]) == EXIT_OK
     n = int(read_reports_jsonl(tmp_path / "cm.jsonl")[0]["n"])
-    assert n <= cli.SWEEP_MAX_ROWS
+    assert n <= cli.ORACLES["blend", 2][1]
     assert capsys.readouterr().err == f"certify: simplex_sweep_k2 checked rank ranges on {n} rows\n"
     # With y2 left in, the single-target design has three columns.
     assert main([
@@ -150,14 +152,14 @@ def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
     ds = generate_clinical(n=50)
     tune_rows = np.flatnonzero(ds.split_mask("tune"))
     keep = np.ones(ds.n, dtype=bool)
-    keep[tune_rows[cli.SWEEP_K3_MAX_ROWS - 2:]] = False
+    keep[tune_rows[cli.ORACLES["blend", 3][1] - 2:]] = False
     ds = ds.subset(keep)
     data = tmp_path / "clinical.csv"
     write_csv(ds, data)
     targets = ",".join(ds.target_names)
     holdout = int(ds.split_mask("holdout").sum())
     tune = int(ds.split_mask("tune").sum())
-    assert max(holdout, tune) <= cli.SWEEP_K3_MAX_ROWS
+    assert max(holdout, tune) <= cli.ORACLES["blend", 3][1]
     assert main([
         "ambiguity-multi", "--data", str(data), "--targets", targets,
         "--kappa", "3", "--certify", "--out", str(tmp_path / "m.jsonl"),
@@ -297,3 +299,180 @@ def test_undecided_ball_nodes_exit_4_not_1(table, tmp_path, monkeypatch):
     assert code == EXIT_BUDGET
     _, _, rows = read_csv_with_meta(out)
     assert [r[0] for r in rows] == ["0.01", "0.05", "0.1"]
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A table whose holdout and tune splits fit under the two-target sweeps' cap."""
+    path = tmp_path_factory.mktemp("small") / "s.csv"
+    assert main(["synth", "--n", "150", "--b", "0.4", "--seed", "3", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+def test_certify_brackets_budget_stopped_rank_ranges(tmp_path, capsys):
+    """Undetermined rows carry outer bounds, which must contain the sweep's
+    exact ranges; the run then exits 4, not 1."""
+    data = tmp_path / "m.csv"
+    main(["synth", "--n", "120", "--b", "0.5", "--seed", "7", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "m.jsonl"
+    assert main([
+        "ambiguity-multi", "--data", str(data), "--targets", "y1,y2", "--kappa", "10%",
+        "--certify", "--node-budget", "2", "--out", str(out),
+    ]) == EXIT_BUDGET
+    meta, reports = read_reports_jsonl(out)
+    assert any(rep.method == "undetermined" for rep in reports)
+    assert capsys.readouterr().err == f"certify: simplex_sweep_k2 checked rank ranges on {meta['n']} rows\n"
+
+
+def test_certify_brackets_budget_stopped_group_counts(tmp_path, capsys):
+    data = tmp_path / "f.csv"
+    main(["synth", "--n", "150", "--b", "0.5", "--seed", "3", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "f.json"
+    assert main([
+        "fairness-range", "--data", str(data), "--targets", "y1,y2", "--group", "protected",
+        "--kappa", "10%", "--certify", "--node-budget", "2", "--out", str(out),
+    ]) == EXIT_BUDGET
+    doc = json.loads(out.read_text())["report"]
+    assert "budget_exhausted" in (doc["tune_report"]["status_min"], doc["tune_report"]["status_max"])
+    assert capsys.readouterr().err == (
+        f"certify: simplex_sweep_k2 checked the group count range on {doc['n_tune']} rows\n"
+    )
+
+
+@pytest.mark.parametrize("direction", ["min", "max"])
+def test_certify_checks_the_sides_a_direction_solves(small, tmp_path, capsys, direction):
+    out = tmp_path / "f.json"
+    assert main([
+        "fairness-range", "--data", str(small), "--targets", "y1,y2", "--group", "protected",
+        "--kappa", "10%", "--direction", direction, "--certify", "--out", str(out),
+    ]) == EXIT_OK
+    n_tune = json.loads(out.read_text())["report"]["n_tune"]
+    assert capsys.readouterr().err == f"certify: simplex_sweep_k2 checked the group count range on {n_tune} rows\n"
+
+
+def test_certify_single_without_an_oracle_runs_in_status_mode(table, tmp_path, monkeypatch):
+    """No oracle reads exact ranges of a three-column design, so --certify
+    makes the plain run's solves and writes its CSV."""
+    solves = _count_calls(monkeypatch, solver.solve, rashomon_single)
+    texts, counts = [], []
+    for extra in ([], ["--certify"]):
+        out = tmp_path / f"c{len(extra)}.csv"
+        solves.clear()
+        assert main([
+            "ambiguity-single", "--data", str(table), "--target", "y1", "--kappa", "5%",
+            "--epsilons", "0.05,0.1", "--drop-regex", "visits", "--out", str(out), *extra,
+        ]) == EXIT_OK
+        texts.append(_strip_timestamp(out.read_text()))
+        counts.append(len(solves))
+    assert counts[0] == counts[1] > 0
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize(
+    "oracle, shift, command",
+    [
+        (
+            "angle_sweep_single",
+            lambda ranks: (ranks[0] + 1, ranks[1]),
+            ["ambiguity-single", "--target", "y1", "--kappa", "8", "--epsilons", "0.02,0.1",
+             "--drop-regex", "visits|y2"],
+        ),
+        (
+            "simplex_sweep_k2",
+            lambda sweep: dataclasses.replace(sweep, min_ranks=sweep.min_ranks + 1),
+            ["ambiguity-multi", "--targets", "y1,y2", "--kappa", "8"],
+        ),
+        (
+            "simplex_sweep_k2",
+            lambda sweep: dataclasses.replace(sweep, group_max=sweep.group_max + 1),
+            ["fairness-range", "--targets", "y1,y2", "--group", "protected", "--kappa", "10%"],
+        ),
+    ],
+    ids=["single", "multi", "fairness"],
+)
+def test_certify_holds_certified_values_to_equality(
+    small, tmp_path, capsys, monkeypatch, oracle, shift, command
+):
+    """An oracle value one past a certified one, on the side a bound would
+    allow, still fails the check."""
+    exact = getattr(cli, oracle)
+    monkeypatch.setattr(cli, oracle, lambda *a, **kw: shift(exact(*a, **kw)))
+    assert main(command + ["--data", str(small), "--certify", "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "CertifyError"
+    assert "mismatch" in err["error"]["message"]
+
+
+def test_workflow_input_errors_exit_3(table, tmp_path, capsys):
+    no_tune = tmp_path / "no_tune.csv"
+    no_tune.write_text(table.read_text().replace(",tune\n", ",train\n"))
+    for data, group in ((table, "nosuch"), (no_tune, "protected")):
+        assert main([
+            "fairness-range", "--data", str(data), "--targets", "y1,y2", "--group", group,
+            "--kappa", "10%", "--out", str(tmp_path / "f.json"),
+        ]) == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "PhaseError"
+
+
+def test_other_workflow_failures_still_raise(table, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken fit")
+
+    monkeypatch.setattr(fairness, "build_ensemble", broken)
+    with pytest.raises(PhaseError, match="broken fit"):
+        main([
+            "fairness-range", "--data", str(table), "--targets", "y1,y2", "--group", "protected",
+            "--kappa", "10%", "--out", str(tmp_path / "f.json"),
+        ])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "nan"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "inf"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01,nan"],
+        ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
+         "--epsilon", "nan"],
+        ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5",
+         "--workers", "0"],
+    ],
+    ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers"],
+)
+def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, flags):
+    out = tmp_path / "o.csv"
+    assert main(flags + ["--data", str(table), "--out", str(out)]) == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_stable_points_pool_never_outnumbers_the_sweep(table, tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    args = [
+        "stable-points", "--data", str(table), "--family", "index", "--targets", "y1,y2",
+        "--workers", "64", "--out", str(tmp_path / "st.csv"),
+    ]
+    assert main(args + ["--kappa-sweep", "5,10"]) == EXIT_OK
+    assert sizes == [2]
+    # One kappa runs in process.
+    assert main(args + ["--kappa-sweep", "5"]) == EXIT_OK
+    assert sizes == [2]

@@ -58,6 +58,14 @@ def test_ball_modes(rng):
         make_ball(model, X, y, 0.1, "scaled")
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_ball_refuses_non_finite_tolerance(rng, epsilon):
+    X = random_design(rng, 20, 2)
+    y = rng.normal(size=20)
+    with pytest.raises(ValueError, match="finite"):
+        make_ball(fit_ols(X, y), X, y, epsilon)
+
+
 def test_fit_on_rows_names_target(rng):
     X = rng.normal(size=(20, 2))
     y = rng.normal(size=20)

@@ -40,6 +40,14 @@ def test_curve_requires_sorted_epsilons(rng):
         ambiguity_curve(X, y, 4, [0.1, 0.05])
 
 
+@pytest.mark.parametrize("eps", [[float("nan")], [0.01, float("nan")], [0.01, float("inf")]])
+def test_curve_requires_finite_epsilons(rng, eps):
+    X = random_design(rng, 15, 2)
+    y = rng.normal(size=15)
+    with pytest.raises(ValueError, match="finite"):
+        ambiguity_curve(X, y, 4, eps)
+
+
 def test_curve_matches_pointwise_reports(rng):
     # witness reuse across nested balls must not change any verdict
     X = random_design(rng, 25, 2)

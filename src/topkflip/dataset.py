@@ -194,31 +194,30 @@ def assign_splits(row_ids: "tuple[str, ...] | list[str]", seed: int) -> NDArray:
 
 
 def _parse_numeric_block(rows, header_index, names, kind):
-    """Parse named columns to float; collect offending row indices."""
-    out = np.empty((len(rows), len(names)), dtype=np.float64)
-    bad_rows = []
-    for i, row in enumerate(rows):
-        ok = True
-        for j, name in enumerate(names):
-            cell = row[header_index[name]]
-            if cell == "":
-                ok = False
-                break
-            try:
-                out[i, j] = float(cell)
-            except ValueError:
-                ok = False
-                break
-        if not ok:
-            bad_rows.append(i)
-    if bad_rows:
+    """Parse named columns to float, one column at a time; on a bad cell,
+    name the first offending row and count the rows with any."""
+    cols = [header_index[name] for name in names]
+    out = np.empty((len(rows), len(cols)), dtype=np.float64)
+    try:
+        for j, c in enumerate(cols):
+            out[:, j] = [float(row[c]) for row in rows]
+    except ValueError:
+        bad_rows = [i for i, row in enumerate(rows) if not all(_is_float(row[c]) for c in cols)]
         raise ParseError(
             f"{len(bad_rows)} row(s) with missing or non-numeric {kind} cells; "
             f"first at data row {bad_rows[0]}",
             row_index=bad_rows[0],
             bad_count=len(bad_rows),
-        )
+        ) from None
     return out
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(path, schema: ColumnSchema, split_seed: int = 0) -> Dataset:

@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 from .linear_fit import RashomonBall, fit_ols, make_ball
 from .ranking import rank_descending
 from .rashomon_single import ambiguity_single, flip_search
-from .solver import SolverConfig
+from .solver import SolverConfig, screen_ball
 
 FAMILIES = ("rashomon", "index")
 
@@ -83,7 +83,9 @@ def ambiguity_curve(
     The tolerance list must be finite, nonnegative and ascending; the balls are
     then nested, so each pass hands the flip witnesses it found to the
     next one's candidate pool and a row never loses a certified flip as
-    the tolerance grows.
+    the tolerance grows. Every ball shares one center, so the membership
+    screen runs once for all tolerances (:func:`solver.screen_ball`) and
+    each pass receives its own ball's result.
     """
     eps = [float(e) for e in epsilons]
     if not np.all(np.isfinite(eps)) or any(e < 0 for e in eps):
@@ -94,10 +96,11 @@ def ambiguity_curve(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     model = fit_ols(X, y)
+    balls = [make_ball(model, X, y, e, epsilon_mode=epsilon_mode) for e in eps]
+    screens = screen_ball(X, model.coef, [b.radius for b in balls], kappa) if balls else []
     curve: list[CurvePoint] = []
     carried: list[NDArray[np.float64]] = []
-    for e in eps:
-        ball = make_ball(model, X, y, e, epsilon_mode=epsilon_mode)
+    for e, ball, screen in zip(eps, balls, screens):
         reports = flip_search(
             X,
             ball,
@@ -105,6 +108,7 @@ def ambiguity_curve(
             rank_mode=rank_mode,
             config=config,
             extra_models=carried if carried else None,
+            prune=screen,
         )
         amb = ambiguity_single(reports, kappa)
         curve.append(

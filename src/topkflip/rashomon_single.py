@@ -65,10 +65,20 @@ ENVELOPE_BLOCK = 256
 
 
 def _pool_rank_envelope(
-    X: NDArray[np.float64], pool: NDArray[np.float64], kappa: int
+    X: NDArray[np.float64],
+    pool: NDArray[np.float64],
+    kappa: int,
+    rows: "NDArray[np.int64] | None" = None,
 ) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
     """First pool column ranking each row inside the top kappa and first
     ranking it outside (-1 when none), under index tie-breaking.
+
+    ``rows`` (ascending) restricts the ranking to those rows of ``X``;
+    the result then has one entry per listed row. :func:`_certify_rows`
+    passes the rows its screen leaves open, with kappa reduced by the
+    always-top count. Their scores are still cut from the product with
+    every row, so each is the float a whole ranking would compare: the
+    products of different shapes can round a near tie differently.
 
     A column's top kappa is every row scoring strictly above its kappa-th
     largest score, plus the lowest-indexed rows tied at that score until
@@ -79,8 +89,8 @@ def _pool_rank_envelope(
     block of pool columns at a time, so memory grows linearly with the row
     count.
     """
-    n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
+    n = X.shape[0] if rows is None else rows.shape[0]
     enter_col = np.full(n, -1, dtype=np.int64)
     exit_col = np.full(n, -1, dtype=np.int64)
     for c0 in range(0, pool.shape[0], ENVELOPE_BLOCK):
@@ -88,6 +98,8 @@ def _pool_rank_envelope(
         if not np.all(np.isfinite(S)):
             col, row = np.argwhere(~np.isfinite(S))[0]
             raise ValueError(f"non-finite score at row {row}, pool column {c0 + col}")
+        if rows is not None:
+            S = S[:, rows]
         cut = np.partition(S, n - kappa, axis=1)[:, n - kappa, None]  # kappa-th largest
         top = S > cut
         room = kappa - top.sum(axis=1)
@@ -122,10 +134,15 @@ def _certify_rows(
     inside it. In status mode a row is settled by the screen when its
     membership is fixed, and is a closed-form flip when some pool model
     puts it on the other side of the cut: the baseline witnesses its own
-    side. Other rows go to the certifier with the one question their
-    verdict needs, the max rank of a baseline-top row or the min rank of
-    any other; the other rank field stays the screen's outer bound. In
-    exact mode every row gets both rank extremes from the certifier. A
+    side. Only the open rows, those the screen leaves unfixed, are ranked
+    under the pool. This is exact because every pool model lies in the
+    region: there the always-top rows fill their slots of the top and the
+    never-top rows stay out, so the open rows share the remaining slots
+    in the full order restricted to them. Other rows go to the certifier
+    with the one question their verdict needs, the max rank of a
+    baseline-top row or the min rank of any other; the other rank field
+    stays the screen's outer bound. In exact mode every row gets both
+    rank extremes from the certifier, and the pool is not read. A
     certifier row whose search stops short of optimality is
     ``undetermined``, with its rank fields tightened by the search's
     bounds. Witnesses are coefficient vectors over a ball and blend
@@ -142,7 +159,17 @@ def _certify_rows(
     witness_kind = "coef" if isinstance(region, BallRegion) else "alpha"
 
     base = rank_descending(V @ baseline, kappa)
-    enter_col, exit_col = _pool_rank_envelope(V, pool, kappa)
+    enter_col = np.full(n, -1, dtype=np.int64)
+    exit_col = np.full(n, -1, dtype=np.int64)
+    if rank_mode == "status":
+        open_rows = np.flatnonzero(~(prune.never_top | prune.always_top))
+        room = kappa - int(np.count_nonzero(prune.always_top))
+        # With no room the always-top rows fill the top, so no open row is
+        # in the baseline top and only its enter column, -1, is read.
+        if room > 0:
+            enter_col[open_rows], exit_col[open_rows] = _pool_rank_envelope(
+                V, pool, room, open_rows
+            )
 
     reports: list[FlipReport] = []
     for i in range(n):
@@ -227,6 +254,7 @@ def flip_search(
     rank_mode: str = "status",
     config: SolverConfig | None = None,
     extra_models=None,
+    prune: PruneResult | None = None,
 ) -> "list[FlipReport]":
     """Certify each row's top membership behavior across the ball.
 
@@ -240,7 +268,8 @@ def flip_search(
     stays None unless the surviving bounds already decide it.
     ``extra_models`` adds candidate coefficient vectors to the witness
     pool; non-members of the ball are dropped, so carrying witnesses from
-    a smaller tolerance is always safe.
+    a smaller tolerance is always safe. ``prune`` passes in the ball's
+    own :func:`prune_unflippable` screen when the caller already has it.
     """
     X = np.asarray(X, dtype=np.float64)
     w0 = ball.center
@@ -258,7 +287,7 @@ def flip_search(
         X,
         BallRegion(center=w0, radius=r),
         w0,
-        prune_unflippable(X, w0, r, kappa),
+        prune_unflippable(X, w0, r, kappa) if prune is None else prune,
         pool,
         kappa,
         row_ids=row_ids,

@@ -278,49 +278,79 @@ def screen_membership(
     strictly above row i everywhere when the region supremum of
     score(i) - score(j) is below ``-PRUNE_REL_TOL * max(1, spread)``; the
     spread, the highest score over the region minus the lowest, bounds
-    every such supremum. The supremum is the center gap plus the radius
-    times the row distance over a ball, and the largest per-target gap
-    over the simplex (a linear gap peaks at a one-hot vertex). It is
-    formed for ``SCREEN_BLOCK`` rows at a time against every row.
+    every such supremum. Over a ball the supremum comes from
+    :func:`screen_ball`; over the simplex it is the largest per-target
+    gap (a linear gap peaks at a one-hot vertex). It is formed for
+    ``SCREEN_BLOCK`` rows at a time against every row.
 
     A row with at least kappa rows strictly above it can never enter the
     top; one with at least n - kappa rows strictly below it can never
     leave.
     """
     V = np.asarray(V, dtype=np.float64)
-    n = V.shape[0]
     if isinstance(region, BallRegion):
-        scores = V @ region.center
-        reach = region.radius * np.linalg.norm(V, axis=1)
-        spread = np.max(scores + reach) - np.min(scores - reach)
-    elif isinstance(region, SimplexRegion):
-        spread = V.max() - V.min()
-    else:
+        return screen_ball(V, region.center, (region.radius,), kappa)[0]
+    if not isinstance(region, SimplexRegion):
         raise TypeError(f"unknown region type {type(region)!r}")
-    tol = PRUNE_REL_TOL * max(1.0, float(spread))
-    count_above = np.zeros(n, dtype=np.int64)
-    count_below = np.zeros(n, dtype=np.int64)
+
+    tol = PRUNE_REL_TOL * max(1.0, float(V.max() - V.min()))
+
+    def block_below(rows):
+        sup = V[rows, 0, None] - V[None, :, 0]
+        for k in range(1, V.shape[1]):
+            np.maximum(sup, V[rows, k, None] - V[None, :, k], out=sup)
+        yield sup < -tol
+
+    return _screen(V.shape[0], kappa, 1, block_below)[0]
+
+
+def screen_ball(
+    V: NDArray[np.float64], center: NDArray[np.float64], radii, kappa: int
+) -> "list[PruneResult]":
+    """:func:`screen_membership` over the balls of several radii around
+    one center, one result per radius.
+
+    The supremum of score(i) - score(j) over a ball is the center gap
+    plus the radius times the row distance. The distances of a row block
+    do not depend on the radius, so each block's are formed once and
+    serve every radius; one radius scales them in place.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    scores = V @ center
+    norms = np.linalg.norm(V, axis=1)
+    tols = []
+    for radius in radii:
+        reach = radius * norms
+        spread = np.max(scores + reach) - np.min(scores - reach)
+        tols.append(PRUNE_REL_TOL * max(1.0, float(spread)))
+
+    def block_below(rows):
+        D = cdist(V[rows], V)
+        sup = D if len(tols) == 1 else np.empty_like(D)
+        for radius, tol in zip(radii, tols):
+            np.multiply(D, radius, out=sup)
+            sup += scores[rows, None] - scores[None, :]
+            yield sup < -tol
+
+    return _screen(V.shape[0], kappa, len(tols), block_below)
+
+
+def _screen(n: int, kappa: int, screens: int, block_below) -> "list[PruneResult]":
+    """Count strict pairwise orders block by block for several screens at
+    once. ``block_below(rows)`` yields, per screen in order, the matrix
+    whose [i, j] entry says the block's row i is below row j everywhere
+    in that screen's region."""
+    count_above = np.zeros((screens, n), dtype=np.int64)
+    count_below = np.zeros((screens, n), dtype=np.int64)
     for r0 in range(0, n, SCREEN_BLOCK):
         rows = slice(r0, r0 + SCREEN_BLOCK)
-        if isinstance(region, BallRegion):
-            sup = cdist(V[rows], V)
-            sup *= region.radius
-            sup += scores[rows, None] - scores[None, :]
-        else:
-            sup = V[rows, 0, None] - V[None, :, 0]
-            for k in range(1, V.shape[1]):
-                np.maximum(sup, V[rows, k, None] - V[None, :, k], out=sup)
-        strictly_below = sup < -tol  # [i, j]: row i always below row j
-        count_above[rows] = strictly_below.sum(axis=1)
-        count_below += strictly_below.sum(axis=0)
-    outer_min = 1 + count_above
-    outer_max = n - count_below
-    return PruneResult(
-        never_top=outer_min > kappa,
-        always_top=outer_max <= kappa,
-        outer_min=outer_min,
-        outer_max=outer_max,
-    )
+        for t, strictly_below in enumerate(block_below(rows)):
+            count_above[t, rows] = strictly_below.sum(axis=1)
+            count_below[t] += strictly_below.sum(axis=0)
+    return [
+        PruneResult(never_top=lo > kappa, always_top=hi <= kappa, outer_min=lo, outer_max=hi)
+        for lo, hi in zip(1 + count_above, n - count_below)
+    ]
 
 
 # ---------------------------------------------------------------------------

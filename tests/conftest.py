@@ -8,6 +8,7 @@ instead.
 """
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -54,3 +55,15 @@ def random_design(rng, n, d):
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs
+
+
+def assert_reports_equal(got, want):
+    """Every field equal, witnesses byte for byte."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in fields(g):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            if f.name == "witness" and a is not None and b is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), g.row_id
+            else:
+                assert a == b, (g.row_id, f.name, a, b)

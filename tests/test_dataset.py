@@ -60,6 +60,45 @@ def test_load_rejects_non_numeric_cells(tmp_path):
         load_csv(p, schema)
 
 
+@pytest.mark.parametrize(
+    "cells, kind, row_index, bad_count",
+    [
+        # Feature cells are checked first; a row counts once however many
+        # of its named cells are bad.
+        ({(4, "x2"): "", (2, "x1"): "1e", (4, "x1"): "n/a"}, "feature", 2, 2),
+        ({(5, "x1"): " ", (1, "x2"): "--1", (3, "group"): "7"}, "feature", 1, 2),
+        ({(0, "y"): "", (3, "x2"): "?"}, "feature", 3, 1),
+        ({(3, "y"): "two", (1, "y"): ""}, "target", 1, 2),
+        # Cells outside the feature and target columns are not parsed.
+        ({(2, "note"): "x", (4, "y"): "1,0"}, "target", 4, 1),
+    ],
+)
+def test_parse_errors_name_the_first_bad_row_and_count_bad_rows(
+    tmp_path, cells, kind, row_index, bad_count
+):
+    header = ["x1", "note", "x2", "y", "group"]
+    rows = [[str(i), "ok", str(i / 3), str(2.5 * i), "g"] for i in range(6)]
+    for (i, name), cell in cells.items():
+        rows[i][header.index(name)] = cell
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(",".join(f'"{c}"' for c in row) for row in [header] + rows) + "\n")
+    schema = ColumnSchema(features=("x1", "x2"), targets=("y",), group="group")
+    with pytest.raises(ParseError, match=f"non-numeric {kind} cells") as err:
+        load_csv(p, schema)
+    assert (err.value.row_index, err.value.bad_count) == (row_index, bad_count)
+    assert str(err.value).endswith(f"first at data row {row_index}")
+    assert str(err.value).startswith(f"{bad_count} row(s) ")
+
+
+def test_numeric_cells_parse_as_python_floats(tmp_path):
+    cells = ["1", " 2.5 ", "-3e2", "1_000", "4.", ".5"]
+    p = tmp_path / "ok.csv"
+    p.write_text("x,y,group\n" + "".join(f"{c},{i},g\n" for i, c in enumerate(cells)))
+    ds = load_csv(p, ColumnSchema(features=("x",), targets=("y",), group="group"))
+    np.testing.assert_array_equal(ds.features[:, 1], [float(c) for c in cells])
+    np.testing.assert_array_equal(ds.targets[:, 0], np.arange(len(cells), dtype=float))
+
+
 def test_missing_split_column_assigns_deterministically(tmp_path):
     p = tmp_path / "ns.csv"
     rows = "\n".join(f"{i},{i / 10},{i / 5},g" for i in range(30))

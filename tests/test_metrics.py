@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topkflip.linear_fit import fit_ols
+from topkflip.linear_fit import fit_ols, make_ball
 from topkflip.metrics import (
     ambiguity_curve,
     baseline_overlap,
@@ -9,10 +9,10 @@ from topkflip.metrics import (
     stable_points,
     stable_rows,
 )
-from topkflip.rashomon_single import flip_reports_single
+from topkflip.rashomon_single import flip_reports_single, flip_search
 from topkflip.index_model import flip_search_multi
 
-from conftest import random_design
+from conftest import assert_reports_equal, random_design
 
 
 def test_curve_nondecreasing_on_random_instances(rng):
@@ -58,6 +58,26 @@ def test_curve_matches_pointwise_reports(rng):
         reports, _ = flip_reports_single(X, y, e, 5)
         flips = sum(1 for r in reports if r.flippable)
         assert pt.ambiguity_all == pytest.approx(flips / 25)
+
+
+@pytest.mark.parametrize("rank_mode", ["status", "exact"])
+def test_curve_passes_equal_independent_searches(rng, rank_mode):
+    """One screen for all tolerances changes no report: each point equals
+    a search over its own ball that screens for itself and gets the same
+    carried witnesses. Duplicated rows make exact ties."""
+    Q = random_design(rng, 20, 3)
+    X = np.vstack([Q, Q]) / np.sqrt(2.0)
+    y = X @ np.array([0.0, 3.0, -2.0]) + rng.normal(size=40)
+    eps = [0.0, 0.01, 0.05, 0.05, 0.2]
+    curve = ambiguity_curve(X, y, 8, eps, rank_mode=rank_mode)
+    model = fit_ols(X, y)
+    carried = []
+    for e, pt in zip(eps, curve):
+        ball = make_ball(model, X, y, e)
+        reports = flip_search(X, ball, 8, rank_mode=rank_mode, extra_models=carried or None)
+        assert_reports_equal(pt.reports, reports)
+        carried += [rep.witness for rep in reports if rep.witness is not None]
+    assert curve[0].ambiguity_all == 0.0 < curve[-1].ambiguity_all
 
 
 def test_stable_points_split(rng):

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from topkflip import rashomon_single
-from topkflip.index_model import flip_search_multi, prune_never_top_multi
+from topkflip.index_model import flip_search_multi, prune_never_top_multi, witness_pool_alphas
 from topkflip.linear_fit import RashomonBall, fit_ols, make_ball
 from topkflip.metrics import stable_points
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
 from topkflip.rashomon_single import (
     ENVELOPE_BLOCK,
+    _certify_rows,
     _pool_rank_envelope,
     ambiguity_single,
     flip_reports_single,
@@ -16,9 +19,9 @@ from topkflip.rashomon_single import (
     prune_unflippable,
     witness_pool,
 )
-from topkflip.solver import SolverConfig
+from topkflip.solver import BallRegion, SimplexRegion, SolverConfig, screen_membership
 
-from conftest import random_design
+from conftest import assert_reports_equal, random_design
 
 
 def test_screen_bounds_hold_at_sampled_ball_points(rng):
@@ -315,3 +318,92 @@ def test_status_mode_asks_one_question_per_row(rng, monkeypatch):
             b.stable_selected, b.stable_unselected, b.undetermined
         )
     assert senses == {"min", "max"}
+
+
+def _tie_heavy_certify_args(rng, family, n, kappa):
+    """``_certify_rows`` arguments on one-decimal rows, a quarter of them
+    duplicated."""
+    dim = int(rng.integers(2, 5 if family == "ball" else 4))
+    V = np.round(rng.normal(size=(n, dim)), 1)
+    V[rng.permutation(n)[: n // 4]] = V[rng.integers(0, n, size=n // 4)]
+    if family == "ball":
+        center = np.round(rng.normal(size=dim), 1)
+        radius = float(rng.choice([0.0, 0.2, 0.6]))
+        region = BallRegion(center=center, radius=radius)
+        baseline, pool = center, witness_pool(V, center, radius)
+    else:
+        region = SimplexRegion(dim=dim)
+        baseline, pool = np.full(dim, 1.0 / dim), witness_pool_alphas(dim)
+    return V, region, baseline, screen_membership(region, V, kappa), pool, kappa
+
+
+@pytest.mark.parametrize("family", ["ball", "simplex"])
+def test_open_row_envelope_matches_the_full_envelope(family, rng, monkeypatch):
+    """Status mode ranks only the rows the screen leaves open, with kappa
+    reduced by the always-top count. Every open row's report equals that
+    of a run which ranks all rows under every pool column with the
+    per-column reference ranking, also where the always-top rows leave no
+    room."""
+    partly_open = no_room = 0
+    for n in (1, 7, 18, 31):
+        for kappa in sorted({1, max(1, n // 7), n}):
+            for _ in range(3):
+                args = _tie_heavy_certify_args(rng, family, n, kappa)
+                V, region, baseline, prune, pool, kappa = args
+                got = _certify_rows(*args, None, "status", None)
+                with monkeypatch.context() as m:
+                    m.setattr(
+                        rashomon_single,
+                        "_pool_rank_envelope",
+                        lambda X, pool, kappa, rows: _envelope_by_column(X[rows], pool, kappa),
+                    )
+                    none = np.zeros(n, dtype=bool)
+                    unfixed = replace(prune, never_top=none, always_top=none)
+                    full = _certify_rows(
+                        V, region, baseline, unfixed, pool, kappa, None, "status", None
+                    )
+                fixed = prune.never_top | prune.always_top
+                assert all(got[i].method == "pruned_unflippable" for i in np.flatnonzero(fixed))
+                open_rows = np.flatnonzero(~fixed)
+                assert_reports_equal([got[i] for i in open_rows], [full[i] for i in open_rows])
+                partly_open += 0 < open_rows.size < n
+                no_room += kappa == np.count_nonzero(prune.always_top)
+    assert partly_open >= 5 and no_room > 0
+
+
+def _count_envelope_calls(monkeypatch):
+    calls = []
+    original = rashomon_single._pool_rank_envelope
+
+    def counting(V, pool, kappa, rows):
+        calls.append(rows.size)
+        return original(V, pool, kappa, rows)
+
+    monkeypatch.setattr(rashomon_single, "_pool_rank_envelope", counting)
+    return calls
+
+
+def test_exact_mode_forms_no_envelope(rng, monkeypatch):
+    """Only status mode reads the pool columns: exact mode skips the
+    envelope, status mode forms it once per search, over the open rows."""
+    calls = _count_envelope_calls(monkeypatch)
+    X = random_design(rng, 30, 3)
+    y = X @ np.array([0.0, 2.0, -1.0]) + rng.normal(size=30)
+    ball = make_ball(fit_ols(X, y), X, y, 0.05, "relative")
+    P = rng.normal(size=(20, 3))
+    searches = [
+        (
+            lambda mode: flip_search(X, ball, 6, rank_mode=mode),
+            prune_unflippable(X, ball.center, ball.radius, 6),
+        ),
+        (lambda mode: flip_search_multi(P, 5, rank_mode=mode), prune_never_top_multi(P, 5)),
+    ]
+    for search, prune in searches:
+        search("exact")
+        assert calls == []
+        search("status")
+        search("status")
+        n_open = int(np.count_nonzero(~(prune.never_top | prune.always_top)))
+        assert 0 < n_open < prune.never_top.shape[0]
+        assert calls == [n_open, n_open]
+        calls.clear()

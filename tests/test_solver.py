@@ -28,6 +28,7 @@ from topkflip.solver import (
     group_query,
     load_instance,
     rank_query,
+    screen_ball,
     screen_membership,
     solve,
 )
@@ -348,7 +349,8 @@ def _dense_prune(sup_gap, kappa):
 )
 def test_blockwise_screen_matches_the_dense_screen(n, rng):
     """Same bounds as the dense screens across block edges, on rows with
-    one-decimal ties and duplicates, and the group-count builder keeps
+    one-decimal ties and duplicates; a ball screen over several radii
+    equals the one-radius screens; and the group-count builder keeps
     exactly the pairs touching a changeable group row, in (a, b) order."""
     regions = [
         BallRegion(center=rng.normal(size=3), radius=0.0),
@@ -368,6 +370,13 @@ def test_blockwise_screen_matches_the_dense_screen(n, rng):
             for name, w in zip(("never_top", "always_top", "outer_min", "outer_max"), want):
                 g = getattr(got, name)
                 assert g.dtype == w.dtype and np.array_equal(g, w), (region, n, kappa, name)
+            if isinstance(region, BallRegion):
+                radii = (0.0, 0.05, region.radius, 1.7)
+                for radius, multi in zip(radii, screen_ball(V, region.center, radii, kappa)):
+                    one = screen_membership(BallRegion(region.center, radius), V, kappa)
+                    for name in ("never_top", "always_top", "outer_min", "outer_max"):
+                        g, w = getattr(multi, name), getattr(one, name)
+                        assert g.dtype == w.dtype and np.array_equal(g, w), (radius, n, name)
 
             group = np.flatnonzero(rng.random(n) < 0.3)
             inst = group_query("max", region, V, group, kappa)
@@ -378,6 +387,23 @@ def test_blockwise_screen_matches_the_dense_screen(n, rng):
             assert np.array_equal(inst.above, above) and np.array_equal(inst.below, below)
             assert np.array_equal(inst.gaps, V[above] - V[below])
             assert inst.group_rows == tuple(int(g) for g in group if not want[0][g])
+
+
+def test_ball_screen_scales_its_tolerance_per_radius():
+    """Each radius judges strictness against its own ball's score spread.
+    Rows 0 and 1 are 1e-11 apart along the center; at radius 0.5 their
+    supremum gap is -5e-12, inside the tolerance that row 2's reach of
+    500 sets, so they count as ordered only at radius 0."""
+    V = np.array([[0.0, 0.0], [1e-11, 0.0], [0.0, 1000.0]])
+    center = np.array([1.0, 0.0])
+    radii = (0.0, 0.5)
+    got = screen_ball(V, center, radii, 1)
+    for radius, multi in zip(radii, got):
+        one = screen_membership(BallRegion(center, radius), V, 1)
+        for name in ("never_top", "always_top", "outer_min", "outer_max"):
+            assert np.array_equal(getattr(multi, name), getattr(one, name)), (radius, name)
+    assert got[0].outer_min.tolist() == [2, 1, 2]
+    assert got[1].outer_min.tolist() == [1, 1, 1]
 
 
 def test_screen_memory_stays_linear_in_rows():
@@ -396,10 +422,15 @@ def test_screen_memory_stays_linear_in_rows():
         tracemalloc.reset_peak()
         single = prune_unflippable(X, center, 0.05, 360)
         _, peak_single = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        curve = screen_ball(X, center, (0.02, 0.04, 0.06), 360)
+        _, peak_curve = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert multi.outer_min.shape == single.outer_max.shape == (n,)
-    assert peak_multi < 100e6 and peak_single < 100e6, (peak_multi, peak_single)
+    assert [c.outer_min.shape for c in curve] == [(n,)] * 3
+    peaks = (peak_multi, peak_single, peak_curve)
+    assert max(peaks) < 100e6, peaks
 
 
 def test_pool_envelope_memory_stays_linear_in_rows():

@@ -23,7 +23,7 @@ KAPPA = 12
 def main():
     ds = generate(SynthConfig(n=240, b=0.5, seed=11))
     holdout = ds.subset(ds.split_mask("holdout"))
-    q, _ = orthonormalize(holdout)
+    q = orthonormalize(holdout)
     X, y = q.features, q.target("y1")
     print(f"holdout rows: {q.n}, selecting top {KAPPA} by target 'y1'")
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from topkflip import (
     SynthConfig,
-    ambiguity_multi,
     ambiguity_single,
     build_ensemble,
     flip_reports_multi,
@@ -37,14 +36,14 @@ def main():
         ds.features[train], Y[train], ds.features[tune], target_names=ds.target_names
     )
     reports, preds = flip_reports_multi(ds.features[holdout], ens, KAPPA)
-    amb = ambiguity_multi(reports, KAPPA)
+    amb = ambiguity_single(reports, KAPPA)
     n = preds.shape[0]
     print(f"blend family over targets {ds.target_names}: "
           f"{round(amb.all_fraction * n)} of {n} holdout rows flippable "
           f"({amb.all_fraction:.1%})")
 
     ho = ds.subset(holdout)
-    q, _ = orthonormalize(ho)
+    q = orthonormalize(ho)
     for t in ds.target_names:
         reps, _ = flip_reports_single(q.features, q.target(t), 0.05, KAPPA)
         a = ambiguity_single(reps, KAPPA)

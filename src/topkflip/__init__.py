@@ -5,7 +5,6 @@ from .dataset import (
     DataError,
     Dataset,
     EmptyDesignError,
-    OrthoBasis,
     ParseError,
     SchemaError,
     assign_splits,
@@ -25,9 +24,7 @@ from .solver import (
     PruneResult,
     SimplexRegion,
     SolverConfig,
-    dump_instance,
     group_query,
-    load_instance,
     rank_query,
     screen_membership,
     solve,
@@ -42,7 +39,6 @@ from .rashomon_single import (
 from .index_model import (
     IndexEnsemble,
     Standardizer,
-    ambiguity_multi,
     build_ensemble,
     fit_index_variable,
     flip_reports_multi,
@@ -64,7 +60,6 @@ from .metrics import (
     CurvePoint,
     StableSet,
     ambiguity_curve,
-    baseline_overlap,
     curve_rows,
     stable_points,
     stable_rows,

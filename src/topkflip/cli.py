@@ -32,7 +32,7 @@ from .dataset import (
     write_csv,
 )
 from .fairness import PhaseError, fairness_workflow, write_fairness_csv, write_fairness_json
-from .index_model import STANDARDIZATIONS, build_ensemble, flip_reports_multi
+from .index_model import STANDARDIZATIONS, build_ensemble, flip_reports_multi, flip_search_multi
 from .linear_fit import fit_on_rows
 from .metrics import ambiguity_curve, curve_rows, stable_points, stable_rows
 from .oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
@@ -89,8 +89,10 @@ def _parse_epsilons(raw: str) -> list[float]:
         raise UsageError(f"bad epsilon list {raw!r}: {exc}") from None
     if not eps:
         raise UsageError("no epsilon values given")
-    if not np.all(np.isfinite(eps)):
-        raise UsageError(f"epsilons must be finite, got {raw!r}")
+    if not np.all(np.isfinite(eps)) or min(eps) < 0:
+        raise UsageError(f"epsilons must be finite and nonnegative, got {raw!r}")
+    if any(b < a for a, b in zip(eps, eps[1:])):
+        raise UsageError(f"epsilons must be ascending, got {raw!r}")
     return eps
 
 
@@ -151,6 +153,28 @@ def _phase_views(ds: Dataset):
         return masks["train"], masks["tune"], masks["holdout"]
     every = np.ones(ds.n, dtype=bool)
     return every, every, every
+
+
+def _orthonormal_analysis(ds: Dataset) -> Dataset:
+    """The table's analysis rows, orthonormalized."""
+    _, _, analysis = _phase_views(ds)
+    return orthonormalize(ds.subset(analysis))
+
+
+def _blend_analysis(ds: Dataset, targets, standardization: str):
+    """``(ensemble, X, row_ids)``: the ensemble fitted on the fit rows and
+    frozen on the reference rows, and the analysis rows' design and ids."""
+    fit_rows, ref_rows, analysis = _phase_views(ds)
+    Y = np.column_stack([ds.target(t) for t in targets])
+    ensemble = build_ensemble(
+        ds.features[fit_rows],
+        Y[fit_rows],
+        ds.features[ref_rows],
+        standardization=standardization,
+        target_names=targets,
+    )
+    row_ids = tuple(r for r, m in zip(ds.row_ids, analysis) if m)
+    return ensemble, ds.features[analysis], row_ids
 
 
 def _solver_config(args) -> SolverConfig:
@@ -257,9 +281,7 @@ def _check_ranks(reports, min_ranks, max_ranks, where: str = "") -> None:
 
 def _cmd_ambiguity_single(args) -> int:
     ds = _load_table(args.data, (args.target,), args.drop_regex, args.seed)
-    _, _, analysis = _phase_views(ds)
-    sub = ds.subset(analysis)
-    q, _basis = orthonormalize(sub)
+    q = _orthonormal_analysis(ds)
     kappa = resolve_kappa(_parse_kappa(args.kappa), q.n)
     epsilons = _parse_epsilons(args.epsilons)
     # The CSV holds only ambiguity fractions, which status mode gives
@@ -313,24 +335,15 @@ def _cmd_ambiguity_single(args) -> int:
 def _cmd_ambiguity_multi(args) -> int:
     targets = _parse_targets(args.targets)
     ds = _load_table(args.data, targets, args.drop_regex, args.seed)
-    fit_rows, ref_rows, analysis = _phase_views(ds)
-    Y = np.column_stack([ds.target(t) for t in targets])
-    ensemble = build_ensemble(
-        ds.features[fit_rows],
-        Y[fit_rows],
-        ds.features[ref_rows],
-        standardization=args.standardize,
-        target_names=targets,
-    )
-    sub_ids = tuple(r for r, m in zip(ds.row_ids, analysis) if m)
-    n = int(analysis.sum())
+    ensemble, X, row_ids = _blend_analysis(ds, targets, args.standardize)
+    n = X.shape[0]
     kappa = resolve_kappa(_parse_kappa(args.kappa), n)
     oracle = _oracle("blend", len(targets), n) if args.certify else None
     reports, preds = flip_reports_multi(
-        ds.features[analysis],
+        X,
         ensemble,
         kappa,
-        row_ids=sub_ids,
+        row_ids=row_ids,
         rank_mode="exact" if args.certify else "status",
         config=_solver_config(args),
     )
@@ -406,18 +419,16 @@ def _cmd_fairness_range(args) -> int:
 
 
 def _stable_one_rashomon(payload):
-    X, y, epsilon, epsilon_mode, kappa, cfg_kw = payload
+    X, y, epsilon, epsilon_mode, kappa, cfg = payload
     reports, _ball = flip_reports_single(
-        X, y, epsilon, kappa, epsilon_mode=epsilon_mode, config=SolverConfig(**cfg_kw)
+        X, y, epsilon, kappa, epsilon_mode=epsilon_mode, config=cfg
     )
     return stable_points(reports, kappa, "rashomon")
 
 
 def _stable_one_index(payload):
-    preds, kappa, cfg_kw = payload
-    from .index_model import flip_search_multi
-
-    reports = flip_search_multi(preds, kappa, config=SolverConfig(**cfg_kw))
+    preds, kappa, cfg = payload
+    reports = flip_search_multi(preds, kappa, config=cfg)
     return stable_points(reports, kappa, "index")
 
 
@@ -425,23 +436,21 @@ def _cmd_stable_points(args) -> int:
     kappas_raw = [k.strip() for k in args.kappa_sweep.split(",") if k.strip()]
     if not kappas_raw:
         raise UsageError("empty kappa sweep")
-    if not np.isfinite(args.epsilon):
-        raise UsageError(f"--epsilon must be finite, got {args.epsilon}")
+    if not np.isfinite(args.epsilon) or args.epsilon < 0:
+        raise UsageError(f"--epsilon must be finite and nonnegative, got {args.epsilon}")
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cfg = _solver_config(args)
-    cfg_kw = {"node_budget": cfg.node_budget, "time_budget": cfg.time_budget}
 
     if args.family == "rashomon":
         if args.target is None:
             raise UsageError("--target is required for the rashomon family")
         ds = _load_table(args.data, (args.target,), args.drop_regex, args.seed)
-        _, _, analysis = _phase_views(ds)
-        q, _basis = orthonormalize(ds.subset(analysis))
+        q = _orthonormal_analysis(ds)
         y = q.target(args.target)
         kappas = [resolve_kappa(_parse_kappa(k), q.n) for k in kappas_raw]
         payloads = [
-            (q.features, y, args.epsilon, args.epsilon_mode, k, cfg_kw) for k in kappas
+            (q.features, y, args.epsilon, args.epsilon_mode, k, cfg) for k in kappas
         ]
         worker = _stable_one_rashomon
         n_rows = q.n
@@ -450,19 +459,11 @@ def _cmd_stable_points(args) -> int:
             raise UsageError("--targets is required for the index family")
         targets = _parse_targets(args.targets)
         ds = _load_table(args.data, targets, args.drop_regex, args.seed)
-        fit_rows, ref_rows, analysis = _phase_views(ds)
-        Y = np.column_stack([ds.target(t) for t in targets])
-        ensemble = build_ensemble(
-            ds.features[fit_rows],
-            Y[fit_rows],
-            ds.features[ref_rows],
-            standardization=args.standardize,
-            target_names=targets,
-        )
-        preds = ensemble.predictions(ds.features[analysis])
-        n_rows = int(analysis.sum())
+        ensemble, X, _ = _blend_analysis(ds, targets, args.standardize)
+        preds = ensemble.predictions(X)
+        n_rows = X.shape[0]
         kappas = [resolve_kappa(_parse_kappa(k), n_rows) for k in kappas_raw]
-        payloads = [(preds, k, cfg_kw) for k in kappas]
+        payloads = [(preds, k, cfg) for k in kappas]
         worker = _stable_one_index
 
     # A fork-started pool launches all its workers at the first submit.

@@ -127,15 +127,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d(self) -> int:
-        """Number of non-intercept feature columns."""
-        return self.features.shape[1] - 1
-
-    @property
-    def K(self) -> int:
-        return self.targets.shape[1]
-
     def target(self, name: str) -> NDArray[np.float64]:
         try:
             j = self.target_names.index(name)
@@ -162,22 +153,6 @@ class Dataset:
             row_ids=tuple(r for r, m in zip(self.row_ids, mask) if m),
             split_tags=self.split_tags[mask],
         )
-
-
-@dataclass(frozen=True)
-class OrthoBasis:
-    """Change of basis produced by :func:`orthonormalize`.
-
-    ``transform`` maps the original (d+1)-column design to the retained
-    orthonormal columns: ``X_orth = X @ transform``. ``dropped_columns``
-    holds original column indices removed for rank deficiency.
-    """
-
-    transform: NDArray[np.float64]
-    rank: int
-    dropped_columns: tuple[int, ...]
-    retained_columns: tuple[int, ...]
-    source_names: tuple[str, ...]
 
 
 def assign_splits(row_ids: "tuple[str, ...] | list[str]", seed: int) -> NDArray:
@@ -342,25 +317,31 @@ def schema_for(ds: Dataset) -> ColumnSchema:
     )
 
 
+def _select_columns(ds: Dataset, patterns, matching: bool, empty_message: str) -> Dataset:
+    """Keep the intercept plus each feature column whose name does
+    (``matching``) or does not match some regex in patterns."""
+    compiled = [re.compile(p) for p in patterns]
+    keep = [0] + [
+        j
+        for j in range(1, len(ds.feature_names))
+        if any(c.search(ds.feature_names[j]) for c in compiled) == matching
+    ]
+    if len(keep) == 1:
+        raise EmptyDesignError(empty_message)
+    return dataclasses.replace(
+        ds,
+        feature_names=tuple(ds.feature_names[j] for j in keep),
+        features=ds.features[:, keep],
+    )
+
+
 def drop_columns_matching(ds: Dataset, patterns) -> Dataset:
     """Remove feature columns whose name matches any regex in patterns.
 
     Matching uses ``re.search``. The intercept is never dropped. Targets and
     groups are untouched.
     """
-    compiled = [re.compile(p) for p in patterns]
-    keep = [0] + [
-        j
-        for j in range(1, len(ds.feature_names))
-        if not any(c.search(ds.feature_names[j]) for c in compiled)
-    ]
-    if len(keep) == 1:
-        raise EmptyDesignError("all non-intercept feature columns removed")
-    return dataclasses.replace(
-        ds,
-        feature_names=tuple(ds.feature_names[j] for j in keep),
-        features=ds.features[:, keep],
-    )
+    return _select_columns(ds, patterns, False, "all non-intercept feature columns removed")
 
 
 def keep_columns_matching(ds: Dataset, patterns) -> Dataset:
@@ -368,29 +349,18 @@ def keep_columns_matching(ds: Dataset, patterns) -> Dataset:
 
     Complement of :func:`drop_columns_matching`; the intercept always stays.
     """
-    compiled = [re.compile(p) for p in patterns]
-    keep = [0] + [
-        j
-        for j in range(1, len(ds.feature_names))
-        if any(c.search(ds.feature_names[j]) for c in compiled)
-    ]
-    if len(keep) == 1:
-        raise EmptyDesignError("no non-intercept feature column matched the keep patterns")
-    return dataclasses.replace(
-        ds,
-        feature_names=tuple(ds.feature_names[j] for j in keep),
-        features=ds.features[:, keep],
+    return _select_columns(
+        ds, patterns, True, "no non-intercept feature column matched the keep patterns"
     )
 
 
-def orthonormalize(ds: Dataset) -> "tuple[Dataset, OrthoBasis]":
+def orthonormalize(ds: Dataset) -> Dataset:
     """Orthonormalize the design with the intercept pinned first.
 
     Runs a column-pivoted QR on the non-intercept columns after projecting
     out the intercept direction. Columns whose pivot magnitude falls below
     ``PIVOT_DROP_REL_TOL`` times the largest pivot are dropped as collinear.
-    Returns the transformed Dataset (features satisfy X^T X = I) and the
-    OrthoBasis carrying the transform and the dropped column indices.
+    Returns the transformed Dataset, whose features satisfy X^T X = I.
     """
     X = ds.features
     n, p = X.shape
@@ -411,7 +381,6 @@ def orthonormalize(ds: Dataset) -> "tuple[Dataset, OrthoBasis]":
     keep_count = int(np.sum(diag >= PIVOT_DROP_REL_TOL * largest))
 
     retained_rest = piv[:keep_count]
-    dropped = tuple(sorted(int(j) + 1 for j in piv[keep_count:]))
     rank = keep_count + 1
 
     # Solve for the transform: X @ T = [q0, Q_r[:, :keep_count]].
@@ -433,16 +402,8 @@ def orthonormalize(ds: Dataset) -> "tuple[Dataset, OrthoBasis]":
     # direction, just rescaled.
     X_orth[:, 0] = 1.0 / sqrt_n
     new_names = (INTERCEPT_NAME,) + tuple(f"q{j}" for j in range(1, rank))
-    new_ds = dataclasses.replace(
+    return dataclasses.replace(
         ds,
         feature_names=new_names,
         features=X_orth,
     )
-    basis = OrthoBasis(
-        transform=T,
-        rank=rank,
-        dropped_columns=dropped,
-        retained_columns=(0,) + tuple(int(j) + 1 for j in sorted(retained_rest)),
-        source_names=ds.feature_names,
-    )
-    return new_ds, basis

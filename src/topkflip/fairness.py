@@ -386,10 +386,7 @@ def fairness_workflow(
 
 
 def write_fairness_json(path, meta: dict, report) -> None:
-    """One JSON document: the metadata record plus the report payload.
-
-    Accepts either a workflow bundle or a bare extremes report.
-    """
+    """One JSON document: the metadata record plus the workflow bundle."""
     doc = {"meta": meta, "report": report.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

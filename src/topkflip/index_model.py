@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linear_fit import LinearModel, fit_on_rows
-from .rashomon_single import AmbiguityResult, _certify_rows, ambiguity_single
+from .rashomon_single import _certify_rows
 from .reports import FlipReport
 from .solver import PruneResult, SimplexRegion, SolverConfig, screen_membership
 
@@ -84,34 +84,6 @@ class Standardizer:
             out[:, k] = np.clip((left + right + 1) / 2.0 / ref.shape[0], 0.0, 1.0)
         return out
 
-    def to_dict(self) -> dict:
-        doc = {"mode": self.mode, "target_names": list(self.target_names)}
-        if self.mode == "zscore":
-            doc["means"] = [float(v) for v in self.means]
-            doc["sds"] = [float(v) for v in self.sds]
-        elif self.mode == "percentile":
-            doc["references"] = [[float(v) for v in ref] for ref in self.references]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Standardizer":
-        mode = doc["mode"]
-        names = tuple(doc["target_names"])
-        if mode == "zscore":
-            return cls(
-                mode=mode,
-                target_names=names,
-                means=np.array(doc["means"], dtype=np.float64),
-                sds=np.array(doc["sds"], dtype=np.float64),
-            )
-        if mode == "percentile":
-            return cls(
-                mode=mode,
-                target_names=names,
-                references=tuple(np.array(r, dtype=np.float64) for r in doc["references"]),
-            )
-        return cls(mode="none", target_names=names)
-
 
 @dataclass(frozen=True)
 class IndexEnsemble:
@@ -120,39 +92,12 @@ class IndexEnsemble:
     models: tuple[LinearModel, ...]
     standardizer: Standardizer
 
-    @property
-    def K(self) -> int:
-        return len(self.models)
-
-    @property
-    def target_names(self) -> tuple[str, ...]:
-        return self.standardizer.target_names
-
     def raw_predictions(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         return np.column_stack([m.predict(X) for m in self.models])
 
     def predictions(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         """Standardized per-target predictions, the solver's row vectors."""
         return self.standardizer.transform(self.raw_predictions(X))
-
-    def index_scores(self, X: NDArray[np.float64], alpha) -> NDArray[np.float64]:
-        alpha = np.asarray(alpha, dtype=np.float64)
-        return self.predictions(X) @ alpha
-
-    def to_dict(self) -> dict:
-        return {
-            "coefs": [[float(v) for v in m.coef] for m in self.models],
-            "standardizer": self.standardizer.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "IndexEnsemble":
-        std = Standardizer.from_dict(doc["standardizer"])
-        models = tuple(
-            LinearModel(coef=np.array(c, dtype=np.float64), target_name=name)
-            for c, name in zip(doc["coefs"], std.target_names)
-        )
-        return cls(models=models, standardizer=std)
 
 
 def build_ensemble(
@@ -258,9 +203,3 @@ def flip_reports_multi(
         preds, kappa, row_ids=row_ids, rank_mode=rank_mode, config=config
     )
     return reports, preds
-
-
-def ambiguity_multi(reports, kappa: int) -> AmbiguityResult:
-    """Same tallies as the single-target version; the baseline column
-    refers to the uniform blend."""
-    return ambiguity_single(reports, kappa)

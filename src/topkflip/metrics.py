@@ -8,7 +8,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linear_fit import RashomonBall, fit_ols, make_ball
-from .ranking import rank_descending
 from .rashomon_single import ambiguity_single, flip_search
 from .solver import SolverConfig, screen_ball
 
@@ -140,10 +139,3 @@ def stable_rows(stable_sets):
     return [
         [s.kappa, repr(s.stable_fraction), s.family] for s in stable_sets
     ]
-
-
-def baseline_overlap(scores_a, scores_b, kappa: int) -> float:
-    """Fraction of the two deterministic top sets that coincide."""
-    a = rank_descending(np.asarray(scores_a, dtype=np.float64), kappa).top_flags
-    b = rank_descending(np.asarray(scores_b, dtype=np.float64), kappa).top_flags
-    return int(np.count_nonzero(a & b)) / kappa

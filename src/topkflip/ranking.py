@@ -38,10 +38,6 @@ class RankVector:
     top_flags: NDArray[np.bool_]
     tie_count: int
 
-    @property
-    def n(self) -> int:
-        return int(self.ranks.shape[0])
-
 
 def rank_descending(scores: NDArray[np.float64], kappa: int) -> RankVector:
     """Rank scores in descending order with index tie-break.

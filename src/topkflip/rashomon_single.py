@@ -133,12 +133,13 @@ def _certify_rows(
     screen bounds over the whole region and ``pool`` candidate witnesses
     inside it. In status mode a row is settled by the screen when its
     membership is fixed, and is a closed-form flip when some pool model
-    puts it on the other side of the cut: the baseline witnesses its own
-    side. Only the open rows, those the screen leaves unfixed, are ranked
-    under the pool. This is exact because every pool model lies in the
-    region: there the always-top rows fill their slots of the top and the
-    never-top rows stay out, so the open rows share the remaining slots
-    in the full order restricted to them. Other rows go to the certifier
+    ``w`` puts it on the other side of the cut, ranked by ``V @ w`` as the
+    baseline is: the baseline witnesses its own side. Only the open rows,
+    those the screen leaves unfixed, are ranked under the pool. This is
+    exact because every pool model lies in the region: there the
+    always-top rows fill their slots of the top and the never-top rows
+    stay out, so the open rows share the remaining slots in the full
+    order restricted to them. Other rows go to the certifier
     with the one question their verdict needs, the max rank of a
     baseline-top row or the min rank of any other; the other rank field
     stays the screen's outer bound. In exact mode every row gets both
@@ -170,6 +171,14 @@ def _certify_rows(
             enter_col[open_rows], exit_col[open_rows] = _pool_rank_envelope(
                 V, pool, room, open_rows
             )
+    flip_cols = np.where(base.top_flags, exit_col, enter_col)
+    # The envelope's blocked product can round a near tie differently from
+    # the baseline's V @ w, so a column witnesses a flip only if that
+    # product moves the row across the cut; a row it does not move goes
+    # to the certifier.
+    for c in set(flip_cols[flip_cols >= 0].tolist()):
+        moved = rank_descending(V @ pool[c], kappa).top_flags != base.top_flags
+        flip_cols[(flip_cols == c) & ~moved] = -1
 
     reports: list[FlipReport] = []
     for i in range(n):
@@ -193,7 +202,7 @@ def _certify_rows(
                     )
                 )
                 continue
-            flip_col = exit_col[i] if in_top else enter_col[i]
+            flip_col = flip_cols[i]
             if flip_col >= 0:
                 reports.append(
                     FlipReport(

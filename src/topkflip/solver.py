@@ -33,7 +33,6 @@ and the whole search is deterministic for a fixed node budget.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from dataclasses import dataclass
 
@@ -823,72 +822,4 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         nodes=nodes,
         presolve_fixed=int(P - F),
         free_pairs=int(F),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Instance dumps.
-
-
-def dump_instance(inst: MipInstance, path) -> None:
-    """Write the query as JSON."""
-    if isinstance(inst.region, BallRegion):
-        region = {
-            "kind": "ball",
-            "center": [float(v) for v in inst.region.center],
-            "radius": float(inst.region.radius),
-        }
-    else:
-        region = {
-            "kind": "simplex",
-            "dim": int(inst.region.dim),
-        }
-    doc = {
-        "sense": inst.sense,
-        "objective": inst.objective,
-        "n_rows": int(inst.n_rows),
-        "focal": None if inst.focal is None else int(inst.focal),
-        "group_rows": None if inst.group_rows is None else [int(g) for g in inst.group_rows],
-        "kappa": None if inst.kappa is None else int(inst.kappa),
-        "region": region,
-        "pairs": [
-            {
-                "above": int(inst.above[p]),
-                "below": int(inst.below[p]),
-                "gap": [float(v) for v in inst.gaps[p]],
-            }
-            for p in range(inst.gaps.shape[0])
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_instance(path) -> MipInstance:
-    """Inverse of :func:`dump_instance`. Keys it does not write, such as
-    those of older dumps, are ignored."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc["region"]["kind"] == "ball":
-        region = BallRegion(
-            center=np.array(doc["region"]["center"], dtype=np.float64),
-            radius=float(doc["region"]["radius"]),
-        )
-    else:
-        region = SimplexRegion(dim=int(doc["region"]["dim"]))
-    pairs = doc["pairs"]
-    dim = region.dim if isinstance(region, SimplexRegion) else region.center.shape[0]
-    gaps = np.array([p["gap"] for p in pairs], dtype=np.float64).reshape(len(pairs), dim)
-    return MipInstance(
-        sense=doc["sense"],
-        objective=doc["objective"],
-        region=region,
-        gaps=gaps,
-        above=np.array([p["above"] for p in pairs], dtype=np.int64),
-        below=np.array([p["below"] for p in pairs], dtype=np.int64),
-        n_rows=int(doc["n_rows"]),
-        focal=doc["focal"],
-        group_rows=None if doc["group_rows"] is None else tuple(doc["group_rows"]),
-        kappa=doc["kappa"],
     )

@@ -15,7 +15,6 @@ import pytest
 from topkflip.dataset import orthonormalize
 from topkflip.fairness import fairness_workflow, group_rate_extremes
 from topkflip.index_model import (
-    ambiguity_multi,
     build_ensemble,
     fit_index_variable,
     flip_reports_multi,
@@ -26,7 +25,12 @@ from topkflip.linear_fit import fit_ols, fit_on_rows, make_ball, rss
 from topkflip.metrics import ambiguity_curve, stable_points
 from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import resolve_kappa
-from topkflip.rashomon_single import flip_reports_single, flip_search, prune_unflippable
+from topkflip.rashomon_single import (
+    ambiguity_single,
+    flip_reports_single,
+    flip_search,
+    prune_unflippable,
+)
 from topkflip.synth import SynthConfig, generate
 
 from conftest import random_design
@@ -48,7 +52,7 @@ def _verdict(name, ok, detail):
 @pytest.fixture(scope="module")
 def holdout_ortho(clinical_subset):
     sub = clinical_subset.subset(clinical_subset.split_mask("holdout"))
-    q, _ = orthonormalize(sub)
+    q = orthonormalize(sub)
     return q
 
 
@@ -287,7 +291,7 @@ def test_c07_clinical_orderings(clinical_subset, clinical_ensemble, clinical_cur
     ho = ds.split_mask("holdout")
     kappa = resolve_kappa(KAPPA_PERCENT, int(ho.sum()))
     reports, _ = flip_reports_multi(ds.features[ho], clinical_ensemble[0], kappa)
-    multi = ambiguity_multi(reports, kappa).all_fraction
+    multi = ambiguity_single(reports, kappa).all_fraction
     singles = {name: fracs[-1] for name, fracs in clinical_curves.items()}
     part_a = all(multi > v for v in singles.values())
 

@@ -440,8 +440,13 @@ def test_other_workflow_failures_still_raise(table, tmp_path, monkeypatch):
          "--epsilon", "nan"],
         ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5",
          "--workers", "0"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "-0.1"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.06,0.02"],
+        ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
+         "--epsilon", "-1"],
     ],
-    ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers"],
+    ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers", "negative", "descending",
+         "stable-negative"],
 )
 def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, flags):
     out = tmp_path / "o.csv"

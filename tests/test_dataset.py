@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from topkflip.dataset import (
     ColumnSchema,
-    DataError,
+    EmptyDesignError,
     ParseError,
     SchemaError,
     assign_splits,
@@ -121,7 +121,7 @@ def test_assign_splits_is_a_pure_function_of_seed_and_id(seed):
 
 def test_orthonormalize_design_and_rank_preservation(table):
     ds, _ = table
-    q, basis = orthonormalize(ds)
+    q = orthonormalize(ds)
     G = q.features.T @ q.features
     np.testing.assert_allclose(G, np.eye(q.features.shape[1]), atol=1e-10)
     # fitted values are basis-independent, so score order survives
@@ -139,8 +139,10 @@ def test_column_filters(table):
     dropped = drop_columns_matching(ds, ["visits"])
     assert "visits" not in dropped.feature_names
     assert dropped.feature_names[0] == "intercept"
-    with pytest.raises(DataError):
+    with pytest.raises(EmptyDesignError, match="all non-intercept feature columns removed"):
         drop_columns_matching(ds, ["age", "visits"])  # nothing but the intercept left
+    with pytest.raises(EmptyDesignError, match="no non-intercept feature column matched"):
+        keep_columns_matching(ds, ["^no_such_column$"])
 
 
 def test_subset_masks(table):

@@ -4,7 +4,6 @@ import pytest
 from topkflip.linear_fit import fit_ols, make_ball
 from topkflip.metrics import (
     ambiguity_curve,
-    baseline_overlap,
     curve_rows,
     stable_points,
     stable_rows,
@@ -134,10 +133,3 @@ def test_row_formatters(rng):
     srows = stable_rows([st])
     assert srows[0][0] == 4 and srows[0][2] == "rashomon"
     assert float(srows[0][1]) == st.stable_fraction
-
-
-def test_baseline_overlap_bounds(rng):
-    a = rng.normal(size=30)
-    b = rng.normal(size=30)
-    assert baseline_overlap(a, a, 8) == 1.0
-    assert 0.0 <= baseline_overlap(a, b, 8) <= 1.0

@@ -151,22 +151,48 @@ def test_status_mode_matches_exact_verdicts(rng):
         assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
 
 
+def _stacked_design(seed, half, p):
+    """A one-decimal design stacked on itself and run through QR, with a
+    one-decimal target: the copies of a row differ only by rounding, so a
+    score product of another shape can order them the other way."""
+    rng = np.random.default_rng(seed)
+    A = np.round(rng.normal(size=(half, p)), 1)
+    Q = np.linalg.qr(np.column_stack([np.ones(2 * half), np.vstack([A, A])]))[0]
+    return Q, np.round(rng.normal(size=2 * half), 1)
+
+
 def test_witnesses_live_in_the_ball_and_realize_flips(rng):
-    """Pool witnesses realize the flip outright; MIP witnesses certify the
-    extreme rank under optimistic tie counting, so only membership is
-    promised for them."""
+    """Pool witnesses realize the flip outright under the baseline's own
+    product; MIP witnesses certify the extreme rank under optimistic tie
+    counting, so only membership is promised for them. The stacked
+    designs put near ties where the envelope's blocked product and the
+    baseline's can disagree; the blend family goes through the same
+    staging."""
     X = random_design(rng, 20, 3)
     y = rng.normal(size=20)
-    reports, ball = flip_reports_single(X, y, 0.3, 5)
-    base_flags = rank_descending(X @ ball.center, 5).top_flags
+    cases = [
+        (X, y, 0.3, 5),
+        (*_stacked_design(1, 21, 2), 0.0, 21),
+        (*_stacked_design(46, 21, 3), 0.3, 21),
+    ]
     seen_closed_form = 0
-    for i, rep in enumerate(reports):
-        if rep.witness is None or rep.witness_kind != "coef":
-            continue
-        assert ball.contains(rep.witness, tol=1e-9)
-        if rep.method == "closed_form_flip":
-            seen_closed_form += 1
-            assert rank_descending(X @ rep.witness, 5).top_flags[i] != base_flags[i]
+    for X, y, eps, kappa in cases:
+        reports, ball = flip_reports_single(X, y, eps, kappa)
+        base_flags = rank_descending(X @ ball.center, kappa).top_flags
+        for i, rep in enumerate(reports):
+            if rep.witness is None or rep.witness_kind != "coef":
+                continue
+            assert ball.contains(rep.witness, tol=1e-9)
+            if rep.method == "closed_form_flip":
+                seen_closed_form += 1
+                assert rank_descending(X @ rep.witness, kappa).top_flags[i] != base_flags[i]
+        P = X[:, 1:]
+        reports = flip_search_multi(P, kappa)
+        base_flags = rank_descending(P @ np.full(P.shape[1], 1 / P.shape[1]), kappa).top_flags
+        for i, rep in enumerate(reports):
+            if rep.method == "closed_form_flip":
+                seen_closed_form += 1
+                assert rank_descending(P @ rep.witness, kappa).top_flags[i] != base_flags[i]
     assert seen_closed_form > 0
 
 

@@ -5,7 +5,6 @@ independent (if only probabilistic) route to the same extremes; the
 exact-oracle comparisons live with the acceptance checks.
 """
 
-import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,9 +23,7 @@ from topkflip.solver import (
     MipInstance,
     SimplexRegion,
     SolverConfig,
-    dump_instance,
     group_query,
-    load_instance,
     rank_query,
     screen_ball,
     screen_membership,
@@ -286,34 +283,6 @@ def test_determinism(rng):
     b = solve(rank_query("max", region, V, 3))
     assert a.value == b.value and a.nodes == b.nodes
     np.testing.assert_array_equal(a.witness, b.witness)
-
-
-def test_instance_round_trip(tmp_path, rng):
-    V = random_design(rng, 8, 3)
-    inst = rank_query("min", BallRegion(center=rng.normal(size=3), radius=0.5), V, 2)
-    p = tmp_path / "inst.json"
-    dump_instance(inst, p)
-    back = load_instance(p)
-    assert back.sense == inst.sense and back.objective == inst.objective
-    np.testing.assert_allclose(back.gaps, inst.gaps)
-    assert solve(back).value == solve(inst).value
-
-    sim = group_query("max", SimplexRegion(dim=3), rng.normal(size=(7, 3)), [0, 2], 3)
-    dump_instance(sim, p)
-    again = load_instance(p)
-    assert solve(again).value == solve(sim).value
-
-    # Older dumps also carry a blend-total lower edge and per-pair link
-    # constants; loading ignores them.
-    doc = json.loads(p.read_text())
-    doc["region"]["sum_lower"] = 0.1
-    for pair in doc["pairs"]:
-        pair["big_m_above"] = pair["big_m_below"] = 1.0
-    p.write_text(json.dumps(doc))
-    legacy = load_instance(p)
-    assert legacy.region == sim.region
-    np.testing.assert_array_equal(legacy.gaps, sim.gaps)
-    assert solve(legacy).value == solve(sim).value
 
 
 def test_config_rejects_nonsense():

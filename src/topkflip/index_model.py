@@ -37,7 +37,6 @@ class Standardizer:
     """
 
     mode: str
-    target_names: tuple[str, ...]
     means: NDArray[np.float64] | None = None
     sds: NDArray[np.float64] | None = None
     references: "tuple[NDArray[np.float64], ...] | None" = None
@@ -63,11 +62,11 @@ class Standardizer:
                         f"target {names[k]!r} has zero-variance predictions "
                         "on the reference rows; zscore scaling is undefined"
                     )
-            return cls(mode=mode, target_names=names, means=means, sds=sds)
+            return cls(mode=mode, means=means, sds=sds)
         if mode == "percentile":
             refs = tuple(np.sort(R[:, k]) for k in range(R.shape[1]))
-            return cls(mode=mode, target_names=names, references=refs)
-        return cls(mode="none", target_names=names)
+            return cls(mode=mode, references=refs)
+        return cls(mode="none")
 
     def transform(self, raw: NDArray[np.float64]) -> NDArray[np.float64]:
         R = np.asarray(raw, dtype=np.float64)

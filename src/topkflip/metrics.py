@@ -18,10 +18,12 @@ FAMILIES = ("rashomon", "index")
 class StableSet:
     """Rows whose membership is certified constant across the family.
 
-    A certified row sits in ``stable_selected`` when even its worst rank
-    stays within kappa, in ``stable_unselected`` when even its best rank
-    misses. Rows whose search ended undetermined are listed apart and
-    claimed for neither side.
+    A row decided unflippable sits in ``stable_selected`` when even its
+    worst rank stays within kappa, in ``stable_unselected`` when even its
+    best rank misses. Rows whose verdict stayed undecided (``flippable``
+    None) are listed apart and claimed for neither side; a row whose
+    search stopped short but whose bounds decide it counts like any
+    other.
     """
 
     kappa: int
@@ -41,7 +43,7 @@ def stable_points(reports, kappa: int, family: str) -> StableSet:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     selected, unselected, undet = [], [], []
     for rep in reports:
-        if rep.method == "undetermined":
+        if rep.flippable is None:
             undet.append(rep.row_id)
         elif rep.max_rank <= kappa:
             selected.append(rep.row_id)

@@ -93,14 +93,25 @@ def _pool_rank_envelope(
     n = X.shape[0] if rows is None else rows.shape[0]
     enter_col = np.full(n, -1, dtype=np.int64)
     exit_col = np.full(n, -1, dtype=np.int64)
+    # Scratch for the block's scores, its open-row columns and their
+    # partition, reused by every block.
+    width = min(ENVELOPE_BLOCK, pool.shape[0])
+    score_buf = np.empty((width, X.shape[0]))
+    open_buf = score_buf if rows is None else np.empty((width, n))
+    part_buf = np.empty((width, n))
     for c0 in range(0, pool.shape[0], ENVELOPE_BLOCK):
-        S = pool[c0 : c0 + ENVELOPE_BLOCK] @ XT  # one pool column per row
+        block = pool[c0 : c0 + ENVELOPE_BLOCK]
+        b = block.shape[0]
+        S = np.matmul(block, XT, out=score_buf[:b])  # one pool column per row
         if not np.all(np.isfinite(S)):
             col, row = np.argwhere(~np.isfinite(S))[0]
             raise ValueError(f"non-finite score at row {row}, pool column {c0 + col}")
         if rows is not None:
-            S = S[:, rows]
-        cut = np.partition(S, n - kappa, axis=1)[:, n - kappa, None]  # kappa-th largest
+            S = np.take(S, rows, axis=1, out=open_buf[:b])
+        part = part_buf[:b]
+        np.copyto(part, S)
+        part.partition(n - kappa, axis=1)
+        cut = part[:, n - kappa, None]  # kappa-th largest
         top = S > cut
         room = kappa - top.sum(axis=1)
         tied = S == cut
@@ -139,15 +150,19 @@ def _certify_rows(
     exact because every pool model lies in the region: there the
     always-top rows fill their slots of the top and the never-top rows
     stay out, so the open rows share the remaining slots in the full
-    order restricted to them. Other rows go to the certifier
-    with the one question their verdict needs, the max rank of a
-    baseline-top row or the min rank of any other; the other rank field
-    stays the screen's outer bound. In exact mode every row gets both
-    rank extremes from the certifier, and the pool is not read. A
-    certifier row whose search stops short of optimality is
-    ``undetermined``, with its rank fields tightened by the search's
-    bounds. Witnesses are coefficient vectors over a ball and blend
-    weights over the simplex.
+    order restricted to them. Other rows go to the certifier with the
+    one question their verdict needs, whether a baseline-top row's rank
+    can exceed kappa or another row's can reach it, as a verdict query
+    (:func:`solver.solve` with ``kappa`` set). The search's bound, clipped
+    by the screen's, becomes that rank field; the other field stays the
+    screen's outer bound, and the incumbent that crosses the cut is the
+    flip witness. In exact mode every row gets both rank extremes from
+    the certifier, optimized, and the pool is not read. A certifier row
+    whose search stops short of a settled answer is ``undetermined``,
+    with its rank fields tightened by the search's bounds; its verdict
+    is still decided when an incumbent crosses the cut (which then is
+    its witness) or when the bounds keep it on its side. Witnesses are
+    coefficient vectors over a ball and blend weights over the simplex.
     """
     if rank_mode not in ("status", "exact"):
         raise ValueError(f"rank_mode must be status or exact, got {rank_mode!r}")
@@ -220,14 +235,17 @@ def _certify_rows(
 
         # A baseline-top row flips exactly when its max rank exceeds kappa,
         # any other row exactly when its min rank is at most kappa. Status
-        # mode solves only that side; the other keeps the screen's bound.
+        # mode asks only that side, as a verdict query against kappa; the
+        # other side keeps the screen's bound.
         verdict = "max" if in_top else "min"
         inst = rank_query("min", region, V, i)
-        senses = ("min", "max") if rank_mode == "exact" else (verdict,)
-        sols = {s: solve(replace(inst, sense=s), cfg) for s in senses}
+        if rank_mode == "exact":
+            sols = {s: solve(replace(inst, sense=s), cfg) for s in ("min", "max")}
+        else:
+            sols = {verdict: solve(replace(inst, sense=verdict, kappa=kappa), cfg)}
         ranks = {"min": omin, "max": omax}
         for side, sol in sols.items():
-            if sol.status == "optimal":
+            if sol.status == "optimal" and rank_mode == "exact":
                 ranks[side] = int(sol.value)
             elif sol.bound is not None:
                 ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
@@ -239,7 +257,9 @@ def _certify_rows(
             flippable = False
         else:
             flippable = None
-        wit = sol.witness if certified and flippable else None
+        # The verdict side's incumbent attains its value, so one across
+        # the cut witnesses the flip even when a search stopped short.
+        wit = sol.witness if flippable else None
         reports.append(
             FlipReport(
                 row_id=row_ids[i],
@@ -268,13 +288,15 @@ def flip_search(
     """Certify each row's top membership behavior across the ball.
 
     ``rank_mode="status"`` decides flippability with the cheapest
-    sufficient evidence; rank fields are certified outer bounds, except
-    the one side the certifier solved for its verdict: the max rank of a
-    baseline-top row, the min rank of any other. ``rank_mode="exact"``
-    solves both rank extremes for every row. A search that stops short of
-    optimality (budget exhaustion, or an undecided ball node) degrades a
-    row to method ``undetermined`` with outer bounds; its flippable flag
-    stays None unless the surviving bounds already decide it.
+    sufficient evidence; rank fields are certified outer bounds. The one
+    side the certifier searched for its verdict (the max rank of a
+    baseline-top row, the min rank of any other) is the verdict search's
+    bound, on the same side of kappa as the exact extreme.
+    ``rank_mode="exact"`` solves both rank extremes for every row. A
+    search that stops short (budget exhaustion, or an undecided ball
+    node) degrades a row to method ``undetermined`` with outer bounds;
+    its flippable flag stays None unless an incumbent across the cut or
+    the surviving bounds already decide it.
     ``extra_models`` adds candidate coefficient vectors to the witness
     pool; non-members of the ball are dropped, so carrying witnesses from
     a smaller tolerance is always safe. ``prune`` passes in the ball's

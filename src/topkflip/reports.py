@@ -39,10 +39,11 @@ class FlipReport:
     ``flippable`` is None only when the certifier stopped short of
     deciding the row (method ``undetermined``). For methods
     ``pruned_unflippable`` and ``closed_form_flip`` the rank fields are
-    certified outer bounds. For ``mip_certified`` the side the verdict
-    needs is exact: the max rank of a baseline-top row, the min rank of
-    any other. In status mode the other side is a certified outer bound;
-    in exact mode both are exact.
+    certified outer bounds. For ``mip_certified`` in exact mode both are
+    exact. In status mode both are certified outer bounds, and the side
+    the verdict needs (the max rank of a baseline-top row, the min rank
+    of any other) is the verdict search's bound, on the same side of
+    kappa as the exact extreme.
     """
 
     row_id: str

@@ -27,7 +27,10 @@ one sign, whether a loss on an objective row helps the sense.
 
 Bounds are admissible counting arguments, incumbents come from feasibility
 witnesses with a safety margin so a reported value is always attainable,
-and the whole search is deterministic for a fixed node budget.
+and the whole search is deterministic for a fixed node budget. A rank
+query with a cut decides which side of it the focal row can reach rather
+than optimizing: it stops at the first incumbent across the cut and
+prunes every node whose bound cannot cross.
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ class MipInstance:
     every pair has ``below == focal`` and the objective is
     1 + (losses of focal). For a group query the objective is the number
     of ``group_rows`` whose rank 1 + losses is at most ``kappa``.
+
+    A rank query with ``kappa`` set is a verdict query: :func:`solve`
+    decides whether the focal row can cross the top-kappa cut in the
+    sense's direction instead of optimizing its rank.
     """
 
     sense: str  # "min" | "max"
@@ -125,8 +132,11 @@ class MipSolution:
     """Outcome of one query.
 
     ``value`` is in final units (a rank, or a selected-group count) and is
-    attained by ``witness``; ``bound`` is the proven limit on the optimum
-    (equal to ``value`` when status is ``optimal``).
+    attained by ``witness``; ``bound`` is the proven limit on the optimum.
+    For an optimizing query ``bound`` equals ``value`` when status is
+    ``optimal``. For a verdict query (a rank query with ``kappa`` set)
+    ``optimal`` means the verdict is settled: ``value`` and ``bound`` lie
+    on the same side of kappa, and need not be equal.
     """
 
     # "optimal" | "infeasible" | "budget_exhausted" | "undecided"; the
@@ -293,12 +303,16 @@ def screen_membership(
         raise TypeError(f"unknown region type {type(region)!r}")
 
     tol = PRUNE_REL_TOL * max(1.0, float(V.max() - V.min()))
+    sup_buf, gap_buf, below_buf = _screen_buffers(V.shape[0], np.float64, np.float64, bool)
 
     def block_below(rows):
-        sup = V[rows, 0, None] - V[None, :, 0]
+        b = V[rows].shape[0]
+        sup, gap, below = sup_buf[:b], gap_buf[:b], below_buf[:b]
+        np.subtract(V[rows, 0, None], V[None, :, 0], out=sup)
         for k in range(1, V.shape[1]):
-            np.maximum(sup, V[rows, k, None] - V[None, :, k], out=sup)
-        yield sup < -tol
+            np.subtract(V[rows, k, None], V[None, :, k], out=gap)
+            np.maximum(sup, gap, out=sup)
+        yield np.less(sup, -tol, out=below)
 
     return _screen(V.shape[0], kappa, 1, block_below)[0]
 
@@ -323,22 +337,36 @@ def screen_ball(
         spread = np.max(scores + reach) - np.min(scores - reach)
         tols.append(PRUNE_REL_TOL * max(1.0, float(spread)))
 
+    dist_buf, gap_buf, below_buf = _screen_buffers(V.shape[0], np.float64, np.float64, bool)
+    # One radius scales the distances in place; several need a copy.
+    sup_buf = dist_buf if len(tols) == 1 else np.empty_like(dist_buf)
+
     def block_below(rows):
-        D = cdist(V[rows], V)
-        sup = D if len(tols) == 1 else np.empty_like(D)
+        b = V[rows].shape[0]
+        D, gap, sup, below = dist_buf[:b], gap_buf[:b], sup_buf[:b], below_buf[:b]
+        cdist(V[rows], V, out=D)
+        np.subtract(scores[rows, None], scores[None, :], out=gap)
         for radius, tol in zip(radii, tols):
             np.multiply(D, radius, out=sup)
-            sup += scores[rows, None] - scores[None, :]
-            yield sup < -tol
+            sup += gap
+            yield np.less(sup, -tol, out=below)
 
     return _screen(V.shape[0], kappa, len(tols), block_below)
+
+
+def _screen_buffers(n: int, *dtypes) -> "list[NDArray]":
+    """One (SCREEN_BLOCK, n) scratch array per dtype, reused by every
+    block: a screen block slices the leading rows, so no block allocates
+    its own row-wide temporaries."""
+    return [np.empty((min(n, SCREEN_BLOCK), n), dtype=dt) for dt in dtypes]
 
 
 def _screen(n: int, kappa: int, screens: int, block_below) -> "list[PruneResult]":
     """Count strict pairwise orders block by block for several screens at
     once. ``block_below(rows)`` yields, per screen in order, the matrix
     whose [i, j] entry says the block's row i is below row j everywhere
-    in that screen's region."""
+    in that screen's region; each is read before the next is yielded, so
+    they may share one buffer."""
     count_above = np.zeros((screens, n), dtype=np.int64)
     count_below = np.zeros((screens, n), dtype=np.int64)
     for r0 in range(0, n, SCREEN_BLOCK):
@@ -445,7 +473,7 @@ class _BallGeom:
             )
         return verdict, point
 
-    def free_ranges(self, state, gaps):
+    def free_ranges(self, state, ids):
         return None  # no cheap exact refinement inside the cone
 
 
@@ -454,8 +482,11 @@ class _IntervalGeom:
 
     PARAM_TOL = 1e-12  # slack in blend-weight units, distinct from gap units
 
-    def __init__(self, region: SimplexRegion, tol_gap: float):
+    def __init__(self, region: SimplexRegion, tol_gap: float, gaps):
         self.tol_gap = tol_gap
+        # Each pair's gap as a * t + g1 in the first blend weight t.
+        self.a = gaps[:, 0] - gaps[:, 1]
+        self.g1 = gaps[:, 1]
 
     def root(self):
         return (0.0, 1.0)
@@ -479,21 +510,26 @@ class _IntervalGeom:
         mid = min(1.0, max(0.0, 0.5 * (lo + hi)))
         return True, np.array([mid, 1.0 - mid])
 
-    def free_ranges(self, state, gaps):
+    def free_ranges(self, state, ids):
         lo, hi = state
         lo = max(0.0, lo)
         hi = min(1.0, hi)
-        a = gaps[:, 0] - gaps[:, 1]
-        v_lo = a * lo + gaps[:, 1]
-        v_hi = a * hi + gaps[:, 1]
+        a = self.a[ids]
+        g1 = self.g1[ids]
+        v_lo = a * lo + g1
+        v_hi = a * hi + g1
         return np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)
 
 
 class _PolyGeom:
     """Three-target simplex as a polygon in the first two weights."""
 
-    def __init__(self, region: SimplexRegion, tol: float):
+    def __init__(self, region: SimplexRegion, tol: float, gaps):
         self.tol = tol
+        # Each pair's gap as c1 * a1 + c2 * a2 + c0 in the first two weights.
+        self.c1 = gaps[:, 0] - gaps[:, 2]
+        self.c2 = gaps[:, 1] - gaps[:, 2]
+        self.c0 = gaps[:, 2]
 
     def root(self):
         return ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -532,14 +568,11 @@ class _PolyGeom:
         a2 = sum(v[1] for v in state) / len(state)
         return True, np.array([a1, a2, 1.0 - a1 - a2])
 
-    def free_ranges(self, state, gaps):
+    def free_ranges(self, state, ids):
         if not state:
             return None
         V = np.asarray(state)  # (m, 2)
-        c1 = gaps[:, 0] - gaps[:, 2]
-        c2 = gaps[:, 1] - gaps[:, 2]
-        c0 = gaps[:, 2]
-        vals = V @ np.vstack([c1, c2]) + c0  # (m, P)
+        vals = V @ np.vstack([self.c1[ids], self.c2[ids]]) + self.c0[ids]  # (m, P)
         return vals.min(axis=0), vals.max(axis=0)
 
 
@@ -577,20 +610,23 @@ class _LPGeom:
             return True, np.asarray(res.x)
         return False, None
 
-    def free_ranges(self, state, gaps):
+    def free_ranges(self, state, ids):
         return None
 
 
-def _make_geom(region, tol):
+def _make_geom(region, tol, gaps):
     """The region's geometry; ``tol`` is the simplex constraint slack in
-    gap units (the ball keeps its own tie band)."""
+    gap units (the ball keeps its own tie band). ``gaps`` holds the free
+    pairs' gap rows in branch order; ``free_ranges(state, ids)`` gives
+    the exact gap ranges of the listed pairs on a node's region, or None
+    when the geometry has no cheap exact refinement."""
     if isinstance(region, BallRegion):
         return _BallGeom(region)
     if isinstance(region, SimplexRegion):
         if region.dim == 2:
-            return _IntervalGeom(region, tol)
+            return _IntervalGeom(region, tol, gaps)
         if region.dim == 3:
-            return _PolyGeom(region, tol)
+            return _PolyGeom(region, tol, gaps)
         return _LPGeom(region, tol)
     raise TypeError(f"unknown region type {type(region)!r}")
 
@@ -601,7 +637,7 @@ def _make_geom(region, tol):
 
 @dataclass
 class _Node:
-    assign: NDArray[np.int8]  # per free pair in branch order: -1 open, else orientation
+    open: NDArray[np.int64]  # ids of the open free pairs in branch order, ascending
     losses: NDArray[np.int64]  # per objective slot, then the catch-all slot
     region_state: object
 
@@ -614,10 +650,19 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     feasibility no certificate settles yields no incumbent and is not
     branched; its bound joins the outer bound, and unless the incumbent
     prunes it the query ends ``undecided``.
+
+    A rank query with ``kappa`` set is a verdict query: it asks only
+    whether the focal row can cross the top-kappa cut in the sense's
+    direction (``max``: a rank above kappa; ``min``: a rank of at most
+    kappa). It stops at the first incumbent that crosses, and it also
+    prunes every node whose bound cannot cross. Either answer ends
+    ``optimal``; the bound then covers every node the search left, so it
+    lies on the same side of kappa as the value.
     """
     cfg = config or SolverConfig()
     sense = inst.sense
     rank = inst.objective == "rank"
+    verdict = rank and inst.kappa is not None
     # Snap rounding-noise gap components (exactly tied pairs seen through
     # upstream factorizations) to zero: an exact tie then stays exact
     # instead of cutting an ill-conditioned sliver of the region.
@@ -631,7 +676,6 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     scale = max(1.0, float(np.max(np.abs(glo), initial=0.0)), float(np.max(np.abs(ghi), initial=0.0)))
     tol_forced = 1e-12 * scale
     mtol = MARGIN * scale
-    geom = _make_geom(inst.region, FEAS_TOL * scale)
 
     # Losses are kept per objective row only: slot 0 is the focal row, or
     # slots 0..m-1 are the distinct group rows; slot m takes every other
@@ -682,6 +726,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     wild = wild[order]
     s_above = s_above[order]
     s_below = s_below[order]
+    geom = _make_geom(inst.region, FEAS_TOL * scale, G)
     # The child searched first puts the loss on a pair's lone objective end
     # when a loss helps, and on its other end when not; a pair with both
     # or neither end on an objective row tries orientation 0 first.
@@ -690,13 +735,18 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
 
     incumbent_value: int | None = None
     incumbent_witness: NDArray[np.float64] | None = None
+    extreme = min if sense == "min" else max
 
     def value(losses) -> int:
         if rank:
             return 1 + int(losses[0])
         return int(np.sum(1 + losses[:m] <= inst.kappa))
 
-    def node_bound(node: _Node, open_mask) -> int:
+    def crosses(v: int) -> bool:
+        """Whether a rank lies across the cut in the sense's direction."""
+        return v > inst.kappa if sense == "max" else v <= inst.kappa
+
+    def node_bound(node: _Node) -> int:
         """Admissible bound: every open pair touching an objective row may
         still go either way."""
         L = node.losses[:m]
@@ -704,12 +754,12 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             return 1 + int(L[0])
         if not rank and sense == "max":
             return int(np.sum(L + 1 <= inst.kappa))
-        potential = (count(s_above[open_mask]) + count(s_below[open_mask]))[:m]
+        potential = (count(s_above[node.open]) + count(s_below[node.open]))[:m]
         if rank:
             return 1 + int(L[0]) + int(potential[0])
         return int(np.sum(L + potential + 1 <= inst.kappa))
 
-    def witness_update(node: _Node, open_mask, param):
+    def witness_update(node: _Node, param):
         """Turn a feasibility witness into an attained objective value.
 
         Open pairs orient by the gap sign at the witness with a safety
@@ -719,7 +769,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         """
         nonlocal incumbent_value, incumbent_witness
         losses = node.losses
-        idx = np.flatnonzero(open_mask)
+        idx = node.open
         if idx.shape[0]:
             vals = G[idx] @ param
             losses = losses + count(s_below[idx[vals >= mtol]]) + count(s_above[idx[vals <= -mtol]])
@@ -738,9 +788,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             return bound_val >= incumbent_value
         return bound_val <= incumbent_value
 
-    def make_child(node: _Node, c: int, orientation: int, param) -> _Node:
-        assign = node.assign.copy()
-        assign[c] = orientation
+    def make_child(node: _Node, orientation: int, param) -> _Node:
+        c = node.open[0]
         losses = node.losses.copy()
         losses[s_below[c] if orientation == 1 else s_above[c]] += 1
         if wild[c]:
@@ -748,32 +797,31 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         else:
             row = -G[c] if orientation == 1 else G[c]
             state = geom.child(node.region_state, row, param)
-        return _Node(assign=assign, losses=losses, region_state=state)
+        return _Node(open=node.open[1:], losses=losses, region_state=state)
 
     def propagate(node: _Node):
         """Force orientations whose gap became sign-definite on the current
-        region, and return the pairs left open. Forced halfspaces are
-        redundant there, so the region state stays put and one pass
+        region and drop them from the node's open pairs. Forced halfspaces
+        are redundant there, so the region state stays put and one pass
         suffices."""
-        open_mask = node.assign < 0
-        if not open_mask.any():
-            return open_mask
-        ranges = geom.free_ranges(node.region_state, G[open_mask])
+        if not node.open.shape[0]:
+            return
+        ranges = geom.free_ranges(node.region_state, node.open)
         if ranges is None:
-            return open_mask
+            return
         r_lo, r_hi = ranges
-        open_ids = np.flatnonzero(open_mask)
-        force1 = open_ids[r_lo > tol_forced]
-        force0 = open_ids[r_hi < -tol_forced]
-        if not (force1.shape[0] or force0.shape[0]):
-            return open_mask
-        node.assign[force1] = 1
-        node.assign[force0] = 0
-        node.losses += count(s_below[force1]) + count(s_above[force0])
-        return node.assign < 0
+        hit1 = r_lo > tol_forced
+        hit0 = r_hi < -tol_forced
+        if not (hit1.any() or hit0.any()):
+            return
+        node.losses += count(s_below[node.open[hit1]]) + count(s_above[node.open[hit0]])
+        node.open = node.open[~(hit1 | hit0)]
 
-    stack = [_Node(assign=np.full(F, -1, dtype=np.int8), losses=base_losses, region_state=geom.root())]
+    stack = [_Node(open=np.arange(F, dtype=np.int64), losses=base_losses, region_state=geom.root())]
     undecided_bounds: list[int] = []
+    # Verdict queries: the extreme bound of the nodes pruned against kappa.
+    kappa_pruned: int | None = None
+    crossed = False
     nodes = 0
     start = time.monotonic()
     exhausted = False
@@ -786,24 +834,39 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         try:
             ok, param = geom.feasible(node.region_state)
         except FeasibilityUndecided:
-            undecided_bounds.append(node_bound(node, node.assign < 0))
+            undecided_bounds.append(node_bound(node))
             continue
         if not ok:
             continue
-        open_mask = propagate(node)
-        witness_update(node, open_mask, param)
-        if not open_mask.any():
+        propagate(node)
+        witness_update(node, param)
+        if verdict and crosses(incumbent_value):
+            crossed = True
+            if node.open.shape[0]:
+                stack.append(node)  # its unexplored subtree joins the outer bound
+            break
+        if not node.open.shape[0]:
             continue  # leaf; witness_update already recorded its exact value
-        if prunable(node_bound(node, open_mask)):
+        b = node_bound(node)
+        if prunable(b):
             continue
-        c = int(np.argmax(open_mask))
-        pref = int(preferred[c])
-        stack.append(make_child(node, c, 1 - pref, param))
-        stack.append(make_child(node, c, pref, param))
+        if verdict and not crosses(b):
+            kappa_pruned = b if kappa_pruned is None else extreme(kappa_pruned, b)
+            continue
+        pref = int(preferred[node.open[0]])
+        stack.append(make_child(node, 1 - pref, param))
+        stack.append(make_child(node, pref, param))
 
-    open_bounds = undecided_bounds + [node_bound(nd, nd.assign < 0) for nd in stack]
-    outer = (min if sense == "min" else max)(open_bounds, default=None)
-    if not open_bounds or prunable(outer):
+    open_bounds = undecided_bounds + [node_bound(nd) for nd in stack]
+    outer = extreme(open_bounds, default=None)
+    if verdict:
+        if crossed or outer is None or not crosses(outer):
+            status = "optimal"
+        else:
+            status = "budget_exhausted" if exhausted else "undecided"
+        known = [v for v in (outer, kappa_pruned, incumbent_value) if v is not None]
+        bound = extreme(known, default=None)
+    elif not open_bounds or prunable(outer):
         status, bound = "optimal", incumbent_value
     else:
         status, bound = ("budget_exhausted" if exhausted else "undecided"), outer

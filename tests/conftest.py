@@ -57,6 +57,21 @@ def random_design(rng, n, d):
     return Q * signs
 
 
+def rank_attained(V, w, row, sense, rank):
+    """Whether scores ``V @ w`` give ``row`` the rank ``rank`` or one
+    further in the sense's direction once scores tied within a 1e-8
+    relative band break in the sense's favour. The search treats an exact
+    tie as either order (an intercept-only ball model scores every row
+    alike), and a simplex witness may miss a halfspace by its 1e-9
+    relative slack."""
+    s = V @ w
+    d = np.delete(s - s[row], row)
+    band = 1e-8 * max(1.0, float(np.max(np.abs(V))), float(np.max(np.abs(s))))
+    if sense == "max":
+        return 1 + int(np.count_nonzero(d >= -band)) >= rank
+    return 1 + int(np.count_nonzero(d > band)) <= rank
+
+
 def assert_reports_equal(got, want):
     """Every field equal, witnesses byte for byte."""
     assert len(got) == len(want)

@@ -120,6 +120,26 @@ def test_undetermined_rows_claim_neither_side(rng):
     assert not (set(st.undetermined) & set(st.stable_selected))
 
 
+def test_stable_points_count_rows_their_bounds_decide(rng):
+    """A row whose search stopped short still counts as stable when its
+    bounds decide the verdict: stable_points reads ``flippable``, not
+    the method."""
+    from topkflip.solver import SolverConfig
+
+    P = rng.normal(size=(30, 3))
+    reports = flip_search_multi(P, 6, rank_mode="exact", config=SolverConfig(node_budget=8))
+    decided = [r.row_id for r in reports if r.method == "undetermined" and r.flippable is False]
+    assert decided
+    st = stable_points(reports, 6, "index")
+    assert set(st.undetermined) == {r.row_id for r in reports if r.flippable is None}
+    assert set(decided) <= set(st.stable_selected) | set(st.stable_unselected)
+    for rep in reports:
+        if rep.row_id in st.stable_selected:
+            assert rep.flippable is False and rep.max_rank <= 6
+        if rep.row_id in st.stable_unselected:
+            assert rep.flippable is False and rep.min_rank > 6
+
+
 def test_row_formatters(rng):
     X = random_design(rng, 15, 2)
     y = rng.normal(size=15)

@@ -21,7 +21,7 @@ from topkflip.rashomon_single import (
 )
 from topkflip.solver import BallRegion, SimplexRegion, SolverConfig, screen_membership
 
-from conftest import assert_reports_equal, random_design
+from conftest import assert_reports_equal, random_design, rank_attained
 
 
 def test_screen_bounds_hold_at_sampled_ball_points(rng):
@@ -290,53 +290,64 @@ def test_status_matches_exact_next_to_the_always_top_bound(family, rng):
 
 
 def _one_question_instances(rng):
-    """(family, search) pairs: seeded balls, two- and three-target blends."""
+    """(family, rows, kappa, search): seeded balls, two- and three-target
+    blends; ``rows`` maps rows to score coefficients."""
     for epsilon in (0.01, 0.03, 0.1) * 2:
         X = random_design(rng, 24, 3)
         y = rng.normal(size=24)
         model = fit_ols(X, y)
         ball = make_ball(model, X, y, epsilon, "relative")
-        yield "ball", lambda mode, X=X, ball=ball: flip_search(X, ball, 6, rank_mode=mode)
+        yield "ball", X, 6, lambda mode, X=X, ball=ball: flip_search(X, ball, 6, rank_mode=mode)
     for K in (2, 3):
         for _ in range(6):
             P = rng.normal(size=(20, K))
-            yield "simplex", lambda mode, P=P: flip_search_multi(P, 5, rank_mode=mode)
+            yield "simplex", P, 5, lambda mode, P=P: flip_search_multi(P, 5, rank_mode=mode)
+
+
+def _moves_across_the_cut(V, w, i, kappa, baseline_rank):
+    """Whether scores ``V @ w`` put row i on the other side of the cut
+    from its baseline rank, ties breaking in its favour."""
+    if baseline_rank <= kappa:
+        return rank_attained(V, w, i, "max", kappa + 1)
+    return rank_attained(V, w, i, "min", kappa)
 
 
 def test_status_mode_asks_one_question_per_row(rng, monkeypatch):
-    """A certified row costs one solve in status mode: the max rank of a
-    baseline-top row, the min rank of any other. That side equals exact
-    mode's, the other field bounds it from outside, and every verdict,
-    witness and stable set is exact mode's."""
+    """A certified row costs one verdict query in status mode: the max
+    rank of a baseline-top row, the min rank of any other, decided against
+    kappa. That side is an outer bound of exact mode's on the same side of
+    kappa, the other field bounds it from outside, a flip witness moves
+    its row across the cut, and every verdict and stable set is exact
+    mode's. Witnesses may differ from exact mode's: a verdict query stops
+    at the first incumbent across the cut."""
     calls = []
     original = rashomon_single.solve
 
     def recording(inst, config=None):
-        calls.append((inst.focal, inst.sense))
+        calls.append((inst.focal, inst.sense, inst.kappa))
         return original(inst, config)
 
     monkeypatch.setattr(rashomon_single, "solve", recording)
     senses = set()
-    for family, search in _one_question_instances(rng):
+    for family, V, kappa, search in _one_question_instances(rng):
         slow = search("exact")
         calls.clear()
         fast = search("status")
-        kappa = 6 if family == "ball" else 5
         want = []
         for i, (f, s) in enumerate(zip(fast, slow)):
             assert s.method == "mip_certified"
             assert (f.flippable, f.witness_kind) == (s.flippable, s.witness_kind)
+            assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
             if f.method == "mip_certified":
                 sense = "max" if f.baseline_rank <= kappa else "min"
-                want.append((i, sense))
+                want.append((i, sense, kappa))
                 senses.add(sense)
-                np.testing.assert_array_equal(f.witness, s.witness)
                 if sense == "max":
-                    assert f.max_rank == s.max_rank and f.min_rank <= s.min_rank
+                    assert (f.max_rank > kappa) == (s.max_rank > kappa) == f.flippable
                 else:
-                    assert f.min_rank == s.min_rank and f.max_rank >= s.max_rank
-            else:
-                assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
+                    assert (f.min_rank <= kappa) == (s.min_rank <= kappa) == f.flippable
+            if f.flippable:
+                assert _moves_across_the_cut(V, f.witness, i, kappa, f.baseline_rank), (family, i)
         assert calls == want
         tag = "rashomon" if family == "ball" else "index"
         a, b = stable_points(fast, kappa, tag), stable_points(slow, kappa, tag)
@@ -344,6 +355,27 @@ def test_status_mode_asks_one_question_per_row(rng, monkeypatch):
             b.stable_selected, b.stable_unselected, b.undetermined
         )
     assert senses == {"min", "max"}
+
+
+@pytest.mark.parametrize("family", ["ball", "simplex"])
+def test_stopped_exact_search_keeps_its_flip_witness(family, rng):
+    """An exact-mode row whose search stops short but holds an incumbent
+    across the cut is flippable, and that incumbent is its witness."""
+    cfg = SolverConfig(node_budget=8)
+    if family == "ball":
+        V = random_design(rng, 30, 3)
+        y = rng.normal(size=30)
+        ball = make_ball(fit_ols(V, y), V, y, 0.3, "relative")
+        reports = flip_search(V, ball, 6, rank_mode="exact", config=cfg)
+    else:
+        V = rng.normal(size=(30, 3))
+        reports = flip_search_multi(V, 6, rank_mode="exact", config=cfg)
+    stopped = [i for i, r in enumerate(reports) if r.method == "undetermined" and r.flippable]
+    assert stopped
+    for i in stopped:
+        rep = reports[i]
+        assert rep.witness_kind == ("coef" if family == "ball" else "alpha")
+        assert _moves_across_the_cut(V, rep.witness, i, 6, rep.baseline_rank), i
 
 
 def _tie_heavy_certify_args(rng, family, n, kappa):

@@ -6,6 +6,7 @@ exact-oracle comparisons live with the acceptance checks.
 """
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,7 @@ from topkflip.solver import (
     solve,
 )
 
-from conftest import random_design
+from conftest import random_design, rank_attained
 
 
 def _sampled_rank_range(V, centers, focal, kappa=None):
@@ -420,6 +421,58 @@ def test_pool_envelope_memory_stays_linear_in_rows():
         tracemalloc.stop()
     assert enter.shape == exit_.shape == (n,)
     assert peak < 100e6, peak
+
+
+def _verdict_instances():
+    """Seeded rank instances over every geometry: (V, region, focal)."""
+    for family in ("ball", "interval", "polygon", "lp"):
+        rng = np.random.default_rng({"ball": 11, "interval": 12, "polygon": 13, "lp": 14}[family])
+        for trial in range(3):
+            if family == "ball":
+                d = 2 + trial % 2
+                V = random_design(rng, 14, d)
+                region = BallRegion(center=rng.normal(size=d), radius=float(rng.uniform(0.3, 1.0)))
+            else:
+                K = {"interval": 2, "polygon": 3, "lp": 4}[family]
+                V = rng.normal(size=(9 if family == "lp" else 16, K))
+                region = SimplexRegion(dim=K)
+            if trial == 2:
+                V = np.round(V, 1)
+            for focal in rng.choice(V.shape[0], size=3, replace=False):
+                yield family, V, region, int(focal)
+
+
+def test_verdict_queries_decide_like_exact_queries():
+    """A rank query with kappa set answers whether the row crosses the cut
+    in the sense's direction. Its verdict is the one the exact optimum
+    gives, its witness attains its value, its bound brackets the exact
+    optimum from kappa's side, and it never visits more nodes."""
+    verdicts = set()
+    nodes = {"exact": 0, "verdict": 0}
+    for family, V, region, focal in _verdict_instances():
+        for sense in ("min", "max"):
+            inst = rank_query(sense, region, V, focal)
+            exact = solve(inst)
+            assert exact.status == "optimal"
+            opt = exact.value
+            for kappa in sorted({opt - 1, opt, opt + 1} & set(range(1, V.shape[0] + 1))):
+                sol = solve(replace(inst, kappa=kappa))
+                key = (family, focal, sense, kappa)
+                crosses = opt > kappa if sense == "max" else opt <= kappa
+                assert sol.status == "optimal", key
+                assert (sol.value > kappa if sense == "max" else sol.value <= kappa) == crosses, key
+                assert (sol.bound > kappa if sense == "max" else sol.bound <= kappa) == crosses, key
+                if sense == "max":
+                    assert sol.value <= opt <= sol.bound, key
+                else:
+                    assert sol.bound <= opt <= sol.value, key
+                assert rank_attained(V, sol.witness, focal, sense, sol.value), key
+                assert sol.nodes <= exact.nodes, key
+                verdicts.add((family, sense, crosses))
+                nodes["exact"] += exact.nodes
+                nodes["verdict"] += sol.nodes
+    assert len(verdicts) == 16  # both answers for both senses on every geometry
+    assert nodes["verdict"] < nodes["exact"]
 
 
 def _pinned_grid():

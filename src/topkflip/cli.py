@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -97,14 +98,36 @@ def _parse_epsilons(raw: str) -> list[float]:
 
 
 def _parse_kappa(raw: str):
-    """Integer or percent string, passed through to resolve_kappa later."""
+    """A positive integer or a percent string, resolved against the row
+    count later; only a kappa above that count is a data error."""
     raw = raw.strip()
-    if raw.endswith("%"):
-        return raw
     try:
-        return int(raw)
+        kappa = raw if raw.endswith("%") else int(raw)
+        # A valid percent resolves on one row, a valid count on its own.
+        resolve_kappa(kappa, 1 if isinstance(kappa, str) else kappa)
     except ValueError:
-        raise UsageError(f"kappa must be an integer or a percent string, got {raw!r}") from None
+        raise UsageError(f"kappa must be a positive integer or a percent, got {raw!r}") from None
+    return kappa
+
+
+def _positive(cast):
+    """An argparse type for a count or a budget: above zero, which NaN is not."""
+
+    def number(raw: str):
+        if not (value := cast(raw)) > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+        return value
+
+    return number
+
+
+def _regex(raw: str) -> str:
+    """An argparse type: a pattern ``re`` compiles."""
+    try:
+        re.compile(raw)
+    except re.error as exc:
+        raise argparse.ArgumentTypeError(f"bad regex {raw!r}: {exc}") from None
+    return raw
 
 
 def _load_table(path, target_names, drop_regex=None, seed: int = 0) -> Dataset:
@@ -438,8 +461,6 @@ def _cmd_stable_points(args) -> int:
         raise UsageError("empty kappa sweep")
     if not np.isfinite(args.epsilon) or args.epsilon < 0:
         raise UsageError(f"--epsilon must be finite and nonnegative, got {args.epsilon}")
-    if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cfg = _solver_config(args)
 
     if args.family == "rashomon":
@@ -510,14 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared_flags = {
-        "--node-budget": dict(type=int, default=None),
-        "--time-budget": dict(type=float, default=None),
+        "--node-budget": dict(type=_positive(int), default=None),
+        "--time-budget": dict(type=_positive(float), default=None),
         "--certify": dict(
             action="store_true",
             help="run exact rank searches and cross-check oracles on small inputs",
         ),
-        "--drop-regex": dict(default=None, help="drop matching feature columns"),
-        "--workers": dict(type=int, default=1, help="fan the kappa sweep out over processes"),
+        "--drop-regex": dict(type=_regex, default=None, help="drop matching feature columns"),
+        "--workers": dict(type=_positive(int), default=1, help="fan the kappa sweep out over processes"),
     }
 
     def common(p, *flags):

@@ -10,6 +10,7 @@ rows.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ DIRECTIONS = ("min", "max", "both")
 class PhaseError(RuntimeError):
     """Workflow failure tagged with the phase that raised it."""
 
-    def __init__(self, phase: str, cause: BaseException):
+    def __init__(self, phase: str, cause: Exception):
         super().__init__(f"phase {phase!r}: {cause}")
         self.phase = phase
         self.cause = cause
@@ -297,17 +298,13 @@ def fairness_workflow(
     """
     target_names = tuple(targets)
 
+    @contextlib.contextmanager
     def phase(name):
-        class _Ctx:
-            def __enter__(self):
-                return None
-
-            def __exit__(self, exc_type, exc, tb):
-                if exc is not None and not isinstance(exc, PhaseError):
-                    raise PhaseError(name, exc) from exc
-                return False
-
-        return _Ctx()
+        # Only errors are tagged; an interrupt or exit passes through.
+        try:
+            yield
+        except Exception as exc:
+            raise PhaseError(name, exc) from exc
 
     with phase("split"):
         masks = {tag: ds.split_mask(tag) for tag in ("train", "tune", "holdout")}

@@ -68,50 +68,27 @@ def _pool_rank_envelope(
     X: NDArray[np.float64],
     pool: NDArray[np.float64],
     kappa: int,
-    rows: "NDArray[np.int64] | None" = None,
 ) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
-    """First pool column ranking each row inside the top kappa and first
-    ranking it outside (-1 when none), under index tie-breaking.
-
-    ``rows`` (ascending) restricts the ranking to those rows of ``X``;
-    the result then has one entry per listed row. :func:`_certify_rows`
-    passes the rows its screen leaves open, with kappa reduced by the
-    always-top count. Their scores are still cut from the product with
-    every row, so each is the float a whole ranking would compare: the
-    products of different shapes can round a near tie differently.
-
-    A column's top kappa is every row scoring strictly above its kappa-th
-    largest score, plus the lowest-indexed rows tied at that score until
-    kappa are taken: the selection :func:`rank_descending` makes. Every
-    evaluated ranking is realizable, so a column certifies reachability
-    one-sided; tie freedom is deliberately not exploited, keeping this
-    route independent of the enumeration oracle. Scores are formed one
-    block of pool columns at a time, so memory grows linearly with the row
-    count.
+    """First pool column ranking each row of ``X`` inside the top kappa and
+    first ranking it outside (-1 when none). A column's top kappa is every
+    row scoring strictly above its kappa-th largest score, plus the
+    lowest-indexed rows tied at that score until kappa are taken: the
+    selection :func:`rank_descending` makes. Tie freedom is deliberately
+    not exploited, keeping this route independent of the enumeration
+    oracle. :func:`_certify_rows` passes the open rows' own scores and
+    checks each proposed column with the baseline's product. Scores are
+    formed one block of pool columns at a time, so memory grows linearly
+    with the row count.
     """
     XT = np.ascontiguousarray(X.T)
-    n = X.shape[0] if rows is None else rows.shape[0]
-    enter_col = np.full(n, -1, dtype=np.int64)
-    exit_col = np.full(n, -1, dtype=np.int64)
-    # Scratch for the block's scores, its open-row columns and their
-    # partition, reused by every block.
-    width = min(ENVELOPE_BLOCK, pool.shape[0])
-    score_buf = np.empty((width, X.shape[0]))
-    open_buf = score_buf if rows is None else np.empty((width, n))
-    part_buf = np.empty((width, n))
+    n = X.shape[0]
+    enter_col, exit_col = np.full((2, n), -1, dtype=np.int64)
     for c0 in range(0, pool.shape[0], ENVELOPE_BLOCK):
-        block = pool[c0 : c0 + ENVELOPE_BLOCK]
-        b = block.shape[0]
-        S = np.matmul(block, XT, out=score_buf[:b])  # one pool column per row
+        S = pool[c0 : c0 + ENVELOPE_BLOCK] @ XT  # one pool column per row
         if not np.all(np.isfinite(S)):
             col, row = np.argwhere(~np.isfinite(S))[0]
             raise ValueError(f"non-finite score at row {row}, pool column {c0 + col}")
-        if rows is not None:
-            S = np.take(S, rows, axis=1, out=open_buf[:b])
-        part = part_buf[:b]
-        np.copyto(part, S)
-        part.partition(n - kappa, axis=1)
-        cut = part[:, n - kappa, None]  # kappa-th largest
+        cut = np.partition(S, n - kappa, axis=1)[:, n - kappa, None]  # kappa-th largest
         top = S > cut
         room = kappa - top.sum(axis=1)
         tied = S == cut
@@ -175,22 +152,19 @@ def _certify_rows(
     witness_kind = "coef" if isinstance(region, BallRegion) else "alpha"
 
     base = rank_descending(V @ baseline, kappa)
-    enter_col = np.full(n, -1, dtype=np.int64)
-    exit_col = np.full(n, -1, dtype=np.int64)
+    flip_cols = np.full(n, -1, dtype=np.int64)
     if rank_mode == "status":
         open_rows = np.flatnonzero(~(prune.never_top | prune.always_top))
         room = kappa - int(np.count_nonzero(prune.always_top))
         # With no room the always-top rows fill the top, so no open row is
-        # in the baseline top and only its enter column, -1, is read.
+        # in the baseline top and none can enter it.
         if room > 0:
-            enter_col[open_rows], exit_col[open_rows] = _pool_rank_envelope(
-                V, pool, room, open_rows
-            )
-    flip_cols = np.where(base.top_flags, exit_col, enter_col)
-    # The envelope's blocked product can round a near tie differently from
-    # the baseline's V @ w, so a column witnesses a flip only if that
-    # product moves the row across the cut; a row it does not move goes
-    # to the certifier.
+            enter, exit_ = _pool_rank_envelope(V[open_rows], pool, room)
+            flip_cols[open_rows] = np.where(base.top_flags[open_rows], exit_, enter)
+    # The envelope's blocked product over the open rows can round a near
+    # tie differently from the baseline's V @ w, so a column witnesses a
+    # flip only if that product moves the row across the cut; a row it
+    # does not move goes to the certifier.
     for c in set(flip_cols[flip_cols >= 0].tolist()):
         moved = rank_descending(V @ pool[c], kappa).top_flags != base.top_flags
         flip_cols[(flip_cols == c) & ~moved] = -1

@@ -44,6 +44,12 @@ class FlipReport:
     the verdict needs (the max rank of a baseline-top row, the min rank
     of any other) is the verdict search's bound, on the same side of
     kappa as the exact extreme.
+
+    A ``closed_form_flip`` witness ``w`` moves its row across the cut
+    under ``rank_descending(V @ w, kappa)``, the baseline's own ranking.
+    A ``mip_certified`` witness moves it once scores tied at ``w`` are
+    ordered in the row's favour: the optimistic tie counting the oracles
+    use. An intercept-only ball model, for example, ties every row.
     """
 
     row_id: str

@@ -123,7 +123,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:
             raise ValueError(f"time_budget must be positive, got {self.time_budget}")
 
 

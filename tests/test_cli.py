@@ -430,6 +430,18 @@ def test_other_workflow_failures_still_raise(table, tmp_path, monkeypatch):
         ])
 
 
+def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fairness, "build_ensemble", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([
+            "fairness-range", "--data", str(table), "--targets", "y1,y2", "--group", "protected",
+            "--kappa", "10%", "--out", str(tmp_path / "f.json"),
+        ])
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -444,9 +456,25 @@ def test_other_workflow_failures_still_raise(table, tmp_path, monkeypatch):
         ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.06,0.02"],
         ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
          "--epsilon", "-1"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--node-budget", "0"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--time-budget", "0"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--time-budget", "-1"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--time-budget", "nan"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "0", "--epsilons", "0.01"],
+        ["ambiguity-multi", "--targets", "y1,y2", "--kappa", "0%"],
+        ["fairness-range", "--targets", "y1,y2", "--group", "protected", "--kappa", "abc%"],
+        ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5,0"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--drop-regex", "("],
     ],
     ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers", "negative", "descending",
-         "stable-negative"],
+         "stable-negative", "node-budget-zero", "time-budget-zero", "time-budget-negative",
+         "time-budget-nan", "kappa-zero", "kappa-zero-percent", "kappa-garbled",
+         "sweep-kappa-zero", "bad-regex"],
 )
 def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, flags):
     out = tmp_path / "o.csv"

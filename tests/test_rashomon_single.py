@@ -163,11 +163,12 @@ def _stacked_design(seed, half, p):
 
 def test_witnesses_live_in_the_ball_and_realize_flips(rng):
     """Pool witnesses realize the flip outright under the baseline's own
-    product; MIP witnesses certify the extreme rank under optimistic tie
-    counting, so only membership is promised for them. The stacked
-    designs put near ties where the envelope's blocked product and the
-    baseline's can disagree; the blend family goes through the same
-    staging."""
+    product. MIP witnesses, in status and exact mode, move their row
+    across the cut once scores tied at the witness are ordered in the
+    row's favour, the optimistic tie counting the search uses. The
+    stacked designs put near ties where the envelope's blocked product
+    and the baseline's can disagree; the blend family goes through the
+    same staging."""
     X = random_design(rng, 20, 3)
     y = rng.normal(size=20)
     cases = [
@@ -175,25 +176,33 @@ def test_witnesses_live_in_the_ball_and_realize_flips(rng):
         (*_stacked_design(1, 21, 2), 0.0, 21),
         (*_stacked_design(46, 21, 3), 0.3, 21),
     ]
-    seen_closed_form = 0
-    for X, y, eps, kappa in cases:
-        reports, ball = flip_reports_single(X, y, eps, kappa)
-        base_flags = rank_descending(X @ ball.center, kappa).top_flags
+    seen = {"closed_form_flip": 0, "mip_certified": 0}
+
+    def check(V, baseline, reports, kappa, kind):
+        base_flags = rank_descending(V @ baseline, kappa).top_flags
         for i, rep in enumerate(reports):
-            if rep.witness is None or rep.witness_kind != "coef":
+            if not rep.flippable or rep.method not in seen:
                 continue
-            assert ball.contains(rep.witness, tol=1e-9)
+            assert rep.witness is not None and rep.witness_kind == kind
+            seen[rep.method] += 1
             if rep.method == "closed_form_flip":
-                seen_closed_form += 1
-                assert rank_descending(X @ rep.witness, kappa).top_flags[i] != base_flags[i]
+                assert rank_descending(V @ rep.witness, kappa).top_flags[i] != base_flags[i]
+            elif base_flags[i]:
+                assert rank_attained(V, rep.witness, i, "max", kappa + 1)
+            else:
+                assert rank_attained(V, rep.witness, i, "min", kappa)
+
+    for X, y, eps, kappa in cases:
         P = X[:, 1:]
-        reports = flip_search_multi(P, kappa)
-        base_flags = rank_descending(P @ np.full(P.shape[1], 1 / P.shape[1]), kappa).top_flags
-        for i, rep in enumerate(reports):
-            if rep.method == "closed_form_flip":
-                seen_closed_form += 1
-                assert rank_descending(P @ rep.witness, kappa).top_flags[i] != base_flags[i]
-    assert seen_closed_form > 0
+        for mode in ("status", "exact"):
+            reports, ball = flip_reports_single(X, y, eps, kappa, rank_mode=mode)
+            for rep in reports:
+                if rep.witness is not None:
+                    assert ball.contains(rep.witness, tol=1e-9)
+            check(X, ball.center, reports, kappa, "coef")
+            reports = flip_search_multi(P, kappa, rank_mode=mode)
+            check(P, np.full(P.shape[1], 1 / P.shape[1]), reports, kappa, "alpha")
+    assert seen["closed_form_flip"] > 0 and seen["mip_certified"] > 0
 
 
 def test_zero_epsilon_nothing_flips(rng):
@@ -413,7 +422,7 @@ def test_open_row_envelope_matches_the_full_envelope(family, rng, monkeypatch):
                     m.setattr(
                         rashomon_single,
                         "_pool_rank_envelope",
-                        lambda X, pool, kappa, rows: _envelope_by_column(X[rows], pool, kappa),
+                        lambda X, pool, kappa: _envelope_by_column(X, pool, kappa),
                     )
                     none = np.zeros(n, dtype=bool)
                     unfixed = replace(prune, never_top=none, always_top=none)
@@ -433,9 +442,9 @@ def _count_envelope_calls(monkeypatch):
     calls = []
     original = rashomon_single._pool_rank_envelope
 
-    def counting(V, pool, kappa, rows):
-        calls.append(rows.size)
-        return original(V, pool, kappa, rows)
+    def counting(V, pool, kappa):
+        calls.append(V.shape[0])
+        return original(V, pool, kappa)
 
     monkeypatch.setattr(rashomon_single, "_pool_rank_envelope", counting)
     return calls

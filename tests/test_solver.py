@@ -291,6 +291,8 @@ def test_config_rejects_nonsense():
         SolverConfig(node_budget=0)
     with pytest.raises(ValueError):
         SolverConfig(time_budget=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(time_budget=float("nan"))
 
 
 def _dense_gap_sup(region, V):

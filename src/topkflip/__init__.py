@@ -1,7 +1,6 @@
 """Certified rank-range analysis for resource-constrained top-k selection."""
 
 from .dataset import (
-    ColumnSchema,
     DataError,
     Dataset,
     EmptyDesignError,
@@ -9,7 +8,6 @@ from .dataset import (
     SchemaError,
     assign_splits,
     drop_columns_matching,
-    keep_columns_matching,
     load_csv,
     orthonormalize,
     write_csv,

@@ -15,7 +15,6 @@ JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -23,15 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .dataset import (
-    ColumnSchema,
-    DataError,
-    Dataset,
-    drop_columns_matching,
-    load_csv,
-    orthonormalize,
-    write_csv,
-)
+from .dataset import DataError, Dataset, drop_columns_matching, load_csv, orthonormalize, write_csv
 from .fairness import PhaseError, fairness_workflow, write_fairness_csv, write_fairness_json
 from .index_model import STANDARDIZATIONS, build_ensemble, flip_reports_multi, flip_search_multi
 from .linear_fit import fit_on_rows
@@ -47,8 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_BUDGET = 4
-
-RESERVED_COLUMNS = ("row_id", "group", "split")
 
 
 class UsageError(Exception):
@@ -131,34 +120,9 @@ def _regex(raw: str) -> str:
 
 
 def _load_table(path, target_names, drop_regex=None, seed: int = 0) -> Dataset:
-    """Ingest a CSV, inferring features as the non-reserved columns.
-
-    The layout is the one ``synth``/write_csv produce: an optional
-    row_id column, feature columns, the named targets, and group/split
-    columns. A group column is required; split and row_id are optional.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    missing = [t for t in target_names if t not in header]
-    if missing:
-        raise DataError(f"{path}: target column(s) {missing} not in header")
-    if "group" not in header:
-        raise DataError(f"{path}: expected a 'group' column")
-    features = tuple(
-        c for c in header if c not in target_names and c not in RESERVED_COLUMNS
-    )
-    if not features:
-        raise DataError(f"{path}: no feature columns left after reserving {RESERVED_COLUMNS}")
-    schema = ColumnSchema(
-        features=features,
-        targets=tuple(target_names),
-        group="group",
-        split="split" if "split" in header else None,
-        row_id="row_id" if "row_id" in header else None,
-    )
-    ds = load_csv(path, schema, split_seed=seed)
+    """Ingest a CSV in the layout ``load_csv`` reads, then drop the
+    feature columns ``--drop-regex`` matches."""
+    ds = load_csv(path, target_names, split_seed=seed)
     if drop_regex:
         ds = drop_columns_matching(ds, [drop_regex])
     return ds
@@ -249,13 +213,13 @@ def _cmd_fit(args) -> int:
 # ------------------------------------------------------------- certify
 
 
-# The exact oracle for each (family, dimension) under --certify, by name
-# (resolved in this module at lookup) and row cap. The three-target sweep
-# grows steeply: about 1.6 s at 20 rows, 15 s at 30 and 73 s at 40.
+# The exact oracle for each (family, dimension) under --certify, with its
+# row cap. The three-target sweep grows steeply: about 1.6 s at 20 rows,
+# 15 s at 30 and 73 s at 40.
 ORACLES = {
-    ("ball", 2): ("angle_sweep_single", 60),
-    ("blend", 2): ("simplex_sweep_k2", 60),
-    ("blend", 3): ("simplex_sweep_k3", 20),
+    ("ball", 2): (angle_sweep_single, 60),
+    ("blend", 2): (simplex_sweep_k2, 60),
+    ("blend", 3): (simplex_sweep_k3, 20),
 }
 _DIMENSIONS = {
     "ball": "design columns; the disc sweep takes 2",
@@ -269,16 +233,17 @@ def _certify_note(text: str) -> None:
 
 
 def _oracle(family: str, dim: int, n_rows: int):
-    """The oracle for this input as ``(oracle, name)``, or None after
-    saying why none applies."""
+    """The oracle for this input, or None after saying why none applies."""
     if (family, dim) not in ORACLES:
         _certify_note(f"no oracle applies ({dim} {_DIMENSIONS[family]})")
         return None
-    name, cap = ORACLES[family, dim]
+    oracle, cap = ORACLES[family, dim]
     if n_rows > cap:
-        _certify_note(f"no oracle applies ({n_rows} rows, over the {cap}-row cap of {name})")
+        _certify_note(
+            f"no oracle applies ({n_rows} rows, over the {cap}-row cap of {oracle.__name__})"
+        )
         return None
-    return globals()[name], name
+    return oracle
 
 
 def _check(what: str, oracle, lo: int, hi: int) -> None:
@@ -320,11 +285,12 @@ def _cmd_ambiguity_single(args) -> int:
         config=_solver_config(args),
     )
     if oracle:
-        sweep, name = oracle
         for point in curve:
-            ranks = sweep(q.features, point.ball.center, point.ball.radius)
+            ranks = oracle(q.features, point.ball.center, point.ball.radius)
             _check_ranks(point.reports, *ranks, where=f" at epsilon={point.epsilon}")
-        _certify_note(f"{name} checked rank ranges at {len(curve)} epsilons on {q.n} rows")
+        _certify_note(
+            f"{oracle.__name__} checked rank ranges at {len(curve)} epsilons on {q.n} rows"
+        )
     meta = _base_meta(
         args,
         "ambiguity-single",
@@ -371,10 +337,9 @@ def _cmd_ambiguity_multi(args) -> int:
         config=_solver_config(args),
     )
     if oracle:
-        sweep_fn, name = oracle
-        sweep = sweep_fn(preds, kappa)
+        sweep = oracle(preds, kappa)
         _check_ranks(reports, sweep.min_ranks, sweep.max_ranks)
-        _certify_note(f"{name} checked rank ranges on {n} rows")
+        _certify_note(f"{oracle.__name__} checked rank ranges on {n} rows")
     meta = _base_meta(
         args,
         "ambiguity-multi",
@@ -408,8 +373,7 @@ def _cmd_fairness_range(args) -> int:
     # The tune rows are the workflow's to choose, so the lookup follows it.
     oracle = _oracle("blend", len(targets), bundle.n_tune) if args.certify else None
     if oracle:
-        sweep_fn, name = oracle
-        sweep = sweep_fn(bundle.tune_preds, bundle.kappa_tune, group_mask=bundle.tune_group)
+        sweep = oracle(bundle.tune_preds, bundle.kappa_tune, group_mask=bundle.tune_group)
         # A side spans from its proven bound to its achieved count; the two
         # meet when the side is certified. --direction may leave one out.
         rep = bundle.tune_report
@@ -417,7 +381,7 @@ def _cmd_fairness_range(args) -> int:
             _check("group count min", sweep.group_min, rep.bound_min, rep.min_count)
         if rep.status_max:
             _check("group count max", sweep.group_max, rep.max_count, rep.bound_max)
-        _certify_note(f"{name} checked the group count range on {bundle.n_tune} rows")
+        _certify_note(f"{oracle.__name__} checked the group count range on {bundle.n_tune} rows")
     meta = _base_meta(
         args,
         "fairness-range",

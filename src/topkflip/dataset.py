@@ -21,6 +21,8 @@ from numpy.typing import NDArray
 
 INTERCEPT_NAME = "intercept"
 SPLIT_VALUES = ("train", "tune", "holdout")
+# Columns with a fixed role in the CSV layout; they are never features.
+RESERVED_COLUMNS = ("row_id", "group", "split")
 
 # Columns with pivot magnitude below this fraction of the largest pivot are
 # treated as collinear and dropped.
@@ -32,7 +34,9 @@ class DataError(Exception):
 
 
 class SchemaError(DataError):
-    """A required column is missing or the schema is inconsistent."""
+    """The header does not fit the CSV layout: it is missing, repeats a
+    name, lacks a target or the group column, or has no feature column or
+    one named ``intercept``."""
 
 
 class ParseError(DataError):
@@ -46,30 +50,6 @@ class ParseError(DataError):
 
 class EmptyDesignError(DataError):
     """All feature columns were removed."""
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column-role mapping for CSV ingestion.
-
-    ``split`` and ``row_id`` are optional; when absent, split tags are
-    assigned deterministically from a seed and row ids default to the row
-    position.
-    """
-
-    features: tuple[str, ...]
-    targets: tuple[str, ...]
-    group: str
-    split: str | None = None
-    row_id: str | None = None
-
-    def __post_init__(self):
-        if len(self.features) < 1:
-            raise SchemaError("schema needs at least one feature column")
-        if len(self.targets) < 1:
-            raise SchemaError("schema needs at least one target column")
-        if INTERCEPT_NAME in self.features:
-            raise SchemaError(f"{INTERCEPT_NAME!r} is a reserved feature name")
 
 
 @dataclass(frozen=True)
@@ -195,44 +175,55 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def load_csv(path, schema: ColumnSchema, split_seed: int = 0) -> Dataset:
+def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     """Load a UTF-8 CSV with a header row into a Dataset.
+
+    The header names each column once. The named targets are outcomes;
+    ``row_id``, ``group`` and ``split`` are reserved; every other column
+    is a feature. A ``group`` column is required. Without a ``split``
+    column the split tags are assigned from ``split_seed``; without a
+    ``row_id`` column the row ids are the row positions.
 
     Parameters
     ----------
     path : str or Path
-    schema : ColumnSchema
-        Names of feature/target/group columns, plus optional split and
-        row-id columns.
+    targets : sequence of str
+        Names of the target columns.
     split_seed : int
-        Seed for the deterministic split assignment used when the schema
-        names no split column.
+        Seed for the deterministic split assignment used when the table
+        has no split column.
 
     Raises
     ------
     SchemaError
-        A named column is absent from the header.
+        The header is missing, repeats a name, lacks a target or the group
+        column, or has no feature column or one named ``intercept``.
     ParseError
         A feature or target cell is empty or non-numeric; the error names
         the first offending data row and the total count of bad rows.
     """
+    targets = tuple(targets)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
         rows = [row for row in reader if row]
 
-    header_index = {name: j for j, name in enumerate(header)}
-    needed = list(schema.features) + list(schema.targets) + [schema.group]
-    if schema.split is not None:
-        needed.append(schema.split)
-    if schema.row_id is not None:
-        needed.append(schema.row_id)
-    missing = [c for c in needed if c not in header_index]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: column name(s) {repeated} repeat in the header")
+    missing = [t for t in targets if t not in header]
     if missing:
-        raise SchemaError(f"{path}: missing columns {missing}")
+        raise SchemaError(f"{path}: target column(s) {missing} not in header")
+    if "group" not in header:
+        raise SchemaError(f"{path}: expected a 'group' column")
+    features = tuple(c for c in header if c not in targets and c not in RESERVED_COLUMNS)
+    if not features:
+        raise SchemaError(f"{path}: no feature columns left after reserving {RESERVED_COLUMNS}")
+    if INTERCEPT_NAME in features:
+        raise SchemaError(f"{path}: {INTERCEPT_NAME!r} is a reserved feature name")
+    header_index = {name: j for j, name in enumerate(header)}
 
     short = [i for i, row in enumerate(rows) if len(row) != len(header)]
     if short:
@@ -246,10 +237,10 @@ def load_csv(path, schema: ColumnSchema, split_seed: int = 0) -> Dataset:
     if n < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {n}")
 
-    raw_features = _parse_numeric_block(rows, header_index, schema.features, "feature")
-    targets = _parse_numeric_block(rows, header_index, schema.targets, "target")
+    raw_features = _parse_numeric_block(rows, header_index, features, "feature")
+    target_values = _parse_numeric_block(rows, header_index, targets, "target")
 
-    groups = np.array([row[header_index[schema.group]] for row in rows], dtype=object)
+    groups = np.array([row[header_index["group"]] for row in rows], dtype=object)
     blank_groups = [i for i, g in enumerate(groups) if g == ""]
     if blank_groups:
         raise ParseError(
@@ -259,22 +250,21 @@ def load_csv(path, schema: ColumnSchema, split_seed: int = 0) -> Dataset:
             bad_count=len(blank_groups),
         )
 
-    if schema.row_id is not None:
-        row_ids = tuple(row[header_index[schema.row_id]] for row in rows)
+    if "row_id" in header_index:
+        row_ids = tuple(row[header_index["row_id"]] for row in rows)
     else:
         row_ids = tuple(str(i) for i in range(n))
 
-    if schema.split is not None:
-        split_tags = np.array([row[header_index[schema.split]] for row in rows], dtype="<U7")
+    if "split" in header_index:
+        split_tags = np.array([row[header_index["split"]] for row in rows], dtype="<U7")
     else:
         split_tags = assign_splits(row_ids, split_seed)
 
-    features = np.hstack([np.ones((n, 1)), raw_features])
     return Dataset(
-        feature_names=(INTERCEPT_NAME,) + tuple(schema.features),
-        features=features,
-        target_names=tuple(schema.targets),
-        targets=targets,
+        feature_names=(INTERCEPT_NAME,) + features,
+        features=np.hstack([np.ones((n, 1)), raw_features]),
+        target_names=targets,
+        targets=target_values,
         groups=groups,
         row_ids=row_ids,
         split_tags=split_tags,
@@ -284,8 +274,8 @@ def load_csv(path, schema: ColumnSchema, split_seed: int = 0) -> Dataset:
 def write_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV in the layout load_csv expects.
 
-    The intercept column is omitted (load_csv re-adds it), so
-    ``load_csv(write_csv(ds))`` is the identity on contents for ingested
+    The intercept column is omitted (load_csv re-adds it), so loading the
+    file with ``ds.target_names`` is the identity on contents for ingested
     tables. An orthonormalized design reloads with a unit intercept in
     place of its scaled constant column.
     """
@@ -306,51 +296,24 @@ def write_csv(ds: Dataset, path) -> None:
             )
 
 
-def schema_for(ds: Dataset) -> ColumnSchema:
-    """Schema that reads back a file produced by :func:`write_csv`."""
-    return ColumnSchema(
-        features=tuple(ds.feature_names[1:]),
-        targets=tuple(ds.target_names),
-        group="group",
-        split="split",
-        row_id="row_id",
-    )
-
-
-def _select_columns(ds: Dataset, patterns, matching: bool, empty_message: str) -> Dataset:
-    """Keep the intercept plus each feature column whose name does
-    (``matching``) or does not match some regex in patterns."""
-    compiled = [re.compile(p) for p in patterns]
-    keep = [0] + [
-        j
-        for j in range(1, len(ds.feature_names))
-        if any(c.search(ds.feature_names[j]) for c in compiled) == matching
-    ]
-    if len(keep) == 1:
-        raise EmptyDesignError(empty_message)
-    return dataclasses.replace(
-        ds,
-        feature_names=tuple(ds.feature_names[j] for j in keep),
-        features=ds.features[:, keep],
-    )
-
-
 def drop_columns_matching(ds: Dataset, patterns) -> Dataset:
     """Remove feature columns whose name matches any regex in patterns.
 
     Matching uses ``re.search``. The intercept is never dropped. Targets and
     groups are untouched.
     """
-    return _select_columns(ds, patterns, False, "all non-intercept feature columns removed")
-
-
-def keep_columns_matching(ds: Dataset, patterns) -> Dataset:
-    """Keep only feature columns whose name matches any regex in patterns.
-
-    Complement of :func:`drop_columns_matching`; the intercept always stays.
-    """
-    return _select_columns(
-        ds, patterns, True, "no non-intercept feature column matched the keep patterns"
+    compiled = [re.compile(p) for p in patterns]
+    keep = [0] + [
+        j
+        for j in range(1, len(ds.feature_names))
+        if not any(c.search(ds.feature_names[j]) for c in compiled)
+    ]
+    if len(keep) == 1:
+        raise EmptyDesignError("all non-intercept feature columns removed")
+    return dataclasses.replace(
+        ds,
+        feature_names=tuple(ds.feature_names[j] for j in keep),
+        features=ds.features[:, keep],
     )
 
 

@@ -66,29 +66,6 @@ class GroupRateReport:
     one_hot_counts: tuple = ()
     one_hot_rates: tuple = ()
 
-    def to_dict(self) -> dict:
-        def _alpha(a):
-            return None if a is None else [float(v) for v in a]
-
-        return {
-            "group_label": self.group_label,
-            "kappa": self.kappa,
-            "n": self.n,
-            "n_group": self.n_group,
-            "min_count": self.min_count,
-            "max_count": self.max_count,
-            "min_rate": self.min_rate,
-            "max_rate": self.max_rate,
-            "alpha_at_min": _alpha(self.alpha_at_min),
-            "alpha_at_max": _alpha(self.alpha_at_max),
-            "status_min": self.status_min,
-            "status_max": self.status_max,
-            "bound_min": self.bound_min,
-            "bound_max": self.bound_max,
-            "one_hot_counts": list(self.one_hot_counts),
-            "one_hot_rates": list(self.one_hot_rates),
-        }
-
 
 def _normalized(alpha):
     if alpha is None:
@@ -198,16 +175,6 @@ class ModelEvaluation:
     group_capture: float
     concentration: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "alpha": list(self.alpha),
-            "group_count": self.group_count,
-            "group_share": self.group_share,
-            "group_capture": self.group_capture,
-            "concentration": list(self.concentration),
-        }
-
 
 @dataclass(frozen=True)
 class FairnessBundle:
@@ -228,22 +195,6 @@ class FairnessBundle:
     evaluations: tuple
     tune_preds: NDArray = field(repr=False, compare=False)
     tune_group: NDArray = field(repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "group_label": self.group_label,
-            "target_names": list(self.target_names),
-            "standardization": self.standardization,
-            "kappa_input": self.kappa_input,
-            "kappa_tune": self.kappa_tune,
-            "kappa_holdout": self.kappa_holdout,
-            "n_train": self.n_train,
-            "n_tune": self.n_tune,
-            "n_holdout": self.n_holdout,
-            "tune_report": self.tune_report.to_dict(),
-            "alpha_star": list(self.alpha_star),
-            "evaluations": [ev.to_dict() for ev in self.evaluations],
-        }
 
 
 def evaluate_selection(
@@ -382,9 +333,21 @@ def fairness_workflow(
     )
 
 
+def _plain(value):
+    """A report dataclass as JSON-ready data: a dict of the fields its repr
+    shows, with arrays and tuples as lists, all the way down."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def write_fairness_json(path, meta: dict, report) -> None:
     """One JSON document: the metadata record plus the workflow bundle."""
-    doc = {"meta": meta, "report": report.to_dict()}
+    doc = {"meta": meta, "report": _plain(report)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

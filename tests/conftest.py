@@ -2,18 +2,22 @@
 
 The clinical stand-in table is expensive enough to build once per
 session; everything dataset-dependent pins its seed so failures
-reproduce. Set TOPKFLIP_HEALTHCARE_CSV to a CSV with the same column
-layout to run the dataset-dependent tests against a real extract
-instead.
+reproduce. Set TOPKFLIP_HEALTHCARE_CSV to a CSV extract to run the
+dataset-dependent tests against real data instead. The extract follows
+the layout ``load_csv`` reads, with the stand-in's target columns: every
+column that is not a target or reserved is read as a feature, so each
+such column must be numeric. ``clinical_subset`` still picks its
+feature columns by pattern.
 """
 
 import os
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from topkflip.dataset import keep_columns_matching, load_csv, schema_for
+from topkflip.dataset import load_csv
 from topkflip.synth import generate_clinical
 
 CLINICAL_SEED = 20240117
@@ -32,14 +36,21 @@ SUBSET_PATTERNS = (
 def clinical():
     path = os.environ.get("TOPKFLIP_HEALTHCARE_CSV")
     if path:
-        probe = generate_clinical(n=50, seed=0)
-        return load_csv(path, schema_for(probe))
+        return load_csv(path, generate_clinical(n=50, seed=0).target_names)
     return generate_clinical(seed=CLINICAL_SEED)
 
 
 @pytest.fixture(scope="session")
 def clinical_subset(clinical):
-    return keep_columns_matching(clinical, list(SUBSET_PATTERNS))
+    names = clinical.feature_names
+    keep = [0] + [
+        j for j in range(1, len(names)) if any(re.search(p, names[j]) for p in SUBSET_PATTERNS)
+    ]
+    return replace(
+        clinical,
+        feature_names=tuple(names[j] for j in keep),
+        features=clinical.features[:, keep],
+    )
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from topkflip.index_model import (
     flip_search_multi,
     prune_never_top_multi,
 )
-from topkflip.linear_fit import fit_ols, fit_on_rows, make_ball, rss
+from topkflip.linear_fit import fit_ols, make_ball, rss
 from topkflip.metrics import ambiguity_curve, stable_points
 from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import resolve_kappa

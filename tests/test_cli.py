@@ -115,7 +115,14 @@ def test_certify_smoke(table, tmp_path, monkeypatch):
     # The single-target check reads the curve's own exact reports: one
     # certified pass and one sweep per epsilon.
     searches = _count_calls(monkeypatch, rashomon_single.flip_search, metrics, rashomon_single)
-    sweeps = _count_calls(monkeypatch, cli.angle_sweep_single, cli)
+    sweeps = []
+    exact, cap = cli.ORACLES["ball", 2]
+
+    def sweep(*args):
+        sweeps.append(1)
+        return exact(*args)
+
+    monkeypatch.setitem(cli.ORACLES, ("ball", 2), (sweep, cap))
     assert main([
         "ambiguity-single", "--data", str(small), "--target", "y1", "--kappa", "8",
         "--epsilons", "0.02,0.1", "--certify", "--drop-regex", "visits|y2",
@@ -271,6 +278,14 @@ def test_data_errors(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert "group" in err["error"]["message"]
 
+    # Two columns named x: neither may stand in for the other.
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("x,x,y,group\n" + "".join(f"{i},{-i},{i % 3},g\n" for i in range(6)))
+    assert main(["fit", "--data", str(repeated), "--targets", "y", "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "SchemaError"
+    assert "['x'] repeat" in err["error"]["message"]
+
 
 def test_budget_exhaustion_still_writes(table, tmp_path):
     out = tmp_path / "p.jsonl"
@@ -371,21 +386,21 @@ def test_certify_single_without_an_oracle_runs_in_status_mode(table, tmp_path, m
 
 
 @pytest.mark.parametrize(
-    "oracle, shift, command",
+    "key, shift, command",
     [
         (
-            "angle_sweep_single",
+            ("ball", 2),
             lambda ranks: (ranks[0] + 1, ranks[1]),
             ["ambiguity-single", "--target", "y1", "--kappa", "8", "--epsilons", "0.02,0.1",
              "--drop-regex", "visits|y2"],
         ),
         (
-            "simplex_sweep_k2",
+            ("blend", 2),
             lambda sweep: dataclasses.replace(sweep, min_ranks=sweep.min_ranks + 1),
             ["ambiguity-multi", "--targets", "y1,y2", "--kappa", "8"],
         ),
         (
-            "simplex_sweep_k2",
+            ("blend", 2),
             lambda sweep: dataclasses.replace(sweep, group_max=sweep.group_max + 1),
             ["fairness-range", "--targets", "y1,y2", "--group", "protected", "--kappa", "10%"],
         ),
@@ -393,12 +408,12 @@ def test_certify_single_without_an_oracle_runs_in_status_mode(table, tmp_path, m
     ids=["single", "multi", "fairness"],
 )
 def test_certify_holds_certified_values_to_equality(
-    small, tmp_path, capsys, monkeypatch, oracle, shift, command
+    small, tmp_path, capsys, monkeypatch, key, shift, command
 ):
     """An oracle value one past a certified one, on the side a bound would
     allow, still fails the check."""
-    exact = getattr(cli, oracle)
-    monkeypatch.setattr(cli, oracle, lambda *a, **kw: shift(exact(*a, **kw)))
+    exact, cap = cli.ORACLES[key]
+    monkeypatch.setitem(cli.ORACLES, key, (lambda *a, **kw: shift(exact(*a, **kw)), cap))
     assert main(command + ["--data", str(small), "--certify", "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "CertifyError"

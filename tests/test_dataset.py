@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topkflip.dataset import (
-    ColumnSchema,
     EmptyDesignError,
     ParseError,
     SchemaError,
     assign_splits,
     drop_columns_matching,
-    keep_columns_matching,
     load_csv,
     orthonormalize,
-    schema_for,
     write_csv,
 )
 from topkflip.synth import SynthConfig, generate
@@ -28,7 +25,7 @@ def table(tmp_path):
 
 def test_csv_round_trip(table):
     ds, path = table
-    back = load_csv(path, schema_for(ds))
+    back = load_csv(path, ds.target_names)
     assert back.feature_names == ds.feature_names
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.targets, ds.targets)
@@ -47,17 +44,35 @@ def test_written_cells_are_plain_floats(table):
 def test_load_requires_group_column(tmp_path):
     p = tmp_path / "g.csv"
     p.write_text("row_id,x,y\n0,1.0,2.0\n1,2.0,3.0\n")
-    schema = ColumnSchema(features=("x",), targets=("y",), group="group", row_id="row_id")
     with pytest.raises(SchemaError):
-        load_csv(p, schema)
+        load_csv(p, ("y",))
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        # Each name must pick one column; a repeat is refused, not resolved
+        # to one of its columns.
+        ("x,x,y,group", r"\['x'\] repeat"),
+        ("row_id,x,y,group,row_id", r"\['row_id'\] repeat"),
+        ("x,z,group", r"target column\(s\) \['y'\] not in header"),
+        ("row_id,y,group,split", "no feature columns left"),
+        ("intercept,y,group", "'intercept' is a reserved feature name"),
+    ],
+)
+def test_header_must_fit_the_layout(tmp_path, header, message):
+    p = tmp_path / "h.csv"
+    row = ",".join(["1"] * len(header.split(",")))
+    p.write_text(f"{header}\n{row}\n{row}\n")
+    with pytest.raises(SchemaError, match=message):
+        load_csv(p, ("y",))
 
 
 def test_load_rejects_non_numeric_cells(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y,group\n1.0,2.0,a\noops,3.0,a\n")
-    schema = ColumnSchema(features=("x",), targets=("y",), group="group")
     with pytest.raises(ParseError):
-        load_csv(p, schema)
+        load_csv(p, ("y",))
 
 
 @pytest.mark.parametrize(
@@ -70,21 +85,20 @@ def test_load_rejects_non_numeric_cells(tmp_path):
         ({(0, "y"): "", (3, "x2"): "?"}, "feature", 3, 1),
         ({(3, "y"): "two", (1, "y"): ""}, "target", 1, 2),
         # Cells outside the feature and target columns are not parsed.
-        ({(2, "note"): "x", (4, "y"): "1,0"}, "target", 4, 1),
+        ({(2, "row_id"): "x", (4, "y"): "1,0"}, "target", 4, 1),
     ],
 )
 def test_parse_errors_name_the_first_bad_row_and_count_bad_rows(
     tmp_path, cells, kind, row_index, bad_count
 ):
-    header = ["x1", "note", "x2", "y", "group"]
+    header = ["x1", "row_id", "x2", "y", "group"]
     rows = [[str(i), "ok", str(i / 3), str(2.5 * i), "g"] for i in range(6)]
     for (i, name), cell in cells.items():
         rows[i][header.index(name)] = cell
     p = tmp_path / "bad.csv"
     p.write_text("\n".join(",".join(f'"{c}"' for c in row) for row in [header] + rows) + "\n")
-    schema = ColumnSchema(features=("x1", "x2"), targets=("y",), group="group")
     with pytest.raises(ParseError, match=f"non-numeric {kind} cells") as err:
-        load_csv(p, schema)
+        load_csv(p, ("y",))
     assert (err.value.row_index, err.value.bad_count) == (row_index, bad_count)
     assert str(err.value).endswith(f"first at data row {row_index}")
     assert str(err.value).startswith(f"{bad_count} row(s) ")
@@ -94,7 +108,7 @@ def test_numeric_cells_parse_as_python_floats(tmp_path):
     cells = ["1", " 2.5 ", "-3e2", "1_000", "4.", ".5"]
     p = tmp_path / "ok.csv"
     p.write_text("x,y,group\n" + "".join(f"{c},{i},g\n" for i, c in enumerate(cells)))
-    ds = load_csv(p, ColumnSchema(features=("x",), targets=("y",), group="group"))
+    ds = load_csv(p, ("y",))
     np.testing.assert_array_equal(ds.features[:, 1], [float(c) for c in cells])
     np.testing.assert_array_equal(ds.targets[:, 0], np.arange(len(cells), dtype=float))
 
@@ -103,9 +117,8 @@ def test_missing_split_column_assigns_deterministically(tmp_path):
     p = tmp_path / "ns.csv"
     rows = "\n".join(f"{i},{i / 10},{i / 5},g" for i in range(30))
     p.write_text("row_id,x,y,group\n" + rows + "\n")
-    schema = ColumnSchema(features=("x",), targets=("y",), group="group", row_id="row_id")
-    a = load_csv(p, schema, split_seed=3)
-    b = load_csv(p, schema, split_seed=3)
+    a = load_csv(p, ("y",), split_seed=3)
+    b = load_csv(p, ("y",), split_seed=3)
     assert tuple(a.split_tags) == tuple(b.split_tags)
     assert set(a.split_tags) <= {"train", "tune", "holdout"}
 
@@ -134,15 +147,11 @@ def test_orthonormalize_design_and_rank_preservation(table):
 
 def test_column_filters(table):
     ds, _ = table
-    kept = keep_columns_matching(ds, ["age"])
-    assert kept.feature_names == ("intercept", "age")
     dropped = drop_columns_matching(ds, ["visits"])
     assert "visits" not in dropped.feature_names
     assert dropped.feature_names[0] == "intercept"
     with pytest.raises(EmptyDesignError, match="all non-intercept feature columns removed"):
         drop_columns_matching(ds, ["age", "visits"])  # nothing but the intercept left
-    with pytest.raises(EmptyDesignError, match="no non-intercept feature column matched"):
-        keep_columns_matching(ds, ["^no_such_column$"])
 
 
 def test_subset_masks(table):

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, every test module and every demo uses
+each name it imports.
 
 A deletion that leaves an import behind shows up here. The package
 ``__init__`` is exempt: its imports are the public surface it re-exports.
@@ -11,8 +12,13 @@ import pytest
 
 import topkflip
 
-MODULES = sorted(
-    path for path in Path(topkflip.__file__).parent.glob("*.py") if path.name != "__init__.py"
+REPO = Path(__file__).resolve().parent.parent
+MODULES = (
+    sorted(
+        path for path in Path(topkflip.__file__).parent.glob("*.py") if path.name != "__init__.py"
+    )
+    + sorted((REPO / "tests").glob("*.py"))
+    + sorted((REPO / "demos").glob("*.py"))
 )
 
 
@@ -30,14 +36,8 @@ def _annotations(tree):
 
 
 def _used_names(tree) -> set:
-    """Names read in code or in string annotations, plus string constants
-    that are a bare name: a module may look a name up with ``globals()``."""
+    """Names read in code or in string annotations."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= {
-        node.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier()
-    }
     for ann in _annotations(tree):
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):

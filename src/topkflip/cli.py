@@ -69,6 +69,9 @@ def _parse_targets(raw: str) -> tuple[str, ...]:
     names = tuple(t.strip() for t in raw.split(",") if t.strip())
     if not names:
         raise UsageError("no target names given")
+    repeated = sorted({t for t in names if names.count(t) > 1})
+    if repeated:
+        raise UsageError(f"target name(s) {repeated} repeat in {raw!r}")
     return names
 
 

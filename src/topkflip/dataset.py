@@ -196,13 +196,17 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     Raises
     ------
     SchemaError
-        The header is missing, repeats a name, lacks a target or the group
-        column, or has no feature column or one named ``intercept``.
+        ``targets`` repeats a name; or the header is missing, repeats a
+        name, lacks a target or the group column, or has no feature column
+        or one named ``intercept``.
     ParseError
         A feature or target cell is empty or non-numeric; the error names
         the first offending data row and the total count of bad rows.
     """
     targets = tuple(targets)
+    repeated = sorted({t for t in targets if targets.count(t) > 1})
+    if repeated:
+        raise SchemaError(f"target name(s) {repeated} repeat in {targets}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

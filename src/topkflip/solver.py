@@ -258,7 +258,8 @@ def gap_ranges(
 # ---------------------------------------------------------------------------
 # Fixed-membership screen.
 
-# Rows per screen block: each block holds a few (SCREEN_BLOCK, n) arrays.
+# Rows per screen block: a ball block holds a few (SCREEN_BLOCK, n) arrays,
+# a simplex block a few (SCREEN_BLOCK / 64, n) bitset words.
 SCREEN_BLOCK = 256
 PRUNE_REL_TOL = 1e-12
 
@@ -288,33 +289,111 @@ def screen_membership(
     score(i) - score(j) is below ``-PRUNE_REL_TOL * max(1, spread)``; the
     spread, the highest score over the region minus the lowest, bounds
     every such supremum. Over a ball the supremum comes from
-    :func:`screen_ball`; over the simplex it is the largest per-target
-    gap (a linear gap peaks at a one-hot vertex). It is formed for
-    ``SCREEN_BLOCK`` rows at a time against every row.
+    :func:`screen_ball`. Over the simplex a linear gap peaks at a one-hot
+    vertex, so j is strictly above i exactly when it is in every target:
+    the strict orders are counted from per-target sorted cuts and row
+    bitsets (:func:`_screen_simplex`), never as an n x n matrix.
 
     A row with at least kappa rows strictly above it can never enter the
     top; one with at least n - kappa rows strictly below it can never
     leave.
+
+    Raises
+    ------
+    ValueError
+        If any entry of ``V`` is not finite; the message names the first
+        such row.
     """
     V = np.asarray(V, dtype=np.float64)
     if isinstance(region, BallRegion):
         return screen_ball(V, region.center, (region.radius,), kappa)[0]
     if not isinstance(region, SimplexRegion):
         raise TypeError(f"unknown region type {type(region)!r}")
-
+    _require_finite(V)
     tol = PRUNE_REL_TOL * max(1.0, float(V.max() - V.min()))
-    sup_buf, gap_buf, below_buf = _screen_buffers(V.shape[0], np.float64, np.float64, bool)
+    count_above, count_below = _screen_simplex(V, tol)
+    return _prune_result(count_above, count_below, kappa)
 
-    def block_below(rows):
-        b = V[rows].shape[0]
-        sup, gap, below = sup_buf[:b], gap_buf[:b], below_buf[:b]
-        np.subtract(V[rows, 0, None], V[None, :, 0], out=sup)
-        for k in range(1, V.shape[1]):
-            np.subtract(V[rows, k, None], V[None, :, k], out=gap)
-            np.maximum(sup, gap, out=sup)
-        yield np.less(sup, -tol, out=below)
 
-    return _screen(V.shape[0], kappa, 1, block_below)[0]
+def _require_finite(V: NDArray[np.float64]) -> None:
+    bad = ~np.isfinite(V)
+    if bad.any():
+        raise ValueError(f"non-finite score coefficient at row {int(np.argwhere(bad)[0, 0])}")
+
+
+def _prune_result(count_above, count_below, kappa: int) -> PruneResult:
+    lo, hi = 1 + count_above, count_above.shape[0] - count_below
+    return PruneResult(never_top=lo > kappa, always_top=hi <= kappa, outer_min=lo, outer_max=hi)
+
+
+def _strict_cut(a: NDArray[np.float64], s: NDArray[np.float64], tol: float) -> NDArray[np.intp]:
+    """For each a[i], the first position p of ascending ``s`` with
+    ``a[i] - s[p] < -tol`` (``len(s)`` when there is none).
+
+    ``fl(a - b)`` is monotone in b, so the predicate holds on a suffix of
+    ``s``; a binary search on the very expression the comparison uses
+    finds where that suffix starts, with no rounding of its own.
+    """
+    n = s.shape[0]
+    cut = np.zeros(a.shape[0], dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        cand = cut + step
+        stays = (cand <= n) & ~(a - s[np.minimum(cand, n) - 1] < -tol)
+        cut[stays] = cand[stays]
+        step >>= 1
+    return cut
+
+
+def _screen_simplex(
+    V: NDArray[np.float64], tol: float
+) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
+    """Per row, the number of rows strictly above it in every column of
+    ``V`` and the number strictly below it in every column, where j is
+    strictly above i in column k when ``V[i, k] - V[j, k] < -tol``.
+
+    In column k's stable ascending order the rows strictly above row i
+    are the suffix from position ``cut[i]`` (:func:`_strict_cut`). The cut
+    never decreases along that order, so the rows strictly below row j
+    are the prefix of the rows whose cut is at most j's position. A table
+    ``pre[:, c]`` holding the first c rows of the order as bits turns both
+    into one gather per column; AND across columns and a popcount give
+    the counts. The bits cover one block of ``SCREEN_BLOCK`` member rows
+    at a time, so the tables take O(n * SCREEN_BLOCK) bits.
+    """
+    n, K = V.shape
+    order = np.argsort(V, axis=0, kind="stable")
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(n)[:, None], axis=0)
+    cut = np.empty_like(order)
+    prefix = np.empty_like(order)
+    for k in range(K):
+        cut[:, k] = _strict_cut(V[:, k], V[order[:, k], k], tol)
+        prefix[:, k] = np.searchsorted(cut[order[:, k], k], pos[:, k], side="right")
+
+    count_above = np.zeros(n, dtype=np.int64)
+    count_below = np.zeros(n, dtype=np.int64)
+    for r0 in range(0, n, SCREEN_BLOCK):
+        members = np.arange(r0, min(n, r0 + SCREEN_BLOCK))
+        word, bit = np.divmod(members - r0, 64)
+        bits = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+        above = below = None
+        for k in range(K):
+            pre = np.zeros((int(word[-1]) + 1, n + 1), dtype=np.uint64)
+            pre[word, pos[members, k] + 1] = bits
+            np.bitwise_or.accumulate(pre, axis=1, out=pre)
+            # Every member row minus the first cut rows of the order.
+            a = pre[:, cut[:, k]]
+            a ^= pre[:, n:]
+            b = pre[:, prefix[:, k]]
+            if above is None:
+                above, below = a, b
+            else:
+                above &= a
+                below &= b
+        count_above += np.bitwise_count(above).sum(axis=0, dtype=np.int64)
+        count_below += np.bitwise_count(below).sum(axis=0, dtype=np.int64)
+    return count_above, count_below
 
 
 def screen_ball(
@@ -324,11 +403,15 @@ def screen_ball(
     one center, one result per radius.
 
     The supremum of score(i) - score(j) over a ball is the center gap
-    plus the radius times the row distance. The distances of a row block
-    do not depend on the radius, so each block's are formed once and
-    serve every radius; one radius scales them in place.
+    plus the radius times the row distance. It is formed for
+    ``SCREEN_BLOCK`` rows at a time against every row, in scratch arrays
+    that every block reuses. The distances of a row block do not depend
+    on the radius, so each block's are formed once and serve every
+    radius; one radius scales them in place.
     """
     V = np.asarray(V, dtype=np.float64)
+    _require_finite(V)
+    n = V.shape[0]
     scores = V @ center
     norms = np.linalg.norm(V, axis=1)
     tols = []
@@ -337,47 +420,25 @@ def screen_ball(
         spread = np.max(scores + reach) - np.min(scores - reach)
         tols.append(PRUNE_REL_TOL * max(1.0, float(spread)))
 
-    dist_buf, gap_buf, below_buf = _screen_buffers(V.shape[0], np.float64, np.float64, bool)
+    shape = (min(n, SCREEN_BLOCK), n)
+    dist_buf, gap_buf, below_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     # One radius scales the distances in place; several need a copy.
     sup_buf = dist_buf if len(tols) == 1 else np.empty_like(dist_buf)
-
-    def block_below(rows):
+    count_above = np.zeros((len(tols), n), dtype=np.int64)
+    count_below = np.zeros((len(tols), n), dtype=np.int64)
+    for r0 in range(0, n, SCREEN_BLOCK):
+        rows = slice(r0, r0 + SCREEN_BLOCK)
         b = V[rows].shape[0]
         D, gap, sup, below = dist_buf[:b], gap_buf[:b], sup_buf[:b], below_buf[:b]
         cdist(V[rows], V, out=D)
         np.subtract(scores[rows, None], scores[None, :], out=gap)
-        for radius, tol in zip(radii, tols):
+        for t, (radius, tol) in enumerate(zip(radii, tols)):
             np.multiply(D, radius, out=sup)
             sup += gap
-            yield np.less(sup, -tol, out=below)
-
-    return _screen(V.shape[0], kappa, len(tols), block_below)
-
-
-def _screen_buffers(n: int, *dtypes) -> "list[NDArray]":
-    """One (SCREEN_BLOCK, n) scratch array per dtype, reused by every
-    block: a screen block slices the leading rows, so no block allocates
-    its own row-wide temporaries."""
-    return [np.empty((min(n, SCREEN_BLOCK), n), dtype=dt) for dt in dtypes]
-
-
-def _screen(n: int, kappa: int, screens: int, block_below) -> "list[PruneResult]":
-    """Count strict pairwise orders block by block for several screens at
-    once. ``block_below(rows)`` yields, per screen in order, the matrix
-    whose [i, j] entry says the block's row i is below row j everywhere
-    in that screen's region; each is read before the next is yielded, so
-    they may share one buffer."""
-    count_above = np.zeros((screens, n), dtype=np.int64)
-    count_below = np.zeros((screens, n), dtype=np.int64)
-    for r0 in range(0, n, SCREEN_BLOCK):
-        rows = slice(r0, r0 + SCREEN_BLOCK)
-        for t, strictly_below in enumerate(block_below(rows)):
+            strictly_below = np.less(sup, -tol, out=below)
             count_above[t, rows] = strictly_below.sum(axis=1)
             count_below[t] += strictly_below.sum(axis=0)
-    return [
-        PruneResult(never_top=lo > kappa, always_top=hi <= kappa, outer_min=lo, outer_max=hi)
-        for lo, hi in zip(1 + count_above, n - count_below)
-    ]
+    return [_prune_result(above, below, kappa) for above, below in zip(count_above, count_below)]
 
 
 # ---------------------------------------------------------------------------

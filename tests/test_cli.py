@@ -485,11 +485,16 @@ def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkey
         ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5,0"],
         ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
          "--drop-regex", "("],
+        ["fit", "--targets", "y1,y2,y1"],
+        ["ambiguity-multi", "--targets", "y1,y1", "--kappa", "10%"],
+        ["fairness-range", "--targets", "y1, y1", "--group", "protected", "--kappa", "10%"],
+        ["stable-points", "--family", "index", "--targets", "y2,y1,y2", "--kappa-sweep", "5"],
     ],
     ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers", "negative", "descending",
          "stable-negative", "node-budget-zero", "time-budget-zero", "time-budget-negative",
          "time-budget-nan", "kappa-zero", "kappa-zero-percent", "kappa-garbled",
-         "sweep-kappa-zero", "bad-regex"],
+         "sweep-kappa-zero", "bad-regex", "repeated-target-fit", "repeated-target-multi",
+         "repeated-target-fairness", "repeated-target-stable"],
 )
 def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, flags):
     out = tmp_path / "o.csv"

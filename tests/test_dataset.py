@@ -68,6 +68,15 @@ def test_header_must_fit_the_layout(tmp_path, header, message):
         load_csv(p, ("y",))
 
 
+def test_load_refuses_repeated_targets(tmp_path):
+    # A repeated target would blend an outcome with itself; the header
+    # itself is fine, so the target list is what the layout refuses.
+    p = tmp_path / "t.csv"
+    p.write_text("x,y,z,group\n1,2,3,a\n4,5,6,b\n")
+    with pytest.raises(SchemaError, match=r"\['y'\] repeat"):
+        load_csv(p, ("y", "z", "y"))
+
+
 def test_load_rejects_non_numeric_cells(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y,group\n1.0,2.0,a\noops,3.0,a\n")

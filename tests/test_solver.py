@@ -317,13 +317,15 @@ def _dense_prune(sup_gap, kappa):
 
 
 @pytest.mark.parametrize(
-    "n", [1, SCREEN_BLOCK - 1, SCREEN_BLOCK, SCREEN_BLOCK + 1, 2 * SCREEN_BLOCK + 1]
+    "n",
+    [1, 63, 64, 65, 129, SCREEN_BLOCK - 1, SCREEN_BLOCK, SCREEN_BLOCK + 1, 2 * SCREEN_BLOCK + 1],
 )
 def test_blockwise_screen_matches_the_dense_screen(n, rng):
-    """Same bounds as the dense screens across block edges, on rows with
-    one-decimal ties and duplicates; a ball screen over several radii
-    equals the one-radius screens; and the group-count builder keeps
-    exactly the pairs touching a changeable group row, in (a, b) order."""
+    """Same bounds as the dense screens across block and bitset-word
+    edges, on rows with one-decimal ties and duplicates; a ball screen
+    over several radii equals the one-radius screens; and the group-count
+    builder keeps exactly the pairs touching a changeable group row, in
+    (a, b) order."""
     regions = [
         BallRegion(center=rng.normal(size=3), radius=0.0),
         BallRegion(center=rng.normal(size=3), radius=0.3),
@@ -359,6 +361,63 @@ def test_blockwise_screen_matches_the_dense_screen(n, rng):
             assert np.array_equal(inst.above, above) and np.array_equal(inst.below, below)
             assert np.array_equal(inst.gaps, V[above] - V[below])
             assert inst.group_rows == tuple(int(g) for g in group if not want[0][g])
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_simplex_screen_cuts_exactly_at_the_tolerance(K, rng):
+    """Pairs whose per-target gap sits exactly at -tol or one ulp to
+    either side are counted as the per-pair rule counts them. The
+    reference forms every pair's largest per-target gap and compares it
+    with the production tolerance ``PRUNE_REL_TOL * max(1, spread)``;
+    rows of all 0 and all 10 fix the spread. A low row of 0 makes the
+    gap exactly minus the high row's value; other low rows put the gap
+    on the ulp grid of their own value around -tol."""
+    tol = solver.PRUNE_REL_TOL * 10.0
+    rows, pairs = [np.zeros(K), np.full(K, 10.0)], []
+    for a in (0.0, 0.0, 3.0, 6.1, 9.5):
+        for steps in ([1] * K, [0] * K, [-1] * K, *rng.integers(-1, 2, size=(6, K))):
+            low = np.full(K, a)
+            high = low + tol
+            for k, step in enumerate(steps):
+                for _ in range(abs(step)):
+                    high[k] = np.nextafter(high[k], np.inf * step)
+            pairs.append((len(rows), len(rows) + 1))
+            rows += [low, high]
+    V = np.array(rows)
+    lo, hi = np.array(pairs).T
+    edge = V[lo] - V[hi]
+    for gap in (np.nextafter(-tol, -np.inf), -tol, np.nextafter(-tol, np.inf)):
+        assert (edge == gap).any(), gap
+    V = V[rng.permutation(V.shape[0])]
+
+    n = V.shape[0]
+    assert solver.PRUNE_REL_TOL * max(1.0, float(V.max() - V.min())) == tol
+    strictly_below = (V[:, None, :] - V[None, :, :]).max(axis=2) < -tol
+    outer_min = 1 + strictly_below.sum(axis=1).astype(np.int64)
+    outer_max = (n - strictly_below.sum(axis=0)).astype(np.int64)
+    for kappa in (1, n // 3, n):
+        want = {
+            "never_top": outer_min > kappa,
+            "always_top": outer_max <= kappa,
+            "outer_min": outer_min,
+            "outer_max": outer_max,
+        }
+        got = screen_membership(SimplexRegion(dim=K), V, kappa)
+        for name, w in want.items():
+            g = getattr(got, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), (K, kappa, name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_screen_refuses_non_finite_rows(bad, rng):
+    """A non-finite score has no place in a total order; both screens
+    refuse it and name the first row that holds one."""
+    V = rng.normal(size=(6, 3))
+    V[4, 2] = bad
+    V[5, 0] = bad
+    for region in (SimplexRegion(dim=3), BallRegion(center=rng.normal(size=3), radius=0.2)):
+        with pytest.raises(ValueError, match="non-finite .* row 4$"):
+            screen_membership(region, V, 2)
 
 
 def test_ball_screen_scales_its_tolerance_per_radius():

@@ -6,9 +6,10 @@ points, and generate the synthetic study tables. Every output embeds a
 metadata header sufficient to replay the run; apart from the timestamp
 field, identical flags and seed produce byte-identical files.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 a search stopped
-short of a certified answer: budget exhausted or a ball node undecided
-(partial results are still written). Errors are mirrored as a one-line
+Exit codes: 0 success, 1 a --certify oracle cross-check disagreed with
+the solver, 2 usage error, 3 data error, 4 a search stopped short of a
+certified answer: budget exhausted or a ball node undecided (partial
+results are still written). Errors are mirrored as a one-line
 JSON object on stderr.
 """
 

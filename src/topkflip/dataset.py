@@ -207,7 +207,9 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     repeated = sorted({t for t in targets if targets.count(t) > 1})
     if repeated:
         raise SchemaError(f"target name(s) {repeated} repeat in {targets}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8"
+    # exports put before the first header name.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -342,31 +344,20 @@ def orthonormalize(ds: Dataset) -> Dataset:
 
     # Column-pivoted QR orders columns by residual norm, exposing collinear
     # ones at the tail of the R diagonal.
-    Q_r, R_r, piv = scipy.linalg.qr(rest_proj, mode="economic", pivoting=True)
+    R_r, piv = scipy.linalg.qr(rest_proj, mode="r", pivoting=True)
     diag = np.abs(np.diag(R_r))
     largest = max(float(diag.max(initial=0.0)), sqrt_n)
     keep_count = int(np.sum(diag >= PIVOT_DROP_REL_TOL * largest))
-
-    retained_rest = piv[:keep_count]
     rank = keep_count + 1
 
-    # Solve for the transform: X @ T = [q0, Q_r[:, :keep_count]].
-    # The rest block satisfies (X_rest[:, piv_keep] - q0 q0^T X_rest[:, piv_keep])
-    # = Q_r R_r[:keep, :keep], so T is assembled from R^{-1} and the
-    # intercept projection coefficients.
-    T = np.zeros((p, rank))
-    T[0, 0] = 1.0 / sqrt_n
-    if keep_count > 0:
-        R_keep = R_r[:keep_count, :keep_count]
-        inv_R = scipy.linalg.solve_triangular(R_keep, np.eye(keep_count))
-        proj_coef = (q0.T @ rest[:, retained_rest]) / sqrt_n  # shape (1, keep)
-        T[0, 1:] = -(proj_coef @ inv_R)[0]
-        for out_col in range(keep_count):
-            T[1 + retained_rest[: out_col + 1], 1 + out_col] = inv_R[: out_col + 1, out_col]
-
-    X_orth = X @ T
-    # Column 0 comes out as 1/sqrt(n): constant, so still a valid intercept
-    # direction, just rescaled.
+    # The design is the Q factor of one QR of the intercept and the kept
+    # columns in pivot order, so it is orthonormal to rounding however
+    # close a kept pivot sits to the drop threshold. Signs make R's
+    # diagonal positive.
+    Q, R = np.linalg.qr(np.column_stack([X[:, 0], rest[:, piv[:keep_count]]]))
+    X_orth = Q * np.where(np.diag(R) < 0, -1.0, 1.0)
+    # Column 0 comes out as 1/sqrt(n) up to rounding: constant, so still a
+    # valid intercept direction, just rescaled.
     X_orth[:, 0] = 1.0 / sqrt_n
     new_names = (INTERCEPT_NAME,) + tuple(f"q{j}" for j in range(1, rank))
     return dataclasses.replace(

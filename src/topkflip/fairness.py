@@ -335,13 +335,16 @@ def fairness_workflow(
 
 def _plain(value):
     """A report dataclass as JSON-ready data: a dict of the fields its repr
-    shows, with arrays and tuples as lists, all the way down."""
+    shows, with arrays and tuples as lists and a non-finite float (an
+    undefined share) as None, all the way down."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr}
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
+        return _plain(value.tolist())
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
     return value
 
 
@@ -349,7 +352,7 @@ def write_fairness_json(path, meta: dict, report) -> None:
     """One JSON document: the metadata record plus the workflow bundle."""
     doc = {"meta": meta, "report": _plain(report)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -114,9 +114,7 @@ def build_ensemble(
     K = Y.shape[1]
     if target_names is None:
         target_names = tuple(f"target{k}" for k in range(K))
-    models = tuple(
-        fit_on_rows(X_train, Y[:, k], target_name=name) for k, name in zip(range(K), target_names)
-    )
+    models = tuple(fit_on_rows(X_train, Y[:, k]) for k in range(K))
     raw_ref = np.column_stack([m.predict(X_reference) for m in models])
     std = Standardizer.fit(raw_ref, standardization, target_names)
     return IndexEnsemble(models=models, standardizer=std)
@@ -126,7 +124,6 @@ def fit_index_variable(
     X: NDArray[np.float64],
     Y: NDArray[np.float64],
     alpha,
-    target_name: str | None = None,
 ) -> LinearModel:
     """Fit one model to the blended outcome sum_k alpha_k y_k.
 
@@ -137,7 +134,7 @@ def fit_index_variable(
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     y_blend = np.asarray(Y, dtype=np.float64) @ alpha
-    return fit_on_rows(X, y_blend, target_name=target_name)
+    return fit_on_rows(X, y_blend)
 
 
 def prune_never_top_multi(preds: NDArray[np.float64], kappa: int) -> PruneResult:

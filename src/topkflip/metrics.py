@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .linear_fit import RashomonBall, fit_ols, make_ball
+from .linear_fit import fit_ols, make_ball
 from .rashomon_single import ambiguity_single, flip_search
-from .solver import SolverConfig, screen_ball
+from .solver import BallRegion, SolverConfig, screen_ball
 
 FAMILIES = ("rashomon", "index")
 
@@ -66,7 +66,7 @@ class CurvePoint:
     ambiguity_all: float
     ambiguity_top: float
     n_undetermined: int
-    ball: RashomonBall = field(repr=False, compare=False)
+    ball: BallRegion = field(repr=False, compare=False)
     reports: tuple = field(repr=False, compare=False)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .linear_fit import RashomonBall, fit_ols, make_ball
+from .linear_fit import fit_ols, make_ball
 from .ranking import rank_descending
 from .reports import FlipReport
 from .solver import (
@@ -251,7 +251,7 @@ def _certify_rows(
 
 def flip_search(
     X: NDArray[np.float64],
-    ball: RashomonBall,
+    ball: BallRegion,
     kappa: int,
     row_ids=None,
     rank_mode: str = "status",
@@ -277,9 +277,7 @@ def flip_search(
     own :func:`prune_unflippable` screen when the caller already has it.
     """
     X = np.asarray(X, dtype=np.float64)
-    w0 = ball.center
-    r = ball.radius
-    pool = witness_pool(X, w0, r)
+    pool = witness_pool(X, ball.center, ball.radius)
     if extra_models is not None:
         members = [
             np.asarray(w, dtype=np.float64)
@@ -290,9 +288,9 @@ def flip_search(
             pool = np.vstack([pool] + members)
     return _certify_rows(
         X,
-        BallRegion(center=w0, radius=r),
-        w0,
-        prune_unflippable(X, w0, r, kappa) if prune is None else prune,
+        ball,
+        ball.center,
+        screen_membership(ball, X, kappa) if prune is None else prune,
         pool,
         kappa,
         row_ids=row_ids,
@@ -310,7 +308,7 @@ def flip_reports_single(
     row_ids=None,
     rank_mode: str = "status",
     config: SolverConfig | None = None,
-) -> "tuple[list[FlipReport], RashomonBall]":
+) -> "tuple[list[FlipReport], BallRegion]":
     """Fit, build the ball, and certify: the end-to-end single-target path."""
     model = fit_ols(X, y)
     ball = make_ball(model, X, y, epsilon, epsilon_mode)

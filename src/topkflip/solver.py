@@ -51,6 +51,9 @@ DEFAULT_TIME_BUDGET = 60.0
 # the instance's gap scale.
 FEAS_TOL = 1e-9
 MARGIN = 1e-9
+# Slack on the squared distance when testing a given point for ball
+# membership.
+MEMBERSHIP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,10 @@ class BallRegion:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
+
+    def contains(self, w: NDArray[np.float64], tol: float = MEMBERSHIP_TOL) -> bool:
+        delta = np.asarray(w, dtype=np.float64) - self.center
+        return float(delta @ delta) <= self.radius**2 + tol
 
 
 @dataclass(frozen=True)
@@ -543,7 +550,7 @@ class _IntervalGeom:
 
     PARAM_TOL = 1e-12  # slack in blend-weight units, distinct from gap units
 
-    def __init__(self, region: SimplexRegion, tol_gap: float, gaps):
+    def __init__(self, tol_gap: float, gaps):
         self.tol_gap = tol_gap
         # Each pair's gap as a * t + g1 in the first blend weight t.
         self.a = gaps[:, 0] - gaps[:, 1]
@@ -573,8 +580,6 @@ class _IntervalGeom:
 
     def free_ranges(self, state, ids):
         lo, hi = state
-        lo = max(0.0, lo)
-        hi = min(1.0, hi)
         a = self.a[ids]
         g1 = self.g1[ids]
         v_lo = a * lo + g1
@@ -585,7 +590,7 @@ class _IntervalGeom:
 class _PolyGeom:
     """Three-target simplex as a polygon in the first two weights."""
 
-    def __init__(self, region: SimplexRegion, tol: float, gaps):
+    def __init__(self, tol: float, gaps):
         self.tol = tol
         # Each pair's gap as c1 * a1 + c2 * a2 + c0 in the first two weights.
         self.c1 = gaps[:, 0] - gaps[:, 2]
@@ -685,9 +690,9 @@ def _make_geom(region, tol, gaps):
         return _BallGeom(region)
     if isinstance(region, SimplexRegion):
         if region.dim == 2:
-            return _IntervalGeom(region, tol, gaps)
+            return _IntervalGeom(tol, gaps)
         if region.dim == 3:
-            return _PolyGeom(region, tol, gaps)
+            return _PolyGeom(tol, gaps)
         return _LPGeom(region, tol)
     raise TypeError(f"unknown region type {type(region)!r}")
 

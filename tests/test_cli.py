@@ -12,7 +12,7 @@ from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.dataset import write_csv
 from topkflip.fairness import PhaseError
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl
-from topkflip.synth import generate_clinical
+from topkflip.synth import SynthConfig, generate, generate_clinical
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +223,24 @@ def test_fairness_range_outputs(table, tmp_path):
     side = tmp_path / "f_models.csv"
     _, columns, rows = read_csv_with_meta(side)
     assert columns[0] == "model" and len(rows) == 3
+
+
+def test_fairness_json_is_strict_when_no_group_row_is_in_holdout(tmp_path):
+    ds = generate(SynthConfig(n=120, b=0.5, seed=3))
+    moved = (ds.groups == "protected") & (ds.split_tags == "holdout")
+    table = tmp_path / "t.csv"
+    write_csv(dataclasses.replace(ds, split_tags=np.where(moved, "tune", ds.split_tags)), table)
+    out = tmp_path / "f.json"
+    assert main([
+        "fairness-range", "--data", str(table), "--targets", "y1,y2",
+        "--group", "protected", "--kappa", "20%", "--out", str(out),
+    ]) == EXIT_OK
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert [ev["group_capture"] for ev in doc["report"]["evaluations"]] == [None] * 3
 
 
 def test_stable_points_sweep(table, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topkflip.dataset import (
+    Dataset,
     EmptyDesignError,
     ParseError,
     SchemaError,
@@ -12,6 +13,7 @@ from topkflip.dataset import (
     orthonormalize,
     write_csv,
 )
+from topkflip.linear_fit import fit_ols
 from topkflip.synth import SynthConfig, generate
 
 
@@ -32,6 +34,18 @@ def test_csv_round_trip(table):
     assert tuple(back.groups) == tuple(ds.groups)
     assert tuple(back.split_tags) == tuple(ds.split_tags)
     assert tuple(back.row_ids) == tuple(ds.row_ids)
+
+
+def test_load_ignores_a_byte_order_mark(table, tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start the file with one.
+    ds, path = table
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    plain, back = load_csv(path, ds.target_names), load_csv(marked, ds.target_names)
+    assert back.feature_names == plain.feature_names
+    assert back.row_ids == plain.row_ids
+    for name in ("features", "targets", "groups", "split_tags"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(plain, name))
 
 
 def test_written_cells_are_plain_floats(table):
@@ -152,6 +166,29 @@ def test_orthonormalize_design_and_rank_preservation(table):
         h_orig, *_ = np.linalg.lstsq(ds.features, y, rcond=None)
         h_q, *_ = np.linalg.lstsq(q.features, y, rcond=None)
         np.testing.assert_allclose(ds.features @ h_orig, q.features @ h_q, atol=1e-8)
+
+
+def test_orthonormalize_keeps_a_near_collinear_column_orthonormal():
+    # b repeats a up to 1e-9 noise: its pivot sits just above the drop
+    # threshold, so b is kept and must still come out orthonormal.
+    rng = np.random.default_rng(3)
+    n = 300
+    a, c = rng.normal(size=n), rng.normal(size=n)
+    b = a + 1e-9 * rng.normal(size=n)
+    y = a + c + rng.normal(size=n)
+    ds = Dataset(
+        feature_names=("intercept", "a", "b", "c"),
+        features=np.column_stack([np.ones(n), a, b, c]),
+        target_names=("y",),
+        targets=y[:, None],
+        groups=np.array(["g"] * n),
+        row_ids=tuple(str(i) for i in range(n)),
+        split_tags=np.array(["holdout"] * n),
+    )
+    q = orthonormalize(ds)
+    assert q.features.shape == (n, 4)
+    np.testing.assert_allclose(q.features.T @ q.features, np.eye(4), atol=1e-12)
+    fit_ols(q.features, y)
 
 
 def test_column_filters(table):

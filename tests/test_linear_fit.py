@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from topkflip.linear_fit import fit_ols, fit_on_rows, make_ball, rss
+from topkflip.solver import BallRegion
 
 from conftest import random_design
 
@@ -50,6 +51,9 @@ def test_ball_modes(rng):
     assert rel.radius == pytest.approx(np.sqrt(0.1 * base))
     assert ab.radius == pytest.approx(np.sqrt(0.1))
     np.testing.assert_array_equal(rel.center, model.coef)
+    assert isinstance(rel, BallRegion)
+    step = np.eye(3)[0] * rel.radius
+    assert rel.contains(rel.center + step) and not rel.contains(rel.center + 1.01 * step)
     zero = make_ball(model, X, y, 0.0, "relative")
     assert zero.radius == 0.0
     with pytest.raises(ValueError):
@@ -66,9 +70,8 @@ def test_ball_refuses_non_finite_tolerance(rng, epsilon):
         make_ball(fit_ols(X, y), X, y, epsilon)
 
 
-def test_fit_on_rows_names_target(rng):
+def test_fit_on_rows_predicts_with_its_coefficients(rng):
     X = rng.normal(size=(20, 2))
     y = rng.normal(size=20)
-    m = fit_on_rows(X, y, target_name="cost")
-    assert m.target_name == "cost"
+    m = fit_on_rows(X, y)
     np.testing.assert_allclose(m.predict(X), X @ m.coef)

@@ -5,7 +5,7 @@ import pytest
 
 from topkflip import rashomon_single
 from topkflip.index_model import flip_search_multi, prune_never_top_multi, witness_pool_alphas
-from topkflip.linear_fit import RashomonBall, fit_ols, make_ball
+from topkflip.linear_fit import fit_ols, make_ball
 from topkflip.metrics import stable_points
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
@@ -252,10 +252,7 @@ def _always_top_edge_instance(rng, family):
         unit = rng.normal(size=d)
         unit /= np.linalg.norm(unit)
         radius = float(rng.uniform(0.3, 0.8))
-        ball = RashomonBall(
-            center=2.0 * unit, epsilon=radius**2, epsilon_input=radius**2,
-            epsilon_mode="absolute", rss0=1.0,
-        )
+        ball = BallRegion(center=2.0 * unit, radius=radius)
         # The pair differs mostly across the center direction, so its
         # order flips inside the ball.
         u = rng.normal(size=d)

@@ -1,8 +1,13 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from topkflip.cli import EXIT_DATA, main
 from topkflip.dataset import (
+    DataError,
     Dataset,
     EmptyDesignError,
     ParseError,
@@ -125,6 +130,57 @@ def test_parse_errors_name_the_first_bad_row_and_count_bad_rows(
     assert (err.value.row_index, err.value.bad_count) == (row_index, bad_count)
     assert str(err.value).endswith(f"first at data row {row_index}")
     assert str(err.value).startswith(f"{bad_count} row(s) ")
+
+
+_ROWS = ("r0,0.5,1,a,train", "r1,1.5,2,b,tune", "r2,2.5,3,a,holdout", "r3,3.5,4,b,train")
+
+
+def _body(**edits):
+    """The four rows above, with row ``i`` replaced by ``edits[f"r{i}"]``."""
+    return "".join(edits.get(row[:2], row) + "\n" for row in _ROWS)
+
+
+@pytest.mark.parametrize(
+    "body, error, message, row_index, bad_count",
+    [
+        pytest.param(
+            _body(r1="r1,1.5,2,b,tune,EXTRA", r3="r3,3.5,4,b,train,"),
+            ParseError, "wrong field count; first at data row 1", 1, 2, id="extra-field",
+        ),
+        pytest.param(
+            _body(r2="r2,2.5,3,a"), ParseError, "wrong field count; first at data row 2", 2, 1,
+            id="missing-trailing-field",
+        ),
+        pytest.param(
+            _body(r0="r0,0.5,1,,train", r2="r2,2.5,3,,holdout"),
+            ParseError, "2 row\\(s\\) with blank group; first at data row 0", 0, 2, id="blank-group",
+        ),
+        pytest.param(
+            _body(r1="r1,1.5,2,b,valid"), DataError, r"unknown split tags: \[.*'valid'", None, None,
+            id="unknown-split",
+        ),
+        pytest.param("", DataError, "need at least 2 data rows, got 0", None, None, id="header-only"),
+        pytest.param(
+            _ROWS[0] + "\n", DataError, "need at least 2 data rows, got 1", None, None, id="one-row",
+        ),
+    ],
+)
+def test_loader_refusals(tmp_path, capsys, body, error, message, row_index, bad_count):
+    p = tmp_path / "refused.csv"
+    p.write_text("row_id,x,y,group,split\n" + body)
+    # Any warning, such as NumPy's on an empty body, fails the test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message) as err:
+            load_csv(p, ("y",))
+        code = main(["fit", "--data", str(p), "--targets", "y", "--out", str(tmp_path / "o.json")])
+    assert type(err.value) is error
+    assert getattr(err.value, "row_index", None) == row_index
+    assert getattr(err.value, "bad_count", None) == bad_count
+    assert code == EXIT_DATA
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == error.__name__
+    assert doc["error"]["message"] == str(err.value)
 
 
 def test_numeric_cells_parse_as_python_floats(tmp_path):

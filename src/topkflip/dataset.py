@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import re
 from dataclasses import dataclass
 
@@ -99,7 +100,7 @@ class Dataset:
             raise DataError("intercept column must be a positive constant")
         if len(self.row_ids) != n or self.groups.shape[0] != n or self.split_tags.shape[0] != n:
             raise DataError("row-aligned columns must all have length n")
-        bad = set(np.unique(self.split_tags)) - set(SPLIT_VALUES)
+        bad = set(np.unique(self.split_tags).tolist()) - set(SPLIT_VALUES)
         if bad:
             raise DataError(f"unknown split tags: {sorted(bad)}")
 
@@ -175,6 +176,63 @@ def _is_float(cell: str) -> bool:
     return True
 
 
+# NumPy strips these four ASCII separators around a number as whitespace,
+# but float() refuses such a cell, so a body holding one is read row by row.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _read_body(body: str, header, features, targets, path) -> np.ndarray:
+    """Parse the data rows into a structured array with one field per
+    header column, ``f0``, ``f1``, ... in header order: float64 for the
+    feature and target columns, str objects for the reserved ones.
+
+    One ``np.loadtxt`` call reads most tables in the grammar ``load_csv``
+    documents. The rest go row by row through ``csv.reader`` and
+    ``float()``: a body NumPy refuses, an empty one, and one holding a
+    ``_NUMPY_ONLY_SPACE`` separator. That path also accepts ``1_000``,
+    Unicode digits and lone ``\\r`` line ends, and it names the first bad
+    row of a body no reader accepts.
+    """
+    dtype = np.dtype(
+        [(f"f{j}", object if name in RESERVED_COLUMNS else np.float64) for j, name in enumerate(header)]
+    )
+    if body.strip() and not any(ch in body for ch in _NUMPY_ONLY_SPACE):
+        try:
+            table = np.loadtxt(
+                io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+        except ValueError:
+            pass
+        else:
+            _check_row_count(len(table), path)
+            return table
+
+    rows = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+    short = [i for i, row in enumerate(rows) if len(row) != len(header)]
+    if short:
+        raise ParseError(
+            f"{path}: {len(short)} row(s) with wrong field count; first at data row {short[0]}",
+            row_index=short[0],
+            bad_count=len(short),
+        )
+    _check_row_count(len(rows), path)
+    header_index = {name: j for j, name in enumerate(header)}
+    table = np.empty(len(rows), dtype)
+    for names, kind in ((features, "feature"), (targets, "target")):
+        block = _parse_numeric_block(rows, header_index, names, kind)
+        for j, name in enumerate(names):
+            table[f"f{header_index[name]}"] = block[:, j]
+    for name in RESERVED_COLUMNS:
+        if name in header_index:
+            table[f"f{header_index[name]}"] = [row[header_index[name]] for row in rows]
+    return table
+
+
+def _check_row_count(n: int, path) -> None:
+    if n < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {n}")
+
+
 def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     """Load a UTF-8 CSV with a header row into a Dataset.
 
@@ -183,6 +241,12 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     is a feature. A ``group`` column is required. Without a ``split``
     column the split tags are assigned from ``split_seed``; without a
     ``row_id`` column the row ids are the row positions.
+
+    Cells are separated by commas. A cell may be quoted with ``"``, and a
+    quote inside a quoted cell is doubled. ``#`` is data, never a comment.
+    A leading byte-order mark is dropped and blank lines are skipped.
+    Feature and target cells take Python ``float()`` syntax; a split cell
+    must be exactly ``train``, ``tune`` or ``holdout``.
 
     Parameters
     ----------
@@ -200,8 +264,12 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
         name, lacks a target or the group column, or has no feature column
         or one named ``intercept``.
     ParseError
-        A feature or target cell is empty or non-numeric; the error names
+        A row has the wrong number of fields, a feature or target cell is
+        empty or non-numeric, or a group cell is blank; the error names
         the first offending data row and the total count of bad rows.
+    DataError
+        The table has fewer than two data rows, or a split cell is not
+        one of the three tags.
     """
     targets = tuple(targets)
     repeated = sorted({t for t in targets if targets.count(t) > 1})
@@ -210,11 +278,10 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8"
     # exports put before the first header name.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise SchemaError(f"{path}: empty file")
-        rows = [row for row in reader if row]
+        body = fh.read()
 
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
@@ -229,25 +296,13 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
         raise SchemaError(f"{path}: no feature columns left after reserving {RESERVED_COLUMNS}")
     if INTERCEPT_NAME in features:
         raise SchemaError(f"{path}: {INTERCEPT_NAME!r} is a reserved feature name")
-    header_index = {name: j for j, name in enumerate(header)}
 
-    short = [i for i, row in enumerate(rows) if len(row) != len(header)]
-    if short:
-        raise ParseError(
-            f"{path}: {len(short)} row(s) with wrong field count; first at data row {short[0]}",
-            row_index=short[0],
-            bad_count=len(short),
-        )
+    table = _read_body(body, header, features, targets, path)
+    n = len(table)
+    column = {name: table[f"f{j}"] for j, name in enumerate(header)}
 
-    n = len(rows)
-    if n < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {n}")
-
-    raw_features = _parse_numeric_block(rows, header_index, features, "feature")
-    target_values = _parse_numeric_block(rows, header_index, targets, "target")
-
-    groups = np.array([row[header_index["group"]] for row in rows], dtype=object)
-    blank_groups = [i for i, g in enumerate(groups) if g == ""]
+    groups = np.array(column["group"], dtype=object)
+    blank_groups = np.flatnonzero(groups == "").tolist()
     if blank_groups:
         raise ParseError(
             f"{path}: {len(blank_groups)} row(s) with blank group; "
@@ -256,21 +311,26 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
             bad_count=len(blank_groups),
         )
 
-    if "row_id" in header_index:
-        row_ids = tuple(row[header_index["row_id"]] for row in rows)
+    if "row_id" in column:
+        row_ids = tuple(column["row_id"].tolist())
     else:
         row_ids = tuple(str(i) for i in range(n))
 
-    if "split" in header_index:
-        split_tags = np.array([row[header_index["split"]] for row in rows], dtype="<U7")
+    if "split" in column:
+        # Check the cells before the fixed-width tag array could cut one
+        # down to a valid tag.
+        unknown = sorted(set(column["split"].tolist()) - set(SPLIT_VALUES))
+        if unknown:
+            raise DataError(f"{path}: unknown split tags: {unknown}")
+        split_tags = column["split"].astype("<U7")
     else:
         split_tags = assign_splits(row_ids, split_seed)
 
     return Dataset(
         feature_names=(INTERCEPT_NAME,) + features,
-        features=np.hstack([np.ones((n, 1)), raw_features]),
+        features=np.column_stack([np.ones(n)] + [column[name] for name in features]),
         target_names=targets,
-        targets=target_values,
+        targets=np.column_stack([column[name] for name in targets]),
         groups=groups,
         row_ids=row_ids,
         split_tags=split_tags,

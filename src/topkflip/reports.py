@@ -12,7 +12,9 @@ import csv
 import datetime
 import importlib.metadata
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 from numpy.typing import NDArray
@@ -86,26 +88,35 @@ def meta_record(**fields) -> dict:
     return meta
 
 
+_JSON_FLIPPABLE = {True: "true", False: "false", None: "null"}
+
+
+def _json_float(x: float) -> str:
+    # json.dumps spells the non-finite floats NaN, Infinity and -Infinity.
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def write_reports_jsonl(reports, path, meta: dict) -> None:
     """JSON-lines: the meta record first, then one object per row report.
 
     A blend-weight witness is emitted as ``witness_alpha``; coefficient
-    witnesses stay in memory only.
+    witnesses stay in memory only. Each report line is, byte for byte,
+    ``json.dumps`` of the record with keys ``row_id``, ``baseline_rank``,
+    ``min_rank``, ``max_rank``, ``flippable``, ``method`` and, when
+    present, ``witness_alpha``.
     """
+    lines = [json.dumps(meta)]
+    for rep in reports:
+        line = (
+            f'{{"row_id": {_json_string(rep.row_id)}, "baseline_rank": {rep.baseline_rank:d}, '
+            f'"min_rank": {rep.min_rank:d}, "max_rank": {rep.max_rank:d}, '
+            f'"flippable": {_JSON_FLIPPABLE[rep.flippable]}, "method": {_json_string(rep.method)}'
+        )
+        if rep.witness_kind == "alpha" and rep.witness is not None:
+            line += f', "witness_alpha": [{", ".join(_json_float(float(a)) for a in rep.witness)}]'
+        lines.append(line + "}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta) + "\n")
-        for rep in reports:
-            rec = {
-                "row_id": rep.row_id,
-                "baseline_rank": rep.baseline_rank,
-                "min_rank": rep.min_rank,
-                "max_rank": rep.max_rank,
-                "flippable": rep.flippable,
-                "method": rep.method,
-            }
-            if rep.witness_kind == "alpha" and rep.witness is not None:
-                rec["witness_alpha"] = [float(a) for a in rep.witness]
-            fh.write(json.dumps(rec) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_reports_jsonl(path) -> "tuple[dict, list[FlipReport]]":

@@ -305,6 +305,18 @@ def test_data_errors(tmp_path, capsys):
     assert "['x'] repeat" in err["error"]["message"]
 
 
+def test_split_cells_are_checked_in_full(table, tmp_path, capsys):
+    # Split cells used to be cut to seven characters before the check.
+    bad = tmp_path / "split.csv"
+    text = table.read_text()
+    bad.write_text(text.replace(",holdout\n", ",holdout_old\n", 1))
+    assert bad.read_text() != text
+    assert main(["fit", "--data", str(bad), "--targets", "y1", "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DataError"
+    assert err["message"].endswith("unknown split tags: ['holdout_old']")
+
+
 def test_budget_exhaustion_still_writes(table, tmp_path):
     out = tmp_path / "p.jsonl"
     code = main([

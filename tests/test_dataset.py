@@ -1,12 +1,16 @@
+import csv
 import json
+import random
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from topkflip import dataset
 from topkflip.cli import EXIT_DATA, main
 from topkflip.dataset import (
+    RESERVED_COLUMNS,
     DataError,
     Dataset,
     EmptyDesignError,
@@ -51,6 +55,25 @@ def test_load_ignores_a_byte_order_mark(table, tmp_path):
     assert back.row_ids == plain.row_ids
     for name in ("features", "targets", "groups", "split_tags"):
         np.testing.assert_array_equal(getattr(back, name), getattr(plain, name))
+
+
+def test_written_tables_parse_in_one_bulk_call(table, monkeypatch):
+    ds, path = table
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
+
+    def cell_by_cell(*args):
+        raise AssertionError("the row-by-row parser ran")
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    monkeypatch.setattr(dataset, "_parse_numeric_block", cell_by_cell)
+    back = load_csv(path, ds.target_names)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(back.features, ds.features)
 
 
 def test_written_cells_are_plain_floats(table):
@@ -183,6 +206,14 @@ def test_loader_refusals(tmp_path, capsys, body, error, message, row_index, bad_
     assert doc["error"]["message"] == str(err.value)
 
 
+@pytest.mark.parametrize("tag", ["holdout_old", "trainXYZ"])
+def test_split_cells_are_checked_in_full(tmp_path, tag):
+    p = tmp_path / "split.csv"
+    p.write_text("row_id,x,y,group,split\n" + _body(r2=f"r2,2.5,3,a,{tag}"))
+    with pytest.raises(DataError, match=rf"unknown split tags: \['{tag}'\]$"):
+        load_csv(p, ("y",))
+
+
 def test_numeric_cells_parse_as_python_floats(tmp_path):
     cells = ["1", " 2.5 ", "-3e2", "1_000", "4.", ".5"]
     p = tmp_path / "ok.csv"
@@ -190,6 +221,155 @@ def test_numeric_cells_parse_as_python_floats(tmp_path):
     ds = load_csv(p, ("y",))
     np.testing.assert_array_equal(ds.features[:, 1], [float(c) for c in cells])
     np.testing.assert_array_equal(ds.targets[:, 0], np.arange(len(cells), dtype=float))
+
+
+def _reference_load(path, targets):
+    """The loader as a ``csv.reader`` loop with ``float()`` on every cell,
+    checking in the same order: field count, row count, feature cells,
+    target cells, group cells, split cells."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    short = [i for i, row in enumerate(rows) if len(row) != len(header)]
+    if short:
+        raise ParseError(
+            f"{path}: {len(short)} row(s) with wrong field count; first at data row {short[0]}",
+            short[0], len(short),
+        )
+    if len(rows) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    features = tuple(c for c in header if c not in targets and c not in RESERVED_COLUMNS)
+
+    def numeric(names, kind):
+        out, bad = [], []
+        for i, row in enumerate(rows):
+            try:
+                out.append([float(row[header.index(c)]) for c in names])
+            except ValueError:
+                bad.append(i)
+        if bad:
+            raise ParseError(
+                f"{len(bad)} row(s) with missing or non-numeric {kind} cells; "
+                f"first at data row {bad[0]}",
+                bad[0], len(bad),
+            )
+        return np.array(out, dtype=np.float64).reshape(len(rows), len(names))
+
+    raw_features = numeric(features, "feature")
+    target_values = numeric(targets, "target")
+
+    def cells(name):
+        return [row[header.index(name)] for row in rows]
+
+    blank = [i for i, g in enumerate(cells("group")) if g == ""]
+    if blank:
+        raise ParseError(
+            f"{path}: {len(blank)} row(s) with blank group; first at data row {blank[0]}",
+            blank[0], len(blank),
+        )
+    row_ids = tuple(cells("row_id")) if "row_id" in header else tuple(map(str, range(len(rows))))
+    if "split" in header:
+        unknown = sorted(set(cells("split")) - {"train", "tune", "holdout"})
+        if unknown:
+            raise DataError(f"{path}: unknown split tags: {unknown}")
+        split_tags = np.array(cells("split"), dtype="<U7")
+    else:
+        split_tags = assign_splits(row_ids, 0)
+    return Dataset(
+        feature_names=("intercept",) + features,
+        features=np.hstack([np.ones((len(rows), 1)), raw_features]),
+        target_names=targets,
+        targets=target_values,
+        groups=np.array(cells("group"), dtype=object),
+        row_ids=row_ids,
+        split_tags=split_tags,
+    )
+
+
+# Numeric cells NumPy and float() both read, cells only float() reads,
+# and cells neither reads ("\x1c1" NumPy alone would read as 1.0).
+_NUMBERS = ("1", "-2.5", " 3 ", "\t4", "1e-320", "-0", "+1E3", "4.", ".5", '"7"', '" 8 "',
+            "9\u3000")
+_FLOAT_ONLY = ("1_000", "\u0661\u0662", "\uff13", "2_5.0_1")
+_NOT_NUMBERS = ("", "0x1p3", "1e", "n/a", '"1,0"', "\x1c1", "--1", "1 2", "1d5")
+_TEXTS = ("a", "b c", '"x,y"', '"say ""hi"""', "#c", "a#b", " pad ", "\u00fcn\u00ef", '"#q"',
+          "r\\1", '"two\nlines"', "\x0b")
+_SPLITS = ("train", "tune", "holdout")
+_DEFECTS = (None,) * 7 + ("extra field", "missing field", "space line", "blank group",
+                          "bad split", "non-finite", "few rows")
+
+
+def _hostile_table(rng):
+    """One CSV text: shuffled columns, quoting, ``#`` in cells, a BOM, odd
+    line ends, blank lines, numeric cells of one of three kinds, and at
+    most one other defect."""
+    header = ["x1", "x2", "y", "group"] + [c for c in ("row_id", "split") if rng.random() < 0.7]
+    rng.shuffle(header)
+    numbers = rng.choice([_NUMBERS, _NUMBERS, _NUMBERS + _FLOAT_ONLY, _NUMBERS + _NOT_NUMBERS])
+    defect = rng.choice(_DEFECTS)
+    n = rng.choice([0, 1] if defect == "few rows" else [2, 3, 5, 8, 13])
+    bad = rng.randrange(n) if n else None
+    lines = [",".join(header)]
+    for i in range(n):
+        row = {name: rng.choice(numbers) for name in ("x1", "x2", "y")}
+        row.update(group=rng.choice(_TEXTS), row_id=rng.choice(_TEXTS + ("",)) + str(i),
+                   split=rng.choice(_SPLITS))
+        if i == bad and defect == "blank group":
+            row["group"] = ""
+        elif i == bad and defect == "bad split":
+            row["split"] = rng.choice(["holdout_old", "trainXYZ", "Train", " tune"])
+        elif i == bad and defect == "non-finite":
+            row["x1"] = rng.choice(["nan", "1e400", "-inf"])
+        cells = [row[name] for name in header]
+        if i == bad and defect == "extra field":
+            cells.append("extra")
+        elif i == bad and defect == "missing field":
+            cells.pop()
+        lines.append(",".join(cells))
+        if rng.random() < 0.1:
+            lines.append("")
+        if i == bad and defect == "space line":
+            lines.append(rng.choice([" ", "\t", "  "]))
+    end = rng.choice(["\n", "\r\n", "\r\n", "\r"])
+    text = ("\ufeff" if rng.random() < 0.2 else "") + end.join(lines)
+    return text + (end if rng.random() < 0.8 else "")
+
+
+def _outcome(load, path):
+    try:
+        return load(path, ("y",))
+    except DataError as exc:
+        return exc
+
+
+def test_loader_matches_the_cell_by_cell_reference(tmp_path):
+    rng = random.Random(20240117)
+    kinds = []
+    for k in range(400):
+        p = tmp_path / f"t{k}.csv"
+        p.write_bytes(_hostile_table(rng).encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(load_csv, p)
+        want = _outcome(_reference_load, p)
+        assert type(got) is type(want), (p.read_bytes(), got, want)
+        kinds.append(type(want).__name__)
+        if isinstance(want, DataError):
+            assert str(got) == str(want)
+            for attr in ("row_index", "bad_count"):
+                assert getattr(got, attr, None) == getattr(want, attr, None)
+            continue
+        assert (got.feature_names, got.target_names) == (want.feature_names, want.target_names)
+        assert got.row_ids == want.row_ids
+        for name in ("features", "targets", "groups", "split_tags"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            # Bytes, so -0.0 and 0.0 differ; str objects compare by value.
+            assert a.tobytes() == b.tobytes() if a.dtype != object else a.tolist() == b.tolist()
+    # The corpus reaches every outcome.
+    assert {"Dataset", "ParseError", "DataError"} <= set(kinds)
+    assert kinds.count("Dataset") >= 100
 
 
 def test_missing_split_column_assigns_deterministically(tmp_path):

@@ -49,6 +49,44 @@ def test_jsonl_round_trip(tmp_path):
     assert "witness_alpha" in first
 
 
+def _record_line(rep):
+    """A report line as ``json.dumps`` of its record dict."""
+    rec = {
+        "row_id": rep.row_id,
+        "baseline_rank": rep.baseline_rank,
+        "min_rank": rep.min_rank,
+        "max_rank": rep.max_rank,
+        "flippable": rep.flippable,
+        "method": rep.method,
+    }
+    if rep.witness_kind == "alpha" and rep.witness is not None:
+        rec["witness_alpha"] = [float(a) for a in rep.witness]
+    return json.dumps(rec)
+
+
+def test_report_lines_are_json_dumps_of_their_records(tmp_path):
+    cases = [  # flippable, method, witness, witness_kind
+        (True, "mip_certified", np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.0]), "alpha"),
+        (False, "pruned_unflippable", None, None),
+        (None, "undetermined", np.array([0.1, 1 / 3, 1e300, 123456789.0]), "alpha"),
+        (True, "closed_form_flip", np.array([np.nan, np.inf, -np.inf]), "alpha"),
+        (True, "closed_form_flip", np.array([1.0, 2.0]), "coef"),
+        (False, "mip_certified", np.array([]), "alpha"),
+    ]
+    row_ids = ["plain", 'q"uote', "back\\slash", "caf\u00e9 \u2028 \U0001f600", "tab\tnul\x00", ""]
+    reports = [
+        FlipReport(row_id=row_id, baseline_rank=i + 1, min_rank=1, max_rank=1000 + j,
+                   flippable=flippable, method=method, witness=witness, witness_kind=kind)
+        for i, row_id in enumerate(row_ids)
+        for j, (flippable, method, witness, kind) in enumerate(cases)
+    ]
+    meta = meta_record(command="t", note='\u00fc"')
+    p = tmp_path / "r.jsonl"
+    write_reports_jsonl(reports, p, meta)
+    want = "".join(line + "\n" for line in [json.dumps(meta)] + [_record_line(r) for r in reports])
+    assert p.read_bytes() == want.encode("utf-8")
+
+
 def test_coef_witness_not_serialized(tmp_path):
     rep = FlipReport(row_id="c", baseline_rank=1, min_rank=1, max_rank=3, flippable=True,
                      method="closed_form_flip", witness=np.array([1.0, 2.0]), witness_kind="coef")

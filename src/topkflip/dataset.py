@@ -35,9 +35,9 @@ class DataError(Exception):
 
 
 class SchemaError(DataError):
-    """The header does not fit the CSV layout: it is missing, repeats a
-    name, lacks a target or the group column, or has no feature column or
-    one named ``intercept``."""
+    """The header does not fit the CSV layout: it is missing or
+    unreadable, repeats a name, lacks a target or the group column, or has
+    no feature column or one named ``intercept``."""
 
 
 class ParseError(DataError):
@@ -191,7 +191,7 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
     ``float()``: a body NumPy refuses, an empty one, and one holding a
     ``_NUMPY_ONLY_SPACE`` separator. That path also accepts ``1_000``,
     Unicode digits and lone ``\\r`` line ends, and it names the first bad
-    row of a body no reader accepts.
+    row of a body no reader accepts, such as a cell over csv's field limit.
     """
     dtype = np.dtype(
         [(f"f{j}", object if name in RESERVED_COLUMNS else np.float64) for j, name in enumerate(header)]
@@ -207,7 +207,25 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
             _check_row_count(len(table), path)
             return table
 
-    rows = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+    rows, refused = [], []
+    reader = csv.reader(io.StringIO(body, newline=""))
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:  # such as a cell over csv's field limit
+            refused.append((len(rows) + len(refused), exc))
+            continue  # the reader resumes at the next row
+        if row is None:
+            break
+        if row:
+            rows.append(row)
+    if refused:
+        raise ParseError(
+            f"{path}: {len(refused)} row(s) the csv reader refuses ({refused[0][1]}); "
+            f"first at data row {refused[0][0]}",
+            row_index=refused[0][0],
+            bad_count=len(refused),
+        )
     short = [i for i, row in enumerate(rows) if len(row) != len(header)]
     if short:
         raise ParseError(
@@ -260,13 +278,15 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     Raises
     ------
     SchemaError
-        ``targets`` repeats a name; or the header is missing, repeats a
+        ``targets`` repeats a name; or the csv reader refuses the header
+        (a name over its field limit), or the header is missing, repeats a
         name, lacks a target or the group column, or has no feature column
         or one named ``intercept``.
     ParseError
-        A row has the wrong number of fields, a feature or target cell is
-        empty or non-numeric, or a group cell is blank; the error names
-        the first offending data row and the total count of bad rows.
+        A row has the wrong number of fields or the csv reader refuses it,
+        a feature or target cell is empty or non-numeric, or a group cell
+        is blank; the error names the first offending data row and the
+        total count of bad rows.
     DataError
         The table has fewer than two data rows, or a split cell is not
         one of the three tags.
@@ -278,7 +298,10 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8"
     # exports put before the first header name.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:  # such as a name over csv's field limit
+            raise SchemaError(f"{path}: the csv reader refuses the header ({exc})") from None
         if header is None:
             raise SchemaError(f"{path}: empty file")
         body = fh.read()

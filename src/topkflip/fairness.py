@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dataset import Dataset
-from .index_model import build_ensemble
+from .index_model import build_ensemble, witness_pool_alphas
 from .ranking import rank_descending, resolve_kappa
 from .reports import write_csv_with_meta
 from .solver import SimplexRegion, SolverConfig, group_query, solve
@@ -80,7 +80,7 @@ def _simple_blends(P, kappa, mask):
     realizes under the deterministic index tie-break."""
     K = P.shape[1]
     out = []
-    for alpha in [np.eye(K)[k] for k in range(K)] + [np.full(K, 1.0 / K)]:
+    for alpha in witness_pool_alphas(K)[: K + 1]:
         flags = rank_descending(P @ alpha, kappa).top_flags
         out.append((alpha, int(np.count_nonzero(flags & mask))))
     return out

@@ -145,8 +145,8 @@ def prune_never_top_multi(preds: NDArray[np.float64], kappa: int) -> PruneResult
 
 
 def witness_pool_alphas(K: int) -> NDArray[np.float64]:
-    """Deterministic blend weights worth checking: one-hots, the uniform
-    blend, and every pairwise half-and-half blend."""
+    """Deterministic blend weights worth checking: the K one-hots, the
+    uniform blend, and every pairwise half-and-half blend, in that order."""
     pool = [np.eye(K)[k] for k in range(K)]
     pool.append(np.full(K, 1.0 / K))
     for a in range(K):

@@ -68,21 +68,23 @@ def _pool_rank_envelope(
     X: NDArray[np.float64],
     pool: NDArray[np.float64],
     kappa: int,
-) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
-    """First pool column ranking each row of ``X`` inside the top kappa and
-    first ranking it outside (-1 when none). A column's top kappa is every
-    row scoring strictly above its kappa-th largest score, plus the
-    lowest-indexed rows tied at that score until kappa are taken: the
-    selection :func:`rank_descending` makes. Tie freedom is deliberately
-    not exploited, keeping this route independent of the enumeration
-    oracle. :func:`_certify_rows` passes the open rows' own scores and
-    checks each proposed column with the baseline's product. Scores are
-    formed one block of pool columns at a time, so memory grows linearly
-    with the row count.
+    in_top: NDArray[np.bool_],
+) -> NDArray[np.int64]:
+    """First pool column that puts each row of ``X`` on the other side of
+    the top-kappa cut from ``in_top``: outside the top for a row marked
+    in it, inside for any other (-1 when no column does). A column's top
+    kappa is every row scoring strictly above its kappa-th largest score,
+    plus the lowest-indexed rows tied at that score until kappa are
+    taken: the selection :func:`rank_descending` makes. Tie freedom is
+    deliberately not exploited, keeping this route independent of the
+    enumeration oracle. :func:`_certify_rows` passes the open rows' own
+    scores and baseline membership, and checks each proposed column with
+    the baseline's product. Scores are formed one block of pool columns
+    at a time, so memory grows linearly with the row count.
     """
     XT = np.ascontiguousarray(X.T)
     n = X.shape[0]
-    enter_col, exit_col = np.full((2, n), -1, dtype=np.int64)
+    cols = np.full(n, -1, dtype=np.int64)
     for c0 in range(0, pool.shape[0], ENVELOPE_BLOCK):
         S = pool[c0 : c0 + ENVELOPE_BLOCK] @ XT  # one pool column per row
         if not np.all(np.isfinite(S)):
@@ -96,10 +98,10 @@ def _pool_rank_envelope(
         over = tied.sum(axis=1) > room
         tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
         top |= tied
-        for cols, hit in ((enter_col, top), (exit_col, ~top)):
-            fresh = (cols < 0) & hit.any(axis=0)
-            cols[fresh] = c0 + hit[:, fresh].argmax(axis=0)
-    return enter_col, exit_col
+        top ^= in_top  # now marks the rows the column moves across the cut
+        fresh = (cols < 0) & top.any(axis=0)
+        cols[fresh] = c0 + top[:, fresh].argmax(axis=0)
+    return cols
 
 
 def _certify_rows(
@@ -153,14 +155,16 @@ def _certify_rows(
 
     base = rank_descending(V @ baseline, kappa)
     flip_cols = np.full(n, -1, dtype=np.int64)
+    fixed = prune.never_top | prune.always_top
     if rank_mode == "status":
-        open_rows = np.flatnonzero(~(prune.never_top | prune.always_top))
+        open_rows = np.flatnonzero(~fixed)
         room = kappa - int(np.count_nonzero(prune.always_top))
         # With no room the always-top rows fill the top, so no open row is
         # in the baseline top and none can enter it.
         if room > 0:
-            enter, exit_ = _pool_rank_envelope(V[open_rows], pool, room)
-            flip_cols[open_rows] = np.where(base.top_flags[open_rows], exit_, enter)
+            flip_cols[open_rows] = _pool_rank_envelope(
+                V[open_rows], pool, room, base.top_flags[open_rows]
+            )
     # The envelope's blocked product over the open rows can round a near
     # tie differently from the baseline's V @ w, so a column witnesses a
     # flip only if that product moves the row across the cut; a row it
@@ -171,77 +175,50 @@ def _certify_rows(
 
     reports: list[FlipReport] = []
     for i in range(n):
-        b_rank = int(base.ranks[i])
-        in_top = bool(base.top_flags[i])
-        omin = int(prune.outer_min[i])
-        omax = int(prune.outer_max[i])
-
-        if rank_mode == "status":
-            # always_top implies in_top: the row is inside the top at every
-            # point of the region, the baseline included.
-            if prune.never_top[i] or prune.always_top[i]:
-                reports.append(
-                    FlipReport(
-                        row_id=row_ids[i],
-                        baseline_rank=b_rank,
-                        min_rank=omin,
-                        max_rank=omax,
-                        flippable=False,
-                        method="pruned_unflippable",
-                    )
-                )
-                continue
-            flip_col = flip_cols[i]
-            if flip_col >= 0:
-                reports.append(
-                    FlipReport(
-                        row_id=row_ids[i],
-                        baseline_rank=b_rank,
-                        min_rank=omin,
-                        max_rank=omax,
-                        flippable=True,
-                        method="closed_form_flip",
-                        witness=pool[flip_col],
-                        witness_kind=witness_kind,
-                    )
-                )
-                continue
-
-        # A baseline-top row flips exactly when its max rank exceeds kappa,
-        # any other row exactly when its min rank is at most kappa. Status
-        # mode asks only that side, as a verdict query against kappa; the
-        # other side keeps the screen's bound.
-        verdict = "max" if in_top else "min"
-        inst = rank_query("min", region, V, i)
-        if rank_mode == "exact":
-            sols = {s: solve(replace(inst, sense=s), cfg) for s in ("min", "max")}
+        ranks = {"min": int(prune.outer_min[i]), "max": int(prune.outer_max[i])}
+        # A fixed row has no flip column; always_top implies in_top, as the
+        # baseline lies in the region.
+        if rank_mode == "status" and (fixed[i] or flip_cols[i] >= 0):
+            flippable = bool(flip_cols[i] >= 0)
+            method = "closed_form_flip" if flippable else "pruned_unflippable"
+            wit = pool[flip_cols[i]] if flippable else None
         else:
-            sols = {verdict: solve(replace(inst, sense=verdict, kappa=kappa), cfg)}
-        ranks = {"min": omin, "max": omax}
-        for side, sol in sols.items():
-            if sol.status == "optimal" and rank_mode == "exact":
-                ranks[side] = int(sol.value)
-            elif sol.bound is not None:
-                ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
-        certified = all(sol.status == "optimal" for sol in sols.values())
-        sol = sols[verdict]
-        if sol.value is not None and (sol.value > kappa if in_top else sol.value <= kappa):
-            flippable = True
-        elif ranks["max"] <= kappa if in_top else ranks["min"] > kappa:
-            flippable = False
-        else:
-            flippable = None
-        # The verdict side's incumbent attains its value, so one across
-        # the cut witnesses the flip even when a search stopped short.
-        wit = sol.witness if flippable else None
+            # A baseline-top row flips exactly when its max rank exceeds
+            # kappa, any other row exactly when its min rank is at most
+            # kappa. Status mode asks only that side, as a verdict query
+            # against kappa; the other side keeps the screen's bound.
+            in_top = bool(base.top_flags[i])
+            verdict = "max" if in_top else "min"
+            inst = rank_query("min", region, V, i)
+            if rank_mode == "exact":
+                sols = {s: solve(replace(inst, sense=s), cfg) for s in ("min", "max")}
+            else:
+                sols = {verdict: solve(replace(inst, sense=verdict, kappa=kappa), cfg)}
+            for side, sol in sols.items():
+                if sol.status == "optimal" and rank_mode == "exact":
+                    ranks[side] = int(sol.value)
+                elif sol.bound is not None:
+                    ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
+            certified = all(sol.status == "optimal" for sol in sols.values())
+            method = "mip_certified" if certified else "undetermined"
+            sol = sols[verdict]
+            if sol.value is not None and (sol.value > kappa if in_top else sol.value <= kappa):
+                flippable = True
+            elif ranks["max"] <= kappa if in_top else ranks["min"] > kappa:
+                flippable = False
+            else:
+                flippable = None
+            # The verdict side's incumbent attains its value, so one across
+            # the cut witnesses the flip even when a search stopped short.
+            wit = sol.witness if flippable else None
         reports.append(
             FlipReport(
                 row_id=row_ids[i],
-                baseline_rank=b_rank,
+                baseline_rank=int(base.ranks[i]),
                 min_rank=ranks["min"],
                 max_rank=ranks["max"],
                 flippable=flippable,
-                method="mip_certified" if certified else "undetermined",
+                method=method,
                 witness=wit,
                 witness_kind=None if wit is None else witness_kind,
             )

@@ -22,8 +22,8 @@ After the root presolve fixes the sign-definite pairs, the search runs on
 a compact state: the free pairs only, permuted once into the static
 branch order, and one loss count per objective row (the focal row, or
 each distinct group row) plus a catch-all slot that nothing reads. Rank
-and group queries differ only in their value and bound formulas and in
-one sign, whether a loss on an objective row helps the sense.
+and group queries differ only in their value formula and in one sign,
+whether a loss on an objective row helps the sense.
 
 Bounds are admissible counting arguments, incumbents come from feasibility
 witnesses with a safety margin so a reported value is always attainable,
@@ -460,7 +460,8 @@ class _BallGeom:
     """Ball state: the imposed halfspace rows plus, when known, a certified
     point of the region they cut (inherited from the parent node)."""
 
-    def __init__(self, region: BallRegion):
+    def __init__(self, region: BallRegion, gaps):
+        self.gaps = gaps
         self.center = np.asarray(region.center, dtype=np.float64)
         self.radius = float(region.radius)
         # Halfspace slack in normalized-gap units; one tie-tolerance band.
@@ -469,12 +470,13 @@ class _BallGeom:
     def root(self):
         return (), self.center
 
-    def child(self, state, halfspace_row, witness):
+    def child(self, state, pair, sign, witness):
         """The parent's rows plus one more. The parent's certified witness
         stays certified when it meets the new halfspace within the tie
         band ``_certify`` accepts. Sibling halfspaces are opposite, so at
         least one of the two always inherits."""
         rows, _ = state
+        halfspace_row = sign * self.gaps[pair]
         norm = float(np.linalg.norm(halfspace_row))
         slack = float((halfspace_row / norm) @ witness) if norm > 0 else 0.0
         return rows + (halfspace_row,), (witness if slack <= self.ktol else None)
@@ -559,10 +561,10 @@ class _IntervalGeom:
     def root(self):
         return (0.0, 1.0)
 
-    def child(self, state, halfspace_row, witness):
+    def child(self, state, pair, sign, witness):
         lo, hi = state
-        g0, g1 = float(halfspace_row[0]), float(halfspace_row[1])
-        a = g0 - g1  # halfspace: a * t + g1 <= 0
+        # halfspace: a * t + g1 <= 0
+        a, g1 = sign * float(self.a[pair]), sign * float(self.g1[pair])
         if a > 1e-300:
             hi = min(hi, -g1 / a)
         elif a < -1e-300:
@@ -600,14 +602,8 @@ class _PolyGeom:
     def root(self):
         return ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
-    @staticmethod
-    def _coeffs(halfspace_row):
-        g = halfspace_row
-        # value at (a1, a2): c1*a1 + c2*a2 + c0 with a3 = 1 - a1 - a2
-        return g[0] - g[2], g[1] - g[2], g[2]
-
-    def child(self, state, halfspace_row, witness):
-        c1, c2, c0 = self._coeffs(halfspace_row)
+    def child(self, state, pair, sign, witness):
+        c1, c2, c0 = sign * self.c1[pair], sign * self.c2[pair], sign * self.c0[pair]
         verts = state
         out = []
         m = len(verts)
@@ -645,15 +641,16 @@ class _PolyGeom:
 class _LPGeom:
     """General simplex via feasibility linear programs."""
 
-    def __init__(self, region: SimplexRegion, tol: float):
+    def __init__(self, region: SimplexRegion, tol: float, gaps):
         self.K = region.dim
         self.tol = tol
+        self.gaps = gaps
 
     def root(self):
         return ()
 
-    def child(self, state, halfspace_row, witness):
-        return state + (halfspace_row,)
+    def child(self, state, pair, sign, witness):
+        return state + (sign * self.gaps[pair],)
 
     def feasible(self, state):
         A_eq = np.ones((1, self.K))
@@ -683,17 +680,19 @@ class _LPGeom:
 def _make_geom(region, tol, gaps):
     """The region's geometry; ``tol`` is the simplex constraint slack in
     gap units (the ball keeps its own tie band). ``gaps`` holds the free
-    pairs' gap rows in branch order; ``free_ranges(state, ids)`` gives
-    the exact gap ranges of the listed pairs on a node's region, or None
-    when the geometry has no cheap exact refinement."""
+    pairs' gap rows in branch order; ``child(state, pair, sign, witness)``
+    adds the halfspace ``sign * gaps[pair] @ param <= 0``, and
+    ``free_ranges(state, ids)`` gives the exact gap ranges of the listed
+    pairs on a node's region, or None when the geometry has no cheap
+    exact refinement."""
     if isinstance(region, BallRegion):
-        return _BallGeom(region)
+        return _BallGeom(region, gaps)
     if isinstance(region, SimplexRegion):
         if region.dim == 2:
             return _IntervalGeom(tol, gaps)
         if region.dim == 3:
             return _PolyGeom(tol, gaps)
-        return _LPGeom(region, tol)
+        return _LPGeom(region, tol, gaps)
     raise TypeError(f"unknown region type {type(region)!r}")
 
 
@@ -812,18 +811,15 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         """Whether a rank lies across the cut in the sense's direction."""
         return v > inst.kappa if sense == "max" else v <= inst.kappa
 
+    def better(a: int, b: int) -> bool:
+        return a < b if sense == "min" else a > b
+
     def node_bound(node: _Node) -> int:
-        """Admissible bound: every open pair touching an objective row may
-        still go either way."""
-        L = node.losses[:m]
-        if rank and sense == "min":
-            return 1 + int(L[0])
-        if not rank and sense == "max":
-            return int(np.sum(L + 1 <= inst.kappa))
-        potential = (count(s_above[node.open]) + count(s_below[node.open]))[:m]
-        if rank:
-            return 1 + int(L[0]) + int(potential[0])
-        return int(np.sum(L + potential + 1 <= inst.kappa))
+        """Admissible bound: every open pair may still go either way, so
+        when a loss helps it may charge both its ends."""
+        if not loss_helps:
+            return value(node.losses)
+        return value(node.losses + count(s_above[node.open]) + count(s_below[node.open]))
 
     def witness_update(node: _Node, param):
         """Turn a feasibility witness into an attained objective value.
@@ -843,16 +839,12 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
                 amb = idx[np.abs(vals) < mtol]
                 losses += count(s_above[amb]) + count(s_below[amb])
         v = value(losses)
-        if incumbent_value is None or (v < incumbent_value if sense == "min" else v > incumbent_value):
+        if incumbent_value is None or better(v, incumbent_value):
             incumbent_value = v
             incumbent_witness = np.asarray(param, dtype=np.float64).copy()
 
     def prunable(bound_val: int) -> bool:
-        if incumbent_value is None:
-            return False
-        if sense == "min":
-            return bound_val >= incumbent_value
-        return bound_val <= incumbent_value
+        return incumbent_value is not None and not better(bound_val, incumbent_value)
 
     def make_child(node: _Node, orientation: int, param) -> _Node:
         c = node.open[0]
@@ -861,8 +853,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         if wild[c]:
             state = node.region_state  # trivial halfspace; geometry unchanged
         else:
-            row = -G[c] if orientation == 1 else G[c]
-            state = geom.child(node.region_state, row, param)
+            # Orientation 1 asks gap >= 0, the halfspace -gap <= 0.
+            state = geom.child(node.region_state, c, -1.0 if orientation == 1 else 1.0, param)
         return _Node(open=node.open[1:], losses=losses, region_state=state)
 
     def propagate(node: _Node):

@@ -191,6 +191,66 @@ def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
     )
 
 
+def test_four_targets_run_the_lp_geometry_end_to_end(tmp_path, capsys, monkeypatch):
+    """Four targets leave no sweep to check against, so the search's own
+    invariants are checked: each range brackets the baseline and decides
+    ``flippable``, every witness lies on the simplex, and the group count
+    range holds every one-hot count. Both commands must reach the
+    feasibility LPs."""
+    ds = generate_clinical(n=90)
+    extra = ds.features[:, 1] + np.random.default_rng(4).normal(size=ds.n)
+    ds = dataclasses.replace(
+        ds,
+        target_names=ds.target_names + ("mix_t",),
+        targets=np.column_stack([ds.targets, extra]),
+    )
+    data = tmp_path / "four.csv"
+    write_csv(ds, data)
+    targets = ",".join(ds.target_names)
+    lp_calls = []
+    linprog = solver.linprog
+
+    def counting_linprog(*args, **kwargs):
+        lp_calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "linprog", counting_linprog)
+
+    def on_simplex(alpha):
+        alpha = np.asarray(alpha)
+        return alpha.shape == (4,) and alpha.min() >= -1e-9 and abs(alpha.sum() - 1.0) <= 1e-9
+
+    note = "certify: no oracle applies (4 targets; the blend sweeps take 2 or 3)\n"
+    kappa = 5
+    assert main([
+        "ambiguity-multi", "--data", str(data), "--targets", targets,
+        "--kappa", str(kappa), "--certify", "--out", str(tmp_path / "m.jsonl"),
+    ]) == EXIT_OK
+    assert capsys.readouterr().err == note
+    assert lp_calls
+    _, reports = read_reports_jsonl(tmp_path / "m.jsonl")
+    assert reports and any(rep.flippable for rep in reports)
+    for rep in reports:
+        assert rep.method == "mip_certified"
+        assert rep.min_rank <= rep.baseline_rank <= rep.max_rank
+        assert rep.flippable == (rep.min_rank <= kappa < rep.max_rank)
+        assert (rep.witness is not None) == rep.flippable
+        assert rep.witness is None or on_simplex(rep.witness)
+
+    lp_calls.clear()
+    out = tmp_path / "f.json"
+    assert main([
+        "fairness-range", "--data", str(data), "--targets", targets, "--group", "black",
+        "--kappa", "20%", "--certify", "--out", str(out),
+    ]) == EXIT_OK
+    assert capsys.readouterr().err == note
+    assert lp_calls
+    rep = json.loads(out.read_text())["report"]["tune_report"]
+    assert rep["status_min"] == rep["status_max"] == "optimal"
+    assert all(rep["min_count"] <= c <= rep["max_count"] for c in rep["one_hot_counts"])
+    assert on_simplex(rep["alpha_at_min"]) and on_simplex(rep["alpha_at_max"])
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -303,6 +363,14 @@ def test_data_errors(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "SchemaError"
     assert "['x'] repeat" in err["error"]["message"]
+
+    # A header name over csv's field limit is refused, not a traceback.
+    long_name = tmp_path / "long.csv"
+    long_name.write_text(f"x,{'n' * 200_000},y,group\n" + "".join(f"{i},{-i},{i % 3},g\n" for i in range(6)))
+    assert main(["fit", "--data", str(long_name), "--targets", "y", "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "SchemaError"
+    assert "field limit" in err["error"]["message"]
 
 
 def test_split_cells_are_checked_in_full(table, tmp_path, capsys):

@@ -100,6 +100,10 @@ def test_load_requires_group_column(tmp_path):
         ("x,z,group", r"target column\(s\) \['y'\] not in header"),
         ("row_id,y,group,split", "no feature columns left"),
         ("intercept,y,group", "'intercept' is a reserved feature name"),
+        pytest.param(
+            f"x,{'n' * 200_000},y,group", r"the csv reader refuses the header \(field larger",
+            id="name-over-the-csv-field-limit",
+        ),
     ],
 )
 def test_header_must_fit_the_layout(tmp_path, header, message):
@@ -181,6 +185,13 @@ def _body(**edits):
         pytest.param(
             _body(r1="r1,1.5,2,b,valid"), DataError, r"unknown split tags: \[.*'valid'", None, None,
             id="unknown-split",
+        ),
+        # A 1_000 cell sends the body row by row, where csv's field limit
+        # refuses the two rows with a long id and the reader goes on.
+        pytest.param(
+            _body(r1="r1,1_000,2,b,tune", r2=f"{'r' * 200_000},2.5,3,a,holdout", r3=f"{'r' * 200_000}"),
+            ParseError, r"2 row\(s\) the csv reader refuses \(field larger than field limit "
+            r"\(131072\)\); first at data row 2", 2, 2, id="long-cell",
         ),
         pytest.param("", DataError, "need at least 2 data rows, got 0", None, None, id="header-only"),
         pytest.param(

@@ -54,16 +54,20 @@ def test_prune_is_sound_against_the_sweep(rng):
         assert np.all(pruned.outer_min <= lo) and np.all(pruned.outer_max >= hi)
 
 
-def _envelope_by_column(X, pool, kappa):
+def _envelope_by_column(X, pool, kappa, in_top):
     """Reference envelope: rank every pool column on its own."""
     scores = X @ pool.T
-    enter = np.full(X.shape[0], -1)
-    exit_ = np.full(X.shape[0], -1)
+    cols = np.full(X.shape[0], -1)
     for col in range(scores.shape[1]):
-        ranks = rank_descending(scores[:, col], kappa).ranks
-        enter[(enter < 0) & (ranks <= kappa)] = col
-        exit_[(exit_ < 0) & (ranks > kappa)] = col
-    return enter, exit_
+        moved = (rank_descending(scores[:, col], kappa).ranks <= kappa) != in_top
+        cols[(cols < 0) & moved] = col
+    return cols
+
+
+def _sides(n):
+    """Baseline memberships to test the envelope against: all out, all
+    in, and mixed."""
+    return np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.arange(n) % 3 == 1
 
 
 @pytest.mark.parametrize("width", [ENVELOPE_BLOCK - 1, ENVELOPE_BLOCK, 2 * ENVELOPE_BLOCK + 3])
@@ -79,10 +83,9 @@ def test_pool_envelope_matches_per_column_ranking(width, rng):
     late[:-5] = late[0]  # most rows first change side in the last columns
     for pool in (rounded, integral, late):
         for kappa in (1, n // 2, n):
-            got = _pool_rank_envelope(X, pool, kappa)
-            want = _envelope_by_column(X, pool, kappa)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+            for in_top in _sides(n):
+                got = _pool_rank_envelope(X, pool, kappa, in_top)
+                np.testing.assert_array_equal(got, _envelope_by_column(X, pool, kappa, in_top))
     # Unrounded data of the curve workload's shape: 11 columns and a ball
     # pool of 2n + 1 columns spanning several blocks, where blockwise
     # products must rank like the whole-matrix product.
@@ -91,10 +94,9 @@ def test_pool_envelope_matches_per_column_ranking(width, rng):
     pool = witness_pool(X, rng.normal(size=11), 0.3)
     assert pool.shape[0] == 2 * n + 1 > 3 * ENVELOPE_BLOCK
     for kappa in (1, 3 * n // 100, n // 2, n):
-        got = _pool_rank_envelope(X, pool, kappa)
-        want = _envelope_by_column(X, pool, kappa)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        for in_top in _sides(n):
+            got = _pool_rank_envelope(X, pool, kappa, in_top)
+            np.testing.assert_array_equal(got, _envelope_by_column(X, pool, kappa, in_top))
 
 
 def test_pool_envelope_rejects_non_finite_scores(rng):
@@ -102,7 +104,7 @@ def test_pool_envelope_rejects_non_finite_scores(rng):
     pool = rng.normal(size=(5, 2))
     pool[3, 1] = np.nan
     with pytest.raises(ValueError):
-        _pool_rank_envelope(X, pool, 3)
+        _pool_rank_envelope(X, pool, 3, np.zeros(10, dtype=bool))
 
 
 def test_flip_search_agrees_with_sweep_exact_mode(rng):
@@ -419,7 +421,7 @@ def test_open_row_envelope_matches_the_full_envelope(family, rng, monkeypatch):
                     m.setattr(
                         rashomon_single,
                         "_pool_rank_envelope",
-                        lambda X, pool, kappa: _envelope_by_column(X, pool, kappa),
+                        lambda X, pool, kappa, in_top: _envelope_by_column(X, pool, kappa, in_top),
                     )
                     none = np.zeros(n, dtype=bool)
                     unfixed = replace(prune, never_top=none, always_top=none)
@@ -439,9 +441,9 @@ def _count_envelope_calls(monkeypatch):
     calls = []
     original = rashomon_single._pool_rank_envelope
 
-    def counting(V, pool, kappa):
+    def counting(V, pool, kappa, in_top):
         calls.append(V.shape[0])
-        return original(V, pool, kappa)
+        return original(V, pool, kappa, in_top)
 
     monkeypatch.setattr(rashomon_single, "_pool_rank_envelope", counting)
     return calls

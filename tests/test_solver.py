@@ -609,6 +609,107 @@ def test_search_counters_are_pinned():
     assert got == PINNED_SEARCH
 
 
+# (status, value, bound, nodes) of the grid's rank queries asked as verdict
+# queries, at a node budget small enough that some stop short.
+PINNED_VERDICTS = {
+    (0, 'ball', 'min', 1): ('budget_exhausted', 8, 1, 5),
+    (0, 'ball', 'min', 2): ('budget_exhausted', 8, 1, 5),
+    (0, 'ball', 'min', 4): ('budget_exhausted', 8, 1, 5),
+    (0, 'ball', 'min', 6): ('budget_exhausted', 8, 1, 5),
+    (0, 'ball', 'min', 11): ('optimal', 11, 1, 1),
+    (0, 'ball', 'max', 1): ('optimal', 11, 12, 1),
+    (0, 'ball', 'max', 2): ('optimal', 11, 12, 1),
+    (0, 'ball', 'max', 4): ('optimal', 11, 12, 1),
+    (0, 'ball', 'max', 6): ('optimal', 11, 12, 1),
+    (0, 'ball', 'max', 11): ('budget_exhausted', 11, 12, 5),
+    (1, 'ball', 'min', 1): ('budget_exhausted', 5, 1, 5),
+    (1, 'ball', 'min', 2): ('budget_exhausted', 5, 1, 5),
+    (1, 'ball', 'min', 4): ('budget_exhausted', 5, 1, 5),
+    (1, 'ball', 'min', 6): ('optimal', 6, 1, 4),
+    (1, 'ball', 'min', 11): ('optimal', 9, 1, 1),
+    (1, 'ball', 'max', 1): ('optimal', 9, 12, 1),
+    (1, 'ball', 'max', 2): ('optimal', 9, 12, 1),
+    (1, 'ball', 'max', 4): ('optimal', 9, 12, 1),
+    (1, 'ball', 'max', 6): ('optimal', 9, 12, 1),
+    (1, 'ball', 'max', 11): ('budget_exhausted', 9, 12, 5),
+    (2, 'interval', 'min', 1): ('optimal', 2, 2, 3),
+    (2, 'interval', 'min', 2): ('optimal', 2, 2, 2),
+    (2, 'interval', 'min', 5): ('optimal', 3, 1, 1),
+    (2, 'interval', 'min', 8): ('optimal', 3, 1, 1),
+    (2, 'interval', 'min', 15): ('optimal', 3, 1, 1),
+    (2, 'interval', 'max', 1): ('optimal', 3, 6, 1),
+    (2, 'interval', 'max', 2): ('optimal', 3, 6, 1),
+    (2, 'interval', 'max', 5): ('optimal', 3, 4, 3),
+    (2, 'interval', 'max', 8): ('optimal', 3, 6, 1),
+    (2, 'interval', 'max', 15): ('optimal', 3, 6, 1),
+    (3, 'interval', 'min', 1): ('optimal', 4, 2, 1),
+    (3, 'interval', 'min', 2): ('optimal', 4, 3, 5),
+    (3, 'interval', 'min', 5): ('optimal', 4, 2, 1),
+    (3, 'interval', 'min', 8): ('optimal', 4, 2, 1),
+    (3, 'interval', 'min', 15): ('optimal', 4, 2, 1),
+    (3, 'interval', 'max', 1): ('optimal', 4, 9, 1),
+    (3, 'interval', 'max', 2): ('optimal', 4, 9, 1),
+    (3, 'interval', 'max', 5): ('optimal', 6, 8, 2),
+    (3, 'interval', 'max', 8): ('optimal', 6, 7, 3),
+    (3, 'interval', 'max', 15): ('optimal', 4, 9, 1),
+    (4, 'polygon', 'min', 1): ('optimal', 14, 4, 1),
+    (4, 'polygon', 'min', 2): ('optimal', 14, 4, 1),
+    (4, 'polygon', 'min', 5): ('budget_exhausted', 8, 5, 5),
+    (4, 'polygon', 'min', 8): ('optimal', 8, 5, 2),
+    (4, 'polygon', 'min', 15): ('optimal', 14, 4, 1),
+    (4, 'polygon', 'max', 1): ('optimal', 14, 16, 1),
+    (4, 'polygon', 'max', 2): ('optimal', 14, 16, 1),
+    (4, 'polygon', 'max', 5): ('optimal', 14, 16, 1),
+    (4, 'polygon', 'max', 8): ('optimal', 14, 16, 1),
+    (4, 'polygon', 'max', 15): ('optimal', 16, 16, 5),
+    (5, 'polygon', 'min', 1): ('optimal', 10, 3, 1),
+    (5, 'polygon', 'min', 2): ('optimal', 10, 3, 1),
+    (5, 'polygon', 'min', 5): ('budget_exhausted', 7, 4, 5),
+    (5, 'polygon', 'min', 8): ('optimal', 7, 3, 2),
+    (5, 'polygon', 'min', 15): ('optimal', 10, 3, 1),
+    (5, 'polygon', 'max', 1): ('optimal', 10, 13, 1),
+    (5, 'polygon', 'max', 2): ('optimal', 10, 13, 1),
+    (5, 'polygon', 'max', 5): ('optimal', 10, 13, 1),
+    (5, 'polygon', 'max', 8): ('optimal', 10, 13, 1),
+    (5, 'polygon', 'max', 15): ('optimal', 10, 13, 1),
+    (6, 'lp', 'min', 1): ('optimal', 1, 1, 1),
+    (6, 'lp', 'min', 2): ('optimal', 1, 1, 1),
+    (6, 'lp', 'min', 3): ('optimal', 1, 1, 1),
+    (6, 'lp', 'min', 4): ('optimal', 1, 1, 1),
+    (6, 'lp', 'min', 8): ('optimal', 1, 1, 1),
+    (6, 'lp', 'max', 1): ('optimal', 4, 9, 2),
+    (6, 'lp', 'max', 2): ('optimal', 4, 9, 2),
+    (6, 'lp', 'max', 3): ('optimal', 4, 9, 2),
+    (6, 'lp', 'max', 4): ('optimal', 9, 9, 4),
+    (6, 'lp', 'max', 8): ('optimal', 9, 9, 4),
+    (7, 'lp', 'min', 1): ('optimal', 1, 1, 5),
+    (7, 'lp', 'min', 2): ('optimal', 2, 1, 2),
+    (7, 'lp', 'min', 3): ('optimal', 2, 1, 2),
+    (7, 'lp', 'min', 4): ('optimal', 4, 1, 1),
+    (7, 'lp', 'min', 8): ('optimal', 4, 1, 1),
+    (7, 'lp', 'max', 1): ('optimal', 3, 9, 1),
+    (7, 'lp', 'max', 2): ('optimal', 3, 9, 1),
+    (7, 'lp', 'max', 3): ('optimal', 7, 9, 2),
+    (7, 'lp', 'max', 4): ('optimal', 7, 9, 2),
+    (7, 'lp', 'max', 8): ('budget_exhausted', 8, 9, 5),
+}
+
+
+def test_verdict_search_counters_are_pinned():
+    """Pruning against kappa, the stop at the first crossing incumbent and
+    the reported bound of a verdict search stay fixed."""
+    cfg = SolverConfig(node_budget=5, time_budget=1e9)
+    got = {}
+    for (case, family, objective, sense), inst in _pinned_grid():
+        if objective != "rank":
+            continue
+        n = inst.n_rows
+        for kappa in sorted({1, 2, n // 3, n // 2, n - 1}):
+            s = solve(replace(inst, kappa=kappa), cfg)
+            got[case, family, sense, kappa] = (s.status, s.value, s.bound, s.nodes)
+    assert got == PINNED_VERDICTS
+
+
 def test_repeated_group_rows_solve_like_distinct_ones(rng):
     """A group row listed twice still counts once: every solution field
     matches the de-duplicated query."""

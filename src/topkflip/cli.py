@@ -8,7 +8,7 @@ field, identical flags and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 a --certify oracle cross-check disagreed with
 the solver, 2 usage error, 3 data error, 4 a search stopped short of a
-certified answer: budget exhausted or a ball node undecided (partial
+certified answer: budget exhausted or a node undecided (partial
 results are still written). Errors are mirrored as a one-line
 JSON object on stderr.
 """
@@ -486,7 +486,10 @@ def _cmd_stable_points(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(n=args.n, b=args.b, seed=args.seed)
+    try:
+        cfg = SynthConfig(n=args.n, b=args.b, seed=args.seed)
+    except ValueError as exc:  # --n and --b are the fields it can refuse
+        raise UsageError(f"--n {args.n} --b {args.b}: {exc}") from None
     write_csv(generate(cfg), args.out)
     return EXIT_OK
 

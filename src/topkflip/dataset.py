@@ -189,14 +189,14 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
     One ``np.loadtxt`` call reads most tables in the grammar ``load_csv``
     documents. The rest go row by row through ``csv.reader`` and
     ``float()``: a body NumPy refuses, an empty one, and one holding a
-    ``_NUMPY_ONLY_SPACE`` separator. That path also accepts ``1_000``,
-    Unicode digits and lone ``\\r`` line ends, and it names the first bad
-    row of a body no reader accepts, such as a cell over csv's field limit.
+    ``_NUMPY_ONLY_SPACE`` separator or a cell over csv's field limit.
+    That path also accepts ``1_000``, Unicode digits and lone ``\\r``
+    line ends, and it names the first bad row of a body no reader accepts.
     """
     dtype = np.dtype(
         [(f"f{j}", object if name in RESERVED_COLUMNS else np.float64) for j, name in enumerate(header)]
     )
-    if body.strip() and not any(ch in body for ch in _NUMPY_ONLY_SPACE):
+    if body.strip() and not any(ch in body for ch in _NUMPY_ONLY_SPACE) and not _long_stretch(body):
         try:
             table = np.loadtxt(
                 io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
@@ -204,8 +204,12 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
         except ValueError:
             pass
         else:
-            _check_row_count(len(table), path)
-            return table
+            # A quoted reserved cell may hold commas: check its parsed length.
+            limit = csv.field_size_limit()
+            reserved = [f"f{j}" for j, name in enumerate(header) if name in RESERVED_COLUMNS]
+            if not any(len(cell) > limit for f in reserved for cell in table[f]):
+                _check_row_count(len(table), path)
+                return table
 
     rows, refused = [], []
     reader = csv.reader(io.StringIO(body, newline=""))
@@ -244,6 +248,14 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
         if name in header_index:
             table[f"f{header_index[name]}"] = [row[header_index[name]] for row in rows]
     return table
+
+
+def _long_stretch(body: str) -> bool:
+    """Whether ``body`` may hold a comma-free stretch, such as a cell NumPy
+    parses as a number (it may span lines), over csv's field limit: any
+    such stretch covers an aligned block of half the limit with no comma."""
+    size = max(1, csv.field_size_limit() // 2)
+    return any(body.find(",", i, i + size) < 0 for i in range(0, len(body) - size + 1, size))
 
 
 def _check_row_count(n: int, path) -> None:

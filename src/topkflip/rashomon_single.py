@@ -194,10 +194,9 @@ def _certify_rows(
                 sols = {s: solve(replace(inst, sense=s), cfg) for s in ("min", "max")}
             else:
                 sols = {verdict: solve(replace(inst, sense=verdict, kappa=kappa), cfg)}
+            # A settled optimizing search's bound is its optimum.
             for side, sol in sols.items():
-                if sol.status == "optimal" and rank_mode == "exact":
-                    ranks[side] = int(sol.value)
-                elif sol.bound is not None:
+                if sol.bound is not None:
                     ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
             certified = all(sol.status == "optimal" for sol in sols.values())
             method = "mip_certified" if certified else "undetermined"
@@ -244,8 +243,8 @@ def flip_search(
     baseline-top row, the min rank of any other) is the verdict search's
     bound, on the same side of kappa as the exact extreme.
     ``rank_mode="exact"`` solves both rank extremes for every row. A
-    search that stops short (budget exhaustion, or an undecided ball
-    node) degrades a row to method ``undetermined`` with outer bounds;
+    search that stops short (budget exhaustion, or an undecided node)
+    degrades a row to method ``undetermined`` with outer bounds;
     its flippable flag stays None unless an incumbent across the cut or
     the surviving bounds already decide it.
     ``extra_models`` adds candidate coefficient vectors to the witness

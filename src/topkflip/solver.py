@@ -27,10 +27,11 @@ whether a loss on an objective row helps the sense.
 
 Bounds are admissible counting arguments, incumbents come from feasibility
 witnesses with a safety margin so a reported value is always attainable,
-and the whole search is deterministic for a fixed node budget. A rank
-query with a cut decides which side of it the focal row can reach rather
-than optimizing: it stops at the first incumbent across the cut and
-prunes every node whose bound cannot cross.
+and the whole search is deterministic for a fixed node budget. Every node
+is pruned against one value to beat: the incumbent, or for a rank query
+with a cut, which asks only which side of it the focal row can reach, a
+fixed target across the cut, whose first incumbent beyond it ends the
+search.
 """
 
 from __future__ import annotations
@@ -140,15 +141,15 @@ class MipSolution:
 
     ``value`` is in final units (a rank, or a selected-group count) and is
     attained by ``witness``; ``bound`` is the proven limit on the optimum.
-    For an optimizing query ``bound`` equals ``value`` when status is
-    ``optimal``. For a verdict query (a rank query with ``kappa`` set)
-    ``optimal`` means the verdict is settled: ``value`` and ``bound`` lie
-    on the same side of kappa, and need not be equal.
+    ``status`` is ``optimal`` when the query is settled and has a witness:
+    ``bound`` then equals ``value`` for an optimizing query, and lies on
+    the same side of kappa for a verdict query (a rank query with
+    ``kappa`` set). Otherwise it is ``budget_exhausted`` when a budget ran
+    out, else ``undecided``: a node no certificate decides (a degenerate
+    ball cone, or a feasibility LP HiGHS fails on) could still beat the
+    value to beat.
     """
 
-    # "optimal" | "infeasible" | "budget_exhausted" | "undecided"; the
-    # last means a node's feasibility could not be certified either way
-    # and the incumbent does not prune that node's bound.
     status: str
     value: int | None
     bound: int | None
@@ -158,7 +159,7 @@ class MipSolution:
     free_pairs: int
 
     def __post_init__(self):
-        if self.status not in ("optimal", "infeasible", "budget_exhausted", "undecided"):
+        if self.status not in ("optimal", "budget_exhausted", "undecided"):
             raise ValueError(f"unknown status {self.status!r}")
 
 
@@ -450,10 +451,8 @@ def screen_ball(
 
 # ---------------------------------------------------------------------------
 # Region state: immutable per-node geometry with an exact feasibility test.
-
-
-class FeasibilityUndecided(RuntimeError):
-    """No certificate settles a node's feasibility either way."""
+# ``feasible`` returns the verdict (True, False, or None when no
+# certificate settles it either way) and, when True, a witness point.
 
 
 class _BallGeom:
@@ -518,8 +517,8 @@ class _BallGeom:
         Lawson-Hanson NNLS projects the center onto the polar cone. BVLS
         is the fallback when NNLS hits its iteration cap or its multipliers
         certify neither side. Either way the answer is accepted only with
-        its certificate, and a cone that defeats both solvers raises
-        :class:`FeasibilityUndecided` instead of guessing.
+        its certificate, and a cone that defeats both solvers is undecided
+        (None) instead of guessed.
         """
         rows, witness = state
         if witness is not None:
@@ -536,11 +535,6 @@ class _BallGeom:
         if verdict is None:
             res = lsq_linear(An, self.center, bounds=(0.0, np.inf), method="bvls", tol=1e-14)
             verdict, point = self._certify(An, np.maximum(res.x, 0.0))
-        if verdict is None:
-            raise FeasibilityUndecided(
-                "ball-cone feasibility could not be certified either way; "
-                "the halfspace system is numerically degenerate"
-            )
         return verdict, point
 
     def free_ranges(self, state, ids):
@@ -671,7 +665,9 @@ class _LPGeom:
         )
         if res.status == 0:
             return True, np.asarray(res.x)
-        return False, None
+        # Only infeasibility (2) proves the node empty; an iteration limit
+        # or numerical trouble decides nothing.
+        return (False if res.status == 2 else None), None
 
     def free_ranges(self, state, ids):
         return None
@@ -711,23 +707,27 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     """Run the query to optimality or budget exhaustion.
 
     Deterministic for a fixed node budget; the time budget is a coarse
-    safety valve checked every few hundred nodes. A node whose
-    feasibility no certificate settles yields no incumbent and is not
-    branched; its bound joins the outer bound, and unless the incumbent
-    prunes it the query ends ``undecided``.
+    safety valve checked every few hundred nodes.
 
     A rank query with ``kappa`` set is a verdict query: it asks only
     whether the focal row can cross the top-kappa cut in the sense's
     direction (``max``: a rank above kappa; ``min``: a rank of at most
-    kappa). It stops at the first incumbent that crosses, and it also
-    prunes every node whose bound cannot cross. Either answer ends
-    ``optimal``; the bound then covers every node the search left, so it
-    lies on the same side of kappa as the value.
+    kappa). It is the optimizing search with a fixed value to beat,
+    ``kappa`` for ``max`` and ``kappa + 1`` for ``min``, and it stops at
+    the first incumbent that beats it; any other query beats its
+    incumbent. Every node whose bound cannot beat that value is pruned.
+    A node whose feasibility no certificate settles is not branched and
+    stays open. The query is settled when it crossed, or when no open
+    node's bound could beat the value to beat (see :class:`MipSolution`
+    for the status); ``bound`` is the extreme of the open, pruned and
+    incumbent values.
     """
     cfg = config or SolverConfig()
     sense = inst.sense
     rank = inst.objective == "rank"
-    verdict = rank and inst.kappa is not None
+    target = None
+    if rank and inst.kappa is not None:
+        target = inst.kappa if sense == "max" else inst.kappa + 1
     # Snap rounding-noise gap components (exactly tied pairs seen through
     # upstream factorizations) to zero: an exact tie then stays exact
     # instead of cutting an ill-conditioned sliver of the region.
@@ -758,6 +758,10 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     def count(slots) -> NDArray[np.int64]:
         return np.bincount(slots, minlength=m + 1)
 
+    def charge(ones, zeros) -> NDArray[np.int64]:
+        """Losses per slot of orienting the pairs ``ones`` 1 and ``zeros`` 0."""
+        return count(s_below[ones]) + count(s_above[zeros])
+
     # Root presolve: orientations forced by a sign-definite gap range.
     forced1 = glo > tol_forced
     forced0 = ghi < -tol_forced
@@ -769,7 +773,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     # pairs between two group rows are genuinely combinatorial and stay.
     greedy = free & wild & ((s_above < m) != (s_below < m))
     onto = np.where((s_above < m) == loss_helps, s_above, s_below)
-    base_losses = count(s_below[forced1]) + count(s_above[forced0]) + count(onto[greedy])
+    base_losses = charge(forced1, forced0) + count(onto[greedy])
     free &= ~greedy
 
     # Static branch order: most evenly split gap range first, then larger
@@ -807,10 +811,6 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             return 1 + int(losses[0])
         return int(np.sum(1 + losses[:m] <= inst.kappa))
 
-    def crosses(v: int) -> bool:
-        """Whether a rank lies across the cut in the sense's direction."""
-        return v > inst.kappa if sense == "max" else v <= inst.kappa
-
     def better(a: int, b: int) -> bool:
         return a < b if sense == "min" else a > b
 
@@ -819,7 +819,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         when a loss helps it may charge both its ends."""
         if not loss_helps:
             return value(node.losses)
-        return value(node.losses + count(s_above[node.open]) + count(s_below[node.open]))
+        return value(node.losses + charge(node.open, node.open))
 
     def witness_update(node: _Node, param):
         """Turn a feasibility witness into an attained objective value.
@@ -834,17 +834,18 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         idx = node.open
         if idx.shape[0]:
             vals = G[idx] @ param
-            losses = losses + count(s_below[idx[vals >= mtol]]) + count(s_above[idx[vals <= -mtol]])
+            losses = losses + charge(idx[vals >= mtol], idx[vals <= -mtol])
             if not loss_helps:
                 amb = idx[np.abs(vals) < mtol]
-                losses += count(s_above[amb]) + count(s_below[amb])
+                losses += charge(amb, amb)
         v = value(losses)
         if incumbent_value is None or better(v, incumbent_value):
             incumbent_value = v
             incumbent_witness = np.asarray(param, dtype=np.float64).copy()
 
-    def prunable(bound_val: int) -> bool:
-        return incumbent_value is not None and not better(bound_val, incumbent_value)
+    def can_beat(bound_val: int) -> bool:
+        to_beat = incumbent_value if target is None else target
+        return to_beat is None or better(bound_val, to_beat)
 
     def make_child(node: _Node, orientation: int, param) -> _Node:
         c = node.open[0]
@@ -872,13 +873,12 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         hit0 = r_hi < -tol_forced
         if not (hit1.any() or hit0.any()):
             return
-        node.losses += count(s_below[node.open[hit1]]) + count(s_above[node.open[hit0]])
+        node.losses += charge(node.open[hit1], node.open[hit0])
         node.open = node.open[~(hit1 | hit0)]
 
     stack = [_Node(open=np.arange(F, dtype=np.int64), losses=base_losses, region_state=geom.root())]
     undecided_bounds: list[int] = []
-    # Verdict queries: the extreme bound of the nodes pruned against kappa.
-    kappa_pruned: int | None = None
+    pruned: int | None = None  # the extreme bound of the pruned nodes
     crossed = False
     nodes = 0
     start = time.monotonic()
@@ -889,51 +889,34 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             break
         node = stack.pop()
         nodes += 1
-        try:
-            ok, param = geom.feasible(node.region_state)
-        except FeasibilityUndecided:
+        ok, param = geom.feasible(node.region_state)
+        if ok is None:
             undecided_bounds.append(node_bound(node))
             continue
         if not ok:
             continue
         propagate(node)
         witness_update(node, param)
-        if verdict and crosses(incumbent_value):
+        if target is not None and better(incumbent_value, target):
             crossed = True
-            if node.open.shape[0]:
-                stack.append(node)  # its unexplored subtree joins the outer bound
+            stack.append(node)  # its unexplored subtree joins the bound
             break
         if not node.open.shape[0]:
             continue  # leaf; witness_update already recorded its exact value
         b = node_bound(node)
-        if prunable(b):
-            continue
-        if verdict and not crosses(b):
-            kappa_pruned = b if kappa_pruned is None else extreme(kappa_pruned, b)
+        if not can_beat(b):
+            pruned = b if pruned is None else extreme(pruned, b)
             continue
         pref = int(preferred[node.open[0]])
         stack.append(make_child(node, 1 - pref, param))
         stack.append(make_child(node, pref, param))
 
-    open_bounds = undecided_bounds + [node_bound(nd) for nd in stack]
-    outer = extreme(open_bounds, default=None)
-    if verdict:
-        if crossed or outer is None or not crosses(outer):
-            status = "optimal"
-        else:
-            status = "budget_exhausted" if exhausted else "undecided"
-        known = [v for v in (outer, kappa_pruned, incumbent_value) if v is not None]
-        bound = extreme(known, default=None)
-    elif not open_bounds or prunable(outer):
-        status, bound = "optimal", incumbent_value
-    else:
-        status, bound = ("budget_exhausted" if exhausted else "undecided"), outer
-
-    if incumbent_value is None:
-        # The root region is never empty for the supported region types, so
-        # this means the budget died, or the root stayed undecided, before
-        # any witness.
-        status = "budget_exhausted" if exhausted else "undecided" if undecided_bounds else "infeasible"
+    outer = extreme(undecided_bounds + [node_bound(nd) for nd in stack], default=None)
+    settled = crossed or outer is None or not can_beat(outer)
+    status = "budget_exhausted" if exhausted else "undecided"
+    if settled and incumbent_value is not None:
+        status = "optimal"
+    bound = extreme((v for v in (outer, pruned, incumbent_value) if v is not None), default=None)
 
     return MipSolution(
         status=status,

@@ -39,9 +39,9 @@ class SynthConfig:
     n : int
         Number of rows, at least 10.
     b : float
-        Slope of the second target on standardized age. Negative values
-        make both targets favor the young; positive values put them in
-        opposition.
+        Slope of the second target on standardized age, finite. Negative
+        values make both targets favor the young; positive values put
+        them in opposition.
     group_band : tuple of float
         Age quantile band (lo, hi) where protected-group membership is
         most likely.
@@ -66,6 +66,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 10:
             raise ValueError(f"need n >= 10, got {self.n}")
+        if not np.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
         lo, hi = self.group_band
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"group_band must satisfy 0 <= lo < hi <= 1, got {self.group_band}")

@@ -13,10 +13,12 @@ feature columns by pattern.
 import os
 import re
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from topkflip import solver
 from topkflip.dataset import load_csv
 from topkflip.synth import generate_clinical
 
@@ -93,3 +95,18 @@ def assert_reports_equal(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), g.row_id
             else:
                 assert a == b, (g.row_id, f.name, a, b)
+
+
+def fail_lps_after_the_first(monkeypatch):
+    """Make every feasibility LP after the first report HiGHS status 4
+    (numerical difficulties), which proves nothing about the node."""
+    linprog = solver.linprog
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            return linprog(*args, **kwargs)
+        return SimpleNamespace(status=4, x=None)
+
+    monkeypatch.setattr(solver, "linprog", failing)

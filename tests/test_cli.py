@@ -14,6 +14,8 @@ from topkflip.fairness import PhaseError
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl
 from topkflip.synth import SynthConfig, generate, generate_clinical
 
+from conftest import fail_lps_after_the_first
+
 
 @pytest.fixture(scope="module")
 def table(tmp_path_factory):
@@ -191,12 +193,8 @@ def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
     )
 
 
-def test_four_targets_run_the_lp_geometry_end_to_end(tmp_path, capsys, monkeypatch):
-    """Four targets leave no sweep to check against, so the search's own
-    invariants are checked: each range brackets the baseline and decides
-    ``flippable``, every witness lies on the simplex, and the group count
-    range holds every one-hot count. Both commands must reach the
-    feasibility LPs."""
+def _four_target_table(tmp_path):
+    """A clinical table with a fourth target; returns its path and targets."""
     ds = generate_clinical(n=90)
     extra = ds.features[:, 1] + np.random.default_rng(4).normal(size=ds.n)
     ds = dataclasses.replace(
@@ -206,7 +204,16 @@ def test_four_targets_run_the_lp_geometry_end_to_end(tmp_path, capsys, monkeypat
     )
     data = tmp_path / "four.csv"
     write_csv(ds, data)
-    targets = ",".join(ds.target_names)
+    return data, ",".join(ds.target_names)
+
+
+def test_four_targets_run_the_lp_geometry_end_to_end(tmp_path, capsys, monkeypatch):
+    """Four targets leave no sweep to check against, so the search's own
+    invariants are checked: each range brackets the baseline and decides
+    ``flippable``, every witness lies on the simplex, and the group count
+    range holds every one-hot count. Both commands must reach the
+    feasibility LPs."""
+    data, targets = _four_target_table(tmp_path)
     lp_calls = []
     linprog = solver.linprog
 
@@ -249,6 +256,17 @@ def test_four_targets_run_the_lp_geometry_end_to_end(tmp_path, capsys, monkeypat
     assert rep["status_min"] == rep["status_max"] == "optimal"
     assert all(rep["min_count"] <= c <= rep["max_count"] for c in rep["one_hot_counts"])
     assert on_simplex(rep["alpha_at_min"]) and on_simplex(rep["alpha_at_max"])
+
+
+def test_failed_lps_exit_4_not_0(tmp_path, monkeypatch):
+    """A feasibility LP that HiGHS fails on settles nothing, so the rows
+    whose searches meet one are not certified and the run exits 4."""
+    data, targets = _four_target_table(tmp_path)
+    fail_lps_after_the_first(monkeypatch)
+    assert main([
+        "ambiguity-multi", "--data", str(data), "--targets", targets,
+        "--kappa", "5", "--out", str(tmp_path / "m.jsonl"),
+    ]) == EXIT_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -598,6 +616,20 @@ def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, fl
     out = tmp_path / "o.csv"
     assert main(flags + ["--data", str(table), "--out", str(out)]) == EXIT_USAGE
     assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, b, message",
+    [("5", "0.5", "need n >= 10, got 5"), ("60", "nan", "b must be finite"), ("60", "inf", "b must be finite")],
+    ids=["small-n", "nan-b", "inf-b"],
+)
+def test_bad_synth_flags_are_usage_errors(tmp_path, capsys, n, b, message):
+    out = tmp_path / "t.csv"
+    assert main(["synth", "--n", n, "--b", b, "--out", str(out)]) == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["exit_code"] == EXIT_USAGE
+    assert error["message"].startswith(f"--n {n} --b {float(b)}: {message}")
     assert not out.exists()
 
 

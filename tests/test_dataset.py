@@ -217,6 +217,46 @@ def test_loader_refusals(tmp_path, capsys, body, error, message, row_index, bad_
     assert doc["error"]["message"] == str(err.value)
 
 
+_LONG = 200_000
+
+
+@pytest.mark.parametrize(
+    "row0",
+    [
+        pytest.param(f"{'r' * _LONG},0.5,1,a,train", id="row-id"),
+        pytest.param(f"r0,{' ' * _LONG}0.5,1,a,train", id="padded-number"),
+        pytest.param(f'r0,0.5,1,"{"a" * (_LONG // 2)}\n{"a" * (_LONG // 2)}",train', id="two-line-group"),
+        pytest.param(f'r0,0.5,1,"{"a," * (_LONG // 4)}\n{"a," * (_LONG // 4)}",train', id="group-with-commas"),
+        pytest.param(f'r0,"{" " * (_LONG // 2)}\n{" " * (_LONG // 2)}0.5",1,a,train', id="two-line-number"),
+    ],
+)
+@pytest.mark.parametrize("row1", ["r1,1.5,2,b,tune", "r1,1_000,2,b,tune"], ids=["bulk", "row-by-row"])
+def test_cells_over_the_field_limit_are_refused_on_either_path(tmp_path, capsys, row0, row1):
+    """Whether a cell over csv's field limit is refused does not depend on
+    which path reads the rest of the table."""
+    p = tmp_path / "long.csv"
+    p.write_text(f"row_id,x,y,group,split\n{row0}\n{row1}\n")
+    message = (
+        "1 row(s) the csv reader refuses (field larger than field limit (131072)); "
+        "first at data row 0"
+    )
+    with pytest.raises(ParseError) as err:
+        load_csv(p, ("y",))
+    assert str(err.value) == f"{p}: {message}"
+    assert (err.value.row_index, err.value.bad_count) == (0, 1)
+    assert main(["fit", "--data", str(p), "--targets", "y", "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("row1", ["r1,1.5,2,b,tune", "r1,1_000,2,b,tune"], ids=["bulk", "row-by-row"])
+def test_cells_under_the_field_limit_load_on_either_path(tmp_path, row1):
+    p = tmp_path / "long.csv"
+    group = '"' + "a," * 50_000 + '"'
+    p.write_text(f"row_id,x,y,group,split\n{'r' * 100_000},0.5,1,{group},train\n{row1}\n")
+    ds = load_csv(p, ("y",))
+    assert (len(ds.row_ids[0]), len(ds.groups[0])) == (100_000, 100_000)
+
+
 @pytest.mark.parametrize("tag", ["holdout_old", "trainXYZ"])
 def test_split_cells_are_checked_in_full(tmp_path, tag):
     p = tmp_path / "split.csv"

@@ -31,7 +31,7 @@ from topkflip.solver import (
     solve,
 )
 
-from conftest import random_design, rank_attained
+from conftest import fail_lps_after_the_first, random_design, rank_attained
 
 
 def _sampled_rank_range(V, centers, focal, kappa=None):
@@ -250,6 +250,19 @@ def test_undecided_ball_nodes_never_raise(monkeypatch):
             # The bound is admissible: it brackets the optimum from outside.
             assert (sol.bound <= truth) if sense == "min" else (sol.bound >= truth)
     assert undecided > len(queries) // 2
+
+
+def test_failed_lps_leave_the_query_undecided(monkeypatch):
+    """An LP node HiGHS fails on is undecided, not empty: the query does
+    not claim its incumbent as the optimum, and its bound still brackets
+    the true optimum."""
+    V = np.random.default_rng(3).normal(size=(9, 4))
+    inst = rank_query("max", SimplexRegion(dim=4), V, 0)
+    assert solve(inst).value == 9
+    fail_lps_after_the_first(monkeypatch)
+    sol = solve(inst)
+    assert sol.status == "undecided"
+    assert sol.bound >= 9
 
 
 def test_zero_radius_ball_pins_the_center_ranking(rng):

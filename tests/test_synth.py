@@ -67,11 +67,13 @@ def test_noiseless_run_keeps_the_group_draw():
         {"group_band": (-0.1, 0.5)},
         {"p_in_band": 0.2, "p_out_band": 0.4},
         {"noise_sd": -1.0},
+        {"b": float("nan")},
+        {"b": float("inf")},
     ],
 )
 def test_config_validation(kw):
     with pytest.raises(ValueError):
-        SynthConfig(n=kw.pop("n", 100), b=0.0, **kw)
+        SynthConfig(n=kw.pop("n", 100), b=kw.pop("b", 0.0), **kw)
 
 
 def test_clinical_layout():

@@ -205,9 +205,11 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
             pass
         else:
             # A quoted reserved cell may hold commas: check its parsed length.
+            # With no quote, every cell is a comma-free stretch, and
+            # ``_long_stretch`` already sent any over the limit row by row.
             limit = csv.field_size_limit()
             reserved = [f"f{j}" for j, name in enumerate(header) if name in RESERVED_COLUMNS]
-            if not any(len(cell) > limit for f in reserved for cell in table[f]):
+            if '"' not in body or not any(len(cell) > limit for f in reserved for cell in table[f]):
                 _check_row_count(len(table), path)
                 return table
 

@@ -144,7 +144,7 @@ def group_rate_extremes(
         fields[f"{sense}_rate"] = None if count is None else count / kappa
         fields[f"alpha_at_{sense}"] = _simplest_attaining(blends, count, sol.witness)
         fields[f"status_{sense}"] = sol.status
-        fields[f"bound_{sense}"] = None if sol.bound is None else int(sol.bound)
+        fields[f"bound_{sense}"] = int(sol.bound)
 
     one_hot_counts = [c for _, c in blends[:K]]
     return GroupRateReport(

@@ -196,8 +196,7 @@ def _certify_rows(
                 sols = {verdict: solve(replace(inst, sense=verdict, kappa=kappa), cfg)}
             # A settled optimizing search's bound is its optimum.
             for side, sol in sols.items():
-                if sol.bound is not None:
-                    ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
+                ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
             certified = all(sol.status == "optimal" for sol in sols.values())
             method = "mip_certified" if certified else "undetermined"
             sol = sols[verdict]

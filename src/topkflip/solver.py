@@ -140,7 +140,8 @@ class MipSolution:
     """Outcome of one query.
 
     ``value`` is in final units (a rank, or a selected-group count) and is
-    attained by ``witness``; ``bound`` is the proven limit on the optimum.
+    attained by ``witness``; ``bound`` is the proven limit on the optimum,
+    which every query has.
     ``status`` is ``optimal`` when the query is settled and has a witness:
     ``bound`` then equals ``value`` for an optimizing query, and lies on
     the same side of kappa for a verdict query (a rank query with
@@ -152,7 +153,7 @@ class MipSolution:
 
     status: str
     value: int | None
-    bound: int | None
+    bound: int
     witness: NDArray[np.float64] | None
     nodes: int
     presolve_fixed: int
@@ -266,9 +267,13 @@ def gap_ranges(
 # ---------------------------------------------------------------------------
 # Fixed-membership screen.
 
-# Rows per screen block: a ball block holds a few (SCREEN_BLOCK, n) arrays,
-# a simplex block a few (SCREEN_BLOCK / 64, n) bitset words.
+# Rows per simplex screen block, which holds a few (SCREEN_BLOCK / 64, n)
+# bitset words.
 SCREEN_BLOCK = 256
+# Rows per ball screen block, consecutive in score order; a block holds a
+# few (BALL_BLOCK, band) arrays. Narrow blocks keep each band close to
+# its rows' own: on the clinical curve 32-64 rows beat 256.
+BALL_BLOCK = 32
 PRUNE_REL_TOL = 1e-12
 
 
@@ -296,8 +301,10 @@ def screen_membership(
     strictly above row i everywhere when the region supremum of
     score(i) - score(j) is below ``-PRUNE_REL_TOL * max(1, spread)``; the
     spread, the highest score over the region minus the lowest, bounds
-    every such supremum. Over a ball the supremum comes from
-    :func:`screen_ball`. Over the simplex a linear gap peaks at a one-hot
+    every such supremum. Over a ball the supremum is the center gap plus
+    the radius times the row distance, formed only for the pairs the
+    center gap leaves open: a band around each row in score order
+    (:func:`screen_ball`). Over the simplex a linear gap peaks at a one-hot
     vertex, so j is strictly above i exactly when it is in every target:
     the strict orders are counted from per-target sorted cuts and row
     bitsets (:func:`_screen_simplex`), never as an n x n matrix.
@@ -334,9 +341,10 @@ def _prune_result(count_above, count_below, kappa: int) -> PruneResult:
     return PruneResult(never_top=lo > kappa, always_top=hi <= kappa, outer_min=lo, outer_max=hi)
 
 
-def _strict_cut(a: NDArray[np.float64], s: NDArray[np.float64], tol: float) -> NDArray[np.intp]:
+def _strict_cut(a: NDArray[np.float64], s: NDArray[np.float64], tol) -> NDArray[np.intp]:
     """For each a[i], the first position p of ascending ``s`` with
-    ``a[i] - s[p] < -tol`` (``len(s)`` when there is none).
+    ``a[i] - s[p] < -tol`` (``len(s)`` when there is none); ``tol`` is
+    one tolerance or one per entry of ``a``.
 
     ``fl(a - b)`` is monotone in b, so the predicate holds on a suffix of
     ``s``; a binary search on the very expression the comparison uses
@@ -411,15 +419,32 @@ def screen_ball(
     one center, one result per radius.
 
     The supremum of score(i) - score(j) over a ball is the center gap
-    plus the radius times the row distance. It is formed for
-    ``SCREEN_BLOCK`` rows at a time against every row, in scratch arrays
-    that every block reuses. The distances of a row block do not depend
-    on the radius, so each block's are formed once and serve every
-    radius; one radius scales them in place.
+    plus the radius times the row distance; the rule compares the
+    computed ``radius * D + (s_i - s_j)`` with ``-tol``. Most pairs are
+    ordered by their center gap alone, so the rows are sorted by center
+    score once and each pair is settled in one of two ways:
+
+    * in bulk: no distance from row i exceeds ``norm_i + max norm``, so a
+      partner whose computed score difference exceeds
+      ``h_i = radius * (norm_i + max norm) + tol``, padded for rounding,
+      is ordered at that radius whatever its distance. Per radius,
+      :func:`_strict_cut` finds in score order where those partners
+      start on either side of each row;
+    * exactly: each block of ``BALL_BLOCK`` consecutive rows of the order
+      forms ``cdist`` against the band of positions its rows leave open
+      at some radius, and each radius compares inside its own band,
+      which narrows with the radius.
+
+    A row counts both directions from its own scan: a pair is ordered
+    when ``radius * D - |s_i - s_j|`` is below ``-tol``, the rule's
+    expression for whichever row scores lower, since the computed
+    differences ``s_i - s_j`` and ``s_j - s_i`` are negatives of each
+    other and ``cdist`` is symmetric bit for bit. Every count equals the
+    dense rule's, in O(BALL_BLOCK * n) memory.
     """
     V = np.asarray(V, dtype=np.float64)
     _require_finite(V)
-    n = V.shape[0]
+    n, dim = V.shape
     scores = V @ center
     norms = np.linalg.norm(V, axis=1)
     tols = []
@@ -428,25 +453,63 @@ def screen_ball(
         spread = np.max(scores + reach) - np.min(scores - reach)
         tols.append(PRUNE_REL_TOL * max(1.0, float(spread)))
 
-    shape = (min(n, SCREEN_BLOCK), n)
-    dist_buf, gap_buf, below_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    # One radius scales the distances in place; several need a copy.
-    sup_buf = dist_buf if len(tols) == 1 else np.empty_like(dist_buf)
+    order = np.argsort(scores, kind="stable")
+    s, Vs = scores[order], V[order]
+    # Relative slack over the rounding of the norms and distances (about
+    # dim + 4 roundings each) and of the few products and sums that form h
+    # or meet it.
+    slack = 1.0 + 2 * (dim + 8) * np.finfo(np.float64).eps
+    reach_bound = norms[order] + norms.max(initial=0.0)
+    # Per radius and block of score positions, the band the block's rows
+    # leave open: every partner before it is surely below each of them,
+    # and every partner from its end on surely above.
+    starts = np.arange(0, n, BALL_BLOCK)
+    open_bands = []
+    for radius, tol in zip(radii, tols):
+        h = (radius * reach_bound + tol) * slack
+        lo = np.minimum.reduceat(n - _strict_cut(-s, -s[::-1], h), starts)
+        hi = np.maximum.reduceat(_strict_cut(s, s, h), starts)
+        open_bands.append(zip(lo.tolist(), hi.tolist()))
+
+    # Scratch that every block reuses, viewed at the block's band width.
+    size = min(n, BALL_BLOCK) * n
+    dist_buf, gap_buf, margin_buf = np.empty(size), np.empty(size), np.empty(size)
+    ordered_buf = np.empty(size, dtype=bool)
+    earlier = np.tri(BALL_BLOCK, k=-1, dtype=bool)  # earlier[i, q]: q < i
+    later = earlier.T
     count_above = np.zeros((len(tols), n), dtype=np.int64)
     count_below = np.zeros((len(tols), n), dtype=np.int64)
-    for r0 in range(0, n, SCREEN_BLOCK):
-        rows = slice(r0, r0 + SCREEN_BLOCK)
-        b = V[rows].shape[0]
-        D, gap, sup, below = dist_buf[:b], gap_buf[:b], sup_buf[:b], below_buf[:b]
-        cdist(V[rows], V, out=D)
-        np.subtract(scores[rows, None], scores[None, :], out=gap)
-        for t, (radius, tol) in enumerate(zip(radii, tols)):
-            np.multiply(D, radius, out=sup)
-            sup += gap
-            strictly_below = np.less(sup, -tol, out=below)
-            count_above[t, rows] = strictly_below.sum(axis=1)
-            count_below[t] += strictly_below.sum(axis=0)
-    return [_prune_result(above, below, kappa) for above, below in zip(count_above, count_below)]
+    for p0, bands in zip(starts.tolist(), zip(*open_bands)):
+        p1 = min(n, p0 + BALL_BLOCK)
+        b = p1 - p0
+        w0 = min(lo for lo, _ in bands)
+        w1 = max(hi for _, hi in bands)
+        D = cdist(Vs[p0:p1], Vs[w0:w1], out=_block(dist_buf, b, w1 - w0))
+        gap = np.subtract(s[p0:p1, None], s[None, w0:w1], out=_block(gap_buf, b, w1 - w0))
+        np.abs(gap, out=gap)
+        for t, (radius, tol, (lo, hi)) in enumerate(zip(radii, tols, bands)):
+            cols = slice(lo - w0, hi - w0)
+            margin = np.multiply(D[:, cols], radius, out=_block(margin_buf, b, hi - lo))
+            margin -= gap[:, cols]
+            ordered = np.less(margin, -tol, out=_block(ordered_buf, b, hi - lo))
+            # A partner before the block, or before the row inside it,
+            # scores no higher, so an ordered pair there is one below the
+            # row; a partner after it scores no lower.
+            own = ordered[:, p0 - lo : p1 - lo]
+            below = ordered[:, : p0 - lo].sum(1) + (own & earlier[:b, :b]).sum(1)
+            above = ordered[:, p1 - lo :].sum(1) + (own & later[:b, :b]).sum(1)
+            count_below[t, p0:p1] = lo + below
+            count_above[t, p0:p1] = n - hi + above
+    position = np.argsort(order)  # each row's place in score order
+    return [
+        _prune_result(above[position], below[position], kappa)
+        for above, below in zip(count_above, count_below)
+    ]
+
+
+def _block(buf: NDArray, rows: int, cols: int) -> NDArray:
+    """A C-contiguous (rows, cols) view of the front of a flat buffer."""
+    return buf[: rows * cols].reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +770,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     """Run the query to optimality or budget exhaustion.
 
     Deterministic for a fixed node budget; the time budget is a coarse
-    safety valve checked every few hundred nodes.
+    safety valve checked every few hundred nodes, never before the root
+    is expanded.
 
     A rank query with ``kappa`` set is a verdict query: it asks only
     whether the focal row can cross the top-kappa cut in the sense's
@@ -884,7 +948,9 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     start = time.monotonic()
     exhausted = False
     while stack:
-        if nodes >= cfg.node_budget or (nodes % 256 == 0 and time.monotonic() - start > cfg.time_budget):
+        # The clock is read only after the root, which every query expands.
+        out_of_time = nodes > 0 and nodes % 256 == 0 and time.monotonic() - start > cfg.time_budget
+        if nodes >= cfg.node_budget or out_of_time:
             exhausted = True
             break
         node = stack.pop()
@@ -916,7 +982,9 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     status = "budget_exhausted" if exhausted else "undecided"
     if settled and incumbent_value is not None:
         status = "optimal"
-    bound = extreme((v for v in (outer, pruned, incumbent_value) if v is not None), default=None)
+    # The root is always expanded and its region is never empty, so it
+    # leaves an incumbent or an undecided bound.
+    bound = extreme(v for v in (outer, pruned, incumbent_value) if v is not None)
 
     return MipSolution(
         status=status,

@@ -277,6 +277,15 @@ def test_zero_radius_ball_pins_the_center_ranking(rng):
         assert hi - lo <= 1  # only exact ties can move a degenerate ball's rank
 
 
+def test_a_tiny_time_budget_still_expands_the_root():
+    """The clock is read only after the root, so even a time budget the
+    presolve alone overruns leaves a witness."""
+    V = np.random.default_rng(3).normal(size=(9, 4))[:, :3]
+    sol = solve(rank_query("max", SimplexRegion(dim=3), V, 0), SolverConfig(time_budget=1e-12))
+    assert sol.witness is not None and sol.value is not None
+    assert sol.nodes >= 1
+
+
 def test_budget_exhaustion_reports_bounds(rng):
     V = random_design(rng, 30, 4)
     region = BallRegion(center=rng.normal(size=4), radius=1.0)
@@ -448,6 +457,99 @@ def test_ball_screen_scales_its_tolerance_per_radius():
             assert np.array_equal(getattr(multi, name), getattr(one, name)), (radius, name)
     assert got[0].outer_min.tolist() == [2, 1, 2]
     assert got[1].outer_min.tolist() == [1, 1, 1]
+
+
+def _dense_ball_rule(V, center, radius, kappa):
+    """Reference: every pair's ``fl(radius * cdist) + gap`` against the
+    production tolerance ``PRUNE_REL_TOL * max(1, spread)``, formed as one
+    dense matrix."""
+    n = V.shape[0]
+    scores = V @ center
+    reach = radius * np.linalg.norm(V, axis=1)
+    tol = solver.PRUNE_REL_TOL * max(1.0, float(np.max(scores + reach) - np.min(scores - reach)))
+    strictly_below = np.multiply(cdist(V, V), radius) + (scores[:, None] - scores[None, :]) < -tol
+    outer_min = 1 + strictly_below.sum(axis=1).astype(np.int64)
+    outer_max = (n - strictly_below.sum(axis=0)).astype(np.int64)
+    return {
+        "never_top": outer_min > kappa,
+        "always_top": outer_max <= kappa,
+        "outer_min": outer_min,
+        "outer_max": outer_max,
+    }
+
+
+def _assert_ball_screen_is_dense(V, center, radii, kappas):
+    for kappa in kappas:
+        for radius, got in zip(radii, screen_ball(V, center, radii, kappa)):
+            for name, w in _dense_ball_rule(V, center, radius, kappa).items():
+                g = getattr(got, name)
+                assert g.dtype == w.dtype and np.array_equal(g, w), (radius, kappa, name)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize(
+    "n", [1, 2, solver.BALL_BLOCK - 1, solver.BALL_BLOCK + 1, 5 * solver.BALL_BLOCK + 3]
+)
+def test_band_screen_matches_the_dense_rule(n, scale, rng):
+    """The score-sorted band screen orders exactly the pairs the dense rule
+    orders, across block edges, on one-decimal rows with duplicates,
+    scaled by 10^-6 to 10^6, at radius 0, at radii given out of order,
+    and at a radius so wide that no pair is ordered by its center gap
+    alone."""
+    V = np.round(rng.normal(size=(n, 4)), 1)
+    V[rng.permutation(n)[: n // 3]] = V[rng.integers(0, n, size=n // 3)]
+    V *= scale
+    center = rng.normal(size=4)
+    radii = (0.3, 0.0, 1e6, 0.02, 1.5)
+    _assert_ball_screen_is_dense(V, center, radii, sorted({1, max(1, n // 5), n}))
+    # At the wide radius a distance outweighs any center gap.
+    wide = screen_ball(V, center, (1e6,), 1)[0]
+    assert (wide.outer_min == 1).all() and (wide.outer_max == n).all()
+
+
+def test_band_screen_cuts_exactly_at_the_tolerance(rng):
+    """Pairs on the edge of either rule are counted as the dense rule
+    counts them, with each edge pair split across two blocks so that only
+    the band decides it. One feature and a unit center make the scores
+    the feature itself.
+
+    * Center gaps exactly at -tol or one ulp to either side, at radius 0
+      and near it; rows of 0 and 10 fix the spread at radius 0.
+    * Rows of -1 and +1, whose distance is exactly the sum of their
+      norms, with a center gap a few parts in 10^5 of tol on either side
+      of radius * distance + tol: the bound ``h`` is tight there.
+    """
+    B = solver.BALL_BLOCK
+    tol = solver.PRUNE_REL_TOL * 10.0
+    x = list(np.linspace(0.0, 0.4, B - 1))
+    for j in range(12):
+        a = 0.5 + 0.75 * j
+        high = a + tol
+        for _ in range(j % 3):
+            high = np.nextafter(high, np.inf if j % 2 else -np.inf)
+        x += [a, high] + list(np.linspace(a + 0.1, a + 0.65, B - 2))
+    x.append(10.0)
+    V = np.array(x)[rng.permutation(len(x)), None]
+    assert np.diff(np.sort(V[:, 0]))[B - 1 :: B][:12].max() < 2 * tol  # pairs straddle blocks
+    _assert_ball_screen_is_dense(V, np.array([1.0]), (0.0, 1e-13, 1e-3), (1, B))
+
+    V = np.repeat([[-1.0], [1.0]], B + 8, axis=0)
+    radius = 1.0
+    for shift in (-1e-3, -1e-5, 0.0, 1e-5, 1e-3):
+        # tol is 1e-12 times the spread, about 4 * radius.
+        center = np.array([radius + 2e-12 * (1 + shift)])
+        _assert_ball_screen_is_dense(V, center, (radius,), (1, B))
+
+
+def test_cdist_is_symmetric_bit_for_bit(rng):
+    """The ball screen reads each pair's distance from one row's scan only,
+    so it relies on ``cdist(A, B) == cdist(B, A).T`` bit for bit, and on
+    each entry not depending on the other rows of the call."""
+    for dim in (1, 3, 11, 40):
+        A = rng.normal(size=(37, dim)) * 10.0 ** rng.integers(-6, 7, size=(37, 1))
+        B = rng.normal(size=(29, dim))
+        assert np.array_equal(cdist(A, B), cdist(B, A).T)
+        assert np.array_equal(cdist(A, A)[5:20, 11:30], cdist(A[5:20], A[11:30]))
 
 
 def test_screen_memory_stays_linear_in_rows():

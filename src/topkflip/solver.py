@@ -482,6 +482,7 @@ def screen_ball(
     for p0, bands in zip(starts.tolist(), zip(*open_bands)):
         p1 = min(n, p0 + BALL_BLOCK)
         b = p1 - p0
+        # Distances and gaps over the union of the radii's bands.
         w0 = min(lo for lo, _ in bands)
         w1 = max(hi for _, hi in bands)
         D = cdist(Vs[p0:p1], Vs[w0:w1], out=_block(dist_buf, b, w1 - w0))

@@ -32,13 +32,11 @@ from .rashomon_single import (
     ambiguity_single,
     flip_reports_single,
     flip_search,
-    prune_unflippable,
 )
 from .index_model import (
     IndexEnsemble,
     Standardizer,
     build_ensemble,
-    fit_index_variable,
     flip_reports_multi,
     flip_search_multi,
     prune_never_top_multi,

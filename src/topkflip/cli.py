@@ -20,19 +20,26 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .dataset import DataError, Dataset, drop_columns_matching, load_csv, orthonormalize, write_csv
 from .fairness import PhaseError, fairness_workflow, write_fairness_csv, write_fairness_json
-from .index_model import STANDARDIZATIONS, build_ensemble, flip_reports_multi, flip_search_multi
-from .linear_fit import fit_on_rows
+from .index_model import (
+    STANDARDIZATIONS,
+    build_ensemble,
+    flip_reports_multi,
+    flip_search_multi,
+    prune_never_top_multi,
+)
+from .linear_fit import fit_ols, fit_on_rows, make_ball
 from .metrics import ambiguity_curve, curve_rows, stable_points, stable_rows
 from .oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from .ranking import resolve_kappa
-from .rashomon_single import flip_reports_single
+from .rashomon_single import flip_search
 from .reports import meta_record, write_csv_with_meta, write_reports_jsonl
-from .solver import SolverConfig
+from .solver import SolverConfig, screen_membership
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -409,59 +416,69 @@ def _cmd_fairness_range(args) -> int:
 # ------------------------------------------------------ stable-points
 
 
-def _stable_one_rashomon(payload):
-    X, y, epsilon, epsilon_mode, kappa, cfg = payload
-    reports, _ball = flip_reports_single(
-        X, y, epsilon, kappa, epsilon_mode=epsilon_mode, config=cfg
-    )
-    return stable_points(reports, kappa, "rashomon")
-
-
-def _stable_one_index(payload):
-    preds, kappa, cfg = payload
-    reports = flip_search_multi(preds, kappa, config=cfg)
-    return stable_points(reports, kappa, "index")
+def _stable_one(payload):
+    """One kappa of a sweep: certify against the family's screen and split
+    the reports by the side of the cut they pin."""
+    search, kappa, family = payload
+    return stable_points(search(kappa), kappa, family)
 
 
 def _cmd_stable_points(args) -> int:
-    kappas_raw = [k.strip() for k in args.kappa_sweep.split(",") if k.strip()]
-    if not kappas_raw:
+    sweep = [_parse_kappa(k) for k in args.kappa_sweep.split(",") if k.strip()]
+    if not sweep:
         raise UsageError("empty kappa sweep")
-    if not np.isfinite(args.epsilon) or args.epsilon < 0:
-        raise UsageError(f"--epsilon must be finite and nonnegative, got {args.epsilon}")
+    # Each family reads its own flags, so the other family's are refused.
+    if args.family == "rashomon":
+        foreign = {"--targets": args.targets, "--standardize": args.standardize}
+    else:
+        foreign = {
+            "--target": args.target,
+            "--epsilon": args.epsilon,
+            "--epsilon-mode": args.epsilon_mode,
+        }
+    passed = [flag for flag, value in foreign.items() if value is not None]
+    if passed:
+        raise UsageError(f"the {args.family} family does not read {', '.join(passed)}")
     cfg = _solver_config(args)
 
+    # The family and its screen are built once; the screen's bounds hold
+    # for every kappa of the sweep.
     if args.family == "rashomon":
         if args.target is None:
             raise UsageError("--target is required for the rashomon family")
+        epsilon = 0.1 if args.epsilon is None else args.epsilon
+        if not np.isfinite(epsilon) or epsilon < 0:
+            raise UsageError(f"--epsilon must be finite and nonnegative, got {epsilon}")
+        epsilon_mode = args.epsilon_mode or "relative"
         ds = _load_table(args.data, (args.target,), args.drop_regex, args.seed)
         q = _orthonormal_analysis(ds)
         y = q.target(args.target)
-        kappas = [resolve_kappa(_parse_kappa(k), q.n) for k in kappas_raw]
-        payloads = [
-            (q.features, y, args.epsilon, args.epsilon_mode, k, cfg) for k in kappas
-        ]
-        worker = _stable_one_rashomon
+        ball = make_ball(fit_ols(q.features, y), q.features, y, epsilon, epsilon_mode)
+        screen = screen_membership(ball, q.features)
+        search = partial(flip_search, q.features, ball, config=cfg, prune=screen)
         n_rows = q.n
+        family_meta = {"epsilon": epsilon, "epsilon_mode": epsilon_mode}
     else:
         if args.targets is None:
             raise UsageError("--targets is required for the index family")
         targets = _parse_targets(args.targets)
+        standardization = args.standardize or "zscore"
         ds = _load_table(args.data, targets, args.drop_regex, args.seed)
-        ensemble, X, _ = _blend_analysis(ds, targets, args.standardize)
+        ensemble, X, _ = _blend_analysis(ds, targets, standardization)
         preds = ensemble.predictions(X)
+        search = partial(flip_search_multi, preds, config=cfg, prune=prune_never_top_multi(preds))
         n_rows = X.shape[0]
-        kappas = [resolve_kappa(_parse_kappa(k), n_rows) for k in kappas_raw]
-        payloads = [(preds, k, cfg) for k in kappas]
-        worker = _stable_one_index
+        family_meta = {"standardization": standardization}
+    kappas = [resolve_kappa(k, n_rows) for k in sweep]
+    payloads = [(search, k, args.family) for k in kappas]
 
     # A fork-started pool launches all its workers at the first submit.
     workers = min(args.workers, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            sets = list(pool.map(worker, payloads))
+            sets = list(pool.map(_stable_one, payloads))
     else:
-        sets = [worker(p) for p in payloads]
+        sets = [_stable_one(p) for p in payloads]
 
     meta = _base_meta(
         args,
@@ -470,9 +487,7 @@ def _cmd_stable_points(args) -> int:
         family=args.family,
         kappa_sweep=args.kappa_sweep,
         n=n_rows,
-        epsilon=args.epsilon if args.family == "rashomon" else None,
-        epsilon_mode=args.epsilon_mode if args.family == "rashomon" else None,
-        standardization=args.standardize if args.family == "index" else None,
+        **family_meta,
     )
     write_csv_with_meta(
         args.out, meta, ["kappa", "stable_fraction", "family"], stable_rows(sets)
@@ -561,11 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--family", choices=("rashomon", "index"), required=True)
     p.add_argument("--kappa-sweep", required=True)
+    # A family's flags default to None, so that one passed to the other
+    # family is refused; _cmd_stable_points resolves the defaults.
     p.add_argument("--target", default=None, help="target for the rashomon family")
-    p.add_argument("--epsilon", type=float, default=0.1, help="tolerance for the rashomon family")
-    p.add_argument("--epsilon-mode", choices=("relative", "absolute"), default="relative")
+    p.add_argument("--epsilon", type=float, default=None, help="tolerance for the rashomon family")
+    p.add_argument("--epsilon-mode", choices=("relative", "absolute"), default=None)
     p.add_argument("--targets", default=None, help="targets for the index family")
-    p.add_argument("--standardize", choices=STANDARDIZATIONS, default="zscore")
+    p.add_argument("--standardize", choices=STANDARDIZATIONS, default=None)
     p.add_argument("--out", required=True)
     common(p, *budgets, "--drop-regex", "--workers")
     p.set_defaults(func=_cmd_stable_points)

@@ -120,28 +120,11 @@ def build_ensemble(
     return IndexEnsemble(models=models, standardizer=std)
 
 
-def fit_index_variable(
-    X: NDArray[np.float64],
-    Y: NDArray[np.float64],
-    alpha,
-) -> LinearModel:
-    """Fit one model to the blended outcome sum_k alpha_k y_k.
-
-    For least-squares fits the prediction map is linear in the outcome, so
-    this coincides with blending the per-target raw predictions by the
-    same weights; the equivalence breaks once a nonlinear standardization
-    sits between fit and blend.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y_blend = np.asarray(Y, dtype=np.float64) @ alpha
-    return fit_on_rows(X, y_blend)
-
-
-def prune_never_top_multi(preds: NDArray[np.float64], kappa: int) -> PruneResult:
-    """Membership fixed by exact vertex gap ranges, trimming the simplex
+def prune_never_top_multi(preds: NDArray[np.float64]) -> PruneResult:
+    """Outer rank bounds from exact vertex gap ranges, trimming the simplex
     search the same way the ball bounds trim the single-target one."""
     P = np.asarray(preds, dtype=np.float64)
-    return screen_membership(SimplexRegion(dim=P.shape[1]), P, kappa)
+    return screen_membership(SimplexRegion(dim=P.shape[1]), P)
 
 
 def witness_pool_alphas(K: int) -> NDArray[np.float64]:
@@ -163,12 +146,15 @@ def flip_search_multi(
     row_ids=None,
     rank_mode: str = "status",
     config: SolverConfig | None = None,
+    prune: PruneResult | None = None,
 ) -> "list[FlipReport]":
     """Certify each row's top membership behavior across blend weights.
 
     The single-target staging over the simplex; the baseline rank is taken
     at the uniform blend and a row is flippable when its certified rank
-    range straddles kappa anywhere on the simplex.
+    range straddles kappa anywhere on the simplex. ``prune`` passes in the
+    predictions' own :func:`prune_never_top_multi` bounds when the caller
+    already has them; they hold for every kappa.
     """
     P = np.asarray(preds, dtype=np.float64)
     K = P.shape[1]
@@ -176,7 +162,7 @@ def flip_search_multi(
         P,
         SimplexRegion(dim=K),
         np.full(K, 1.0 / K),
-        prune_never_top_multi(P, kappa),
+        prune_never_top_multi(P) if prune is None else prune,
         witness_pool_alphas(K),
         kappa,
         row_ids=row_ids,

@@ -98,7 +98,7 @@ def ambiguity_curve(
     y = np.asarray(y, dtype=np.float64)
     model = fit_ols(X, y)
     balls = [make_ball(model, X, y, e, epsilon_mode=epsilon_mode) for e in eps]
-    screens = screen_ball(X, model.coef, [b.radius for b in balls], kappa) if balls else []
+    screens = screen_ball(X, model.coef, [b.radius for b in balls]) if balls else []
     curve: list[CurvePoint] = []
     carried: list[NDArray[np.float64]] = []
     for e, ball, screen in zip(eps, balls, screens):

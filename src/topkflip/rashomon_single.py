@@ -31,17 +31,6 @@ from .solver import (
 )
 
 
-def prune_unflippable(
-    X: NDArray[np.float64],
-    center: NDArray[np.float64],
-    radius: float,
-    kappa: int,
-) -> PruneResult:
-    """Fix top membership for rows decided by the ball's pairwise gap
-    bounds."""
-    return screen_membership(BallRegion(center=center, radius=radius), X, kappa)
-
-
 def witness_pool(
     X: NDArray[np.float64], center: NDArray[np.float64], radius: float
 ) -> NDArray[np.float64]:
@@ -121,10 +110,11 @@ def _certify_rows(
     coefficients over ``region``; ``baseline`` is a parameter inside the
     region that gives the reported baseline rank; ``prune`` holds gap
     screen bounds over the whole region and ``pool`` candidate witnesses
-    inside it. In status mode a row is settled by the screen when its
-    membership is fixed, and is a closed-form flip when some pool model
-    ``w`` puts it on the other side of the cut, ranked by ``V @ w`` as the
-    baseline is: the baseline witnesses its own side. Only the open rows,
+    inside it; its bounds hold for every kappa. In status mode a row is
+    settled by the screen when its top-kappa membership is fixed, and is
+    a closed-form flip when some pool model ``w`` puts it on the other
+    side of the cut, ranked by ``V @ w`` as the baseline is: the baseline
+    witnesses its own side. Only the open rows,
     those the screen leaves unfixed, are ranked under the pool. This is
     exact because every pool model lies in the region: there the
     always-top rows fill their slots of the top and the never-top rows
@@ -155,10 +145,11 @@ def _certify_rows(
 
     base = rank_descending(V @ baseline, kappa)
     flip_cols = np.full(n, -1, dtype=np.int64)
-    fixed = prune.never_top | prune.always_top
+    always_top = prune.always_top(kappa)
+    fixed = prune.never_top(kappa) | always_top
     if rank_mode == "status":
         open_rows = np.flatnonzero(~fixed)
-        room = kappa - int(np.count_nonzero(prune.always_top))
+        room = kappa - int(np.count_nonzero(always_top))
         # With no room the always-top rows fill the top, so no open row is
         # in the baseline top and none can enter it.
         if room > 0:
@@ -249,7 +240,8 @@ def flip_search(
     ``extra_models`` adds candidate coefficient vectors to the witness
     pool; non-members of the ball are dropped, so carrying witnesses from
     a smaller tolerance is always safe. ``prune`` passes in the ball's
-    own :func:`prune_unflippable` screen when the caller already has it.
+    own :func:`solver.screen_membership` bounds when the caller already
+    has them; they hold for every kappa.
     """
     X = np.asarray(X, dtype=np.float64)
     pool = witness_pool(X, ball.center, ball.radius)
@@ -265,7 +257,7 @@ def flip_search(
         X,
         ball,
         ball.center,
-        screen_membership(ball, X, kappa) if prune is None else prune,
+        screen_membership(ball, X) if prune is None else prune,
         pool,
         kappa,
         row_ids=row_ids,

@@ -216,10 +216,11 @@ def group_query(
     n = V.shape[0]
     group_rows = tuple(int(g) for g in group_rows)
     kappa = int(kappa)
-    screen = screen_membership(region, V, kappa)
+    screen = screen_membership(region, V)
+    never_top = screen.never_top(kappa)
     changeable = np.zeros(n, dtype=bool)
     changeable[list(group_rows)] = True
-    changeable &= ~(screen.never_top | screen.always_top)
+    changeable &= ~(never_top | screen.always_top(kappa))
     # Row a pairs with every later row when it is changeable, else with
     # every later changeable row.
     C = np.flatnonzero(changeable)
@@ -239,7 +240,7 @@ def group_query(
         above=above,
         below=below,
         n_rows=n,
-        group_rows=tuple(r for r in group_rows if not screen.never_top[r]),
+        group_rows=tuple(r for r in group_rows if not never_top[r]),
         kappa=kappa,
     )
 
@@ -282,20 +283,25 @@ class PruneResult:
     """Certified outer rank bounds from pairwise gap bounds alone.
 
     ``outer_min[i] <= true min rank`` and ``outer_max[i] >= true max rank``
-    for every row; ``never_top`` and ``always_top`` mark rows whose top
-    membership is fixed across the whole region.
+    for every row. The bounds do not depend on the cut: one screen serves
+    every kappa, and :meth:`never_top` and :meth:`always_top` mark the rows
+    whose top-kappa membership is fixed across the whole region.
     """
 
-    never_top: NDArray[np.bool_]
-    always_top: NDArray[np.bool_]
     outer_min: NDArray[np.int64]
     outer_max: NDArray[np.int64]
 
+    def never_top(self, kappa: int) -> NDArray[np.bool_]:
+        """Rows with at least kappa rows strictly above them everywhere."""
+        return self.outer_min > kappa
 
-def screen_membership(
-    region: "BallRegion | SimplexRegion", V: NDArray[np.float64], kappa: int
-) -> PruneResult:
-    """Rows whose top-kappa membership the whole region fixes.
+    def always_top(self, kappa: int) -> NDArray[np.bool_]:
+        """Rows with at least n - kappa rows strictly below them everywhere."""
+        return self.outer_max <= kappa
+
+
+def screen_membership(region: "BallRegion | SimplexRegion", V: NDArray[np.float64]) -> PruneResult:
+    """Outer rank bounds of every row over the whole region.
 
     ``V`` maps rows to score coefficients over ``region``. Row j is
     strictly above row i everywhere when the region supremum of
@@ -309,9 +315,8 @@ def screen_membership(
     the strict orders are counted from per-target sorted cuts and row
     bitsets (:func:`_screen_simplex`), never as an n x n matrix.
 
-    A row with at least kappa rows strictly above it can never enter the
-    top; one with at least n - kappa rows strictly below it can never
-    leave.
+    A row's outer min rank is one plus the rows strictly above it, its
+    outer max rank n minus the rows strictly below it.
 
     Raises
     ------
@@ -321,24 +326,19 @@ def screen_membership(
     """
     V = np.asarray(V, dtype=np.float64)
     if isinstance(region, BallRegion):
-        return screen_ball(V, region.center, (region.radius,), kappa)[0]
+        return screen_ball(V, region.center, (region.radius,))[0]
     if not isinstance(region, SimplexRegion):
         raise TypeError(f"unknown region type {type(region)!r}")
     _require_finite(V)
     tol = PRUNE_REL_TOL * max(1.0, float(V.max() - V.min()))
     count_above, count_below = _screen_simplex(V, tol)
-    return _prune_result(count_above, count_below, kappa)
+    return PruneResult(outer_min=1 + count_above, outer_max=V.shape[0] - count_below)
 
 
 def _require_finite(V: NDArray[np.float64]) -> None:
     bad = ~np.isfinite(V)
     if bad.any():
         raise ValueError(f"non-finite score coefficient at row {int(np.argwhere(bad)[0, 0])}")
-
-
-def _prune_result(count_above, count_below, kappa: int) -> PruneResult:
-    lo, hi = 1 + count_above, count_above.shape[0] - count_below
-    return PruneResult(never_top=lo > kappa, always_top=hi <= kappa, outer_min=lo, outer_max=hi)
 
 
 def _strict_cut(a: NDArray[np.float64], s: NDArray[np.float64], tol) -> NDArray[np.intp]:
@@ -412,9 +412,7 @@ def _screen_simplex(
     return count_above, count_below
 
 
-def screen_ball(
-    V: NDArray[np.float64], center: NDArray[np.float64], radii, kappa: int
-) -> "list[PruneResult]":
+def screen_ball(V: NDArray[np.float64], center: NDArray[np.float64], radii) -> "list[PruneResult]":
     """:func:`screen_membership` over the balls of several radii around
     one center, one result per radius.
 
@@ -503,7 +501,7 @@ def screen_ball(
             count_above[t, p0:p1] = n - hi + above
     position = np.argsort(order)  # each row's place in score order
     return [
-        _prune_result(above[position], below[position], kappa)
+        PruneResult(outer_min=1 + above[position], outer_max=n - below[position])
         for above, below in zip(count_above, count_below)
     ]
 

@@ -16,12 +16,11 @@ from topkflip.dataset import orthonormalize
 from topkflip.fairness import fairness_workflow, group_rate_extremes
 from topkflip.index_model import (
     build_ensemble,
-    fit_index_variable,
     flip_reports_multi,
     flip_search_multi,
     prune_never_top_multi,
 )
-from topkflip.linear_fit import fit_ols, make_ball, rss
+from topkflip.linear_fit import fit_ols, fit_on_rows, make_ball, rss
 from topkflip.metrics import ambiguity_curve, stable_points
 from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import resolve_kappa
@@ -29,8 +28,8 @@ from topkflip.rashomon_single import (
     ambiguity_single,
     flip_reports_single,
     flip_search,
-    prune_unflippable,
 )
+from topkflip.solver import screen_membership
 from topkflip.synth import SynthConfig, generate
 
 from conftest import random_design
@@ -199,11 +198,11 @@ def test_c04_pruning_soundness_and_witness_membership(single_instances, multi_in
     member_bad = 0
     worst_member = 0.0
     for X, ball, kappa, lo, hi in single_instances:
-        pr = prune_unflippable(X, ball.center, ball.radius, kappa)
-        for i in np.flatnonzero(pr.never_top):
+        pr = screen_membership(ball, X)
+        for i in np.flatnonzero(pr.never_top(kappa)):
             if lo[i] <= kappa:
                 prune_bad += 1
-        for i in np.flatnonzero(pr.always_top):
+        for i in np.flatnonzero(pr.always_top(kappa)):
             if hi[i] > kappa:
                 prune_bad += 1
         for rep in flip_search(X, ball, kappa):
@@ -213,11 +212,11 @@ def test_c04_pruning_soundness_and_witness_membership(single_instances, multi_in
                 if excess > 1e-10:
                     member_bad += 1
     for P, kappa, mask, sweep in multi_instances:
-        pr = prune_never_top_multi(P, kappa)
-        for i in np.flatnonzero(pr.never_top):
+        pr = prune_never_top_multi(P)
+        for i in np.flatnonzero(pr.never_top(kappa)):
             if sweep.min_ranks[i] <= kappa:
                 prune_bad += 1
-        for i in np.flatnonzero(pr.always_top):
+        for i in np.flatnonzero(pr.always_top(kappa)):
             if sweep.max_ranks[i] > kappa:
                 prune_bad += 1
         for rep in flip_search_multi(P, kappa):
@@ -247,7 +246,7 @@ def test_c05_index_variable_equivalence(rng):
         Y = rng.normal(size=(n, K))
         X_new = rng.normal(size=(15, d))
         alpha = rng.dirichlet(np.ones(K))
-        iv = fit_index_variable(X, Y, alpha)
+        iv = fit_on_rows(X, Y @ alpha)
         ens = build_ensemble(X, Y, X, standardization="none")
         blended = ens.predictions(X_new) @ alpha
         worst = max(worst, float(np.max(np.abs(iv.predict(X_new) - blended))))

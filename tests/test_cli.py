@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from topkflip import cli, fairness, metrics, rashomon_single, solver
+from topkflip import cli, fairness, index_model, metrics, rashomon_single, solver
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.dataset import write_csv
 from topkflip.fairness import PhaseError
@@ -333,16 +333,67 @@ def test_stable_points_sweep(table, tmp_path):
     assert [r[0] for r in rows] == ["5", "10"]
 
 
-def test_stable_points_workers_match_serial(table, tmp_path):
+STABLE_FAMILY_FLAGS = {
+    "rashomon": ["--family", "rashomon", "--target", "y1", "--epsilon", "0.05"],
+    "index": ["--family", "index", "--targets", "y1,y2"],
+}
+
+
+@pytest.mark.parametrize("family", ["rashomon", "index"])
+def test_stable_points_workers_match_serial(table, tmp_path, family):
     serial = tmp_path / "a.csv"
     fanned = tmp_path / "b.csv"
     args = [
-        "stable-points", "--data", str(table), "--family", "index",
-        "--targets", "y1,y2", "--kappa-sweep", "5,10,15",
+        "stable-points", "--data", str(table), *STABLE_FAMILY_FLAGS[family],
+        "--kappa-sweep", "5,10,15",
     ]
     assert main(args + ["--out", str(serial)]) == EXIT_OK
     assert main(args + ["--workers", "3", "--out", str(fanned)]) == EXIT_OK
     assert _strip_timestamp(serial.read_text()) == _strip_timestamp(fanned.read_text())
+
+
+@pytest.mark.parametrize("family", ["rashomon", "index"])
+def test_stable_points_screens_once_per_sweep(table, tmp_path, monkeypatch, family):
+    """The screen's bounds hold for every kappa, so a sweep screens its
+    family once, and its rows are those of a fresh fit, screen and search
+    per kappa."""
+    calls = []
+    for name in ("screen_ball", "_screen_simplex"):
+        original = getattr(solver, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    out = tmp_path / "st.csv"
+    assert main([
+        "stable-points", "--data", str(table), *STABLE_FAMILY_FLAGS[family],
+        "--kappa-sweep", "5,10,15", "--out", str(out),
+    ]) == EXIT_OK
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    if family == "rashomon":
+        q = cli._orthonormal_analysis(cli._load_table(table, ("y1",)))
+        sets = [
+            metrics.stable_points(
+                rashomon_single.flip_reports_single(q.features, q.target("y1"), 0.05, k)[0],
+                k,
+                family,
+            )
+            for k in (5, 10, 15)
+        ]
+    else:
+        targets = ("y1", "y2")
+        ensemble, X, _ = cli._blend_analysis(cli._load_table(table, targets), targets, "zscore")
+        preds = ensemble.predictions(X)
+        sets = [
+            metrics.stable_points(index_model.flip_search_multi(preds, k), k, family)
+            for k in (5, 10, 15)
+        ]
+    _, _, rows = read_csv_with_meta(out)
+    assert rows == [[str(cell) for cell in row] for row in metrics.stable_rows(sets)]
 
 
 def test_repeat_run_identical_modulo_timestamp(table, tmp_path):
@@ -605,12 +656,21 @@ def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkey
         ["ambiguity-multi", "--targets", "y1,y1", "--kappa", "10%"],
         ["fairness-range", "--targets", "y1, y1", "--group", "protected", "--kappa", "10%"],
         ["stable-points", "--family", "index", "--targets", "y2,y1,y2", "--kappa-sweep", "5"],
+        ["stable-points", "--family", "index", "--targets", "y1,y2", "--target", "y1",
+         "--epsilon", "5", "--kappa-sweep", "5,10"],
+        ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5",
+         "--epsilon-mode", "absolute"],
+        ["stable-points", "--family", "rashomon", "--target", "y1", "--targets", "y1,y2",
+         "--kappa-sweep", "5"],
+        ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
+         "--standardize", "zscore"],
     ],
     ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers", "negative", "descending",
          "stable-negative", "node-budget-zero", "time-budget-zero", "time-budget-negative",
          "time-budget-nan", "kappa-zero", "kappa-zero-percent", "kappa-garbled",
          "sweep-kappa-zero", "bad-regex", "repeated-target-fit", "repeated-target-multi",
-         "repeated-target-fairness", "repeated-target-stable"],
+         "repeated-target-fairness", "repeated-target-stable", "index-target-epsilon",
+         "index-epsilon-mode", "rashomon-targets", "rashomon-standardize"],
 )
 def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, flags):
     out = tmp_path / "o.csv"

@@ -4,11 +4,11 @@ import pytest
 from topkflip.index_model import (
     Standardizer,
     build_ensemble,
-    fit_index_variable,
     flip_search_multi,
     prune_never_top_multi,
     witness_pool_alphas,
 )
+from topkflip.linear_fit import fit_on_rows
 from topkflip.oracle import simplex_sweep_k2
 from topkflip.ranking import rank_descending
 from topkflip.rashomon_single import ambiguity_single
@@ -74,7 +74,7 @@ def test_index_variable_equals_blended_predictions(rng):
     Y = rng.normal(size=(50, 3))
     X_new = rng.normal(size=(20, 4))
     alpha = np.array([0.2, 0.5, 0.3])
-    iv = fit_index_variable(X, Y, alpha)
+    iv = fit_on_rows(X, Y @ alpha)
     ens = build_ensemble(X, Y, X, standardization="none")
     blended = ens.predictions(X_new) @ alpha
     np.testing.assert_allclose(iv.predict(X_new), blended, atol=1e-8)
@@ -83,7 +83,7 @@ def test_index_variable_equals_blended_predictions(rng):
 def test_screen_bounds_hold_at_dirichlet_blends(rng):
     P = _random_preds(rng, 12, 3)
     kappa = 4
-    pr = prune_never_top_multi(P, kappa)
+    pr = prune_never_top_multi(P)
     for _ in range(200):
         ranks = rank_descending(P @ rng.dirichlet(np.ones(3)), kappa).ranks
         assert np.all(pr.outer_min <= ranks) and np.all(ranks <= pr.outer_max)
@@ -93,11 +93,11 @@ def test_prune_multi_sound_against_sweep(rng):
     for _ in range(8):
         P = _random_preds(rng, 16, 2)
         kappa = 4
-        pr = prune_never_top_multi(P, kappa)
+        pr = prune_never_top_multi(P)
         sweep = simplex_sweep_k2(P, kappa)
-        for i in np.flatnonzero(pr.always_top):
+        for i in np.flatnonzero(pr.always_top(kappa)):
             assert sweep.max_ranks[i] <= kappa
-        for i in np.flatnonzero(pr.never_top):
+        for i in np.flatnonzero(pr.never_top(kappa)):
             assert sweep.min_ranks[i] > kappa
 
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -16,10 +14,9 @@ from topkflip.rashomon_single import (
     ambiguity_single,
     flip_reports_single,
     flip_search,
-    prune_unflippable,
     witness_pool,
 )
-from topkflip.solver import BallRegion, SimplexRegion, SolverConfig, screen_membership
+from topkflip.solver import BallRegion, PruneResult, SimplexRegion, SolverConfig, screen_membership
 
 from conftest import assert_reports_equal, random_design, rank_attained
 
@@ -29,7 +26,7 @@ def test_screen_bounds_hold_at_sampled_ball_points(rng):
     center = rng.normal(size=3)
     radius = 0.5
     kappa = 4
-    pr = prune_unflippable(X, center, radius, kappa)
+    pr = screen_membership(BallRegion(center, radius), X)
     for _ in range(300):
         u = rng.normal(size=3)
         u *= radius * rng.random() ** (1 / 3) / np.linalg.norm(u)
@@ -44,11 +41,11 @@ def test_prune_is_sound_against_the_sweep(rng):
         model = fit_ols(X, y)
         ball = make_ball(model, X, y, 0.1, "relative")
         kappa = 5
-        pruned = prune_unflippable(X, ball.center, ball.radius, kappa)
+        pruned = screen_membership(ball, X)
         lo, hi = angle_sweep_single(X, ball.center, ball.radius)
-        for i in np.flatnonzero(pruned.always_top):
+        for i in np.flatnonzero(pruned.always_top(kappa)):
             assert hi[i] <= kappa
-        for i in np.flatnonzero(pruned.never_top):
+        for i in np.flatnonzero(pruned.never_top(kappa)):
             assert lo[i] > kappa
         # outer bounds bracket the exact range
         assert np.all(pruned.outer_min <= lo) and np.all(pruned.outer_max >= hi)
@@ -283,11 +280,11 @@ def test_status_matches_exact_next_to_the_always_top_bound(family, rng):
     for _ in range(10):
         V, ball, kappa = _always_top_edge_instance(rng, family)
         if family == "ball":
-            pr = prune_unflippable(V, ball.center, ball.radius, kappa)
+            pr = screen_membership(ball, V)
             fast = flip_search(V, ball, kappa)
             slow = flip_search(V, ball, kappa, rank_mode="exact")
         else:
-            pr = prune_never_top_multi(V, kappa)
+            pr = prune_never_top_multi(V)
             fast = flip_search_multi(V, kappa)
             slow = flip_search_multi(V, kappa, rank_mode="exact")
         for i, (f, s) in enumerate(zip(fast, slow)):
@@ -400,7 +397,16 @@ def _tie_heavy_certify_args(rng, family, n, kappa):
     else:
         region = SimplexRegion(dim=dim)
         baseline, pool = np.full(dim, 1.0 / dim), witness_pool_alphas(dim)
-    return V, region, baseline, screen_membership(region, V, kappa), pool, kappa
+    return V, region, baseline, screen_membership(region, V), pool, kappa
+
+
+class _UnfixedScreen(PruneResult):
+    """The screen's outer bounds with no row's membership fixed."""
+
+    def never_top(self, kappa):
+        return np.zeros(self.outer_min.shape, dtype=bool)
+
+    always_top = never_top
 
 
 @pytest.mark.parametrize("family", ["ball", "simplex"])
@@ -423,17 +429,16 @@ def test_open_row_envelope_matches_the_full_envelope(family, rng, monkeypatch):
                         "_pool_rank_envelope",
                         lambda X, pool, kappa, in_top: _envelope_by_column(X, pool, kappa, in_top),
                     )
-                    none = np.zeros(n, dtype=bool)
-                    unfixed = replace(prune, never_top=none, always_top=none)
+                    unfixed = _UnfixedScreen(prune.outer_min, prune.outer_max)
                     full = _certify_rows(
                         V, region, baseline, unfixed, pool, kappa, None, "status", None
                     )
-                fixed = prune.never_top | prune.always_top
+                fixed = prune.never_top(kappa) | prune.always_top(kappa)
                 assert all(got[i].method == "pruned_unflippable" for i in np.flatnonzero(fixed))
                 open_rows = np.flatnonzero(~fixed)
                 assert_reports_equal([got[i] for i in open_rows], [full[i] for i in open_rows])
                 partly_open += 0 < open_rows.size < n
-                no_room += kappa == np.count_nonzero(prune.always_top)
+                no_room += kappa == np.count_nonzero(prune.always_top(kappa))
     assert partly_open >= 5 and no_room > 0
 
 
@@ -458,18 +463,15 @@ def test_exact_mode_forms_no_envelope(rng, monkeypatch):
     ball = make_ball(fit_ols(X, y), X, y, 0.05, "relative")
     P = rng.normal(size=(20, 3))
     searches = [
-        (
-            lambda mode: flip_search(X, ball, 6, rank_mode=mode),
-            prune_unflippable(X, ball.center, ball.radius, 6),
-        ),
-        (lambda mode: flip_search_multi(P, 5, rank_mode=mode), prune_never_top_multi(P, 5)),
+        (lambda mode: flip_search(X, ball, 6, rank_mode=mode), screen_membership(ball, X), 6),
+        (lambda mode: flip_search_multi(P, 5, rank_mode=mode), prune_never_top_multi(P), 5),
     ]
-    for search, prune in searches:
+    for search, prune, kappa in searches:
         search("exact")
         assert calls == []
         search("status")
         search("status")
-        n_open = int(np.count_nonzero(~(prune.never_top | prune.always_top)))
-        assert 0 < n_open < prune.never_top.shape[0]
+        n_open = int(np.count_nonzero(~(prune.never_top(kappa) | prune.always_top(kappa))))
+        assert 0 < n_open < prune.outer_min.shape[0]
         assert calls == [n_open, n_open]
         calls.clear()

@@ -17,7 +17,7 @@ from topkflip import solver
 from topkflip.index_model import prune_never_top_multi
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
-from topkflip.rashomon_single import _pool_rank_envelope, prune_unflippable, witness_pool
+from topkflip.rashomon_single import _pool_rank_envelope, witness_pool
 from topkflip.solver import (
     SCREEN_BLOCK,
     BallRegion,
@@ -327,7 +327,7 @@ def _dense_gap_sup(region, V):
     return diffs.max(axis=2)
 
 
-def _dense_prune(sup_gap, kappa):
+def _dense_prune(sup_gap):
     """Reference: outer rank bounds from a dense suprema matrix, with the
     tolerance scaled by its largest entry."""
     n = sup_gap.shape[0]
@@ -335,7 +335,19 @@ def _dense_prune(sup_gap, kappa):
     strictly_below = sup_gap < -tol
     outer_min = 1 + strictly_below.sum(axis=1).astype(np.int64)
     outer_max = (n - strictly_below.sum(axis=0)).astype(np.int64)
-    return outer_min > kappa, outer_max <= kappa, outer_min, outer_max
+    return {"outer_min": outer_min, "outer_max": outer_max}
+
+
+def _assert_bounds_equal(got, want, *where):
+    for name, w in want.items():
+        g = getattr(got, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), (*where, name)
+
+
+def _assert_membership_follows_bounds(got, kappa):
+    """``never_top`` and ``always_top`` apply the cut to the outer bounds."""
+    assert np.array_equal(got.never_top(kappa), got.outer_min > kappa)
+    assert np.array_equal(got.always_top(kappa), got.outer_max <= kappa)
 
 
 @pytest.mark.parametrize(
@@ -345,9 +357,9 @@ def _dense_prune(sup_gap, kappa):
 def test_blockwise_screen_matches_the_dense_screen(n, rng):
     """Same bounds as the dense screens across block and bitset-word
     edges, on rows with one-decimal ties and duplicates; a ball screen
-    over several radii equals the one-radius screens; and the group-count
-    builder keeps exactly the pairs touching a changeable group row, in
-    (a, b) order."""
+    over several radii equals the one-radius screens; membership at each
+    kappa follows the bounds; and the group-count builder keeps exactly
+    the pairs touching a changeable group row, in (a, b) order."""
     regions = [
         BallRegion(center=rng.normal(size=3), radius=0.0),
         BallRegion(center=rng.normal(size=3), radius=0.3),
@@ -359,30 +371,28 @@ def test_blockwise_screen_matches_the_dense_screen(n, rng):
         dim = region.dim
         V = np.round(rng.normal(size=(n, dim)), 1)
         V[rng.permutation(n)[: n // 4]] = V[rng.integers(0, n, size=n // 4)]
-        sup = _dense_gap_sup(region, V)
+        want = _dense_prune(_dense_gap_sup(region, V))
+        got = screen_membership(region, V)
+        _assert_bounds_equal(got, want, region, n)
+        if isinstance(region, BallRegion):
+            radii = (0.0, 0.05, region.radius, 1.7)
+            for radius, multi in zip(radii, screen_ball(V, region.center, radii)):
+                one = screen_membership(BallRegion(region.center, radius), V)
+                _assert_bounds_equal(multi, vars(one), radius, n)
         for kappa in sorted({1, max(1, n // 7), n}):
-            got = screen_membership(region, V, kappa)
-            want = _dense_prune(sup, kappa)
-            for name, w in zip(("never_top", "always_top", "outer_min", "outer_max"), want):
-                g = getattr(got, name)
-                assert g.dtype == w.dtype and np.array_equal(g, w), (region, n, kappa, name)
-            if isinstance(region, BallRegion):
-                radii = (0.0, 0.05, region.radius, 1.7)
-                for radius, multi in zip(radii, screen_ball(V, region.center, radii, kappa)):
-                    one = screen_membership(BallRegion(region.center, radius), V, kappa)
-                    for name in ("never_top", "always_top", "outer_min", "outer_max"):
-                        g, w = getattr(multi, name), getattr(one, name)
-                        assert g.dtype == w.dtype and np.array_equal(g, w), (radius, n, name)
+            _assert_membership_follows_bounds(got, kappa)
+            never_top = want["outer_min"] > kappa
+            always_top = want["outer_max"] <= kappa
 
             group = np.flatnonzero(rng.random(n) < 0.3)
             inst = group_query("max", region, V, group, kappa)
             changeable = np.zeros(n, dtype=bool)
             changeable[group] = True
-            changeable &= ~(want[0] | want[1])
+            changeable &= ~(never_top | always_top)
             above, below = np.nonzero(np.triu(changeable[:, None] | changeable[None, :], k=1))
             assert np.array_equal(inst.above, above) and np.array_equal(inst.below, below)
             assert np.array_equal(inst.gaps, V[above] - V[below])
-            assert inst.group_rows == tuple(int(g) for g in group if not want[0][g])
+            assert inst.group_rows == tuple(int(g) for g in group if not never_top[g])
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5])
@@ -417,17 +427,10 @@ def test_simplex_screen_cuts_exactly_at_the_tolerance(K, rng):
     strictly_below = (V[:, None, :] - V[None, :, :]).max(axis=2) < -tol
     outer_min = 1 + strictly_below.sum(axis=1).astype(np.int64)
     outer_max = (n - strictly_below.sum(axis=0)).astype(np.int64)
+    got = screen_membership(SimplexRegion(dim=K), V)
+    _assert_bounds_equal(got, {"outer_min": outer_min, "outer_max": outer_max}, K)
     for kappa in (1, n // 3, n):
-        want = {
-            "never_top": outer_min > kappa,
-            "always_top": outer_max <= kappa,
-            "outer_min": outer_min,
-            "outer_max": outer_max,
-        }
-        got = screen_membership(SimplexRegion(dim=K), V, kappa)
-        for name, w in want.items():
-            g = getattr(got, name)
-            assert g.dtype == w.dtype and np.array_equal(g, w), (K, kappa, name)
+        _assert_membership_follows_bounds(got, kappa)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -439,7 +442,7 @@ def test_screen_refuses_non_finite_rows(bad, rng):
     V[5, 0] = bad
     for region in (SimplexRegion(dim=3), BallRegion(center=rng.normal(size=3), radius=0.2)):
         with pytest.raises(ValueError, match="non-finite .* row 4$"):
-            screen_membership(region, V, 2)
+            screen_membership(region, V)
 
 
 def test_ball_screen_scales_its_tolerance_per_radius():
@@ -450,16 +453,15 @@ def test_ball_screen_scales_its_tolerance_per_radius():
     V = np.array([[0.0, 0.0], [1e-11, 0.0], [0.0, 1000.0]])
     center = np.array([1.0, 0.0])
     radii = (0.0, 0.5)
-    got = screen_ball(V, center, radii, 1)
+    got = screen_ball(V, center, radii)
     for radius, multi in zip(radii, got):
-        one = screen_membership(BallRegion(center, radius), V, 1)
-        for name in ("never_top", "always_top", "outer_min", "outer_max"):
-            assert np.array_equal(getattr(multi, name), getattr(one, name)), (radius, name)
+        one = screen_membership(BallRegion(center, radius), V)
+        _assert_bounds_equal(multi, vars(one), radius)
     assert got[0].outer_min.tolist() == [2, 1, 2]
     assert got[1].outer_min.tolist() == [1, 1, 1]
 
 
-def _dense_ball_rule(V, center, radius, kappa):
+def _dense_ball_rule(V, center, radius):
     """Reference: every pair's ``fl(radius * cdist) + gap`` against the
     production tolerance ``PRUNE_REL_TOL * max(1, spread)``, formed as one
     dense matrix."""
@@ -470,20 +472,14 @@ def _dense_ball_rule(V, center, radius, kappa):
     strictly_below = np.multiply(cdist(V, V), radius) + (scores[:, None] - scores[None, :]) < -tol
     outer_min = 1 + strictly_below.sum(axis=1).astype(np.int64)
     outer_max = (n - strictly_below.sum(axis=0)).astype(np.int64)
-    return {
-        "never_top": outer_min > kappa,
-        "always_top": outer_max <= kappa,
-        "outer_min": outer_min,
-        "outer_max": outer_max,
-    }
+    return {"outer_min": outer_min, "outer_max": outer_max}
 
 
 def _assert_ball_screen_is_dense(V, center, radii, kappas):
-    for kappa in kappas:
-        for radius, got in zip(radii, screen_ball(V, center, radii, kappa)):
-            for name, w in _dense_ball_rule(V, center, radius, kappa).items():
-                g = getattr(got, name)
-                assert g.dtype == w.dtype and np.array_equal(g, w), (radius, kappa, name)
+    for radius, got in zip(radii, screen_ball(V, center, radii)):
+        _assert_bounds_equal(got, _dense_ball_rule(V, center, radius), radius)
+        for kappa in kappas:
+            _assert_membership_follows_bounds(got, kappa)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -503,7 +499,7 @@ def test_band_screen_matches_the_dense_rule(n, scale, rng):
     radii = (0.3, 0.0, 1e6, 0.02, 1.5)
     _assert_ball_screen_is_dense(V, center, radii, sorted({1, max(1, n // 5), n}))
     # At the wide radius a distance outweighs any center gap.
-    wide = screen_ball(V, center, (1e6,), 1)[0]
+    wide = screen_ball(V, center, (1e6,))[0]
     assert (wide.outer_min == 1).all() and (wide.outer_max == n).all()
 
 
@@ -563,13 +559,13 @@ def test_screen_memory_stays_linear_in_rows():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        multi = prune_never_top_multi(P, 360)
+        multi = prune_never_top_multi(P)
         _, peak_multi = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        single = prune_unflippable(X, center, 0.05, 360)
+        single = screen_membership(BallRegion(center, 0.05), X)
         _, peak_single = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        curve = screen_ball(X, center, (0.02, 0.04, 0.06), 360)
+        curve = screen_ball(X, center, (0.02, 0.04, 0.06))
         _, peak_curve = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -12,8 +12,10 @@ import numpy as np
 from topkflip import (
     SynthConfig,
     ambiguity_curve,
-    flip_reports_single,
+    fit_ols,
+    flip_search,
     generate,
+    make_ball,
     orthonormalize,
 )
 
@@ -27,7 +29,8 @@ def main():
     X, y = q.features, q.target("y1")
     print(f"holdout rows: {q.n}, selecting top {KAPPA} by target 'y1'")
 
-    reports, ball = flip_reports_single(X, y, 0.02, KAPPA)
+    ball = make_ball(fit_ols(X, y), X, y, 0.02)
+    reports = flip_search(X, ball, KAPPA)
     flippable = [r for r in reports if r.flippable]
     print(f"tolerance 0.02 (relative): ball radius {ball.radius:.4f}, "
           f"{len(flippable)} of {q.n} rows can cross the cutoff")

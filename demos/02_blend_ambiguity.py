@@ -14,9 +14,11 @@ from topkflip import (
     SynthConfig,
     ambiguity_single,
     build_ensemble,
-    flip_reports_multi,
-    flip_reports_single,
+    fit_ols,
+    flip_search,
+    flip_search_multi,
     generate,
+    make_ball,
     orthonormalize,
 )
 
@@ -35,7 +37,8 @@ def main():
     ens = build_ensemble(
         ds.features[train], Y[train], ds.features[tune], target_names=ds.target_names
     )
-    reports, preds = flip_reports_multi(ds.features[holdout], ens, KAPPA)
+    preds = ens.predictions(ds.features[holdout])
+    reports = flip_search_multi(preds, KAPPA)
     amb = ambiguity_single(reports, KAPPA)
     n = preds.shape[0]
     print(f"blend family over targets {ds.target_names}: "
@@ -45,8 +48,9 @@ def main():
     ho = ds.subset(holdout)
     q = orthonormalize(ho)
     for t in ds.target_names:
-        reps, _ = flip_reports_single(q.features, q.target(t), 0.05, KAPPA)
-        a = ambiguity_single(reps, KAPPA)
+        y = q.target(t)
+        ball = make_ball(fit_ols(q.features, y), q.features, y, 0.05)
+        a = ambiguity_single(flip_search(q.features, ball, KAPPA), KAPPA)
         print(f"single target {t!r} at tolerance 0.05: {a.all_fraction:.1%} flippable")
 
     movers = sorted(

@@ -16,8 +16,9 @@ import numpy as np
 from topkflip import (
     SynthConfig,
     build_ensemble,
-    flip_reports_multi,
+    flip_search_multi,
     generate,
+    prune_never_top_multi,
     stable_points,
 )
 
@@ -31,13 +32,16 @@ def stable_table(b):
     ens = build_ensemble(
         ds.features[train], Y[train], ds.features[tune], target_names=ds.target_names
     )
-    X = ds.features[holdout]
-    n = X.shape[0]
+    # The predictions and their screen do not depend on kappa, so the
+    # sweep forms them once.
+    preds = ens.predictions(ds.features[holdout])
+    screen = prune_never_top_multi(preds)
+    n = preds.shape[0]
 
     print(f"slope b={b:+.1f}: {n} holdout rows")
     print(f"{'kappa':>6} {'always in':>10} {'never in':>9} {'contested':>10} {'stable frac':>12}")
     for kappa in (5, 10, 20, 40):
-        reports, _ = flip_reports_multi(X, ens, kappa)
+        reports = flip_search_multi(preds, kappa, prune=screen)
         st = stable_points(reports, kappa, "index")
         contested = n - len(st.stable_selected) - len(st.stable_unselected)
         print(f"{kappa:>6} {len(st.stable_selected):>10} "

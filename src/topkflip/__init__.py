@@ -30,14 +30,12 @@ from .solver import (
 from .rashomon_single import (
     AmbiguityResult,
     ambiguity_single,
-    flip_reports_single,
     flip_search,
 )
 from .index_model import (
     IndexEnsemble,
     Standardizer,
     build_ensemble,
-    flip_reports_multi,
     flip_search_multi,
     prune_never_top_multi,
 )

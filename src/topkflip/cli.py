@@ -26,13 +26,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, drop_columns_matching, load_csv, orthonormalize, write_csv
 from .fairness import PhaseError, fairness_workflow, write_fairness_csv, write_fairness_json
-from .index_model import (
-    STANDARDIZATIONS,
-    build_ensemble,
-    flip_reports_multi,
-    flip_search_multi,
-    prune_never_top_multi,
-)
+from .index_model import STANDARDIZATIONS, build_ensemble, flip_search_multi, prune_never_top_multi
 from .linear_fit import fit_ols, fit_on_rows, make_ball
 from .metrics import ambiguity_curve, curve_rows, stable_points, stable_rows
 from .oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
@@ -160,8 +154,9 @@ def _orthonormal_analysis(ds: Dataset) -> Dataset:
 
 
 def _blend_analysis(ds: Dataset, targets, standardization: str):
-    """``(ensemble, X, row_ids)``: the ensemble fitted on the fit rows and
-    frozen on the reference rows, and the analysis rows' design and ids."""
+    """``(preds, row_ids)``: the analysis rows' standardized predictions,
+    under the ensemble fitted on the fit rows and frozen on the reference
+    rows, and their ids."""
     fit_rows, ref_rows, analysis = _phase_views(ds)
     Y = np.column_stack([ds.target(t) for t in targets])
     ensemble = build_ensemble(
@@ -172,7 +167,7 @@ def _blend_analysis(ds: Dataset, targets, standardization: str):
         target_names=targets,
     )
     row_ids = tuple(r for r, m in zip(ds.row_ids, analysis) if m)
-    return ensemble, ds.features[analysis], row_ids
+    return ensemble.predictions(ds.features[analysis]), row_ids
 
 
 def _solver_config(args) -> SolverConfig:
@@ -335,13 +330,12 @@ def _cmd_ambiguity_single(args) -> int:
 def _cmd_ambiguity_multi(args) -> int:
     targets = _parse_targets(args.targets)
     ds = _load_table(args.data, targets, args.drop_regex, args.seed)
-    ensemble, X, row_ids = _blend_analysis(ds, targets, args.standardize)
-    n = X.shape[0]
+    preds, row_ids = _blend_analysis(ds, targets, args.standardize)
+    n = preds.shape[0]
     kappa = resolve_kappa(_parse_kappa(args.kappa), n)
     oracle = _oracle("blend", len(targets), n) if args.certify else None
-    reports, preds = flip_reports_multi(
-        X,
-        ensemble,
+    reports = flip_search_multi(
+        preds,
         kappa,
         row_ids=row_ids,
         rank_mode="exact" if args.certify else "status",
@@ -464,10 +458,9 @@ def _cmd_stable_points(args) -> int:
         targets = _parse_targets(args.targets)
         standardization = args.standardize or "zscore"
         ds = _load_table(args.data, targets, args.drop_regex, args.seed)
-        ensemble, X, _ = _blend_analysis(ds, targets, standardization)
-        preds = ensemble.predictions(X)
+        preds, _ = _blend_analysis(ds, targets, standardization)
         search = partial(flip_search_multi, preds, config=cfg, prune=prune_never_top_multi(preds))
-        n_rows = X.shape[0]
+        n_rows = preds.shape[0]
         family_meta = {"standardization": standardization}
     kappas = [resolve_kappa(k, n_rows) for k in sweep]
     payloads = [(search, k, args.family) for k in kappas]

@@ -47,8 +47,6 @@ class Standardizer:
 
     @classmethod
     def fit(cls, raw_reference: NDArray[np.float64], mode: str, target_names) -> "Standardizer":
-        if mode not in STANDARDIZATIONS:
-            raise ValueError(f"mode must be one of {STANDARDIZATIONS}, got {mode!r}")
         R = np.asarray(raw_reference, dtype=np.float64)
         names = tuple(target_names)
         if R.ndim != 2 or R.shape[1] != len(names):
@@ -66,7 +64,7 @@ class Standardizer:
         if mode == "percentile":
             refs = tuple(np.sort(R[:, k]) for k in range(R.shape[1]))
             return cls(mode=mode, references=refs)
-        return cls(mode="none")
+        return cls(mode=mode)
 
     def transform(self, raw: NDArray[np.float64]) -> NDArray[np.float64]:
         R = np.asarray(raw, dtype=np.float64)
@@ -91,12 +89,9 @@ class IndexEnsemble:
     models: tuple[LinearModel, ...]
     standardizer: Standardizer
 
-    def raw_predictions(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        return np.column_stack([m.predict(X) for m in self.models])
-
     def predictions(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         """Standardized per-target predictions, the solver's row vectors."""
-        return self.standardizer.transform(self.raw_predictions(X))
+        return self.standardizer.transform(np.column_stack([m.predict(X) for m in self.models]))
 
 
 def build_ensemble(
@@ -169,19 +164,3 @@ def flip_search_multi(
         rank_mode=rank_mode,
         config=config,
     )
-
-
-def flip_reports_multi(
-    X: NDArray[np.float64],
-    ensemble: IndexEnsemble,
-    kappa: int,
-    row_ids=None,
-    rank_mode: str = "status",
-    config: SolverConfig | None = None,
-) -> "tuple[list[FlipReport], NDArray[np.float64]]":
-    """Standardized predictions plus the certified reports for them."""
-    preds = ensemble.predictions(X)
-    reports = flip_search_multi(
-        preds, kappa, row_ids=row_ids, rank_mode=rank_mode, config=config
-    )
-    return reports, preds

@@ -86,7 +86,8 @@ def make_ball(
 
     In ``relative`` mode (the default) the absolute slack is
     epsilon * RSS(w0), so epsilon reads as a fraction of baseline loss. A
-    perfect fit (RSS = 0) then yields a degenerate single-point ball.
+    perfect fit (RSS = 0) then yields a degenerate single-point ball. A
+    tolerance whose slack overflows to an infinite radius is refused.
     """
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
@@ -96,4 +97,7 @@ def make_ball(
         eps_abs = float(epsilon)
     else:
         raise ValueError(f"unknown epsilon_mode {epsilon_mode!r}")
-    return BallRegion(center=model.coef, radius=float(np.sqrt(eps_abs)))
+    radius = float(np.sqrt(eps_abs))
+    if not np.isfinite(radius):
+        raise ValueError(f"epsilon {epsilon} gives a ball radius that overflows to {radius}")
+    return BallRegion(center=model.coef, radius=radius)

@@ -81,16 +81,15 @@ def ambiguity_curve(
 ) -> "list[CurvePoint]":
     """Ambiguity as the model tolerance grows.
 
-    The tolerance list must be finite, nonnegative and ascending; the balls are
-    then nested, so each pass hands the flip witnesses it found to the
-    next one's candidate pool and a row never loses a certified flip as
-    the tolerance grows. Every ball shares one center, so the membership
+    The tolerance list must be ascending, and each tolerance one that
+    :func:`linear_fit.make_ball` accepts; the balls are then nested, so
+    each pass hands the flip witnesses it found to the next one's
+    candidate pool and a row never loses a certified flip as the
+    tolerance grows. Every ball shares one center, so the membership
     screen runs once for all tolerances (:func:`solver.screen_ball`) and
     each pass receives its own ball's result.
     """
     eps = [float(e) for e in epsilons]
-    if not np.all(np.isfinite(eps)) or any(e < 0 for e in eps):
-        raise ValueError(f"epsilons must be finite and nonnegative, got {eps}")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be ascending")
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .linear_fit import fit_ols, make_ball
 from .ranking import rank_descending
 from .reports import FlipReport
 from .solver import (
@@ -264,23 +263,6 @@ def flip_search(
         rank_mode=rank_mode,
         config=config,
     )
-
-
-def flip_reports_single(
-    X: NDArray[np.float64],
-    y: NDArray[np.float64],
-    epsilon: float,
-    kappa: int,
-    epsilon_mode: str = "relative",
-    row_ids=None,
-    rank_mode: str = "status",
-    config: SolverConfig | None = None,
-) -> "tuple[list[FlipReport], BallRegion]":
-    """Fit, build the ball, and certify: the end-to-end single-target path."""
-    model = fit_ols(X, y)
-    ball = make_ball(model, X, y, epsilon, epsilon_mode)
-    reports = flip_search(X, ball, kappa, row_ids=row_ids, rank_mode=rank_mode, config=config)
-    return reports, ball
 
 
 @dataclass(frozen=True)

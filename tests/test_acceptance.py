@@ -14,21 +14,12 @@ import pytest
 
 from topkflip.dataset import orthonormalize
 from topkflip.fairness import fairness_workflow, group_rate_extremes
-from topkflip.index_model import (
-    build_ensemble,
-    flip_reports_multi,
-    flip_search_multi,
-    prune_never_top_multi,
-)
+from topkflip.index_model import build_ensemble, flip_search_multi, prune_never_top_multi
 from topkflip.linear_fit import fit_ols, fit_on_rows, make_ball, rss
 from topkflip.metrics import ambiguity_curve, stable_points
 from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import resolve_kappa
-from topkflip.rashomon_single import (
-    ambiguity_single,
-    flip_reports_single,
-    flip_search,
-)
+from topkflip.rashomon_single import ambiguity_single, flip_search
 from topkflip.solver import screen_membership
 from topkflip.synth import SynthConfig, generate
 
@@ -110,7 +101,8 @@ def multi_instances():
 
 
 @pytest.fixture(scope="module")
-def clinical_ensemble(clinical_subset):
+def clinical_preds(clinical_subset):
+    """The blend family's standardized holdout predictions."""
     ds = clinical_subset
     tr = ds.split_mask("train")
     tu = ds.split_mask("tune")
@@ -118,9 +110,7 @@ def clinical_ensemble(clinical_subset):
     ens = build_ensemble(
         ds.features[tr], Y[tr], ds.features[tu], target_names=ds.target_names
     )
-    ho = ds.split_mask("holdout")
-    preds = ens.predictions(ds.features[ho])
-    return ens, preds
+    return ens.predictions(ds.features[ds.split_mask("holdout")])
 
 
 def test_c01_loss_identity_after_orthonormalization(rng):
@@ -280,16 +270,14 @@ def test_c06_curves_nondecreasing_with_plateau(clinical_curves, rng):
     )
 
 
-def test_c07_clinical_orderings(clinical_subset, clinical_ensemble, clinical_curves):
+def test_c07_clinical_orderings(clinical_subset, clinical_preds, clinical_curves):
     """Blend-family ambiguity beats every single-target one; the rate-maximizing
     blend, whose tune-split maximum is certified optimal, matches or beats the
     best single model's group count on holdout. < 30 min."""
     t0 = time.perf_counter()
     ds = clinical_subset
-    _, preds = clinical_ensemble
-    ho = ds.split_mask("holdout")
-    kappa = resolve_kappa(KAPPA_PERCENT, int(ho.sum()))
-    reports, _ = flip_reports_multi(ds.features[ho], clinical_ensemble[0], kappa)
+    kappa = resolve_kappa(KAPPA_PERCENT, clinical_preds.shape[0])
+    reports = flip_search_multi(clinical_preds, kappa)
     multi = ambiguity_single(reports, kappa).all_fraction
     singles = {name: fracs[-1] for name, fracs in clinical_curves.items()}
     part_a = all(multi > v for v in singles.values())
@@ -336,21 +324,20 @@ def test_c08_synthetic_dominance_sweep():
     )
 
 
-def test_c09_stable_fractions(clinical_ensemble, rng):
+def test_c09_stable_fractions(clinical_preds, rng):
     """Degenerate families keep everything stable; the clinical blend family
     keeps over half the top decile stable."""
     X = random_design(rng, 25, 2)
     y = rng.normal(size=25)
-    reports, _ = flip_reports_single(X, y, 0.0, 6)
+    reports = flip_search(X, make_ball(fit_ols(X, y), X, y, 0.0), 6)
     zero_eps = stable_points(reports, 6, "rashomon").stable_fraction
 
     col = rng.normal(size=30)
     same = flip_search_multi(np.column_stack([col, col, col]), 8)
     identical = stable_points(same, 8, "index").stable_fraction
 
-    _, preds = clinical_ensemble
-    kappa10 = resolve_kappa("10%", preds.shape[0])
-    clin = flip_search_multi(preds, kappa10)
+    kappa10 = resolve_kappa("10%", clinical_preds.shape[0])
+    clin = flip_search_multi(clinical_preds, kappa10)
     frac = stable_points(clin, kappa10, "index").stable_fraction
     _verdict(
         "stable fractions",

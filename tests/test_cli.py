@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 
 from topkflip import cli, fairness, index_model, metrics, rashomon_single, solver
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from topkflip.dataset import write_csv
+from topkflip.dataset import load_csv, orthonormalize, write_csv
 from topkflip.fairness import PhaseError
-from topkflip.reports import read_csv_with_meta, read_reports_jsonl
+from topkflip.linear_fit import fit_ols, make_ball
+from topkflip.reports import read_csv_with_meta, read_reports_jsonl, write_reports_jsonl
 from topkflip.synth import SynthConfig, generate, generate_clinical
 
 from conftest import fail_lps_after_the_first
@@ -91,6 +93,39 @@ def test_ambiguity_multi_reports(table, tmp_path):
     assert len(reports) == int(meta["n"])
     for rep in reports:
         assert rep.flippable == (rep.min_rank <= int(meta["kappa_resolved"]) < rep.max_rank)
+
+
+def _blend_preds(path, targets):
+    """Standardized holdout predictions and ids of the blend family that
+    the commands analyse on a table tagged train, tune and holdout."""
+    ds = load_csv(path, targets)
+    train, tune, holdout = (ds.split_mask(tag) for tag in ("train", "tune", "holdout"))
+    assert train.any() and tune.any() and holdout.any()
+    Y = np.column_stack([ds.target(t) for t in targets])
+    ensemble = index_model.build_ensemble(
+        ds.features[train], Y[train], ds.features[tune], target_names=targets
+    )
+    row_ids = tuple(r for r, m in zip(ds.row_ids, holdout) if m)
+    return ensemble.predictions(ds.features[holdout]), row_ids
+
+
+@pytest.mark.parametrize("flags, rank_mode", [([], "status"), (["--certify"], "exact")])
+def test_ambiguity_multi_writes_the_library_search(table, tmp_path, flags, rank_mode):
+    """The command's report lines are those of the library search on the
+    blend family's standardized predictions."""
+    out = tmp_path / "m.jsonl"
+    assert main([
+        "ambiguity-multi", "--data", str(table), "--targets", "y1,y2",
+        "--kappa", "10%", *flags, "--out", str(out),
+    ]) == EXIT_OK
+    meta, _ = read_reports_jsonl(out)
+    preds, row_ids = _blend_preds(table, ("y1", "y2"))
+    reports = index_model.flip_search_multi(
+        preds, meta["kappa_resolved"], row_ids=row_ids, rank_mode=rank_mode
+    )
+    expected = tmp_path / "lib.jsonl"
+    write_reports_jsonl(reports, expected, meta)
+    assert out.read_text() == expected.read_text()
 
 
 def _count_calls(monkeypatch, fn, *modules):
@@ -375,19 +410,16 @@ def test_stable_points_screens_once_per_sweep(table, tmp_path, monkeypatch, fami
     monkeypatch.undo()
 
     if family == "rashomon":
-        q = cli._orthonormal_analysis(cli._load_table(table, ("y1",)))
+        ds = load_csv(table, ("y1",))
+        q = orthonormalize(ds.subset(ds.split_mask("holdout")))
+        y = q.target("y1")
+        ball = make_ball(fit_ols(q.features, y), q.features, y, 0.05)
         sets = [
-            metrics.stable_points(
-                rashomon_single.flip_reports_single(q.features, q.target("y1"), 0.05, k)[0],
-                k,
-                family,
-            )
+            metrics.stable_points(rashomon_single.flip_search(q.features, ball, k), k, family)
             for k in (5, 10, 15)
         ]
     else:
-        targets = ("y1", "y2")
-        ensemble, X, _ = cli._blend_analysis(cli._load_table(table, targets), targets, "zscore")
-        preds = ensemble.predictions(X)
+        preds, _ = _blend_preds(table, ("y1", "y2"))
         sets = [
             metrics.stable_points(index_model.flip_search_multi(preds, k), k, family)
             for k in (5, 10, 15)
@@ -676,6 +708,31 @@ def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, fl
     out = tmp_path / "o.csv"
     assert main(flags + ["--data", str(table), "--out", str(out)]) == EXIT_USAGE
     assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["ambiguity-single", "--target", "y1", "--kappa", "5", "--epsilons", "0.01,1e308"],
+        ["stable-points", "--family", "rashomon", "--target", "y1", "--epsilon", "1e308",
+         "--kappa-sweep", "5"],
+    ],
+    ids=["ambiguity-single", "stable-points"],
+)
+def test_overflowing_tolerance_is_a_data_error(tmp_path, capsys, flags):
+    """A finite relative tolerance whose ball radius overflows is refused,
+    named, before any screen or search runs."""
+    data = tmp_path / "s.csv"
+    assert main(["synth", "--n", "60", "--b", "0.5", "--out", str(data)]) == EXIT_OK
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(flags + ["--data", str(data), "--out", str(out)])
+    assert not caught
+    assert code == EXIT_DATA
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "epsilon 1e+308 gives a ball radius that overflows to inf"
     assert not out.exists()
 
 

@@ -51,7 +51,7 @@ class TestStandardizer:
         np.testing.assert_array_equal(std.transform(R), R)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mode must be one of"):
             Standardizer.fit(np.zeros((5, 1)), "minmax", ("a",))
 
 

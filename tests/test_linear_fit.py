@@ -70,6 +70,16 @@ def test_ball_refuses_non_finite_tolerance(rng, epsilon):
         make_ball(fit_ols(X, y), X, y, epsilon)
 
 
+def test_ball_refuses_a_tolerance_whose_radius_overflows(rng):
+    X = random_design(rng, 20, 2)
+    y = 10.0 * rng.normal(size=20)
+    model = fit_ols(X, y)
+    assert model.rss(X, y) > 1.0
+    with pytest.raises(ValueError, match=r"^epsilon 1e\+308 gives a ball radius that overflows"):
+        make_ball(model, X, y, 1e308)
+    assert make_ball(model, X, y, 1e308, "absolute").radius == pytest.approx(1e154)
+
+
 def test_fit_on_rows_predicts_with_its_coefficients(rng):
     X = rng.normal(size=(20, 2))
     y = rng.normal(size=20)

@@ -8,7 +8,7 @@ from topkflip.metrics import (
     stable_points,
     stable_rows,
 )
-from topkflip.rashomon_single import flip_reports_single, flip_search
+from topkflip.rashomon_single import flip_search
 from topkflip.index_model import flip_search_multi
 
 from conftest import assert_reports_equal, random_design
@@ -54,7 +54,7 @@ def test_curve_matches_pointwise_reports(rng):
     eps = [0.02, 0.1, 0.4]
     curve = ambiguity_curve(X, y, 5, eps)
     for e, pt in zip(eps, curve):
-        reports, _ = flip_reports_single(X, y, e, 5)
+        reports = flip_search(X, make_ball(fit_ols(X, y), X, y, e), 5)
         flips = sum(1 for r in reports if r.flippable)
         assert pt.ambiguity_all == pytest.approx(flips / 25)
 
@@ -82,7 +82,7 @@ def test_curve_passes_equal_independent_searches(rng, rank_mode):
 def test_stable_points_split(rng):
     X = random_design(rng, 20, 2)
     y = rng.normal(size=20)
-    reports, _ = flip_reports_single(X, y, 0.1, 5)
+    reports = flip_search(X, make_ball(fit_ols(X, y), X, y, 0.1), 5)
     st = stable_points(reports, 5, "rashomon")
     assert len(st.stable_selected) + len(st.stable_unselected) + len(
         st.undetermined
@@ -96,7 +96,7 @@ def test_stable_points_split(rng):
 def test_stable_points_zero_epsilon_fraction_is_one(rng):
     X = random_design(rng, 18, 2)
     y = rng.normal(size=18)
-    reports, _ = flip_reports_single(X, y, 0.0, 4)
+    reports = flip_search(X, make_ball(fit_ols(X, y), X, y, 0.0), 4)
     st = stable_points(reports, 4, "rashomon")
     assert st.stable_fraction == 1.0
 
@@ -114,7 +114,8 @@ def test_undetermined_rows_claim_neither_side(rng):
 
     X = random_design(rng, 35, 4)
     y = rng.normal(size=35)
-    reports, _ = flip_reports_single(X, y, 1.0, 9, config=SolverConfig(node_budget=1))
+    ball = make_ball(fit_ols(X, y), X, y, 1.0)
+    reports = flip_search(X, ball, 9, config=SolverConfig(node_budget=1))
     st = stable_points(reports, 9, "rashomon")
     assert len(st.undetermined) > 0
     assert not (set(st.undetermined) & set(st.stable_selected))
@@ -148,7 +149,7 @@ def test_row_formatters(rng):
     assert len(rows) == 2 and rows[0][3] == "cost"
     assert float(rows[1][0]) == 0.1
 
-    reports, _ = flip_reports_single(X, y, 0.05, 4)
+    reports = flip_search(X, make_ball(fit_ols(X, y), X, y, 0.05), 4)
     st = stable_points(reports, 4, "rashomon")
     srows = stable_rows([st])
     assert srows[0][0] == 4 and srows[0][2] == "rashomon"

@@ -12,7 +12,6 @@ from topkflip.rashomon_single import (
     _certify_rows,
     _pool_rank_envelope,
     ambiguity_single,
-    flip_reports_single,
     flip_search,
     witness_pool,
 )
@@ -194,7 +193,8 @@ def test_witnesses_live_in_the_ball_and_realize_flips(rng):
     for X, y, eps, kappa in cases:
         P = X[:, 1:]
         for mode in ("status", "exact"):
-            reports, ball = flip_reports_single(X, y, eps, kappa, rank_mode=mode)
+            ball = make_ball(fit_ols(X, y), X, y, eps)
+            reports = flip_search(X, ball, kappa, rank_mode=mode)
             for rep in reports:
                 if rep.witness is not None:
                     assert ball.contains(rep.witness, tol=1e-9)
@@ -207,18 +207,16 @@ def test_witnesses_live_in_the_ball_and_realize_flips(rng):
 def test_zero_epsilon_nothing_flips(rng):
     X = random_design(rng, 15, 2)
     y = rng.normal(size=15)
-    reports, ball = flip_reports_single(X, y, 0.0, 4)
+    ball = make_ball(fit_ols(X, y), X, y, 0.0)
+    reports = flip_search(X, ball, 4)
     assert ball.radius == 0.0
     assert not any(rep.flippable for rep in reports)
 
 
 def test_ambiguity_counts():
-    reports, _ = flip_reports_single(
-        np.linalg.qr(np.column_stack([np.ones(12), np.arange(12.0)]))[0],
-        np.arange(12.0) + 0.01 * np.sin(np.arange(12)),
-        0.5,
-        3,
-    )
+    X = np.linalg.qr(np.column_stack([np.ones(12), np.arange(12.0)]))[0]
+    y = np.arange(12.0) + 0.01 * np.sin(np.arange(12))
+    reports = flip_search(X, make_ball(fit_ols(X, y), X, y, 0.5), 3)
     amb = ambiguity_single(reports, 3)
     assert amb.all_fraction == pytest.approx(amb.n_flippable / 12)
     assert 0.0 <= amb.top_fraction <= 1.0

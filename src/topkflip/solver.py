@@ -21,9 +21,11 @@ branches on orientations, checking region nonemptiness exactly:
 After the root presolve fixes the sign-definite pairs, the search runs on
 a compact state: the free pairs only, permuted once into the static
 branch order, and one loss count per objective row (the focal row, or
-each distinct group row) plus a catch-all slot that nothing reads. Rank
-and group queries differ only in their value formula and in one sign,
-whether a loss on an objective row helps the sense.
+each distinct group row) plus a catch-all slot that nothing reads, each
+with its reach, the losses plus the open pairs that could still charge
+it. Rank and group queries differ only in their value formula and in one
+sign, whether a loss on an objective row helps the sense; a group query
+also drops the open pairs between rows whose membership is settled.
 
 Bounds are admissible counting arguments, incumbents come from feasibility
 witnesses with a safety margin so a reported value is always attainable,
@@ -651,15 +653,18 @@ class _PolyGeom:
     def __init__(self, tol: float, gaps):
         self.tol = tol
         # Each pair's gap as c1 * a1 + c2 * a2 + c0 in the first two weights.
-        self.c1 = gaps[:, 0] - gaps[:, 2]
-        self.c2 = gaps[:, 1] - gaps[:, 2]
+        # The (2, P) stack serves free_ranges; the lists serve child, whose
+        # scalar clipping runs faster on Python floats than on NumPy ones.
+        self.c12 = np.vstack([gaps[:, 0] - gaps[:, 2], gaps[:, 1] - gaps[:, 2]])
         self.c0 = gaps[:, 2]
+        self.c1_list, self.c2_list = self.c12.tolist()
+        self.c0_list = self.c0.tolist()
 
     def root(self):
         return ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
     def child(self, state, pair, sign, witness):
-        c1, c2, c0 = sign * self.c1[pair], sign * self.c2[pair], sign * self.c0[pair]
+        c1, c2, c0 = sign * self.c1_list[pair], sign * self.c2_list[pair], sign * self.c0_list[pair]
         verts = state
         out = []
         m = len(verts)
@@ -690,7 +695,7 @@ class _PolyGeom:
         if not state:
             return None
         V = np.asarray(state)  # (m, 2)
-        vals = V @ np.vstack([self.c1[ids], self.c2[ids]]) + self.c0[ids]  # (m, P)
+        vals = V @ self.c12[:, ids] + self.c0[ids]  # (m, P)
         return vals.min(axis=0), vals.max(axis=0)
 
 
@@ -762,7 +767,11 @@ def _make_geom(region, tol, gaps):
 class _Node:
     open: NDArray[np.int64]  # ids of the open free pairs in branch order, ascending
     losses: NDArray[np.int64]  # per objective slot, then the catch-all slot
+    reach: NDArray[np.int64]  # per slot, losses plus one per open pair end
     region_state: object
+    # Group queries: whether a row may have settled since the parent
+    # dropped the pairs between settled rows.
+    settling: bool = True
 
 
 def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
@@ -823,7 +832,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
 
     def charge(ones, zeros) -> NDArray[np.int64]:
         """Losses per slot of orienting the pairs ``ones`` 1 and ``zeros`` 0."""
-        return count(s_below[ones]) + count(s_above[zeros])
+        return count(np.concatenate((s_below[ones], s_above[zeros])))
 
     # Root presolve: orientations forced by a sign-definite gap range.
     forced1 = glo > tol_forced
@@ -872,7 +881,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     def value(losses) -> int:
         if rank:
             return 1 + int(losses[0])
-        return int(np.sum(1 + losses[:m] <= inst.kappa))
+        return int(np.count_nonzero(losses[:m] < inst.kappa))
 
     def better(a: int, b: int) -> bool:
         return a < b if sense == "min" else a > b
@@ -880,9 +889,7 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     def node_bound(node: _Node) -> int:
         """Admissible bound: every open pair may still go either way, so
         when a loss helps it may charge both its ends."""
-        if not loss_helps:
-            return value(node.losses)
-        return value(node.losses + charge(node.open, node.open))
+        return value(node.reach if loss_helps else node.losses)
 
     def witness_update(node: _Node, param):
         """Turn a feasibility witness into an attained objective value.
@@ -912,14 +919,21 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
 
     def make_child(node: _Node, orientation: int, param) -> _Node:
         c = node.open[0]
+        win, lose = (s_above[c], s_below[c]) if orientation == 1 else (s_below[c], s_above[c])
         losses = node.losses.copy()
-        losses[s_below[c] if orientation == 1 else s_above[c]] += 1
+        losses[lose] += 1
+        reach = node.reach.copy()
+        reach[win] -= 1
+        # The loser may have just gone out, the winner just become surely in.
+        settling = not rank and (
+            (lose < m and losses[lose] == inst.kappa) or (win < m and reach[win] == inst.kappa - 1)
+        )
         if wild[c]:
             state = node.region_state  # trivial halfspace; geometry unchanged
         else:
             # Orientation 1 asks gap >= 0, the halfspace -gap <= 0.
             state = geom.child(node.region_state, c, -1.0 if orientation == 1 else 1.0, param)
-        return _Node(open=node.open[1:], losses=losses, region_state=state)
+        return _Node(open=node.open[1:], losses=losses, reach=reach, region_state=state, settling=settling)
 
     def propagate(node: _Node):
         """Force orientations whose gap became sign-definite on the current
@@ -937,9 +951,39 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         if not (hit1.any() or hit0.any()):
             return
         node.losses += charge(node.open[hit1], node.open[hit0])
+        node.reach -= charge(node.open[hit0], node.open[hit1])
         node.open = node.open[~(hit1 | hit0)]
+        node.settling = True
 
-    stack = [_Node(open=np.arange(F, dtype=np.int64), losses=base_losses, region_state=geom.root())]
+    def drop_settled(node: _Node):
+        """Group queries: drop the open pairs whose two ends are both
+        settled. A row is settled when it is no group row (the catch-all
+        slot), already out (losses of at least kappa), or surely in (its
+        losses plus its open pairs stay below kappa). Losses only grow, so
+        a settled row stays settled, and a dropped pair charges only
+        settled rows: every value, bound and witness value stays the same,
+        and only subtrees that cannot change the count disappear."""
+        if not (node.settling and node.open.shape[0]):
+            return
+        settled = (node.losses >= inst.kappa) | (node.reach < inst.kappa)
+        if not settled[:m].any():
+            return
+        settled[m] = True
+        both = settled[s_above[node.open]] & settled[s_below[node.open]]
+        if both.any():
+            drop = node.open[both]
+            node.reach -= charge(drop, drop)
+            node.open = node.open[~both]
+
+    root_open = np.arange(F, dtype=np.int64)
+    stack = [
+        _Node(
+            open=root_open,
+            losses=base_losses,
+            reach=base_losses + charge(root_open, root_open),
+            region_state=geom.root(),
+        )
+    ]
     undecided_bounds: list[int] = []
     pruned: int | None = None  # the extreme bound of the pruned nodes
     crossed = False
@@ -961,6 +1005,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         if not ok:
             continue
         propagate(node)
+        if not rank:
+            drop_settled(node)
         witness_update(node, param)
         if target is not None and better(incumbent_value, target):
             crossed = True

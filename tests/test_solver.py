@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 from topkflip import solver
 from topkflip.index_model import prune_never_top_multi
-from topkflip.oracle import angle_sweep_single
+from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import rank_descending
 from topkflip.rashomon_single import _pool_rank_envelope, witness_pool
 from topkflip.solver import (
@@ -146,6 +146,50 @@ def test_group_presolve_matches_unreduced_instance(family, rng):
             assert (a.status, a.value) == (b.status, b.value), (family, trial, sense)
             reduced_some += reduced.gaps.shape[0] < full.gaps.shape[0]
     assert reduced_some  # the presolve really dropped pairs
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_dropping_settled_pairs_keeps_group_counts_exact(K):
+    """Small kappa and a large group share settle rows early in the search,
+    so many open pairs join two settled rows and are dropped. Every side
+    the search certifies equals the blend sweep's count."""
+    rng = np.random.default_rng(230 + K)
+    sweep_of = simplex_sweep_k2 if K == 2 else simplex_sweep_k3
+    cfg = SolverConfig(node_budget=20_000, time_budget=1e9)
+    certified = 0
+    for trial in range(30):
+        n = int(rng.integers(8, 13))
+        P = rng.normal(size=(n, K))
+        if trial % 2:
+            P = np.round(P, 1)  # exact ties between rows and across targets
+        kappa = int(rng.integers(1, 4))
+        mask = rng.random(n) < 0.6
+        sweep = sweep_of(P, kappa, group_mask=mask)
+        for sense, want in (("min", sweep.group_min), ("max", sweep.group_max)):
+            sol = solve(group_query(sense, SimplexRegion(dim=K), P, np.flatnonzero(mask), kappa), cfg)
+            if sol.status == "optimal":
+                assert sol.value == want, (trial, sense)
+                certified += 1
+    assert certified >= 50
+
+
+@pytest.mark.parametrize("group, counts, nodes", [((3, 4), (0, 0), 1), ((1, 3, 4), (0, 1), 3)])
+def test_pairs_between_settled_rows_are_never_branched(group, counts, nodes):
+    """Row 0 tops both targets and rows 3 and 4 sit below every other row,
+    so with kappa 2 group rows 3 and 4 are out at the root. Their crossing
+    pair has the widest gap range and comes first in the branch order,
+    but it cannot change the count. Without group row 1 it is the only
+    free pair and the root is a leaf. With row 1, whose crossing with
+    row 2 decides the count, only that pair is branched: the root and
+    its two children, where branching on the settled pair first made
+    five nodes for max."""
+    P = np.array([[10.0, 10.0], [0.0, 1.0], [1.0, 0.0], [-6.0, -4.0], [-4.0, -6.0]])
+    mask = np.isin(np.arange(5), group)
+    sweep = simplex_sweep_k2(P, 2, group_mask=mask)
+    assert (sweep.group_min, sweep.group_max) == counts
+    for sense, want in zip(("min", "max"), counts):
+        sol = solve(_unreduced_group_query(sense, SimplexRegion(dim=2), P, group, 2))
+        assert (sol.status, sol.value, sol.bound, sol.nodes) == ("optimal", want, want, nodes), sense
 
 
 def _two_column_ball_solves():
@@ -676,29 +720,29 @@ def _pinned_grid():
 # (status, value, bound, nodes, presolve_fixed, free_pairs) per grid case.
 PINNED_SEARCH = {
     (0, 'ball', 'rank', 'min'): ('optimal', 1, 1, 23, 0, 11),
-    (0, 'ball', 'group', 'min'): ('optimal', 0, 0, 91, 0, 56),
+    (0, 'ball', 'group', 'min'): ('optimal', 0, 0, 71, 0, 56),
     (0, 'ball', 'rank', 'max'): ('optimal', 12, 12, 23, 0, 11),
-    (0, 'ball', 'group', 'max'): ('optimal', 7, 7, 169, 0, 56),
+    (0, 'ball', 'group', 'max'): ('optimal', 7, 7, 145, 0, 56),
     (1, 'ball', 'rank', 'min'): ('optimal', 1, 1, 23, 0, 11),
-    (1, 'ball', 'group', 'min'): ('budget_exhausted', 1, 0, 300, 6, 15),
+    (1, 'ball', 'group', 'min'): ('optimal', 0, 0, 71, 6, 15),
     (1, 'ball', 'rank', 'max'): ('optimal', 12, 12, 17, 0, 11),
     (1, 'ball', 'group', 'max'): ('optimal', 1, 1, 25, 6, 15),
     (2, 'interval', 'rank', 'min'): ('optimal', 2, 2, 3, 10, 5),
-    (2, 'interval', 'group', 'min'): ('optimal', 4, 4, 71, 40, 44),
+    (2, 'interval', 'group', 'min'): ('optimal', 4, 4, 43, 40, 44),
     (2, 'interval', 'rank', 'max'): ('optimal', 4, 4, 9, 10, 5),
-    (2, 'interval', 'group', 'max'): ('optimal', 4, 4, 71, 40, 44),
+    (2, 'interval', 'group', 'max'): ('optimal', 4, 4, 43, 40, 44),
     (3, 'interval', 'rank', 'min'): ('optimal', 4, 4, 9, 8, 7),
-    (3, 'interval', 'group', 'min'): ('optimal', 1, 1, 45, 32, 43),
+    (3, 'interval', 'group', 'min'): ('optimal', 1, 1, 15, 32, 43),
     (3, 'interval', 'rank', 'max'): ('optimal', 6, 6, 7, 8, 7),
-    (3, 'interval', 'group', 'max'): ('optimal', 2, 2, 63, 32, 43),
+    (3, 'interval', 'group', 'max'): ('optimal', 2, 2, 39, 32, 43),
     (4, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 19, 3, 12),
     (4, 'polygon', 'group', 'min'): ('optimal', 0, 0, 5, 9, 45),
     (4, 'polygon', 'rank', 'max'): ('optimal', 16, 16, 9, 3, 12),
-    (4, 'polygon', 'group', 'max'): ('optimal', 2, 2, 59, 9, 45),
+    (4, 'polygon', 'group', 'max'): ('optimal', 2, 2, 39, 9, 45),
     (5, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 19, 5, 10),
     (5, 'polygon', 'group', 'min'): ('budget_exhausted', 3, 0, 300, 23, 76),
     (5, 'polygon', 'rank', 'max'): ('optimal', 11, 11, 17, 5, 10),
-    (5, 'polygon', 'group', 'max'): ('budget_exhausted', 5, 9, 300, 23, 76),
+    (5, 'polygon', 'group', 'max'): ('optimal', 7, 7, 283, 23, 76),
     (6, 'lp', 'rank', 'min'): ('optimal', 1, 1, 1, 0, 8),
     (6, 'lp', 'group', 'min'): ('budget_exhausted', 1, 0, 300, 3, 18),
     (6, 'lp', 'rank', 'max'): ('optimal', 9, 9, 7, 0, 8),

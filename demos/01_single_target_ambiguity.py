@@ -10,7 +10,6 @@ against the tolerance.
 import numpy as np
 
 from topkflip import (
-    SynthConfig,
     ambiguity_curve,
     fit_ols,
     flip_search,
@@ -23,7 +22,7 @@ KAPPA = 12
 
 
 def main():
-    ds = generate(SynthConfig(n=240, b=0.5, seed=11))
+    ds = generate(n=240, b=0.5, seed=11)
     holdout = ds.subset(ds.split_mask("holdout"))
     q = orthonormalize(holdout)
     X, y = q.features, q.target("y1")

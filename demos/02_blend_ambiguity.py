@@ -11,7 +11,6 @@ compares the churn to what single-target tolerance balls produce.
 import numpy as np
 
 from topkflip import (
-    SynthConfig,
     ambiguity_single,
     build_ensemble,
     fit_ols,
@@ -26,7 +25,7 @@ KAPPA = 12
 
 
 def main():
-    ds = generate(SynthConfig(n=240, b=0.8, seed=3))
+    ds = generate(n=240, b=0.8, seed=3)
     train = ds.split_mask("train")
     tune = ds.split_mask("tune")
     holdout = ds.split_mask("holdout")

@@ -7,11 +7,11 @@ each extreme, so the best blend can be audited on fresh rows next to the
 single-target models it beats.
 """
 
-from topkflip import SynthConfig, fairness_workflow, generate
+from topkflip import fairness_workflow, generate
 
 
 def main():
-    ds = generate(SynthConfig(n=450, b=0.6, seed=7))
+    ds = generate(n=450, b=0.6, seed=7)
     bundle = fairness_workflow(
         ds, ds.target_names, "protected", "20%", direction="both"
     )

@@ -14,7 +14,6 @@ the same way and once with targets in opposition.
 import numpy as np
 
 from topkflip import (
-    SynthConfig,
     build_ensemble,
     flip_search_multi,
     generate,
@@ -24,7 +23,7 @@ from topkflip import (
 
 
 def stable_table(b):
-    ds = generate(SynthConfig(n=300, b=b, seed=5))
+    ds = generate(n=300, b=b, seed=5)
     train = ds.split_mask("train")
     tune = ds.split_mask("tune")
     holdout = ds.split_mask("holdout")

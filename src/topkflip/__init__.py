@@ -59,6 +59,6 @@ from .metrics import (
     stable_rows,
 )
 from .oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
-from .synth import SynthConfig, generate, generate_clinical
+from .synth import generate, generate_clinical
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,9 +2,10 @@
 
 Batch interface over the library: fit models, trace ambiguity curves,
 write per-row flip reports, audit group selection rates, tabulate stable
-points, and generate the synthetic study tables. Every output embeds a
-metadata header sufficient to replay the run; apart from the timestamp
-field, identical flags and seed produce byte-identical files.
+points, and generate the synthetic study tables. Every output but the
+synthetic table embeds a metadata header that records each flag that
+changes its results; apart from the timestamp field, identical flags and
+seed produce byte-identical files.
 
 Exit codes: 0 success, 1 a --certify oracle cross-check disagreed with
 the solver, 2 usage error, 3 data error, 4 a search stopped short of a
@@ -34,7 +35,7 @@ from .ranking import resolve_kappa
 from .rashomon_single import flip_search
 from .reports import meta_record, write_csv_with_meta, write_reports_jsonl
 from .solver import SolverConfig, screen_membership
-from .synth import SynthConfig, generate
+from .synth import generate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -186,6 +187,7 @@ def _base_meta(args, command: str, **extra) -> dict:
         seed=args.seed,
         node_budget=cfg.node_budget,
         time_budget=cfg.time_budget,
+        drop_regex=args.drop_regex,
         **extra,
     )
 
@@ -208,7 +210,11 @@ def _cmd_fit(args) -> int:
             }
         )
     meta = meta_record(
-        command="fit", seed=args.seed, data=str(args.data), n_fit=int(fit_rows.sum())
+        command="fit",
+        seed=args.seed,
+        data=str(args.data),
+        n_fit=int(fit_rows.sum()),
+        drop_regex=args.drop_regex,
     )
     doc = {"meta": meta, "models": models}
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -305,20 +311,15 @@ def _cmd_ambiguity_single(args) -> int:
         kappa=str(args.kappa),
         kappa_resolved=kappa,
         epsilon_mode=args.epsilon_mode,
-        mode=args.mode,
         n=q.n,
+        certify=args.certify or None,
     )
-    all_rows = [list(r) for r in curve_rows(curve, args.target)]
-    if args.mode == "all":
-        columns = ["epsilon", "ambiguity_all", "target"]
-        rows = [[r[0], r[1], r[3]] for r in all_rows]
-    elif args.mode == "top":
-        columns = ["epsilon", "ambiguity_top", "target"]
-        rows = [[r[0], r[2], r[3]] for r in all_rows]
-    else:
-        columns = ["epsilon", "ambiguity_all", "ambiguity_top", "target"]
-        rows = all_rows
-    write_csv_with_meta(args.out, meta, columns, rows)
+    write_csv_with_meta(
+        args.out,
+        meta,
+        ["epsilon", "ambiguity_all", "ambiguity_top", "target"],
+        curve_rows(curve, args.target),
+    )
     if any(point.n_undetermined for point in curve):
         return EXIT_BUDGET
     return EXIT_OK
@@ -354,6 +355,7 @@ def _cmd_ambiguity_multi(args) -> int:
         kappa_resolved=kappa,
         standardization=args.standardize,
         n=n,
+        certify=args.certify or None,
     )
     write_reports_jsonl(reports, args.out, meta)
     if any(rep.method == "undetermined" for rep in reports):
@@ -396,6 +398,7 @@ def _cmd_fairness_range(args) -> int:
         kappa=str(args.kappa),
         direction=args.direction,
         standardization=bundle.standardization,
+        certify=args.certify or None,
     )
     write_fairness_json(args.out, meta, bundle)
     table = str(args.out)
@@ -451,7 +454,7 @@ def _cmd_stable_points(args) -> int:
         screen = screen_membership(ball, q.features)
         search = partial(flip_search, q.features, ball, config=cfg, prune=screen)
         n_rows = q.n
-        family_meta = {"epsilon": epsilon, "epsilon_mode": epsilon_mode}
+        family_meta = {"target": args.target, "epsilon": epsilon, "epsilon_mode": epsilon_mode}
     else:
         if args.targets is None:
             raise UsageError("--targets is required for the index family")
@@ -461,7 +464,7 @@ def _cmd_stable_points(args) -> int:
         preds, _ = _blend_analysis(ds, targets, standardization)
         search = partial(flip_search_multi, preds, config=cfg, prune=prune_never_top_multi(preds))
         n_rows = preds.shape[0]
-        family_meta = {"standardization": standardization}
+        family_meta = {"targets": ",".join(targets), "standardization": standardization}
     kappas = [resolve_kappa(k, n_rows) for k in sweep]
     payloads = [(search, k, args.family) for k in kappas]
 
@@ -495,10 +498,10 @@ def _cmd_stable_points(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        cfg = SynthConfig(n=args.n, b=args.b, seed=args.seed)
-    except ValueError as exc:  # --n and --b are the fields it can refuse
+        ds = generate(args.n, args.b, args.seed)
+    except ValueError as exc:  # --n and --b are the arguments it can refuse
         raise UsageError(f"--n {args.n} --b {args.b}: {exc}") from None
-    write_csv(generate(cfg), args.out)
+    write_csv(ds, args.out)
     return EXIT_OK
 
 
@@ -514,7 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-budget": dict(type=_positive(float), default=None),
         "--certify": dict(
             action="store_true",
-            help="run exact rank searches and cross-check oracles on small inputs",
+            help=(
+                "check results against an exact sweep where the input is small and "
+                "low-dimensional enough; the flag also makes ambiguity-multi solve exact "
+                "rank ranges for every row, and ambiguity-single where its sweep applies"
+            ),
         ),
         "--drop-regex": dict(type=_regex, default=None, help="drop matching feature columns"),
         "--workers": dict(type=_positive(int), default=1, help="fan the kappa sweep out over processes"),
@@ -540,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--kappa", required=True)
     p.add_argument("--epsilons", required=True)
-    p.add_argument("--mode", choices=("all", "top", "both"), default="both")
     p.add_argument("--epsilon-mode", choices=("relative", "absolute"), default="relative")
     p.add_argument("--out", required=True)
     common(p, *budgets, "--drop-regex", "--certify")

@@ -234,13 +234,12 @@ def fairness_workflow(
     targets,
     group_label: str,
     kappa,
-    standardization: str = "zscore",
     direction: str = "max",
     config: SolverConfig | None = None,
 ) -> FairnessBundle:
     """Tune a rate-maximizing blend on one split, audit it on another.
 
-    Train rows fit the per-target models, tune rows freeze the
+    Train rows fit the per-target models, tune rows freeze the z-score
     standardizer and host the extreme-count search, holdout rows receive
     the witness blend next to every one-hot. The kappa argument may be
     an ``int`` or a percent string and resolves against each phase's
@@ -273,7 +272,6 @@ def fairness_workflow(
             ds.features[tr],
             Y[tr],
             ds.features[masks["tune"]],
-            standardization=standardization,
             target_names=target_names,
         )
 
@@ -318,7 +316,7 @@ def fairness_workflow(
     return FairnessBundle(
         group_label=group_label,
         target_names=target_names,
-        standardization=standardization,
+        standardization=ensemble.standardizer.mode,
         kappa_input=str(kappa),
         kappa_tune=kappa_tune,
         kappa_holdout=kappa_hold,

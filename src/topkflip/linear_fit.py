@@ -38,30 +38,22 @@ def rss(X: NDArray[np.float64], y: NDArray[np.float64], w: NDArray[np.float64]) 
     return float(r @ r)
 
 
-def orthonormality_defect(X: NDArray[np.float64]) -> float:
-    """Largest absolute entry of X^T X - I."""
-    G = X.T @ X
-    return float(np.max(np.abs(G - np.eye(G.shape[0]))))
-
-
-def require_orthonormal(X: NDArray[np.float64], tol: float = ORTHONORMAL_TOL) -> None:
-    defect = orthonormality_defect(X)
-    if defect > tol:
-        raise ValueError(
-            f"design is not orthonormal (max |X^T X - I| = {defect:.3e} > {tol:.0e}); "
-            "run orthonormalize first"
-        )
-
-
 def fit_ols(X: NDArray[np.float64], y: NDArray[np.float64]) -> LinearModel:
     """Least squares on an orthonormal design: w0 = X^T y.
 
-    Raises ValueError if the design fails the orthonormality check; use
-    :func:`fit_on_rows` for general designs.
+    Raises ValueError if some entry of X^T X - I exceeds
+    ``ORTHONORMAL_TOL`` in magnitude; use :func:`fit_on_rows` for general
+    designs.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    require_orthonormal(X)
+    G = X.T @ X
+    defect = float(np.max(np.abs(G - np.eye(G.shape[0]))))
+    if defect > ORTHONORMAL_TOL:
+        raise ValueError(
+            f"design is not orthonormal (max |X^T X - I| = {defect:.3e} > "
+            f"{ORTHONORMAL_TOL:.0e}); run orthonormalize first"
+        )
     return LinearModel(coef=X.T @ y)
 
 

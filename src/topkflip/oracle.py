@@ -35,17 +35,17 @@ def _tie_tol(scores: NDArray[np.float64]) -> float:
 
 
 def optimistic_rank_bounds(
-    scores: NDArray[np.float64], tol: float | None = None
+    scores: NDArray[np.float64],
 ) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
     """Best and worst attainable rank per row at one scoring of the rows.
 
     A tied pair can be ordered either way, independently per queried row, so
     the best rank is 1 + #(strictly higher rows) and the worst is
-    1 + #(rows higher or tied). Rows closer than ``tol`` count as tied.
+    1 + #(rows higher or tied). Rows closer than ``TIE_REL_TOL`` times
+    max(1, largest |score|) count as tied.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if tol is None:
-        tol = _tie_tol(s)
+    tol = _tie_tol(s)
     diff = s[None, :] - s[:, None]  # diff[i, j] = s_j - s_i
     strict = np.sum(diff > tol, axis=1)
     weak = np.sum(diff >= -tol, axis=1) - 1  # the diagonal counts itself once
@@ -154,7 +154,6 @@ def group_count_range(
     scores: NDArray[np.float64],
     kappa: int,
     group_mask: NDArray[np.bool_],
-    tol: float | None = None,
 ) -> "tuple[int, int]":
     """Range of group members in the top kappa at one scoring of the rows.
 
@@ -167,8 +166,7 @@ def group_count_range(
     n = s.shape[0]
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-    if tol is None:
-        tol = _tie_tol(s)
+    tol = _tie_tol(s)
     order = np.argsort(-s, kind="stable")
     gmin = 0
     gmax = 0

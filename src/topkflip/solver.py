@@ -70,9 +70,9 @@ class BallRegion:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, w: NDArray[np.float64], tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, w: NDArray[np.float64]) -> bool:
         delta = np.asarray(w, dtype=np.float64) - self.center
-        return float(delta @ delta) <= self.radius**2 + tol
+        return float(delta @ delta) <= self.radius**2 + MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)

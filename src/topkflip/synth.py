@@ -19,76 +19,36 @@ Two generators, both deterministic under their seed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Dataset, assign_splits
 
-__all__ = ["SynthConfig", "generate", "generate_clinical"]
+__all__ = ["generate", "generate_clinical"]
 
 AGE_RANGE = (20.0, 80.0)
+# Age quantile band where protected-group membership is most likely, and
+# the membership probabilities inside and outside it.
+GROUP_BAND = (0.4, 0.6)
+P_IN_BAND = 0.6
+P_OUT_BAND = 0.1
+# Standard deviation of the noise added to each standardized target.
+NOISE_SD = 0.5
+# Extra illness burden of black patients, and the access gap that keeps
+# it out of their realized spending.
+BURDEN_GAP = 1.2
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Parameters for the two-target age study.
-
-    Attributes
-    ----------
-    n : int
-        Number of rows, at least 10.
-    b : float
-        Slope of the second target on standardized age, finite. Negative
-        values make both targets favor the young; positive values put
-        them in opposition.
-    group_band : tuple of float
-        Age quantile band (lo, hi) where protected-group membership is
-        most likely.
-    p_in_band, p_out_band : float
-        Membership probabilities inside and outside the band. Must
-        satisfy ``p_in_band > p_out_band`` so the band means something.
-    noise_sd : float
-        Standard deviation of the independent noise added to each
-        standardized target.
-    seed : int
-        Generator seed; equal configs produce bit-identical datasets.
-    """
-
-    n: int
-    b: float
-    group_band: tuple[float, float] = (0.4, 0.6)
-    p_in_band: float = 0.6
-    p_out_band: float = 0.1
-    noise_sd: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 10:
-            raise ValueError(f"need n >= 10, got {self.n}")
-        if not np.isfinite(self.b):
-            raise ValueError(f"b must be finite, got {self.b}")
-        lo, hi = self.group_band
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError(f"group_band must satisfy 0 <= lo < hi <= 1, got {self.group_band}")
-        if not (0.0 <= self.p_out_band < self.p_in_band <= 1.0):
-            raise ValueError(
-                "need 0 <= p_out_band < p_in_band <= 1, got "
-                f"p_in_band={self.p_in_band}, p_out_band={self.p_out_band}"
-            )
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
-
-
-def generate(cfg: SynthConfig) -> Dataset:
+def generate(n: int, b: float, seed: int = 0) -> Dataset:
     """Draw the two-target age study as a Dataset.
 
     Age is uniform on a fixed range. With z the in-sample standardized
     age, the targets are ``y1 = -z + e1`` and ``y2 = b*z + e2`` with
     independent normal noise, so the correlation between y2 and age
-    moves continuously with ``b`` and hits zero at ``b = 0``. Group
-    membership is Bernoulli with the in-band probability between the
-    band quantiles of age and the out-of-band probability elsewhere.
+    moves continuously with ``b`` and hits zero at ``b = 0``. Negative
+    ``b`` makes both targets favor the young; positive ``b`` puts them in
+    opposition. Group membership is Bernoulli with the in-band
+    probability between the band quantiles of age and the out-of-band
+    probability elsewhere.
 
     Besides age the table carries a visits column independent of age,
     group, and both targets. Fitted models pick up only noise-level
@@ -96,41 +56,41 @@ def generate(cfg: SynthConfig) -> Dataset:
     ranking by it, which is what lets an index model trade the age
     tails for an age-balanced selection when the targets oppose.
 
-    The noise vectors are drawn even when ``noise_sd`` is zero, so the
-    group assignment depends only on (n, seed), not on the noise level.
+    ``n`` must be at least 10 and ``b`` finite. Equal arguments produce
+    bit-identical datasets.
     """
-    rng = np.random.default_rng(cfg.seed)
-    age = rng.uniform(AGE_RANGE[0], AGE_RANGE[1], cfg.n)
+    if n < 10:
+        raise ValueError(f"need n >= 10, got {n}")
+    if not np.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
+    rng = np.random.default_rng(seed)
+    age = rng.uniform(AGE_RANGE[0], AGE_RANGE[1], n)
     z = (age - age.mean()) / age.std()
-    e1 = rng.normal(0.0, cfg.noise_sd, cfg.n) if cfg.noise_sd > 0 else np.zeros(cfg.n)
-    e2 = rng.normal(0.0, cfg.noise_sd, cfg.n) if cfg.noise_sd > 0 else np.zeros(cfg.n)
-    if cfg.noise_sd == 0:
-        # Burn the draws anyway to keep the stream position fixed.
-        rng.normal(0.0, 1.0, 2 * cfg.n)
-    visits = rng.normal(4.0, 1.0, cfg.n)
-    lo_q, hi_q = np.quantile(age, cfg.group_band)
+    e1 = rng.normal(0.0, NOISE_SD, n)
+    e2 = rng.normal(0.0, NOISE_SD, n)
+    visits = rng.normal(4.0, 1.0, n)
+    lo_q, hi_q = np.quantile(age, GROUP_BAND)
     in_band = (age >= lo_q) & (age <= hi_q)
-    p_member = np.where(in_band, cfg.p_in_band, cfg.p_out_band)
-    member = rng.random(cfg.n) < p_member
-    row_ids = tuple(str(i) for i in range(cfg.n))
+    member = rng.random(n) < np.where(in_band, P_IN_BAND, P_OUT_BAND)
+    row_ids = tuple(str(i) for i in range(n))
     return Dataset(
         feature_names=("intercept", "age", "visits"),
-        features=np.column_stack([np.ones(cfg.n), age, visits]),
+        features=np.column_stack([np.ones(n), age, visits]),
         target_names=("y1", "y2"),
-        targets=np.column_stack([-z + e1, cfg.b * z + e2]),
+        targets=np.column_stack([-z + e1, b * z + e2]),
         groups=np.where(member, "protected", "other"),
         row_ids=row_ids,
-        split_tags=assign_splits(row_ids, cfg.seed),
+        split_tags=assign_splits(row_ids, seed),
     )
 
 
-def generate_clinical(n: int = 1800, seed: int = 20240117, gap: float = 1.2) -> Dataset:
+def generate_clinical(n: int = 1800, seed: int = 20240117) -> Dataset:
     """Draw the clinical stand-in table.
 
     Mechanism: a latent illness burden ``sev`` is gamma-distributed with
-    a ``gap``-sized bump for black patients. Realized spending tracks
-    ``sev - gap`` for black patients, so the cost distribution is close
-    to race-blind while black patients carry more illness at any cost
+    a ``BURDEN_GAP``-sized bump for black patients. Realized spending
+    tracks ``sev - BURDEN_GAP`` for black patients, so the cost
+    distribution is close to race-blind while black patients carry more illness at any cost
     level. Chronic condition counts track ``sev`` directly. Burden
     persists into the target year, so lagged features predict all three
     targets, but only the condition-count target is free of the spending
@@ -145,7 +105,7 @@ def generate_clinical(n: int = 1800, seed: int = 20240117, gap: float = 1.2) -> 
     rng = np.random.default_rng(seed)
 
     black = rng.random(n) < 0.35
-    sev = rng.gamma(1.7, 1.25, n) + gap * black
+    sev = rng.gamma(1.7, 1.25, n) + BURDEN_GAP * black
     age = np.clip(45.0 + 7.0 * sev + rng.normal(0.0, 9.0, n), 19.0, 95.0)
     female = rng.random(n) < 0.55
 
@@ -153,7 +113,7 @@ def generate_clinical(n: int = 1800, seed: int = 20240117, gap: float = 1.2) -> 
     # burden-driven part reduced by the access gap. At equal realized
     # spending, black patients carry more illness.
     habit = rng.gamma(2.0, 1.0, n)
-    access = sev - gap * black
+    access = sev - BURDEN_GAP * black
     spend_tm1 = 0.15 * habit + 0.85 * access
     cost_tm1 = np.clip(600.0 + 850.0 * spend_tm1 + rng.normal(0.0, 150.0, n), 0.0, None)
     cost_avoidable_tm1 = np.clip(0.3 * (600.0 + 850.0 * spend_tm1) + rng.normal(0.0, 72.0, n), 0.0, None)
@@ -170,7 +130,7 @@ def generate_clinical(n: int = 1800, seed: int = 20240117, gap: float = 1.2) -> 
     # so the lagged count predicts the current one and keeps the burden
     # gap in the label. The spending gap stays in the cost labels.
     sev_t = 0.85 * sev + 0.15 * rng.gamma(1.7, 1.25, n)
-    access_t = sev_t - gap * black
+    access_t = sev_t - BURDEN_GAP * black
     spend_t = 0.15 * habit + 0.85 * access_t
     cost_t = np.clip(600.0 + 850.0 * spend_t + rng.normal(0.0, 150.0, n), 0.0, None)
     cost_avoidable_t = np.clip(0.3 * (600.0 + 850.0 * spend_t) + rng.normal(0.0, 72.0, n), 0.0, None)

@@ -21,7 +21,7 @@ from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_
 from topkflip.ranking import resolve_kappa
 from topkflip.rashomon_single import ambiguity_single, flip_search
 from topkflip.solver import screen_membership
-from topkflip.synth import SynthConfig, generate
+from topkflip.synth import generate
 
 from conftest import random_design
 
@@ -306,7 +306,7 @@ def test_c08_synthetic_dominance_sweep():
     strict = 0
     rows = []
     for b in np.linspace(-1.0, 1.0, 11):
-        ds = generate(SynthConfig(n=450, b=float(b), seed=7))
+        ds = generate(n=450, b=float(b), seed=7)
         bundle = fairness_workflow(ds, ("y1", "y2"), "protected", "20%", direction="max")
         rep = bundle.tune_report
         best_single = max(rep.one_hot_counts)

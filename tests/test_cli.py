@@ -1,5 +1,6 @@
 """In-process CLI exercises via main(argv)."""
 
+import argparse
 import dataclasses
 import json
 import warnings
@@ -14,7 +15,7 @@ from topkflip.dataset import load_csv, orthonormalize, write_csv
 from topkflip.fairness import PhaseError
 from topkflip.linear_fit import fit_ols, make_ball
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl, write_reports_jsonl
-from topkflip.synth import SynthConfig, generate, generate_clinical
+from topkflip.synth import generate, generate_clinical
 
 from conftest import fail_lps_after_the_first
 
@@ -72,14 +73,15 @@ def test_epsilon_zero_single_row(table, tmp_path):
     assert rows == [["0.0", "0.0", "0.0", "y1"]]
 
 
-def test_mode_column_filter(table, tmp_path):
+def test_mode_column_filter(table, tmp_path, capsys):
+    """The curve always carries both fractions: no flag filters its columns."""
     out = tmp_path / "top.csv"
-    main([
+    assert main([
         "ambiguity-single", "--data", str(table), "--target", "y2",
         "--kappa", "8", "--epsilons", "0.05", "--mode", "top", "--out", str(out),
-    ])
-    _, columns, _ = read_csv_with_meta(out)
-    assert columns == ["epsilon", "ambiguity_top", "target"]
+    ]) == EXIT_USAGE
+    assert "unrecognized arguments: --mode top" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not out.exists()
 
 
 def test_ambiguity_multi_reports(table, tmp_path):
@@ -339,7 +341,7 @@ def test_fairness_range_outputs(table, tmp_path):
 
 
 def test_fairness_json_is_strict_when_no_group_row_is_in_holdout(tmp_path):
-    ds = generate(SynthConfig(n=120, b=0.5, seed=3))
+    ds = generate(n=120, b=0.5, seed=3)
     moved = (ds.groups == "protected") & (ds.split_tags == "holdout")
     table = tmp_path / "t.csv"
     write_csv(dataclasses.replace(ds, split_tags=np.where(moved, "tune", ds.split_tags)), table)
@@ -438,6 +440,106 @@ def test_repeat_run_identical_modulo_timestamp(table, tmp_path):
         ])
         outs.append(_strip_timestamp(out.read_text()))
     assert outs[0] == outs[1]
+
+
+# Every option string of every command. A new option is a setting that
+# tests and benchmarks must cover, so it changes this table on purpose.
+CLI_SURFACE = {
+    "fit": ["--data", "--drop-regex", "--help", "--out", "--seed", "--targets", "-h"],
+    "ambiguity-single": [
+        "--certify", "--data", "--drop-regex", "--epsilon-mode", "--epsilons", "--help",
+        "--kappa", "--node-budget", "--out", "--seed", "--target", "--time-budget", "-h",
+    ],
+    "ambiguity-multi": [
+        "--certify", "--data", "--drop-regex", "--help", "--kappa", "--node-budget", "--out",
+        "--seed", "--standardize", "--targets", "--time-budget", "-h",
+    ],
+    "fairness-range": [
+        "--certify", "--data", "--direction", "--drop-regex", "--group", "--help", "--kappa",
+        "--node-budget", "--out", "--seed", "--targets", "--time-budget", "-h",
+    ],
+    "stable-points": [
+        "--data", "--drop-regex", "--epsilon", "--epsilon-mode", "--family", "--help",
+        "--kappa-sweep", "--node-budget", "--out", "--seed", "--standardize", "--target",
+        "--targets", "--time-budget", "--workers", "-h",
+    ],
+    "synth": ["--b", "--help", "--n", "--out", "--seed", "-h"],
+}
+
+
+def test_cli_surface():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: sorted(opt for action in sub._actions for opt in action.option_strings)
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+_SHARED_FLAGS = [
+    "--node-budget", "500", "--time-budget", "60.0", "--drop-regex", "^visits$", "--seed", "3",
+]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["fit", "--targets", "y1,y2", "--drop-regex", "^visits$", "--seed", "3"],
+        [
+            "ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.02,0.05",
+            "--epsilon-mode", "absolute", "--certify", *_SHARED_FLAGS,
+        ],
+        [
+            "ambiguity-multi", "--targets", "y1,y2", "--kappa", "10%",
+            "--standardize", "percentile", "--certify", *_SHARED_FLAGS,
+        ],
+        [
+            "fairness-range", "--targets", "y1,y2", "--group", "protected", "--kappa", "10%",
+            "--direction", "min", "--certify", *_SHARED_FLAGS,
+        ],
+        [
+            "stable-points", "--family", "rashomon", "--target", "y1", "--epsilon", "0.05",
+            "--epsilon-mode", "absolute", "--kappa-sweep", "5,10", *_SHARED_FLAGS,
+        ],
+        [
+            "stable-points", "--family", "index", "--targets", "y1,y2",
+            "--standardize", "percentile", "--kappa-sweep", "5,10", *_SHARED_FLAGS,
+        ],
+    ],
+    ids=[
+        "fit", "ambiguity-single", "ambiguity-multi", "fairness-range",
+        "stable-points-rashomon", "stable-points-index",
+    ],
+)
+def test_meta_records_every_flag_given(table, tmp_path, flags):
+    """A file says how to replay the run that wrote it: every flag that
+    changes results is in its meta, or, for the fitted targets and the
+    tolerances, in the rows themselves."""
+    command = flags[0]
+    suffix = {"fit": ".json", "ambiguity-multi": ".jsonl", "fairness-range": ".json"}
+    out = tmp_path / f"o{suffix.get(command, '.csv')}"
+    assert main(flags + ["--data", str(table), "--out", str(out)]) in (EXIT_OK, EXIT_BUDGET)
+    if command == "ambiguity-multi":
+        recorded, _ = read_reports_jsonl(out)
+    elif out.suffix == ".json":
+        doc = json.loads(out.read_text())
+        recorded = doc["meta"]
+        if command == "fit":
+            recorded["targets"] = ",".join(m["target"] for m in doc["models"])
+    else:
+        recorded, _, rows = read_csv_with_meta(out)
+        if command == "ambiguity-single":
+            recorded["epsilons"] = ",".join(row[0] for row in rows)
+    given = {}
+    for flag, value in zip(flags[1:], flags[2:] + [None]):
+        if flag.startswith("--"):
+            given[flag] = "True" if value is None or value.startswith("--") else value
+    given["--data"] = str(table)
+    renamed = {"--standardize": "standardization"}
+    for flag, value in given.items():
+        key = renamed.get(flag, flag[2:].replace("-", "_"))
+        assert str(recorded.get(key)) == value, (flag, recorded)
 
 
 def test_usage_error(table, capsys):
@@ -568,7 +670,8 @@ def test_certify_checks_the_sides_a_direction_solves(small, tmp_path, capsys, di
 
 def test_certify_single_without_an_oracle_runs_in_status_mode(table, tmp_path, monkeypatch):
     """No oracle reads exact ranges of a three-column design, so --certify
-    makes the plain run's solves and writes its CSV."""
+    makes the plain run's solves and writes its CSV, which only its meta
+    line ``certify=True`` tells apart."""
     solves = _count_calls(monkeypatch, solver.solve, rashomon_single)
     texts, counts = [], []
     for extra in ([], ["--certify"]):
@@ -581,7 +684,7 @@ def test_certify_single_without_an_oracle_runs_in_status_mode(table, tmp_path, m
         texts.append(_strip_timestamp(out.read_text()))
         counts.append(len(solves))
     assert counts[0] == counts[1] > 0
-    assert texts[0] == texts[1]
+    assert texts[1].replace("# certify=True\n", "") == texts[0] != texts[1]
 
 
 @pytest.mark.parametrize(

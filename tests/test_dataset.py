@@ -23,12 +23,12 @@ from topkflip.dataset import (
     write_csv,
 )
 from topkflip.linear_fit import fit_ols
-from topkflip.synth import SynthConfig, generate
+from topkflip.synth import generate
 
 
 @pytest.fixture
 def table(tmp_path):
-    ds = generate(SynthConfig(n=80, b=0.3, seed=5))
+    ds = generate(n=80, b=0.3, seed=5)
     path = tmp_path / "t.csv"
     write_csv(ds, path)
     return ds, path

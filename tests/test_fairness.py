@@ -13,7 +13,7 @@ from topkflip.oracle import simplex_sweep_k2
 from topkflip.ranking import rank_descending
 from topkflip.reports import meta_record, read_csv_with_meta
 from topkflip.solver import SolverConfig
-from topkflip.synth import SynthConfig, generate
+from topkflip.synth import generate
 
 
 def test_extremes_match_sweep_k2(rng):
@@ -106,7 +106,7 @@ def test_concentration_nan_on_zero_total():
 
 @pytest.fixture(scope="module")
 def synth_table():
-    return generate(SynthConfig(n=300, b=0.6, seed=11))
+    return generate(n=300, b=0.6, seed=11)
 
 
 def test_workflow_end_to_end(synth_table):

@@ -1,7 +1,7 @@
 """Selection churn across target choices, not model perturbations.
 
 When several defensible outcome definitions exist, each one trains its
-own score. Blending their standardized predictions with nonnegative
+own score. Blending their z-scored predictions with nonnegative
 weights summing to one sweeps out a family of composite scores; this
 demo certifies, for every row, whether some blend moves it across the
 cutoff, with certified outer bounds on its best and worst rank, then
@@ -11,13 +11,10 @@ compares the churn to what single-target tolerance balls produce.
 import numpy as np
 
 from topkflip import (
-    ambiguity_single,
+    ambiguity_curve,
     build_ensemble,
-    fit_ols,
-    flip_search,
     flip_search_multi,
     generate,
-    make_ball,
     orthonormalize,
 )
 
@@ -38,19 +35,16 @@ def main():
     )
     preds = ens.predictions(ds.features[holdout])
     reports = flip_search_multi(preds, KAPPA)
-    amb = ambiguity_single(reports, KAPPA)
     n = preds.shape[0]
+    n_flip = sum(1 for r in reports if r.flippable)
     print(f"blend family over targets {ds.target_names}: "
-          f"{round(amb.all_fraction * n)} of {n} holdout rows flippable "
-          f"({amb.all_fraction:.1%})")
+          f"{n_flip} of {n} holdout rows flippable ({n_flip / n:.1%})")
 
     ho = ds.subset(holdout)
     q = orthonormalize(ho)
     for t in ds.target_names:
-        y = q.target(t)
-        ball = make_ball(fit_ols(q.features, y), q.features, y, 0.05)
-        a = ambiguity_single(flip_search(q.features, ball, KAPPA), KAPPA)
-        print(f"single target {t!r} at tolerance 0.05: {a.all_fraction:.1%} flippable")
+        (pt,) = ambiguity_curve(q.features, q.target(t), KAPPA, [0.05])
+        print(f"single target {t!r} at tolerance 0.05: {pt.ambiguity_all:.1%} flippable")
 
     movers = sorted(
         (r for r in reports if r.flippable),

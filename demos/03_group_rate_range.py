@@ -12,9 +12,7 @@ from topkflip import fairness_workflow, generate
 
 def main():
     ds = generate(n=450, b=0.6, seed=7)
-    bundle = fairness_workflow(
-        ds, ds.target_names, "protected", "20%", direction="both"
-    )
+    bundle = fairness_workflow(ds, ds.target_names, "protected", "20%")
 
     rep = bundle.tune_report
     print(f"tune split: {rep.n} rows, {rep.n_group} protected, top {rep.kappa}")

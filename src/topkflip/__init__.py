@@ -27,14 +27,9 @@ from .solver import (
     screen_membership,
     solve,
 )
-from .rashomon_single import (
-    AmbiguityResult,
-    ambiguity_single,
-    flip_search,
-)
+from .rashomon_single import flip_search
 from .index_model import (
     IndexEnsemble,
-    Standardizer,
     build_ensemble,
     flip_search_multi,
     prune_never_top_multi,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, drop_columns_matching, load_csv, orthonormalize, write_csv
 from .fairness import PhaseError, fairness_workflow, write_fairness_csv, write_fairness_json
-from .index_model import STANDARDIZATIONS, build_ensemble, flip_search_multi, prune_never_top_multi
+from .index_model import build_ensemble, flip_search_multi, prune_never_top_multi
 from .linear_fit import fit_ols, fit_on_rows, make_ball
 from .metrics import ambiguity_curve, curve_rows, stable_points, stable_rows
 from .oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
@@ -117,7 +117,10 @@ def _positive(cast):
 
 
 def _regex(raw: str) -> str:
-    """An argparse type: a pattern ``re`` compiles."""
+    """An argparse type: a pattern ``re`` compiles, on one line, since the
+    pattern is recorded in the outputs' meta."""
+    if "\n" in raw or "\r" in raw:
+        raise argparse.ArgumentTypeError(f"bad regex {raw!r}: holds a line break")
     try:
         re.compile(raw)
     except re.error as exc:
@@ -138,7 +141,7 @@ def _phase_views(ds: Dataset):
     """(fit_rows, reference_rows, analysis_rows) masks.
 
     With a full train/tune/holdout tagging the analysis runs on holdout
-    with tune as the standardizer reference; otherwise everything runs
+    with tune as the z-score reference; otherwise everything runs
     on the whole table.
     """
     masks = {tag: ds.split_mask(tag) for tag in ("train", "tune", "holdout")}
@@ -154,8 +157,8 @@ def _orthonormal_analysis(ds: Dataset) -> Dataset:
     return orthonormalize(ds.subset(analysis))
 
 
-def _blend_analysis(ds: Dataset, targets, standardization: str):
-    """``(preds, row_ids)``: the analysis rows' standardized predictions,
+def _blend_analysis(ds: Dataset, targets):
+    """``(preds, row_ids)``: the analysis rows' z-scored predictions,
     under the ensemble fitted on the fit rows and frozen on the reference
     rows, and their ids."""
     fit_rows, ref_rows, analysis = _phase_views(ds)
@@ -164,7 +167,6 @@ def _blend_analysis(ds: Dataset, targets, standardization: str):
         ds.features[fit_rows],
         Y[fit_rows],
         ds.features[ref_rows],
-        standardization=standardization,
         target_names=targets,
     )
     row_ids = tuple(r for r, m in zip(ds.row_ids, analysis) if m)
@@ -292,7 +294,6 @@ def _cmd_ambiguity_single(args) -> int:
         q.target(args.target),
         kappa,
         epsilons,
-        epsilon_mode=args.epsilon_mode,
         rank_mode="exact" if oracle else "status",
         config=_solver_config(args),
     )
@@ -310,7 +311,6 @@ def _cmd_ambiguity_single(args) -> int:
         target=args.target,
         kappa=str(args.kappa),
         kappa_resolved=kappa,
-        epsilon_mode=args.epsilon_mode,
         n=q.n,
         certify=args.certify or None,
     )
@@ -331,7 +331,7 @@ def _cmd_ambiguity_single(args) -> int:
 def _cmd_ambiguity_multi(args) -> int:
     targets = _parse_targets(args.targets)
     ds = _load_table(args.data, targets, args.drop_regex, args.seed)
-    preds, row_ids = _blend_analysis(ds, targets, args.standardize)
+    preds, row_ids = _blend_analysis(ds, targets)
     n = preds.shape[0]
     kappa = resolve_kappa(_parse_kappa(args.kappa), n)
     oracle = _oracle("blend", len(targets), n) if args.certify else None
@@ -353,7 +353,6 @@ def _cmd_ambiguity_multi(args) -> int:
         targets=",".join(targets),
         kappa=str(args.kappa),
         kappa_resolved=kappa,
-        standardization=args.standardize,
         n=n,
         certify=args.certify or None,
     )
@@ -397,13 +396,14 @@ def _cmd_fairness_range(args) -> int:
         group=args.group,
         kappa=str(args.kappa),
         direction=args.direction,
-        standardization=bundle.standardization,
         certify=args.certify or None,
     )
-    write_fairness_json(args.out, meta, bundle)
     table = str(args.out)
     table = table[: -len(".json")] + "_models.csv" if table.endswith(".json") else table + "_models.csv"
+    # The table first: its writer refuses a meta it cannot record before
+    # either file exists.
     write_fairness_csv(table, meta, bundle)
+    write_fairness_json(args.out, meta, bundle)
     statuses = (bundle.tune_report.status_min, bundle.tune_report.status_max)
     if any(status not in (None, "optimal") for status in statuses):
         return EXIT_BUDGET
@@ -426,13 +426,9 @@ def _cmd_stable_points(args) -> int:
         raise UsageError("empty kappa sweep")
     # Each family reads its own flags, so the other family's are refused.
     if args.family == "rashomon":
-        foreign = {"--targets": args.targets, "--standardize": args.standardize}
+        foreign = {"--targets": args.targets}
     else:
-        foreign = {
-            "--target": args.target,
-            "--epsilon": args.epsilon,
-            "--epsilon-mode": args.epsilon_mode,
-        }
+        foreign = {"--target": args.target, "--epsilon": args.epsilon}
     passed = [flag for flag, value in foreign.items() if value is not None]
     if passed:
         raise UsageError(f"the {args.family} family does not read {', '.join(passed)}")
@@ -446,25 +442,23 @@ def _cmd_stable_points(args) -> int:
         epsilon = 0.1 if args.epsilon is None else args.epsilon
         if not np.isfinite(epsilon) or epsilon < 0:
             raise UsageError(f"--epsilon must be finite and nonnegative, got {epsilon}")
-        epsilon_mode = args.epsilon_mode or "relative"
         ds = _load_table(args.data, (args.target,), args.drop_regex, args.seed)
         q = _orthonormal_analysis(ds)
         y = q.target(args.target)
-        ball = make_ball(fit_ols(q.features, y), q.features, y, epsilon, epsilon_mode)
+        ball = make_ball(fit_ols(q.features, y), q.features, y, epsilon)
         screen = screen_membership(ball, q.features)
         search = partial(flip_search, q.features, ball, config=cfg, prune=screen)
         n_rows = q.n
-        family_meta = {"target": args.target, "epsilon": epsilon, "epsilon_mode": epsilon_mode}
+        family_meta = {"target": args.target, "epsilon": epsilon}
     else:
         if args.targets is None:
             raise UsageError("--targets is required for the index family")
         targets = _parse_targets(args.targets)
-        standardization = args.standardize or "zscore"
         ds = _load_table(args.data, targets, args.drop_regex, args.seed)
-        preds, _ = _blend_analysis(ds, targets, standardization)
+        preds, _ = _blend_analysis(ds, targets)
         search = partial(flip_search_multi, preds, config=cfg, prune=prune_never_top_multi(preds))
         n_rows = preds.shape[0]
-        family_meta = {"targets": ",".join(targets), "standardization": standardization}
+        family_meta = {"targets": ",".join(targets)}
     kappas = [resolve_kappa(k, n_rows) for k in sweep]
     payloads = [(search, k, args.family) for k in kappas]
 
@@ -547,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--kappa", required=True)
     p.add_argument("--epsilons", required=True)
-    p.add_argument("--epsilon-mode", choices=("relative", "absolute"), default="relative")
     p.add_argument("--out", required=True)
     common(p, *budgets, "--drop-regex", "--certify")
     p.set_defaults(func=_cmd_ambiguity_single)
@@ -556,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--kappa", required=True)
-    p.add_argument("--standardize", choices=STANDARDIZATIONS, default="zscore")
     p.add_argument("--out", required=True)
     common(p, *budgets, "--drop-regex", "--certify")
     p.set_defaults(func=_cmd_ambiguity_multi)
@@ -579,9 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     # family is refused; _cmd_stable_points resolves the defaults.
     p.add_argument("--target", default=None, help="target for the rashomon family")
     p.add_argument("--epsilon", type=float, default=None, help="tolerance for the rashomon family")
-    p.add_argument("--epsilon-mode", choices=("relative", "absolute"), default=None)
     p.add_argument("--targets", default=None, help="targets for the index family")
-    p.add_argument("--standardize", choices=STANDARDIZATIONS, default=None)
     p.add_argument("--out", required=True)
     common(p, *budgets, "--drop-regex", "--workers")
     p.set_defaults(func=_cmd_stable_points)

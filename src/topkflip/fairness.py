@@ -3,7 +3,7 @@ that tunes a rate-maximizing blend and audits it held out.
 
 Counts are certified by the branch-and-bound solver on the weight
 simplex. The workflow fits per-target models on the train rows, freezes
-standardization and finds the extreme blend on the tune rows, then
+their z-score scaling and finds the extreme blend on the tune rows, then
 evaluates that blend next to every single-target model on the holdout
 rows.
 """
@@ -183,7 +183,6 @@ class FairnessBundle:
 
     group_label: str
     target_names: tuple
-    standardization: str
     kappa_input: str
     kappa_tune: int
     kappa_holdout: int
@@ -234,13 +233,13 @@ def fairness_workflow(
     targets,
     group_label: str,
     kappa,
-    direction: str = "max",
+    direction: str = "both",
     config: SolverConfig | None = None,
 ) -> FairnessBundle:
     """Tune a rate-maximizing blend on one split, audit it on another.
 
-    Train rows fit the per-target models, tune rows freeze the z-score
-    standardizer and host the extreme-count search, holdout rows receive
+    Train rows fit the per-target models, tune rows freeze their z-score
+    scaling and host the extreme-count search, holdout rows receive
     the witness blend next to every one-hot. The kappa argument may be
     an ``int`` or a percent string and resolves against each phase's
     size separately. The evaluated blend is the max witness when the
@@ -316,7 +315,6 @@ def fairness_workflow(
     return FairnessBundle(
         group_label=group_label,
         target_names=target_names,
-        standardization=ensemble.standardizer.mode,
         kappa_input=str(kappa),
         kappa_tune=kappa_tune,
         kappa_holdout=kappa_hold,

@@ -1,8 +1,8 @@
 """Blends of per-target predictions over the weight simplex.
 
 An index ensemble holds one fitted linear model per target plus a
-standardizer frozen on a reference sample; a blend weight alpha on the
-simplex turns the standardized per-target predictions into one index
+z-score scaling frozen on a reference sample; a blend weight alpha on the
+simplex turns the z-scored per-target predictions into one index
 score per row. Flippability here needs no baseline model: a row is
 changeable when its rank range straddles the cutoff anywhere on the
 simplex. The uniform blend serves as the reported reference point; it
@@ -21,98 +21,52 @@ from .rashomon_single import _certify_rows
 from .reports import FlipReport
 from .solver import PruneResult, SimplexRegion, SolverConfig, screen_membership
 
-STANDARDIZATIONS = ("zscore", "percentile", "none")
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-target prediction scaling with parameters frozen at fit time.
-
-    ``zscore`` centers and scales by the reference mean and population
-    standard deviation; a zero-spread prediction vector is refused since
-    it cannot be put on a comparable scale. ``percentile`` maps a value
-    to its average rank among the reference values divided by the
-    reference size, so outputs lie in (0, 1]. ``none`` passes raw values
-    through.
-    """
-
-    mode: str
-    means: NDArray[np.float64] | None = None
-    sds: NDArray[np.float64] | None = None
-    references: "tuple[NDArray[np.float64], ...] | None" = None
-
-    def __post_init__(self):
-        if self.mode not in STANDARDIZATIONS:
-            raise ValueError(f"mode must be one of {STANDARDIZATIONS}, got {self.mode!r}")
-
-    @classmethod
-    def fit(cls, raw_reference: NDArray[np.float64], mode: str, target_names) -> "Standardizer":
-        R = np.asarray(raw_reference, dtype=np.float64)
-        names = tuple(target_names)
-        if R.ndim != 2 or R.shape[1] != len(names):
-            raise ValueError("reference must be (n, K) matching target_names")
-        if mode == "zscore":
-            means = R.mean(axis=0)
-            sds = R.std(axis=0)
-            for k, sd in enumerate(sds):
-                if sd == 0:
-                    raise ValueError(
-                        f"target {names[k]!r} has zero-variance predictions "
-                        "on the reference rows; zscore scaling is undefined"
-                    )
-            return cls(mode=mode, means=means, sds=sds)
-        if mode == "percentile":
-            refs = tuple(np.sort(R[:, k]) for k in range(R.shape[1]))
-            return cls(mode=mode, references=refs)
-        return cls(mode=mode)
-
-    def transform(self, raw: NDArray[np.float64]) -> NDArray[np.float64]:
-        R = np.asarray(raw, dtype=np.float64)
-        if self.mode == "none":
-            return R.copy()
-        if self.mode == "zscore":
-            return (R - self.means) / self.sds
-        out = np.empty_like(R)
-        for k, ref in enumerate(self.references):
-            left = np.searchsorted(ref, R[:, k], side="left")
-            right = np.searchsorted(ref, R[:, k], side="right")
-            # average rank scaled to [0, 1]; values beyond the reference
-            # range saturate rather than extrapolate
-            out[:, k] = np.clip((left + right + 1) / 2.0 / ref.shape[0], 0.0, 1.0)
-        return out
-
 
 @dataclass(frozen=True)
 class IndexEnsemble:
-    """Per-target linear models plus the frozen standardizer."""
+    """Per-target linear models plus the z-score scaling frozen on the
+    reference rows: the mean and population standard deviation of each
+    target's raw predictions there."""
 
     models: tuple[LinearModel, ...]
-    standardizer: Standardizer
+    means: NDArray[np.float64]
+    sds: NDArray[np.float64]
 
     def predictions(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Standardized per-target predictions, the solver's row vectors."""
-        return self.standardizer.transform(np.column_stack([m.predict(X) for m in self.models]))
+        """Z-scored per-target predictions, the solver's row vectors."""
+        raw = np.column_stack([m.predict(X) for m in self.models])
+        return (raw - self.means) / self.sds
 
 
 def build_ensemble(
     X_train: NDArray[np.float64],
     Y_train: NDArray[np.float64],
     X_reference: NDArray[np.float64],
-    standardization: str = "zscore",
     target_names=None,
 ) -> IndexEnsemble:
     """Fit one model per target on the training rows and freeze the
-    standardizer on the reference rows' raw predictions."""
+    z-score scaling on the reference rows' raw predictions. A target
+    whose reference predictions do not vary is refused, since it cannot
+    be put on a comparable scale."""
     Y = np.asarray(Y_train, dtype=np.float64)
     if Y.ndim != 2:
         raise ValueError("Y_train must be (n, K)")
     K = Y.shape[1]
     if target_names is None:
         target_names = tuple(f"target{k}" for k in range(K))
+    if len(target_names) != K:
+        raise ValueError(f"{len(target_names)} target names for {K} targets")
     models = tuple(fit_on_rows(X_train, Y[:, k]) for k in range(K))
     raw_ref = np.column_stack([m.predict(X_reference) for m in models])
-    std = Standardizer.fit(raw_ref, standardization, target_names)
-    return IndexEnsemble(models=models, standardizer=std)
+    means = raw_ref.mean(axis=0)
+    sds = raw_ref.std(axis=0)
+    for name, sd in zip(target_names, sds):
+        if sd == 0:
+            raise ValueError(
+                f"target {name!r} has zero-variance predictions "
+                "on the reference rows; zscore scaling is undefined"
+            )
+    return IndexEnsemble(models=models, means=means, sds=sds)
 
 
 def prune_never_top_multi(preds: NDArray[np.float64]) -> PruneResult:

@@ -2,10 +2,11 @@
 
 On an orthonormal design (X^T X = I) the least-squares solution is
 w0 = X^T y and the excess squared error of any coefficient vector w over w0
-is exactly ||w - w0||^2. The set of models within additive loss slack eps of
-the optimum is therefore the closed Euclidean ball of radius sqrt(eps)
-around w0; :func:`make_ball` returns it as a :class:`solver.BallRegion`,
-the region type the membership screen and the certifier read.
+is exactly ||w - w0||^2. The set of models within loss slack eps * RSS(w0)
+of the optimum is therefore the closed Euclidean ball of radius
+sqrt(eps * RSS(w0)) around w0; :func:`make_ball` returns it as a
+:class:`solver.BallRegion`, the region type the membership screen and the
+certifier read.
 """
 
 from __future__ import annotations
@@ -71,25 +72,17 @@ def make_ball(
     X: NDArray[np.float64],
     y: NDArray[np.float64],
     epsilon: float,
-    epsilon_mode: str = "relative",
 ) -> BallRegion:
     """The near-optimal ball around a fitted model: center w0, radius the
-    square root of the absolute loss slack.
+    square root of the loss slack epsilon * RSS(w0).
 
-    In ``relative`` mode (the default) the absolute slack is
-    epsilon * RSS(w0), so epsilon reads as a fraction of baseline loss. A
-    perfect fit (RSS = 0) then yields a degenerate single-point ball. A
-    tolerance whose slack overflows to an infinite radius is refused.
+    Epsilon reads as a fraction of the baseline loss, so a perfect fit
+    (RSS = 0) yields a degenerate single-point ball. A tolerance whose
+    slack overflows to an infinite radius is refused.
     """
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    if epsilon_mode == "relative":
-        eps_abs = float(epsilon) * model.rss(X, y)
-    elif epsilon_mode == "absolute":
-        eps_abs = float(epsilon)
-    else:
-        raise ValueError(f"unknown epsilon_mode {epsilon_mode!r}")
-    radius = float(np.sqrt(eps_abs))
+    radius = float(np.sqrt(float(epsilon) * model.rss(X, y)))
     if not np.isfinite(radius):
         raise ValueError(f"epsilon {epsilon} gives a ball radius that overflows to {radius}")
     return BallRegion(center=model.coef, radius=radius)

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .linear_fit import fit_ols, make_ball
-from .rashomon_single import ambiguity_single, flip_search
+from .rashomon_single import flip_search
 from .solver import BallRegion, SolverConfig, screen_ball
 
 FAMILIES = ("rashomon", "index")
@@ -60,7 +60,14 @@ def stable_points(reports, kappa: int, family: str) -> StableSet:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One tolerance setting's ambiguity fractions, its ball and row reports."""
+    """One tolerance setting's ambiguity fractions, its ball and row reports.
+
+    ``ambiguity_all`` is the share of all rows whose membership can
+    change, ``ambiguity_top`` the number of baseline-top rows that can
+    leave the top divided by kappa. Undetermined rows never count as
+    changeable; ``n_undetermined`` tallies them so a caller can judge
+    coverage.
+    """
 
     epsilon: float
     ambiguity_all: float
@@ -75,7 +82,6 @@ def ambiguity_curve(
     y: NDArray[np.float64],
     kappa: int,
     epsilons,
-    epsilon_mode: str = "relative",
     rank_mode: str = "status",
     config: SolverConfig | None = None,
 ) -> "list[CurvePoint]":
@@ -96,7 +102,7 @@ def ambiguity_curve(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     model = fit_ols(X, y)
-    balls = [make_ball(model, X, y, e, epsilon_mode=epsilon_mode) for e in eps]
+    balls = [make_ball(model, X, y, e) for e in eps]
     screens = screen_ball(X, model.coef, [b.radius for b in balls]) if balls else []
     curve: list[CurvePoint] = []
     carried: list[NDArray[np.float64]] = []
@@ -110,13 +116,14 @@ def ambiguity_curve(
             extra_models=carried if carried else None,
             prune=screen,
         )
-        amb = ambiguity_single(reports, kappa)
+        n_flip = sum(1 for rep in reports if rep.flippable)
+        n_top_flip = sum(1 for rep in reports if rep.flippable and rep.baseline_rank <= kappa)
         curve.append(
             CurvePoint(
                 epsilon=e,
-                ambiguity_all=amb.all_fraction,
-                ambiguity_top=amb.top_fraction,
-                n_undetermined=amb.n_undetermined,
+                ambiguity_all=n_flip / len(reports),
+                ambiguity_top=n_top_flip / kappa,
+                n_undetermined=sum(1 for rep in reports if rep.flippable is None),
                 ball=ball,
                 reports=tuple(reports),
             )

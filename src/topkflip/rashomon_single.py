@@ -12,7 +12,7 @@ routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -218,7 +218,6 @@ def flip_search(
     X: NDArray[np.float64],
     ball: BallRegion,
     kappa: int,
-    row_ids=None,
     rank_mode: str = "status",
     config: SolverConfig | None = None,
     extra_models=None,
@@ -259,44 +258,7 @@ def flip_search(
         screen_membership(ball, X) if prune is None else prune,
         pool,
         kappa,
-        row_ids=row_ids,
+        row_ids=None,
         rank_mode=rank_mode,
         config=config,
-    )
-
-
-@dataclass(frozen=True)
-class AmbiguityResult:
-    """Selection ambiguity fractions over a set of row reports.
-
-    ``all_fraction``: share of all rows whose membership can change.
-    ``top_fraction``: share of the baseline top whose exit is possible,
-    divided by kappa. Undetermined rows never count as changeable; their
-    tally is reported so the caller can judge coverage.
-    """
-
-    all_fraction: float
-    top_fraction: float
-    n_rows: int
-    kappa: int
-    n_flippable: int
-    n_top_flippable: int
-    n_undetermined: int
-
-
-def ambiguity_single(reports, kappa: int) -> AmbiguityResult:
-    n = len(reports)
-    if n == 0:
-        raise ValueError("no reports")
-    n_flip = sum(1 for rep in reports if rep.flippable)
-    n_top_flip = sum(1 for rep in reports if rep.flippable and rep.baseline_rank <= kappa)
-    n_undet = sum(1 for rep in reports if rep.flippable is None)
-    return AmbiguityResult(
-        all_fraction=n_flip / n,
-        top_fraction=n_top_flip / kappa,
-        n_rows=n,
-        kappa=kappa,
-        n_flippable=n_flip,
-        n_top_flippable=n_top_flip,
-        n_undetermined=n_undet,
     )

@@ -147,7 +147,14 @@ def read_reports_jsonl(path) -> "tuple[dict, list[FlipReport]]":
 
 
 def write_csv_with_meta(path, meta: dict, columns, rows) -> None:
-    """CSV with ``# key=value`` comment lines before the header row."""
+    """CSV with ``# key=value`` comment lines before the header row.
+
+    A value holding a line break would end its comment line early, so it
+    is refused, naming its key, before the file is opened.
+    """
+    for key, value in meta.items():
+        if "\n" in str(value) or "\r" in str(value):
+            raise ValueError(f"meta value of {key!r} holds a line break: {value!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in meta.items():
             if key == "kind":
@@ -160,15 +167,16 @@ def write_csv_with_meta(path, meta: dict, columns, rows) -> None:
 
 
 def read_csv_with_meta(path) -> "tuple[dict, list[str], list[list[str]]]":
-    """Inverse of :func:`write_csv_with_meta` (meta, columns, rows)."""
+    """Inverse of :func:`write_csv_with_meta` (meta, columns, rows). Only
+    the ``# key=value`` lines before the header row are meta; a data row
+    that reads like one stays a row."""
     meta: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = []
-        for line in fh:
-            if line.startswith("# ") and "=" in line:
-                key, _, value = line[2:].rstrip("\n").partition("=")
-                meta[key] = value
-            else:
-                lines.append(line)
-    rows = list(csv.reader(lines))
+        lines = list(fh)
+    head = 0
+    while head < len(lines) and lines[head].startswith("# ") and "=" in lines[head]:
+        key, _, value = lines[head][2:].rstrip("\n").partition("=")
+        meta[key] = value
+        head += 1
+    rows = list(csv.reader(lines[head:]))
     return meta, rows[0], rows[1:]

@@ -19,7 +19,7 @@ from topkflip.linear_fit import fit_ols, fit_on_rows, make_ball, rss
 from topkflip.metrics import ambiguity_curve, stable_points
 from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import resolve_kappa
-from topkflip.rashomon_single import ambiguity_single, flip_search
+from topkflip.rashomon_single import flip_search
 from topkflip.solver import screen_membership
 from topkflip.synth import generate
 
@@ -77,7 +77,7 @@ def single_instances():
         kappa = int(rng.choice([2, 5, 10]))
         kappa = min(kappa, n - 1)
         for eps in (0.01, 0.1, 1.0):
-            ball = make_ball(model, X, y, eps, "relative")
+            ball = make_ball(model, X, y, eps)
             lo, hi = angle_sweep_single(X, ball.center, ball.radius)
             out.append((X, ball, kappa, lo, hi))
     return out
@@ -237,8 +237,8 @@ def test_c05_index_variable_equivalence(rng):
         X_new = rng.normal(size=(15, d))
         alpha = rng.dirichlet(np.ones(K))
         iv = fit_on_rows(X, Y @ alpha)
-        ens = build_ensemble(X, Y, X, standardization="none")
-        blended = ens.predictions(X_new) @ alpha
+        ens = build_ensemble(X, Y, X)
+        blended = np.column_stack([m.predict(X_new) for m in ens.models]) @ alpha
         worst = max(worst, float(np.max(np.abs(iv.predict(X_new) - blended))))
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -278,7 +278,7 @@ def test_c07_clinical_orderings(clinical_subset, clinical_preds, clinical_curves
     ds = clinical_subset
     kappa = resolve_kappa(KAPPA_PERCENT, clinical_preds.shape[0])
     reports = flip_search_multi(clinical_preds, kappa)
-    multi = ambiguity_single(reports, kappa).all_fraction
+    multi = sum(1 for rep in reports if rep.flippable) / len(reports)
     singles = {name: fracs[-1] for name, fracs in clinical_curves.items()}
     part_a = all(multi > v for v in singles.values())
 
@@ -440,4 +440,38 @@ def test_c11_three_target_ranges_match_simplex_sweep(rng):
         "three-target rank and group ranges vs sweep",
         rank_bad == 0 and group_bad == 0 and elapsed < 120.0,
         f"{rank_bad} rank and {group_bad} group mismatches over {checked} rows in {elapsed:.1f}s (limits 0, 120s)",
+    )
+
+
+def test_c12_four_target_lp_matches_three_target_sweep():
+    """Solver on the four-target LP geometry vs the three-target sweep, 6
+    instances with n <= 10: a fourth target that blends the other three
+    spans exactly the three-target scores, so exact rank ranges and both
+    certified group-count extremes must equal the sweep's. < 1 min."""
+    rng = np.random.default_rng(ORACLE_SEED)
+    t0 = time.perf_counter()
+    rank_bad = group_bad = uncertified = 0
+    for trial in range(6):
+        n = int(rng.integers(8, 11))
+        P = rng.normal(size=(n, 3))
+        if trial % 2:
+            P = np.round(P, 1)  # exact ties between rows and across targets
+        kappa = int(rng.integers(2, 4))
+        mask = rng.random(n) < 0.3
+        mask[trial % n] = True
+        P4 = np.column_stack([P, P @ np.array([0.2, 0.3, 0.5])])
+        sweep = simplex_sweep_k3(P, kappa, group_mask=mask)
+        reports = flip_search_multi(P4, kappa, rank_mode="exact")
+        uncertified += sum(rep.method != "mip_certified" for rep in reports)
+        ranges = [(rep.min_rank, rep.max_rank) for rep in reports]
+        rank_bad += ranges != list(zip(sweep.min_ranks.tolist(), sweep.max_ranks.tolist()))
+        grep = group_rate_extremes(P4, kappa, mask)
+        uncertified += (grep.status_min, grep.status_max) != ("optimal", "optimal")
+        group_bad += (grep.min_count, grep.max_count) != (sweep.group_min, sweep.group_max)
+    elapsed = time.perf_counter() - t0
+    _verdict(
+        "four-target rank and group ranges vs three-target sweep",
+        rank_bad == 0 and group_bad == 0 and uncertified == 0 and elapsed < 60.0,
+        f"{rank_bad} rank and {group_bad} group mismatches, {uncertified} uncertified "
+        f"over 6 instances in {elapsed:.1f}s (limits 0, 0, 0, 60s)",
     )

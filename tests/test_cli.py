@@ -60,7 +60,7 @@ def test_ambiguity_single_curve(table, tmp_path):
     assert len(rows) == 3
     fracs = [float(r[1]) for r in rows]
     assert fracs == sorted(fracs)
-    assert meta["kappa"] == "10%" and meta["epsilon_mode"] == "relative"
+    assert meta["kappa"] == "10%" and "epsilon_mode" not in meta
 
 
 def test_epsilon_zero_single_row(table, tmp_path):
@@ -91,7 +91,7 @@ def test_ambiguity_multi_reports(table, tmp_path):
         "--kappa", "10%", "--out", str(out),
     ]) == EXIT_OK
     meta, reports = read_reports_jsonl(out)
-    assert meta["standardization"] == "zscore"
+    assert "standardization" not in meta
     assert len(reports) == int(meta["n"])
     for rep in reports:
         assert rep.flippable == (rep.min_rank <= int(meta["kappa_resolved"]) < rep.max_rank)
@@ -447,21 +447,21 @@ def test_repeat_run_identical_modulo_timestamp(table, tmp_path):
 CLI_SURFACE = {
     "fit": ["--data", "--drop-regex", "--help", "--out", "--seed", "--targets", "-h"],
     "ambiguity-single": [
-        "--certify", "--data", "--drop-regex", "--epsilon-mode", "--epsilons", "--help",
-        "--kappa", "--node-budget", "--out", "--seed", "--target", "--time-budget", "-h",
+        "--certify", "--data", "--drop-regex", "--epsilons", "--help", "--kappa",
+        "--node-budget", "--out", "--seed", "--target", "--time-budget", "-h",
     ],
     "ambiguity-multi": [
         "--certify", "--data", "--drop-regex", "--help", "--kappa", "--node-budget", "--out",
-        "--seed", "--standardize", "--targets", "--time-budget", "-h",
+        "--seed", "--targets", "--time-budget", "-h",
     ],
     "fairness-range": [
         "--certify", "--data", "--direction", "--drop-regex", "--group", "--help", "--kappa",
         "--node-budget", "--out", "--seed", "--targets", "--time-budget", "-h",
     ],
     "stable-points": [
-        "--data", "--drop-regex", "--epsilon", "--epsilon-mode", "--family", "--help",
-        "--kappa-sweep", "--node-budget", "--out", "--seed", "--standardize", "--target",
-        "--targets", "--time-budget", "--workers", "-h",
+        "--data", "--drop-regex", "--epsilon", "--family", "--help", "--kappa-sweep",
+        "--node-budget", "--out", "--seed", "--target", "--targets", "--time-budget",
+        "--workers", "-h",
     ],
     "synth": ["--b", "--help", "--n", "--out", "--seed", "-h"],
 }
@@ -488,11 +488,11 @@ _SHARED_FLAGS = [
         ["fit", "--targets", "y1,y2", "--drop-regex", "^visits$", "--seed", "3"],
         [
             "ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.02,0.05",
-            "--epsilon-mode", "absolute", "--certify", *_SHARED_FLAGS,
+            "--certify", *_SHARED_FLAGS,
         ],
         [
-            "ambiguity-multi", "--targets", "y1,y2", "--kappa", "10%",
-            "--standardize", "percentile", "--certify", *_SHARED_FLAGS,
+            "ambiguity-multi", "--targets", "y1,y2", "--kappa", "10%", "--certify",
+            *_SHARED_FLAGS,
         ],
         [
             "fairness-range", "--targets", "y1,y2", "--group", "protected", "--kappa", "10%",
@@ -500,11 +500,11 @@ _SHARED_FLAGS = [
         ],
         [
             "stable-points", "--family", "rashomon", "--target", "y1", "--epsilon", "0.05",
-            "--epsilon-mode", "absolute", "--kappa-sweep", "5,10", *_SHARED_FLAGS,
+            "--kappa-sweep", "5,10", *_SHARED_FLAGS,
         ],
         [
             "stable-points", "--family", "index", "--targets", "y1,y2",
-            "--standardize", "percentile", "--kappa-sweep", "5,10", *_SHARED_FLAGS,
+            "--kappa-sweep", "5,10", *_SHARED_FLAGS,
         ],
     ],
     ids=[
@@ -536,9 +536,8 @@ def test_meta_records_every_flag_given(table, tmp_path, flags):
         if flag.startswith("--"):
             given[flag] = "True" if value is None or value.startswith("--") else value
     given["--data"] = str(table)
-    renamed = {"--standardize": "standardization"}
     for flag, value in given.items():
-        key = renamed.get(flag, flag[2:].replace("-", "_"))
+        key = flag[2:].replace("-", "_")
         assert str(recorded.get(key)) == value, (flag, recorded)
 
 
@@ -799,19 +798,55 @@ def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkey
          "--kappa-sweep", "5"],
         ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
          "--standardize", "zscore"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--epsilon-mode", "relative"],
+        ["ambiguity-multi", "--targets", "y1,y2", "--kappa", "10%", "--standardize", "zscore"],
+        ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
+         "--epsilon-mode", "relative"],
+        ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5",
+         "--standardize", "zscore"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--drop-regex", "^zz\nq"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
+         "--drop-regex", "^zz\rq"],
     ],
     ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers", "negative", "descending",
          "stable-negative", "node-budget-zero", "time-budget-zero", "time-budget-negative",
          "time-budget-nan", "kappa-zero", "kappa-zero-percent", "kappa-garbled",
          "sweep-kappa-zero", "bad-regex", "repeated-target-fit", "repeated-target-multi",
          "repeated-target-fairness", "repeated-target-stable", "index-target-epsilon",
-         "index-epsilon-mode", "rashomon-targets", "rashomon-standardize"],
+         "index-epsilon-mode", "rashomon-targets", "rashomon-standardize",
+         "single-epsilon-mode", "multi-standardize", "rashomon-epsilon-mode",
+         "index-standardize", "drop-regex-line-feed", "drop-regex-carriage-return"],
 )
 def test_bad_tolerances_and_workers_are_usage_errors(table, tmp_path, capsys, flags):
     out = tmp_path / "o.csv"
     assert main(flags + ["--data", str(table), "--out", str(out)]) == EXIT_USAGE
     assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["ambiguity-single", "--target", "y1", "--kappa", "5", "--epsilons", "0.05"],
+        ["fairness-range", "--targets", "y1,y2", "--group", "protected", "--kappa", "10%"],
+        ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5"],
+    ],
+    ids=["ambiguity-single", "fairness-range", "stable-points"],
+)
+def test_a_meta_value_with_a_line_break_is_a_data_error(tmp_path, capsys, flags):
+    """A line break in a CSV meta value would end its ``# key=value`` line
+    early, so the run exits 3, names the key, and writes no file."""
+    folder = tmp_path / "two\nlines"
+    folder.mkdir()
+    data = folder / "t.csv"
+    assert main(["synth", "--n", "60", "--b", "0.5", "--out", str(data)]) == EXIT_OK
+    out = tmp_path / "o.json"
+    assert main(flags + ["--data", str(data), "--out", str(out)]) == EXIT_DATA
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith("meta value of 'data' holds a line break")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [folder.name]
 
 
 @pytest.mark.parametrize(

@@ -4,14 +4,13 @@ import pytest
 from topkflip import rashomon_single
 from topkflip.index_model import flip_search_multi, prune_never_top_multi, witness_pool_alphas
 from topkflip.linear_fit import fit_ols, make_ball
-from topkflip.metrics import stable_points
+from topkflip.metrics import ambiguity_curve, stable_points
 from topkflip.oracle import angle_sweep_single
 from topkflip.ranking import rank_descending
 from topkflip.rashomon_single import (
     ENVELOPE_BLOCK,
     _certify_rows,
     _pool_rank_envelope,
-    ambiguity_single,
     flip_search,
     witness_pool,
 )
@@ -38,7 +37,7 @@ def test_prune_is_sound_against_the_sweep(rng):
         X = random_design(rng, 20, 2)
         y = rng.normal(size=20)
         model = fit_ols(X, y)
-        ball = make_ball(model, X, y, 0.1, "relative")
+        ball = make_ball(model, X, y, 0.1)
         kappa = 5
         pruned = screen_membership(ball, X)
         lo, hi = angle_sweep_single(X, ball.center, ball.radius)
@@ -107,7 +106,7 @@ def test_flip_search_agrees_with_sweep_exact_mode(rng):
     X = random_design(rng, 18, 2)
     y = rng.normal(size=18)
     model = fit_ols(X, y)
-    ball = make_ball(model, X, y, 0.3, "relative")
+    ball = make_ball(model, X, y, 0.3)
     reports = flip_search(X, ball, 4, rank_mode="exact")
     lo, hi = angle_sweep_single(X, ball.center, ball.radius)
     for i, rep in enumerate(reports):
@@ -129,7 +128,7 @@ def test_exactly_duplicated_rows_stay_solvable(rng):
     y = -X[:, 1] + rng.normal(0, 0.3, size=16)
     model = fit_ols(X, y)
     for eps in (0.01, 0.1, 1.0):
-        ball = make_ball(model, X, y, eps, "relative")
+        ball = make_ball(model, X, y, eps)
         reports = flip_search(X, ball, 5, rank_mode="exact")
         lo, hi = angle_sweep_single(X, ball.center, ball.radius)
         for i, rep in enumerate(reports):
@@ -140,7 +139,7 @@ def test_status_mode_matches_exact_verdicts(rng):
     X = random_design(rng, 25, 3)
     y = rng.normal(size=25)
     model = fit_ols(X, y)
-    ball = make_ball(model, X, y, 0.2, "relative")
+    ball = make_ball(model, X, y, 0.2)
     fast = flip_search(X, ball, 6)
     slow = flip_search(X, ball, 6, rank_mode="exact")
     for f, s in zip(fast, slow):
@@ -218,17 +217,19 @@ def test_ambiguity_counts():
     X = np.linalg.qr(np.column_stack([np.ones(12), np.arange(12.0)]))[0]
     y = np.arange(12.0) + 0.01 * np.sin(np.arange(12))
     reports = flip_search(X, make_ball(fit_ols(X, y), X, y, 0.5), 3)
-    amb = ambiguity_single(reports, 3)
-    assert amb.all_fraction == pytest.approx(amb.n_flippable / 12)
-    assert 0.0 <= amb.top_fraction <= 1.0
-    assert amb.n_undetermined == 0
+    (pt,) = ambiguity_curve(X, y, 3, [0.5])
+    assert pt.ambiguity_all == sum(1 for rep in reports if rep.flippable) / 12
+    top_exits = sum(1 for rep in reports if rep.flippable and rep.baseline_rank <= 3)
+    assert pt.ambiguity_top == top_exits / 3
+    assert 0.0 <= pt.ambiguity_top <= 1.0
+    assert pt.n_undetermined == 0
 
 
 def test_budget_exhaustion_leaves_undetermined(rng):
     X = random_design(rng, 40, 4)
     y = rng.normal(size=40)
     model = fit_ols(X, y)
-    ball = make_ball(model, X, y, 1.0, "relative")
+    ball = make_ball(model, X, y, 1.0)
     reports = flip_search(X, ball, 10, config=SolverConfig(node_budget=1))
     assert any(rep.method == "undetermined" for rep in reports)
     for rep in reports:
@@ -300,7 +301,7 @@ def _one_question_instances(rng):
         X = random_design(rng, 24, 3)
         y = rng.normal(size=24)
         model = fit_ols(X, y)
-        ball = make_ball(model, X, y, epsilon, "relative")
+        ball = make_ball(model, X, y, epsilon)
         yield "ball", X, 6, lambda mode, X=X, ball=ball: flip_search(X, ball, 6, rank_mode=mode)
     for K in (2, 3):
         for _ in range(6):
@@ -369,7 +370,7 @@ def test_stopped_exact_search_keeps_its_flip_witness(family, rng):
     if family == "ball":
         V = random_design(rng, 30, 3)
         y = rng.normal(size=30)
-        ball = make_ball(fit_ols(V, y), V, y, 0.3, "relative")
+        ball = make_ball(fit_ols(V, y), V, y, 0.3)
         reports = flip_search(V, ball, 6, rank_mode="exact", config=cfg)
     else:
         V = rng.normal(size=(30, 3))
@@ -459,7 +460,7 @@ def test_exact_mode_forms_no_envelope(rng, monkeypatch):
     calls = _count_envelope_calls(monkeypatch)
     X = random_design(rng, 30, 3)
     y = X @ np.array([0.0, 2.0, -1.0]) + rng.normal(size=30)
-    ball = make_ball(fit_ols(X, y), X, y, 0.05, "relative")
+    ball = make_ball(fit_ols(X, y), X, y, 0.05)
     P = rng.normal(size=(20, 3))
     searches = [
         (lambda mode: flip_search(X, ball, 6, rank_mode=mode), screen_membership(ball, X), 6),

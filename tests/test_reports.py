@@ -108,3 +108,23 @@ def test_csv_meta_round_trip(tmp_path):
     assert rows == [["1", "x"], ["2", "y"]]
     # the kind marker is header-only, it never appears as a comment line
     assert "# kind=" not in p.read_text()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["line-feed", "carriage-return"])
+def test_csv_meta_refuses_a_line_break(tmp_path, brk):
+    """A line break would end its comment line early and leave the rest of
+    the value as a stray line; the writer refuses it before the file exists."""
+    p = tmp_path / "m.csv"
+    meta = meta_record(command="curve", drop_regex=f"^zz{brk}q")
+    with pytest.raises(ValueError, match="'drop_regex' holds a line break"):
+        write_csv_with_meta(p, meta, ["a"], [[1]])
+    assert not p.exists()
+
+
+def test_csv_meta_is_read_only_above_the_header(tmp_path):
+    p = tmp_path / "m.csv"
+    write_csv_with_meta(p, meta_record(command="curve"), ["a", "b"], [["# a=b", 1], ["x", 2]])
+    got, columns, rows = read_csv_with_meta(p)
+    assert "a" not in got and got["command"] == "curve"
+    assert columns == ["a", "b"]
+    assert rows == [["# a=b", "1"], ["x", "2"]]

@@ -4,8 +4,8 @@ Batch interface over the library: fit models, trace ambiguity curves,
 write per-row flip reports, audit group selection rates, tabulate stable
 points, and generate the synthetic study tables. Every output but the
 synthetic table embeds a metadata header that records each flag that
-changes its results; apart from the timestamp field, identical flags and
-seed produce byte-identical files.
+changes its results; apart from the timestamp field, identical flags
+produce byte-identical files.
 
 Exit codes: 0 success, 1 a --certify oracle cross-check disagreed with
 the solver, 2 usage error, 3 data error, 4 a search stopped short of a
@@ -20,7 +20,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -128,10 +127,10 @@ def _regex(raw: str) -> str:
     return raw
 
 
-def _load_table(path, target_names, drop_regex=None, seed: int = 0) -> Dataset:
+def _load_table(path, target_names, drop_regex) -> Dataset:
     """Ingest a CSV in the layout ``load_csv`` reads, then drop the
     feature columns ``--drop-regex`` matches."""
-    ds = load_csv(path, target_names, split_seed=seed)
+    ds = load_csv(path, target_names)
     if drop_regex:
         ds = drop_columns_matching(ds, [drop_regex])
     return ds
@@ -186,7 +185,6 @@ def _base_meta(args, command: str, **extra) -> dict:
     cfg = _solver_config(args)
     return meta_record(
         command=command,
-        seed=args.seed,
         node_budget=cfg.node_budget,
         time_budget=cfg.time_budget,
         drop_regex=args.drop_regex,
@@ -199,7 +197,7 @@ def _base_meta(args, command: str, **extra) -> dict:
 
 def _cmd_fit(args) -> int:
     targets = _parse_targets(args.targets)
-    ds = _load_table(args.data, targets, args.drop_regex, args.seed)
+    ds = _load_table(args.data, targets, args.drop_regex)
     fit_rows, _, _ = _phase_views(ds)
     models = []
     for name in targets:
@@ -213,7 +211,6 @@ def _cmd_fit(args) -> int:
         )
     meta = meta_record(
         command="fit",
-        seed=args.seed,
         data=str(args.data),
         n_fit=int(fit_rows.sum()),
         drop_regex=args.drop_regex,
@@ -282,7 +279,7 @@ def _check_ranks(reports, min_ranks, max_ranks, where: str = "") -> None:
 
 
 def _cmd_ambiguity_single(args) -> int:
-    ds = _load_table(args.data, (args.target,), args.drop_regex, args.seed)
+    ds = _load_table(args.data, (args.target,), args.drop_regex)
     q = _orthonormal_analysis(ds)
     kappa = resolve_kappa(_parse_kappa(args.kappa), q.n)
     epsilons = _parse_epsilons(args.epsilons)
@@ -330,7 +327,7 @@ def _cmd_ambiguity_single(args) -> int:
 
 def _cmd_ambiguity_multi(args) -> int:
     targets = _parse_targets(args.targets)
-    ds = _load_table(args.data, targets, args.drop_regex, args.seed)
+    ds = _load_table(args.data, targets, args.drop_regex)
     preds, row_ids = _blend_analysis(ds, targets)
     n = preds.shape[0]
     kappa = resolve_kappa(_parse_kappa(args.kappa), n)
@@ -367,7 +364,7 @@ def _cmd_ambiguity_multi(args) -> int:
 
 def _cmd_fairness_range(args) -> int:
     targets = _parse_targets(args.targets)
-    ds = _load_table(args.data, targets, args.drop_regex, args.seed)
+    ds = _load_table(args.data, targets, args.drop_regex)
     bundle = fairness_workflow(
         ds,
         targets,
@@ -413,13 +410,6 @@ def _cmd_fairness_range(args) -> int:
 # ------------------------------------------------------ stable-points
 
 
-def _stable_one(payload):
-    """One kappa of a sweep: certify against the family's screen and split
-    the reports by the side of the cut they pin."""
-    search, kappa, family = payload
-    return stable_points(search(kappa), kappa, family)
-
-
 def _cmd_stable_points(args) -> int:
     sweep = [_parse_kappa(k) for k in args.kappa_sweep.split(",") if k.strip()]
     if not sweep:
@@ -442,7 +432,7 @@ def _cmd_stable_points(args) -> int:
         epsilon = 0.1 if args.epsilon is None else args.epsilon
         if not np.isfinite(epsilon) or epsilon < 0:
             raise UsageError(f"--epsilon must be finite and nonnegative, got {epsilon}")
-        ds = _load_table(args.data, (args.target,), args.drop_regex, args.seed)
+        ds = _load_table(args.data, (args.target,), args.drop_regex)
         q = _orthonormal_analysis(ds)
         y = q.target(args.target)
         ball = make_ball(fit_ols(q.features, y), q.features, y, epsilon)
@@ -454,21 +444,13 @@ def _cmd_stable_points(args) -> int:
         if args.targets is None:
             raise UsageError("--targets is required for the index family")
         targets = _parse_targets(args.targets)
-        ds = _load_table(args.data, targets, args.drop_regex, args.seed)
+        ds = _load_table(args.data, targets, args.drop_regex)
         preds, _ = _blend_analysis(ds, targets)
         search = partial(flip_search_multi, preds, config=cfg, prune=prune_never_top_multi(preds))
         n_rows = preds.shape[0]
         family_meta = {"targets": ",".join(targets)}
     kappas = [resolve_kappa(k, n_rows) for k in sweep]
-    payloads = [(search, k, args.family) for k in kappas]
-
-    # A fork-started pool launches all its workers at the first submit.
-    workers = min(args.workers, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sets = list(pool.map(_stable_one, payloads))
-    else:
-        sets = [_stable_one(p) for p in payloads]
+    sets = [stable_points(search(k), k, args.family) for k in kappas]
 
     meta = _base_meta(
         args,
@@ -518,12 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ),
         "--drop-regex": dict(type=_regex, default=None, help="drop matching feature columns"),
-        "--workers": dict(type=_positive(int), default=1, help="fan the kappa sweep out over processes"),
     }
 
     def common(p, *flags):
-        """``--seed`` plus the named shared flags, each only where it is read."""
-        p.add_argument("--seed", type=int, default=0)
+        """The named shared flags, each only where it is read."""
         for flag in flags:
             p.add_argument(flag, **shared_flags[flag])
 
@@ -573,14 +553,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None, help="tolerance for the rashomon family")
     p.add_argument("--targets", default=None, help="targets for the index family")
     p.add_argument("--out", required=True)
-    common(p, *budgets, "--drop-regex", "--workers")
+    common(p, *budgets, "--drop-regex")
     p.set_defaults(func=_cmd_stable_points)
 
     p = sub.add_parser("synth", help="two-target age study table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -265,13 +265,13 @@ def _check_row_count(n: int, path) -> None:
         raise DataError(f"{path}: need at least 2 data rows, got {n}")
 
 
-def load_csv(path, targets, split_seed: int = 0) -> Dataset:
+def load_csv(path, targets) -> Dataset:
     """Load a UTF-8 CSV with a header row into a Dataset.
 
     The header names each column once. The named targets are outcomes;
     ``row_id``, ``group`` and ``split`` are reserved; every other column
     is a feature. A ``group`` column is required. Without a ``split``
-    column the split tags are assigned from ``split_seed``; without a
+    column the split tags are ``assign_splits(row_ids, 0)``; without a
     ``row_id`` column the row ids are the row positions.
 
     Cells are separated by commas. A cell may be quoted with ``"``, and a
@@ -285,9 +285,6 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
     path : str or Path
     targets : sequence of str
         Names of the target columns.
-    split_seed : int
-        Seed for the deterministic split assignment used when the table
-        has no split column.
 
     Raises
     ------
@@ -361,7 +358,7 @@ def load_csv(path, targets, split_seed: int = 0) -> Dataset:
             raise DataError(f"{path}: unknown split tags: {unknown}")
         split_tags = column["split"].astype("<U7")
     else:
-        split_tags = assign_splits(row_ids, split_seed)
+        split_tags = assign_splits(row_ids, 0)
 
     return Dataset(
         feature_names=(INTERCEPT_NAME,) + features,

@@ -1,6 +1,7 @@
 """In-process CLI exercises via main(argv)."""
 
 import argparse
+import csv
 import dataclasses
 import json
 import warnings
@@ -11,7 +12,7 @@ import pytest
 
 from topkflip import cli, fairness, index_model, metrics, rashomon_single, solver
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from topkflip.dataset import load_csv, orthonormalize, write_csv
+from topkflip.dataset import assign_splits, load_csv, orthonormalize, write_csv
 from topkflip.fairness import PhaseError
 from topkflip.linear_fit import fit_ols, make_ball
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl, write_reports_jsonl
@@ -95,6 +96,28 @@ def test_ambiguity_multi_reports(table, tmp_path):
     assert len(reports) == int(meta["n"])
     for rep in reports:
         assert rep.flippable == (rep.min_rank <= int(meta["kappa_resolved"]) < rep.max_rank)
+
+
+def test_a_table_without_a_split_column_takes_the_seed_0_partition(table, tmp_path):
+    """Without a split column the rows are tagged ``assign_splits(row_ids,
+    0)``, and the blend family reports exactly the rows tagged holdout."""
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    unsplit = tmp_path / "unsplit.csv"
+    with open(unsplit, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [c for c in rows[0] if c != "split"], extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "m.jsonl"
+    assert main([
+        "ambiguity-multi", "--data", str(unsplit), "--targets", "y1,y2",
+        "--kappa", "10%", "--out", str(out),
+    ]) == EXIT_OK
+    _, reports = read_reports_jsonl(out)
+    row_ids = [row["row_id"] for row in rows]
+    tags = assign_splits(row_ids, 0)
+    assert [rep.row_id for rep in reports] == [r for r, t in zip(row_ids, tags) if t == "holdout"]
+    assert set(tags) == {"train", "tune", "holdout"}
 
 
 def _blend_preds(path, targets):
@@ -316,13 +339,20 @@ def test_failed_lps_exit_4_not_0(tmp_path, monkeypatch):
             ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5"],
             ["--certify"],
         ),
+        (
+            ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5,10"],
+            ["--workers", "2"],
+        ),
+        (["ambiguity-multi", "--targets", "y1,y2", "--kappa", "5"], ["--seed", "3"]),
     ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(table, tmp_path, capsys, command, flag):
     data = [] if command[0] == "synth" else ["--data", str(table)]
-    assert main(command + data + flag + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+    out = tmp_path / "o"
+    assert main(command + data + flag + ["--out", str(out)]) == EXIT_USAGE
     err = json.loads(capsys.readouterr().err)
     assert f"unrecognized arguments: {' '.join(flag)}" in err["error"]["message"]
+    assert not out.exists()
 
 
 def test_fairness_range_outputs(table, tmp_path):
@@ -374,19 +404,6 @@ STABLE_FAMILY_FLAGS = {
     "rashomon": ["--family", "rashomon", "--target", "y1", "--epsilon", "0.05"],
     "index": ["--family", "index", "--targets", "y1,y2"],
 }
-
-
-@pytest.mark.parametrize("family", ["rashomon", "index"])
-def test_stable_points_workers_match_serial(table, tmp_path, family):
-    serial = tmp_path / "a.csv"
-    fanned = tmp_path / "b.csv"
-    args = [
-        "stable-points", "--data", str(table), *STABLE_FAMILY_FLAGS[family],
-        "--kappa-sweep", "5,10,15",
-    ]
-    assert main(args + ["--out", str(serial)]) == EXIT_OK
-    assert main(args + ["--workers", "3", "--out", str(fanned)]) == EXIT_OK
-    assert _strip_timestamp(serial.read_text()) == _strip_timestamp(fanned.read_text())
 
 
 @pytest.mark.parametrize("family", ["rashomon", "index"])
@@ -445,23 +462,22 @@ def test_repeat_run_identical_modulo_timestamp(table, tmp_path):
 # Every option string of every command. A new option is a setting that
 # tests and benchmarks must cover, so it changes this table on purpose.
 CLI_SURFACE = {
-    "fit": ["--data", "--drop-regex", "--help", "--out", "--seed", "--targets", "-h"],
+    "fit": ["--data", "--drop-regex", "--help", "--out", "--targets", "-h"],
     "ambiguity-single": [
         "--certify", "--data", "--drop-regex", "--epsilons", "--help", "--kappa",
-        "--node-budget", "--out", "--seed", "--target", "--time-budget", "-h",
+        "--node-budget", "--out", "--target", "--time-budget", "-h",
     ],
     "ambiguity-multi": [
         "--certify", "--data", "--drop-regex", "--help", "--kappa", "--node-budget", "--out",
-        "--seed", "--targets", "--time-budget", "-h",
+        "--targets", "--time-budget", "-h",
     ],
     "fairness-range": [
         "--certify", "--data", "--direction", "--drop-regex", "--group", "--help", "--kappa",
-        "--node-budget", "--out", "--seed", "--targets", "--time-budget", "-h",
+        "--node-budget", "--out", "--targets", "--time-budget", "-h",
     ],
     "stable-points": [
         "--data", "--drop-regex", "--epsilon", "--family", "--help", "--kappa-sweep",
-        "--node-budget", "--out", "--seed", "--target", "--targets", "--time-budget",
-        "--workers", "-h",
+        "--node-budget", "--out", "--target", "--targets", "--time-budget", "-h",
     ],
     "synth": ["--b", "--help", "--n", "--out", "--seed", "-h"],
 }
@@ -478,14 +494,14 @@ def test_cli_surface():
 
 
 _SHARED_FLAGS = [
-    "--node-budget", "500", "--time-budget", "60.0", "--drop-regex", "^visits$", "--seed", "3",
+    "--node-budget", "500", "--time-budget", "60.0", "--drop-regex", "^visits$",
 ]
 
 
 @pytest.mark.parametrize(
     "flags",
     [
-        ["fit", "--targets", "y1,y2", "--drop-regex", "^visits$", "--seed", "3"],
+        ["fit", "--targets", "y1,y2", "--drop-regex", "^visits$"],
         [
             "ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.02,0.05",
             "--certify", *_SHARED_FLAGS,
@@ -766,8 +782,6 @@ def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkey
         ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01,nan"],
         ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
          "--epsilon", "nan"],
-        ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5",
-         "--workers", "0"],
         ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "-0.1"],
         ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.06,0.02"],
         ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5",
@@ -810,7 +824,7 @@ def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkey
         ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
          "--drop-regex", "^zz\rq"],
     ],
-    ids=["nan", "inf", "trailing-nan", "stable-nan", "no-workers", "negative", "descending",
+    ids=["nan", "inf", "trailing-nan", "stable-nan", "negative", "descending",
          "stable-negative", "node-budget-zero", "time-budget-zero", "time-budget-negative",
          "time-budget-nan", "kappa-zero", "kappa-zero-percent", "kappa-garbled",
          "sweep-kappa-zero", "bad-regex", "repeated-target-fit", "repeated-target-multi",
@@ -886,31 +900,3 @@ def test_bad_synth_flags_are_usage_errors(tmp_path, capsys, n, b, message):
     assert error["exit_code"] == EXIT_USAGE
     assert error["message"].startswith(f"--n {n} --b {float(b)}: {message}")
     assert not out.exists()
-
-
-def test_stable_points_pool_never_outnumbers_the_sweep(table, tmp_path, monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    args = [
-        "stable-points", "--data", str(table), "--family", "index", "--targets", "y1,y2",
-        "--workers", "64", "--out", str(tmp_path / "st.csv"),
-    ]
-    assert main(args + ["--kappa-sweep", "5,10"]) == EXIT_OK
-    assert sizes == [2]
-    # One kappa runs in process.
-    assert main(args + ["--kappa-sweep", "5"]) == EXIT_OK
-    assert sizes == [2]

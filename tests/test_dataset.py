@@ -424,13 +424,14 @@ def test_loader_matches_the_cell_by_cell_reference(tmp_path):
 
 
 def test_missing_split_column_assigns_deterministically(tmp_path):
+    """A table without a split column takes the seed-0 partition of its
+    row ids, the one fixed default."""
     p = tmp_path / "ns.csv"
     rows = "\n".join(f"{i},{i / 10},{i / 5},g" for i in range(30))
     p.write_text("row_id,x,y,group\n" + rows + "\n")
-    a = load_csv(p, ("y",), split_seed=3)
-    b = load_csv(p, ("y",), split_seed=3)
-    assert tuple(a.split_tags) == tuple(b.split_tags)
-    assert set(a.split_tags) <= {"train", "tune", "holdout"}
+    ds = load_csv(p, ("y",))
+    assert ds.split_tags.tolist() == assign_splits(ds.row_ids, 0).tolist()
+    assert set(ds.split_tags) == {"train", "tune", "holdout"}
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

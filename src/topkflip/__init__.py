@@ -12,7 +12,7 @@ from .dataset import (
     orthonormalize,
     write_csv,
 )
-from .linear_fit import LinearModel, fit_ols, fit_on_rows, make_ball, rss
+from .linear_fit import fit_ols, fit_on_rows, make_ball, rss
 from .ranking import RankVector, rank_descending, resolve_kappa
 from .reports import FlipReport, read_reports_jsonl, write_reports_jsonl
 from .solver import (
@@ -38,7 +38,6 @@ from .fairness import (
     FairnessBundle,
     GroupRateReport,
     ModelEvaluation,
-    PhaseError,
     evaluate_selection,
     fairness_workflow,
     group_rate_extremes,

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .dataset import DataError, Dataset, drop_columns_matching, load_csv, orthonormalize, write_csv
-from .fairness import PhaseError, fairness_workflow, write_fairness_csv, write_fairness_json
+from .fairness import fairness_workflow, write_fairness_csv, write_fairness_json
 from .index_model import build_ensemble, flip_search_multi, prune_never_top_multi
 from .linear_fit import fit_ols, fit_on_rows, make_ball
 from .metrics import ambiguity_curve, curve_rows, stable_points, stable_rows
@@ -201,12 +201,12 @@ def _cmd_fit(args) -> int:
     fit_rows, _, _ = _phase_views(ds)
     models = []
     for name in targets:
-        model = fit_on_rows(ds.features[fit_rows], ds.target(name)[fit_rows])
+        coef = fit_on_rows(ds.features[fit_rows], ds.target(name)[fit_rows])
         models.append(
             {
                 "target": name,
                 "feature_names": list(ds.feature_names),
-                "coef": [float(c) for c in model.coef],
+                "coef": [float(c) for c in coef],
             }
         )
     meta = meta_record(
@@ -574,14 +574,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error(exc, EXIT_USAGE)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, ValueError) as exc:
-        _emit_error(exc, EXIT_DATA)
-        return EXIT_DATA
-    except PhaseError as exc:
-        # A workflow phase rejecting its input is a data error; any other
-        # failure inside a phase is a bug and keeps its traceback.
-        if not isinstance(exc.cause, (DataError, ValueError)):
-            raise
+    except (DataError, OSError, ValueError) as exc:
         _emit_error(exc, EXIT_DATA)
         return EXIT_DATA
     except CertifyError as exc:

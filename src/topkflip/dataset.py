@@ -292,7 +292,7 @@ def load_csv(path, targets) -> Dataset:
         ``targets`` repeats a name; or the csv reader refuses the header
         (a name over its field limit), or the header is missing, repeats a
         name, lacks a target or the group column, or has no feature column
-        or one named ``intercept``.
+        or one named ``intercept``; or a target is a reserved column.
     ParseError
         A row has the wrong number of fields or the csv reader refuses it,
         a feature or target cell is empty or non-numeric, or a group cell
@@ -323,6 +323,9 @@ def load_csv(path, targets) -> Dataset:
     missing = [t for t in targets if t not in header]
     if missing:
         raise SchemaError(f"{path}: target column(s) {missing} not in header")
+    reserved = [t for t in targets if t in RESERVED_COLUMNS]
+    if reserved:
+        raise SchemaError(f"{path}: target column(s) {reserved} are reserved {RESERVED_COLUMNS}")
     if "group" not in header:
         raise SchemaError(f"{path}: expected a 'group' column")
     features = tuple(c for c in header if c not in targets and c not in RESERVED_COLUMNS)

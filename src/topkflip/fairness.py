@@ -10,7 +10,6 @@ rows.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -25,15 +24,6 @@ from .reports import write_csv_with_meta
 from .solver import SimplexRegion, SolverConfig, group_query, solve
 
 DIRECTIONS = ("min", "max", "both")
-
-
-class PhaseError(RuntimeError):
-    """Workflow failure tagged with the phase that raised it."""
-
-    def __init__(self, phase: str, cause: Exception):
-        super().__init__(f"phase {phase!r}: {cause}")
-        self.phase = phase
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -241,76 +231,65 @@ def fairness_workflow(
     Train rows fit the per-target models, tune rows freeze their z-score
     scaling and host the extreme-count search, holdout rows receive
     the witness blend next to every one-hot. The kappa argument may be
-    an ``int`` or a percent string and resolves against each phase's
-    size separately. The evaluated blend is the max witness when the
-    direction includes max, otherwise the min witness.
+    an ``int`` or a percent string and resolves against the tune and
+    holdout sizes separately, both before anything is fitted. The
+    evaluated blend is the max witness when the direction includes max,
+    otherwise the min witness.
     """
     target_names = tuple(targets)
-
-    @contextlib.contextmanager
-    def phase(name):
-        # Only errors are tagged; an interrupt or exit passes through.
+    masks = {tag: ds.split_mask(tag) for tag in ("train", "tune", "holdout")}
+    for tag, m in masks.items():
+        if not m.any():
+            raise ValueError(f"split {tag!r} has no rows")
+    Y = np.column_stack([ds.target(name) for name in target_names])
+    group_all = ds.group_mask(group_label)
+    if not group_all.any():
+        raise ValueError(f"group {group_label!r} has no rows")
+    resolved = []
+    for tag in ("tune", "holdout"):
         try:
-            yield
-        except Exception as exc:
-            raise PhaseError(name, exc) from exc
+            resolved.append(resolve_kappa(kappa, int(masks[tag].sum())))
+        except ValueError as exc:
+            raise ValueError(f"{tag} split: {exc}") from exc
+    kappa_tune, kappa_hold = resolved
+    tr, tu, ho = masks["train"], masks["tune"], masks["holdout"]
 
-    with phase("split"):
-        masks = {tag: ds.split_mask(tag) for tag in ("train", "tune", "holdout")}
-        for tag, m in masks.items():
-            if not m.any():
-                raise ValueError(f"split {tag!r} has no rows")
-        Y = np.column_stack([ds.target(name) for name in target_names])
-        group_all = ds.group_mask(group_label)
-        if not group_all.any():
-            raise ValueError(f"group {group_label!r} has no rows")
+    ensemble = build_ensemble(
+        ds.features[tr],
+        Y[tr],
+        ds.features[tu],
+        target_names=target_names,
+    )
 
-    with phase("fit"):
-        tr = masks["train"]
-        ensemble = build_ensemble(
-            ds.features[tr],
-            Y[tr],
-            ds.features[masks["tune"]],
-            target_names=target_names,
+    preds_tune = ensemble.predictions(ds.features[tu])
+    tune_report = group_rate_extremes(
+        preds_tune,
+        kappa_tune,
+        group_all[tu],
+        direction=direction,
+        group_label=group_label,
+        config=config,
+    )
+    alpha_star = tune_report.alpha_at_max
+    if alpha_star is None:
+        alpha_star = tune_report.alpha_at_min
+    if alpha_star is None:
+        alpha_star = np.full(len(target_names), 1.0 / len(target_names))
+
+    preds_hold = ensemble.predictions(ds.features[ho])
+    group_hold = group_all[ho]
+    Y_hold = Y[ho]
+    evals = [
+        evaluate_selection(
+            preds_hold @ alpha_star, kappa_hold, group_hold, Y_hold, "index", alpha_star
         )
-
-    with phase("tune-extremes"):
-        tu = masks["tune"]
-        preds_tune = ensemble.predictions(ds.features[tu])
-        kappa_tune = resolve_kappa(kappa, int(tu.sum()))
-        tune_report = group_rate_extremes(
-            preds_tune,
-            kappa_tune,
-            group_all[tu],
-            direction=direction,
-            group_label=group_label,
-            config=config,
+    ]
+    for k, name in enumerate(target_names):
+        one_hot = np.zeros(len(target_names))
+        one_hot[k] = 1.0
+        evals.append(
+            evaluate_selection(preds_hold[:, k], kappa_hold, group_hold, Y_hold, name, one_hot)
         )
-        alpha_star = tune_report.alpha_at_max
-        if alpha_star is None:
-            alpha_star = tune_report.alpha_at_min
-        if alpha_star is None:
-            alpha_star = np.full(len(target_names), 1.0 / len(target_names))
-
-    with phase("holdout-eval"):
-        ho = masks["holdout"]
-        preds_hold = ensemble.predictions(ds.features[ho])
-        kappa_hold = resolve_kappa(kappa, int(ho.sum()))
-        group_hold = group_all[ho]
-        Y_hold = Y[ho]
-        evals = [
-            evaluate_selection(
-                preds_hold @ alpha_star, kappa_hold, group_hold, Y_hold, "index", alpha_star
-            )
-        ]
-        for k, name in enumerate(target_names):
-            one_hot = np.zeros(len(target_names))
-            one_hot[k] = 1.0
-            evals.append(
-                evaluate_selection(
-                    preds_hold[:, k], kappa_hold, group_hold, Y_hold, name, one_hot
-                )
-            )
 
     return FairnessBundle(
         group_label=group_label,

@@ -1,6 +1,6 @@
 """Blends of per-target predictions over the weight simplex.
 
-An index ensemble holds one fitted linear model per target plus a
+An index ensemble holds one fitted coefficient vector per target plus a
 z-score scaling frozen on a reference sample; a blend weight alpha on the
 simplex turns the z-scored per-target predictions into one index
 score per row. Flippability here needs no baseline model: a row is
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .linear_fit import LinearModel, fit_on_rows
+from .linear_fit import fit_on_rows
 from .rashomon_single import _certify_rows
 from .reports import FlipReport
 from .solver import PruneResult, SimplexRegion, SolverConfig, screen_membership
@@ -24,17 +24,18 @@ from .solver import PruneResult, SimplexRegion, SolverConfig, screen_membership
 
 @dataclass(frozen=True)
 class IndexEnsemble:
-    """Per-target linear models plus the z-score scaling frozen on the
-    reference rows: the mean and population standard deviation of each
-    target's raw predictions there."""
+    """Per-target coefficient vectors plus the z-score scaling frozen on
+    the reference rows: the mean and population standard deviation of
+    each target's raw predictions there."""
 
-    models: tuple[LinearModel, ...]
+    models: tuple[NDArray[np.float64], ...]
     means: NDArray[np.float64]
     sds: NDArray[np.float64]
 
     def predictions(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         """Z-scored per-target predictions, the solver's row vectors."""
-        raw = np.column_stack([m.predict(X) for m in self.models])
+        X = np.asarray(X, dtype=np.float64)
+        raw = np.column_stack([X @ w for w in self.models])
         return (raw - self.means) / self.sds
 
 
@@ -57,7 +58,8 @@ def build_ensemble(
     if len(target_names) != K:
         raise ValueError(f"{len(target_names)} target names for {K} targets")
     models = tuple(fit_on_rows(X_train, Y[:, k]) for k in range(K))
-    raw_ref = np.column_stack([m.predict(X_reference) for m in models])
+    X_reference = np.asarray(X_reference, dtype=np.float64)
+    raw_ref = np.column_stack([X_reference @ w for w in models])
     means = raw_ref.mean(axis=0)
     sds = raw_ref.std(axis=0)
     for name, sd in zip(target_names, sds):

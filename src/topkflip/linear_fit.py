@@ -11,8 +11,6 @@ certifier read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -21,26 +19,13 @@ from .solver import BallRegion
 ORTHONORMAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """A fitted linear predictor: score(x) = x @ coef."""
-
-    coef: NDArray[np.float64]
-
-    def predict(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        return np.asarray(X, dtype=np.float64) @ self.coef
-
-    def rss(self, X: NDArray[np.float64], y: NDArray[np.float64]) -> float:
-        return rss(X, y, self.coef)
-
-
 def rss(X: NDArray[np.float64], y: NDArray[np.float64], w: NDArray[np.float64]) -> float:
     r = np.asarray(y, dtype=np.float64) - np.asarray(X, dtype=np.float64) @ w
     return float(r @ r)
 
 
-def fit_ols(X: NDArray[np.float64], y: NDArray[np.float64]) -> LinearModel:
-    """Least squares on an orthonormal design: w0 = X^T y.
+def fit_ols(X: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Least-squares coefficients on an orthonormal design: w0 = X^T y.
 
     Raises ValueError if some entry of X^T X - I exceeds
     ``ORTHONORMAL_TOL`` in magnitude; use :func:`fit_on_rows` for general
@@ -55,26 +40,25 @@ def fit_ols(X: NDArray[np.float64], y: NDArray[np.float64]) -> LinearModel:
             f"design is not orthonormal (max |X^T X - I| = {defect:.3e} > "
             f"{ORTHONORMAL_TOL:.0e}); run orthonormalize first"
         )
-    return LinearModel(coef=X.T @ y)
+    return X.T @ y
 
 
-def fit_on_rows(X: NDArray[np.float64], y: NDArray[np.float64]) -> LinearModel:
-    """Least squares on an arbitrary design via lstsq (minimum-norm on rank
-    deficiency)."""
+def fit_on_rows(X: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Least-squares coefficients on an arbitrary design via lstsq
+    (minimum-norm on rank deficiency)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    return LinearModel(coef=coef)
+    return np.linalg.lstsq(X, y, rcond=None)[0]
 
 
 def make_ball(
-    model: LinearModel,
+    coef: NDArray[np.float64],
     X: NDArray[np.float64],
     y: NDArray[np.float64],
     epsilon: float,
 ) -> BallRegion:
-    """The near-optimal ball around a fitted model: center w0, radius the
-    square root of the loss slack epsilon * RSS(w0).
+    """The near-optimal ball around fitted coefficients: center w0, radius
+    the square root of the loss slack epsilon * RSS(w0).
 
     Epsilon reads as a fraction of the baseline loss, so a perfect fit
     (RSS = 0) yields a degenerate single-point ball. A tolerance whose
@@ -82,7 +66,7 @@ def make_ball(
     """
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    radius = float(np.sqrt(float(epsilon) * model.rss(X, y)))
+    radius = float(np.sqrt(float(epsilon) * rss(X, y, coef)))
     if not np.isfinite(radius):
         raise ValueError(f"epsilon {epsilon} gives a ball radius that overflows to {radius}")
-    return BallRegion(center=model.coef, radius=radius)
+    return BallRegion(center=coef, radius=radius)

@@ -101,9 +101,9 @@ def ambiguity_curve(
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    model = fit_ols(X, y)
-    balls = [make_ball(model, X, y, e) for e in eps]
-    screens = screen_ball(X, model.coef, [b.radius for b in balls]) if balls else []
+    w0 = fit_ols(X, y)
+    balls = [make_ball(w0, X, y, e) for e in eps]
+    screens = screen_ball(X, w0, [b.radius for b in balls]) if balls else []
     curve: list[CurvePoint] = []
     carried: list[NDArray[np.float64]] = []
     for e, ball, screen in zip(eps, balls, screens):

@@ -13,7 +13,6 @@ import pytest
 from topkflip import cli, fairness, index_model, metrics, rashomon_single, solver
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.dataset import assign_splits, load_csv, orthonormalize, write_csv
-from topkflip.fairness import PhaseError
 from topkflip.linear_fit import fit_ols, make_ball
 from topkflip.reports import read_csv_with_meta, read_reports_jsonl, write_reports_jsonl
 from topkflip.synth import generate, generate_clinical
@@ -591,6 +590,48 @@ def test_data_errors(tmp_path, capsys):
     assert "field limit" in err["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "case, refusal",
+    [
+        ("data-is-a-directory", "IsADirectoryError"),
+        ("out-is-a-directory", "IsADirectoryError"),
+        ("data-under-a-file", "NotADirectoryError"),
+    ],
+)
+def test_a_path_the_os_refuses_is_a_data_error(table, tmp_path, capsys, case, refusal):
+    data, out = str(table), str(tmp_path / "m.json")
+    if case == "data-is-a-directory":
+        data = str(tmp_path)
+    elif case == "out-is-a-directory":
+        out = str(tmp_path)
+    else:
+        data = str(table / "x")
+    assert main(["fit", "--data", data, "--targets", "y1", "--out", out]) == EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == refusal
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["fit", "--targets", "group"],
+        ["ambiguity-single", "--target", "split", "--kappa", "5", "--epsilons", "0.02"],
+    ],
+    ids=["fit-group", "single-split"],
+)
+def test_a_reserved_column_named_as_a_target_is_a_data_error(table, tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert main(flags + ["--data", str(table), "--out", str(out)]) == EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "SchemaError"
+    assert f"['{flags[2]}'] are reserved" in err["message"]
+    assert not out.exists()
+
+
 def test_split_cells_are_checked_in_full(table, tmp_path, capsys):
     # Split cells used to be cut to seven characters before the check.
     bad = tmp_path / "split.csv"
@@ -747,7 +788,29 @@ def test_workflow_input_errors_exit_3(table, tmp_path, capsys):
         ]) == EXIT_DATA
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["type"] == "PhaseError"
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+
+
+def test_a_kappa_too_large_for_holdout_fails_before_the_search(tmp_path, capsys, monkeypatch):
+    """Kappa resolves against the tune and holdout sizes before anything
+    is fitted, and the error names the split it does not fit."""
+    data = tmp_path / "clinical.csv"
+    write_csv(generate_clinical(1800), data)  # 594 tune rows, 583 holdout
+
+    def searched(*args, **kwargs):
+        raise AssertionError("the tune search ran")
+
+    monkeypatch.setattr(fairness, "group_rate_extremes", searched)
+    assert main([
+        "fairness-range", "--data", str(data), "--targets", "cost_t,gagne_sum_t",
+        "--group", "black", "--kappa", "590", "--out", str(tmp_path / "f.json"),
+    ]) == EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == "holdout split: kappa 590 out of range for n=583"
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_other_workflow_failures_still_raise(table, tmp_path, monkeypatch):
@@ -755,7 +818,7 @@ def test_other_workflow_failures_still_raise(table, tmp_path, monkeypatch):
         raise RuntimeError("broken fit")
 
     monkeypatch.setattr(fairness, "build_ensemble", broken)
-    with pytest.raises(PhaseError, match="broken fit"):
+    with pytest.raises(RuntimeError, match="^broken fit$"):
         main([
             "fairness-range", "--data", str(table), "--targets", "y1,y2", "--group", "protected",
             "--kappa", "10%", "--out", str(tmp_path / "f.json"),

@@ -114,6 +114,16 @@ def test_header_must_fit_the_layout(tmp_path, header, message):
         load_csv(p, ("y",))
 
 
+@pytest.mark.parametrize("name", ["row_id", "group", "split"])
+def test_load_refuses_a_reserved_column_as_a_target(tmp_path, name):
+    # A reserved column holds labels, not outcomes: it would reach the
+    # targets array as text.
+    p = tmp_path / "r.csv"
+    p.write_text("row_id,x,y,group,split\n0,1,2,a,train\n1,4,5,b,tune\n")
+    with pytest.raises(SchemaError, match=rf"target column\(s\) \['{name}'\] are reserved"):
+        load_csv(p, ("y", name))
+
+
 def test_load_refuses_repeated_targets(tmp_path):
     # A repeated target would blend an outcome with itself; the header
     # itself is fine, so the target list is what the layout refuses.

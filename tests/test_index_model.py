@@ -20,7 +20,7 @@ def test_ensemble_zscores_on_the_reference_rows(rng):
     X_tr = rng.normal(size=(50, 3))
     Y_tr = rng.normal(5.0, 2.0, size=(50, 3))
     ens = build_ensemble(X_tr, Y_tr, X_tr, target_names=("a", "b", "c"))
-    raw = np.column_stack([m.predict(X_tr) for m in ens.models])
+    raw = np.column_stack([X_tr @ w for w in ens.models])
     np.testing.assert_array_equal(ens.means, raw.mean(axis=0))
     np.testing.assert_array_equal(ens.sds, raw.std(axis=0))
     Z = ens.predictions(X_tr)
@@ -57,8 +57,8 @@ def test_index_variable_equals_blended_predictions(rng):
     alpha = np.array([0.2, 0.5, 0.3])
     iv = fit_on_rows(X, Y @ alpha)
     ens = build_ensemble(X, Y, X)
-    blended = np.column_stack([m.predict(X_new) for m in ens.models]) @ alpha
-    np.testing.assert_allclose(iv.predict(X_new), blended, atol=1e-8)
+    blended = np.column_stack([X_new @ w for w in ens.models]) @ alpha
+    np.testing.assert_allclose(X_new @ iv, blended, atol=1e-8)
 
 
 def test_screen_bounds_hold_at_dirichlet_blends(rng):

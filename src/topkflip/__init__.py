@@ -1,5 +1,9 @@
 """Certified rank-range analysis for resource-constrained top-k selection."""
 
+# Set before the submodule imports: setuptools reads it without running them,
+# and reports records it in every output's meta.
+__version__ = "0.1.0"
+
 from .dataset import (
     DataError,
     Dataset,
@@ -14,7 +18,7 @@ from .dataset import (
 )
 from .linear_fit import fit_ols, fit_on_rows, make_ball, rss
 from .ranking import RankVector, rank_descending, resolve_kappa
-from .reports import FlipReport, read_reports_jsonl, write_reports_jsonl
+from .reports import FlipReport, write_reports_jsonl
 from .solver import (
     BallRegion,
     MipInstance,

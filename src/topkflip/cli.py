@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import partial
@@ -397,10 +398,22 @@ def _cmd_fairness_range(args) -> int:
     )
     table = str(args.out)
     table = table[: -len(".json")] + "_models.csv" if table.endswith(".json") else table + "_models.csv"
-    # The table first: its writer refuses a meta it cannot record before
-    # either file exists.
-    write_fairness_csv(table, meta, bundle)
-    write_fairness_json(args.out, meta, bundle)
+    # Both paths are opened, to append, before either is written, so a path
+    # that cannot be opened refuses the run before an existing output is
+    # overwritten. A refused run removes each file it created.
+    created = []
+    try:
+        for path in (table, args.out):
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+        write_fairness_csv(table, meta, bundle)
+        write_fairness_json(args.out, meta, bundle)
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     statuses = (bundle.tune_report.status_min, bundle.tune_report.status_max)
     if any(status not in (None, "optimal") for status in statuses):
         return EXIT_BUDGET

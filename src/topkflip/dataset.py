@@ -100,7 +100,7 @@ class Dataset:
             raise DataError("intercept column must be a positive constant")
         if len(self.row_ids) != n or self.groups.shape[0] != n or self.split_tags.shape[0] != n:
             raise DataError("row-aligned columns must all have length n")
-        bad = set(np.unique(self.split_tags).tolist()) - set(SPLIT_VALUES)
+        bad = set(self.split_tags.tolist()) - set(SPLIT_VALUES)
         if bad:
             raise DataError(f"unknown split tags: {sorted(bad)}")
 

@@ -43,7 +43,7 @@ def build_ensemble(
     X_train: NDArray[np.float64],
     Y_train: NDArray[np.float64],
     X_reference: NDArray[np.float64],
-    target_names=None,
+    target_names,
 ) -> IndexEnsemble:
     """Fit one model per target on the training rows and freeze the
     z-score scaling on the reference rows' raw predictions. A target
@@ -53,8 +53,6 @@ def build_ensemble(
     if Y.ndim != 2:
         raise ValueError("Y_train must be (n, K)")
     K = Y.shape[1]
-    if target_names is None:
-        target_names = tuple(f"target{k}" for k in range(K))
     if len(target_names) != K:
         raise ValueError(f"{len(target_names)} target names for {K} targets")
     models = tuple(fit_on_rows(X_train, Y[:, k]) for k in range(K))

@@ -129,7 +129,7 @@ def ambiguity_curve(
             )
         )
         for rep in reports:
-            if rep.witness is not None and rep.witness_kind == "coef":
+            if rep.witness is not None:
                 carried.append(np.asarray(rep.witness, dtype=np.float64))
     return curve
 

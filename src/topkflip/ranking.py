@@ -23,8 +23,6 @@ class RankVector:
     ----------
     ranks : ndarray of int
         Permutation of 1..n; 1 is the largest score.
-    kappa : int
-        Resource cap used to cut the top set.
     top_flags : ndarray of bool
         ``top_flags[i]`` is True iff ``ranks[i] <= kappa``.
     tie_count : int
@@ -34,7 +32,6 @@ class RankVector:
     """
 
     ranks: NDArray[np.int64]
-    kappa: int
     top_flags: NDArray[np.bool_]
     tie_count: int
 
@@ -68,8 +65,8 @@ def rank_descending(scores: NDArray[np.float64], kappa: int) -> RankVector:
         bad = int(np.flatnonzero(~np.isfinite(scores))[0])
         raise ValueError(f"non-finite score at row {bad}")
 
-    # lexsort uses the last key as primary: sort by -score, then by index.
-    order = np.lexsort((np.arange(n), -scores))
+    # A stable sort of the negated scores keeps tied rows in index order.
+    order = np.argsort(-scores, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
 
@@ -81,7 +78,6 @@ def rank_descending(scores: NDArray[np.float64], kappa: int) -> RankVector:
 
     return RankVector(
         ranks=ranks,
-        kappa=int(kappa),
         top_flags=ranks <= kappa,
         tie_count=int(tied.sum()),
     )
@@ -91,17 +87,15 @@ def resolve_kappa(kappa: "int | str", n: int) -> int:
     """Resolve an integer or percentile cap against a sample of size n.
 
     Accepts either an integer (returned unchanged after validation) or a
-    string of the form ``"top 3%"`` / ``"3%"``. Percentile caps round up so
-    that a nonempty selection is made even on small samples.
+    percent string such as ``"3%"``. Percentile caps round up so that a
+    nonempty selection is made even on small samples.
     """
     if isinstance(kappa, (int, np.integer)):
         k = int(kappa)
     else:
-        text = str(kappa).strip().lower()
-        if text.startswith("top"):
-            text = text[3:].strip()
+        text = str(kappa).strip()
         if not text.endswith("%"):
-            raise ValueError(f"cannot parse kappa {kappa!r}; expected int or 'top P%'")
+            raise ValueError(f"cannot parse kappa {kappa!r}; expected int or 'P%'")
         try:
             pct = float(text[:-1])
         except ValueError as exc:

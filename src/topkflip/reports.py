@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import importlib.metadata
 import json
 import math
 from dataclasses import dataclass
@@ -19,19 +18,14 @@ from json.encoder import encode_basestring_ascii as _json_string
 import numpy as np
 from numpy.typing import NDArray
 
+from . import __version__
+
 METHODS = (
     "pruned_unflippable",
     "closed_form_flip",
     "mip_certified",
     "undetermined",
 )
-
-
-def package_version() -> str:
-    try:
-        return importlib.metadata.version("topkflip")
-    except importlib.metadata.PackageNotFoundError:
-        return "0+unknown"
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,7 @@ def meta_record(**fields) -> dict:
     meta = {
         "kind": "meta",
         "software": "topkflip",
-        "version": package_version(),
+        "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     for key, value in fields.items():
@@ -117,33 +111,6 @@ def write_reports_jsonl(reports, path, meta: dict) -> None:
         lines.append(line + "}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_reports_jsonl(path) -> "tuple[dict, list[FlipReport]]":
-    """Inverse of :func:`write_reports_jsonl` (meta, reports)."""
-    reports = []
-    with open(path, encoding="utf-8") as fh:
-        meta = json.loads(fh.readline())
-        if meta.get("kind") != "meta":
-            raise ValueError(f"{path}: first line is not a meta record")
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            alpha = rec.get("witness_alpha")
-            reports.append(
-                FlipReport(
-                    row_id=rec["row_id"],
-                    baseline_rank=rec["baseline_rank"],
-                    min_rank=rec["min_rank"],
-                    max_rank=rec["max_rank"],
-                    flippable=rec["flippable"],
-                    method=rec["method"],
-                    witness=None if alpha is None else np.array(alpha, dtype=np.float64),
-                    witness_kind=None if alpha is None else "alpha",
-                )
-            )
-    return meta, reports
 
 
 def write_csv_with_meta(path, meta: dict, columns, rows) -> None:

@@ -237,7 +237,7 @@ def test_c05_index_variable_equivalence(rng):
         X_new = rng.normal(size=(15, d))
         alpha = rng.dirichlet(np.ones(K))
         iv = fit_on_rows(X, Y @ alpha)
-        ens = build_ensemble(X, Y, X)
+        ens = build_ensemble(X, Y, X, target_names=tuple(f"y{k}" for k in range(K)))
         blended = np.column_stack([X_new @ w for w in ens.models]) @ alpha
         worst = max(worst, float(np.max(np.abs(X_new @ iv - blended))))
     elapsed = time.perf_counter() - t0

@@ -14,7 +14,7 @@ from topkflip import cli, fairness, index_model, metrics, rashomon_single, solve
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.dataset import assign_splits, load_csv, orthonormalize, write_csv
 from topkflip.linear_fit import fit_ols, make_ball
-from topkflip.reports import read_csv_with_meta, read_reports_jsonl, write_reports_jsonl
+from topkflip.reports import read_csv_with_meta, write_reports_jsonl
 from topkflip.synth import generate, generate_clinical
 
 from conftest import fail_lps_after_the_first
@@ -25,6 +25,13 @@ def table(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "t.csv"
     assert main(["synth", "--n", "240", "--b", "0.5", "--seed", "7", "--out", str(path)]) == EXIT_OK
     return path
+
+
+def _read_jsonl(path):
+    """A JSON-lines output's meta record and its report records."""
+    meta, *records = (json.loads(line) for line in path.read_text().splitlines())
+    assert meta["kind"] == "meta"
+    return meta, records
 
 
 def _strip_timestamp(text: str) -> str:
@@ -90,11 +97,11 @@ def test_ambiguity_multi_reports(table, tmp_path):
         "ambiguity-multi", "--data", str(table), "--targets", "y1,y2",
         "--kappa", "10%", "--out", str(out),
     ]) == EXIT_OK
-    meta, reports = read_reports_jsonl(out)
+    meta, reports = _read_jsonl(out)
     assert "standardization" not in meta
     assert len(reports) == int(meta["n"])
     for rep in reports:
-        assert rep.flippable == (rep.min_rank <= int(meta["kappa_resolved"]) < rep.max_rank)
+        assert rep["flippable"] == (rep["min_rank"] <= int(meta["kappa_resolved"]) < rep["max_rank"])
 
 
 def test_a_table_without_a_split_column_takes_the_seed_0_partition(table, tmp_path):
@@ -112,10 +119,10 @@ def test_a_table_without_a_split_column_takes_the_seed_0_partition(table, tmp_pa
         "ambiguity-multi", "--data", str(unsplit), "--targets", "y1,y2",
         "--kappa", "10%", "--out", str(out),
     ]) == EXIT_OK
-    _, reports = read_reports_jsonl(out)
+    _, reports = _read_jsonl(out)
     row_ids = [row["row_id"] for row in rows]
     tags = assign_splits(row_ids, 0)
-    assert [rep.row_id for rep in reports] == [r for r, t in zip(row_ids, tags) if t == "holdout"]
+    assert [rep["row_id"] for rep in reports] == [r for r, t in zip(row_ids, tags) if t == "holdout"]
     assert set(tags) == {"train", "tune", "holdout"}
 
 
@@ -142,7 +149,7 @@ def test_ambiguity_multi_writes_the_library_search(table, tmp_path, flags, rank_
         "ambiguity-multi", "--data", str(table), "--targets", "y1,y2",
         "--kappa", "10%", *flags, "--out", str(out),
     ]) == EXIT_OK
-    meta, _ = read_reports_jsonl(out)
+    meta, _ = _read_jsonl(out)
     preds, row_ids = _blend_preds(table, ("y1", "y2"))
     reports = index_model.flip_search_multi(
         preds, meta["kappa_resolved"], row_ids=row_ids, rank_mode=rank_mode
@@ -200,7 +207,7 @@ def test_certify_says_what_it_checked(tmp_path, capsys):
         "ambiguity-multi", "--data", str(small), "--targets", "y1,y2",
         "--kappa", "8", "--certify", "--out", str(tmp_path / "cm.jsonl"),
     ]) == EXIT_OK
-    n = int(read_reports_jsonl(tmp_path / "cm.jsonl")[0]["n"])
+    n = int(_read_jsonl(tmp_path / "cm.jsonl")[0]["n"])
     assert n <= cli.ORACLES["blend", 2][1]
     assert capsys.readouterr().err == f"certify: simplex_sweep_k2 checked rank ranges on {n} rows\n"
     # With y2 left in, the single-target design has three columns.
@@ -294,14 +301,15 @@ def test_four_targets_run_the_lp_geometry_end_to_end(tmp_path, capsys, monkeypat
     ]) == EXIT_OK
     assert capsys.readouterr().err == note
     assert lp_calls
-    _, reports = read_reports_jsonl(tmp_path / "m.jsonl")
-    assert reports and any(rep.flippable for rep in reports)
+    _, reports = _read_jsonl(tmp_path / "m.jsonl")
+    assert reports and any(rep["flippable"] for rep in reports)
     for rep in reports:
-        assert rep.method == "mip_certified"
-        assert rep.min_rank <= rep.baseline_rank <= rep.max_rank
-        assert rep.flippable == (rep.min_rank <= kappa < rep.max_rank)
-        assert (rep.witness is not None) == rep.flippable
-        assert rep.witness is None or on_simplex(rep.witness)
+        assert rep["method"] == "mip_certified"
+        assert rep["min_rank"] <= rep["baseline_rank"] <= rep["max_rank"]
+        assert rep["flippable"] == (rep["min_rank"] <= kappa < rep["max_rank"])
+        witness = rep.get("witness_alpha")
+        assert (witness is not None) == rep["flippable"]
+        assert witness is None or on_simplex(witness)
 
     lp_calls.clear()
     out = tmp_path / "f.json"
@@ -536,7 +544,7 @@ def test_meta_records_every_flag_given(table, tmp_path, flags):
     out = tmp_path / f"o{suffix.get(command, '.csv')}"
     assert main(flags + ["--data", str(table), "--out", str(out)]) in (EXIT_OK, EXIT_BUDGET)
     if command == "ambiguity-multi":
-        recorded, _ = read_reports_jsonl(out)
+        recorded, _ = _read_jsonl(out)
     elif out.suffix == ".json":
         doc = json.loads(out.read_text())
         recorded = doc["meta"]
@@ -613,6 +621,30 @@ def test_a_path_the_os_refuses_is_a_data_error(table, tmp_path, capsys, case, re
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("blocked", ["f.json", "f_models.csv"])
+def test_a_refused_fairness_output_leaves_no_file(table, tmp_path, capsys, blocked):
+    """Either output path being a directory refuses the run before the
+    other file is written, and the refused run adds no file."""
+    (tmp_path / blocked).mkdir()
+    assert main([
+        "fairness-range", "--data", str(table), "--targets", "y1,y2", "--group", "protected",
+        "--kappa", "10%", "--out", str(tmp_path / "f.json"),
+    ]) == EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "IsADirectoryError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [blocked]
+
+
+def test_a_refused_fairness_output_keeps_an_existing_table(table, tmp_path, capsys):
+    (tmp_path / "f.json").mkdir()
+    (tmp_path / "f_models.csv").write_text("earlier\n")
+    assert main([
+        "fairness-range", "--data", str(table), "--targets", "y1,y2", "--group", "protected",
+        "--kappa", "10%", "--out", str(tmp_path / "f.json"),
+    ]) == EXIT_DATA
+    capsys.readouterr()
+    assert (tmp_path / "f_models.csv").read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -651,9 +683,9 @@ def test_budget_exhaustion_still_writes(table, tmp_path):
         "--kappa", "10%", "--node-budget", "3", "--out", str(out),
     ])
     assert code == EXIT_BUDGET
-    _, reports = read_reports_jsonl(out)
+    _, reports = _read_jsonl(out)
     assert len(reports) > 0
-    assert any(r.method == "undetermined" for r in reports)
+    assert any(r["method"] == "undetermined" for r in reports)
 
 
 def test_undecided_ball_nodes_exit_4_not_1(table, tmp_path, monkeypatch):
@@ -692,8 +724,8 @@ def test_certify_brackets_budget_stopped_rank_ranges(tmp_path, capsys):
         "ambiguity-multi", "--data", str(data), "--targets", "y1,y2", "--kappa", "10%",
         "--certify", "--node-budget", "2", "--out", str(out),
     ]) == EXIT_BUDGET
-    meta, reports = read_reports_jsonl(out)
-    assert any(rep.method == "undetermined" for rep in reports)
+    meta, reports = _read_jsonl(out)
+    assert any(rep["method"] == "undetermined" for rep in reports)
     assert capsys.readouterr().err == f"certify: simplex_sweep_k2 checked rank ranges on {meta['n']} rows\n"
 
 
@@ -859,6 +891,7 @@ def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkey
          "--time-budget", "nan"],
         ["ambiguity-single", "--target", "y1", "--kappa", "0", "--epsilons", "0.01"],
         ["ambiguity-multi", "--targets", "y1,y2", "--kappa", "0%"],
+        ["ambiguity-multi", "--targets", "y1,y2", "--kappa", "top 3%"],
         ["fairness-range", "--targets", "y1,y2", "--group", "protected", "--kappa", "abc%"],
         ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5,0"],
         ["ambiguity-single", "--target", "y1", "--kappa", "10%", "--epsilons", "0.01",
@@ -889,7 +922,7 @@ def test_interrupts_inside_a_workflow_phase_pass_through(table, tmp_path, monkey
     ],
     ids=["nan", "inf", "trailing-nan", "stable-nan", "negative", "descending",
          "stable-negative", "node-budget-zero", "time-budget-zero", "time-budget-negative",
-         "time-budget-nan", "kappa-zero", "kappa-zero-percent", "kappa-garbled",
+         "time-budget-nan", "kappa-zero", "kappa-zero-percent", "kappa-top-prefix", "kappa-garbled",
          "sweep-kappa-zero", "bad-regex", "repeated-target-fit", "repeated-target-multi",
          "repeated-target-fairness", "repeated-target-stable", "index-target-epsilon",
          "index-epsilon-mode", "rashomon-targets", "rashomon-standardize",

@@ -56,7 +56,7 @@ def test_index_variable_equals_blended_predictions(rng):
     X_new = rng.normal(size=(20, 4))
     alpha = np.array([0.2, 0.5, 0.3])
     iv = fit_on_rows(X, Y @ alpha)
-    ens = build_ensemble(X, Y, X)
+    ens = build_ensemble(X, Y, X, target_names=("a", "b", "c"))
     blended = np.column_stack([X_new @ w for w in ens.models]) @ alpha
     np.testing.assert_allclose(X_new @ iv, blended, atol=1e-8)
 

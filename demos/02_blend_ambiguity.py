@@ -23,9 +23,7 @@ KAPPA = 12
 
 def main():
     ds = generate(n=240, b=0.8, seed=3)
-    train = ds.split_mask("train")
-    tune = ds.split_mask("tune")
-    holdout = ds.split_mask("holdout")
+    train, tune, holdout = ds.split_masks()
     Y = np.column_stack([ds.target(t) for t in ds.target_names])
 
     # scaling is frozen on the tune rows so holdout evaluation can't

@@ -24,9 +24,7 @@ from topkflip import (
 
 def stable_table(b):
     ds = generate(n=300, b=b, seed=5)
-    train = ds.split_mask("train")
-    tune = ds.split_mask("tune")
-    holdout = ds.split_mask("holdout")
+    train, tune, holdout = ds.split_masks()
     Y = np.column_stack([ds.target(t) for t in ds.target_names])
     ens = build_ensemble(
         ds.features[train], Y[train], ds.features[tune], target_names=ds.target_names

@@ -17,7 +17,7 @@ from .dataset import (
     write_csv,
 )
 from .linear_fit import fit_ols, fit_on_rows, make_ball, rss
-from .ranking import RankVector, rank_descending, resolve_kappa
+from .ranking import rank_descending, resolve_kappa
 from .reports import FlipReport, write_reports_jsonl
 from .solver import (
     BallRegion,

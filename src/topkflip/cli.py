@@ -137,40 +137,21 @@ def _load_table(path, target_names, drop_regex) -> Dataset:
     return ds
 
 
-def _phase_views(ds: Dataset):
-    """(fit_rows, reference_rows, analysis_rows) masks.
-
-    With a full train/tune/holdout tagging the analysis runs on holdout
-    with tune as the z-score reference; otherwise everything runs
-    on the whole table.
-    """
-    masks = {tag: ds.split_mask(tag) for tag in ("train", "tune", "holdout")}
-    if all(m.any() for m in masks.values()):
-        return masks["train"], masks["tune"], masks["holdout"]
-    every = np.ones(ds.n, dtype=bool)
-    return every, every, every
-
-
 def _orthonormal_analysis(ds: Dataset) -> Dataset:
-    """The table's analysis rows, orthonormalized."""
-    _, _, analysis = _phase_views(ds)
-    return orthonormalize(ds.subset(analysis))
+    """The table's holdout rows, orthonormalized."""
+    _, _, holdout = ds.split_masks()
+    return orthonormalize(ds.subset(holdout))
 
 
 def _blend_analysis(ds: Dataset, targets):
-    """``(preds, row_ids)``: the analysis rows' z-scored predictions,
-    under the ensemble fitted on the fit rows and frozen on the reference
+    """``(preds, row_ids)``: the holdout rows' z-scored predictions,
+    under the ensemble fitted on the train rows and frozen on the tune
     rows, and their ids."""
-    fit_rows, ref_rows, analysis = _phase_views(ds)
+    train, tune, holdout = ds.split_masks()
     Y = np.column_stack([ds.target(t) for t in targets])
-    ensemble = build_ensemble(
-        ds.features[fit_rows],
-        Y[fit_rows],
-        ds.features[ref_rows],
-        target_names=targets,
-    )
-    row_ids = tuple(r for r, m in zip(ds.row_ids, analysis) if m)
-    return ensemble.predictions(ds.features[analysis]), row_ids
+    ensemble = build_ensemble(ds.features[train], Y[train], ds.features[tune], target_names=targets)
+    row_ids = tuple(r for r, m in zip(ds.row_ids, holdout) if m)
+    return ensemble.predictions(ds.features[holdout]), row_ids
 
 
 def _solver_config(args) -> SolverConfig:
@@ -199,10 +180,10 @@ def _base_meta(args, command: str, **extra) -> dict:
 def _cmd_fit(args) -> int:
     targets = _parse_targets(args.targets)
     ds = _load_table(args.data, targets, args.drop_regex)
-    fit_rows, _, _ = _phase_views(ds)
+    train, _, _ = ds.split_masks()
     models = []
     for name in targets:
-        coef = fit_on_rows(ds.features[fit_rows], ds.target(name)[fit_rows])
+        coef = fit_on_rows(ds.features[train], ds.target(name)[train])
         models.append(
             {
                 "target": name,
@@ -213,7 +194,7 @@ def _cmd_fit(args) -> int:
     meta = meta_record(
         command="fit",
         data=str(args.data),
-        n_fit=int(fit_rows.sum()),
+        n_fit=int(train.sum()),
         drop_regex=args.drop_regex,
     )
     doc = {"meta": meta, "models": models}

@@ -123,6 +123,21 @@ class Dataset:
             raise ValueError(f"split tag must be one of {SPLIT_VALUES}")
         return self.split_tags == tag
 
+    def split_masks(self) -> "tuple[NDArray[np.bool_], ...]":
+        """The (train, tune, holdout) row masks: models fit on train, freeze
+        their scaling on tune and are analyzed on holdout.
+
+        Raises
+        ------
+        ValueError
+            If a split has no rows; the first empty one is named.
+        """
+        masks = tuple(self.split_tags == tag for tag in SPLIT_VALUES)
+        for tag, m in zip(SPLIT_VALUES, masks):
+            if not m.any():
+                raise ValueError(f"split {tag!r} has no rows")
+        return masks
+
     def subset(self, mask: NDArray[np.bool_]) -> "Dataset":
         """Row subset in original order."""
         mask = np.asarray(mask, dtype=bool)

@@ -58,8 +58,6 @@ class GroupRateReport:
 
 
 def _normalized(alpha):
-    if alpha is None:
-        return None
     alpha = np.asarray(alpha, dtype=np.float64)
     total = float(alpha.sum())
     return alpha / total if total > 0 else alpha
@@ -71,7 +69,7 @@ def _simple_blends(P, kappa, mask):
     K = P.shape[1]
     out = []
     for alpha in witness_pool_alphas(K)[: K + 1]:
-        flags = rank_descending(P @ alpha, kappa).top_flags
+        flags = rank_descending(P @ alpha) <= kappa
         out.append((alpha, int(np.count_nonzero(flags & mask))))
     return out
 
@@ -113,7 +111,6 @@ def group_rate_extremes(
         raise ValueError("group_mask must have one flag per row")
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-    cfg = config or SolverConfig()
     region = SimplexRegion(dim=K)
     group_rows = np.flatnonzero(mask)
     blends = _simple_blends(P, kappa, mask)
@@ -124,14 +121,14 @@ def group_rate_extremes(
     for sense in ("min", "max"):
         if direction not in (sense, "both"):
             continue
-        sol = solve(dataclasses.replace(inst, sense=sense), cfg)
+        sol = solve(dataclasses.replace(inst, sense=sense), config)
         count = None if sol.value is None else int(sol.value)
         if sol.status != "optimal":
             better = min if sense == "min" else max
             realized = better(c for _, c in blends)
             count = realized if count is None else better(count, realized)
         fields[f"{sense}_count"] = count
-        fields[f"{sense}_rate"] = None if count is None else count / kappa
+        fields[f"{sense}_rate"] = count / kappa
         fields[f"alpha_at_{sense}"] = _simplest_attaining(blends, count, sol.witness)
         fields[f"status_{sense}"] = sol.status
         fields[f"bound_{sense}"] = int(sol.bound)
@@ -199,7 +196,7 @@ def evaluate_selection(
     Concentration divides by each target's total; a zero total yields nan
     rather than a silent zero.
     """
-    flags = rank_descending(scores, kappa).top_flags
+    flags = rank_descending(scores) <= kappa
     mask = np.asarray(group_mask, dtype=bool)
     count = int(np.count_nonzero(flags & mask))
     n_group = int(mask.sum())
@@ -237,22 +234,18 @@ def fairness_workflow(
     otherwise the min witness.
     """
     target_names = tuple(targets)
-    masks = {tag: ds.split_mask(tag) for tag in ("train", "tune", "holdout")}
-    for tag, m in masks.items():
-        if not m.any():
-            raise ValueError(f"split {tag!r} has no rows")
+    tr, tu, ho = ds.split_masks()
     Y = np.column_stack([ds.target(name) for name in target_names])
     group_all = ds.group_mask(group_label)
     if not group_all.any():
         raise ValueError(f"group {group_label!r} has no rows")
     resolved = []
-    for tag in ("tune", "holdout"):
+    for tag, rows in (("tune", tu), ("holdout", ho)):
         try:
-            resolved.append(resolve_kappa(kappa, int(masks[tag].sum())))
+            resolved.append(resolve_kappa(kappa, int(rows.sum())))
         except ValueError as exc:
             raise ValueError(f"{tag} split: {exc}") from exc
     kappa_tune, kappa_hold = resolved
-    tr, tu, ho = masks["train"], masks["tune"], masks["holdout"]
 
     ensemble = build_ensemble(
         ds.features[tr],
@@ -273,8 +266,6 @@ def fairness_workflow(
     alpha_star = tune_report.alpha_at_max
     if alpha_star is None:
         alpha_star = tune_report.alpha_at_min
-    if alpha_star is None:
-        alpha_star = np.full(len(target_names), 1.0 / len(target_names))
 
     preds_hold = ensemble.predictions(ds.features[ho])
     group_hold = group_all[ho]

@@ -137,12 +137,12 @@ def _certify_rows(
     n = V.shape[0]
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-    cfg = config or SolverConfig()
     if row_ids is None:
         row_ids = [str(i) for i in range(n)]
     witness_kind = "coef" if isinstance(region, BallRegion) else "alpha"
 
-    base = rank_descending(V @ baseline, kappa)
+    base_ranks = rank_descending(V @ baseline)
+    in_base_top = base_ranks <= kappa
     flip_cols = np.full(n, -1, dtype=np.int64)
     always_top = prune.always_top(kappa)
     fixed = prune.never_top(kappa) | always_top
@@ -153,14 +153,14 @@ def _certify_rows(
         # in the baseline top and none can enter it.
         if room > 0:
             flip_cols[open_rows] = _pool_rank_envelope(
-                V[open_rows], pool, room, base.top_flags[open_rows]
+                V[open_rows], pool, room, in_base_top[open_rows]
             )
     # The envelope's blocked product over the open rows can round a near
     # tie differently from the baseline's V @ w, so a column witnesses a
     # flip only if that product moves the row across the cut; a row it
     # does not move goes to the certifier.
     for c in set(flip_cols[flip_cols >= 0].tolist()):
-        moved = rank_descending(V @ pool[c], kappa).top_flags != base.top_flags
+        moved = (rank_descending(V @ pool[c]) <= kappa) != in_base_top
         flip_cols[(flip_cols == c) & ~moved] = -1
 
     reports: list[FlipReport] = []
@@ -177,13 +177,13 @@ def _certify_rows(
             # kappa, any other row exactly when its min rank is at most
             # kappa. Status mode asks only that side, as a verdict query
             # against kappa; the other side keeps the screen's bound.
-            in_top = bool(base.top_flags[i])
+            in_top = bool(in_base_top[i])
             verdict = "max" if in_top else "min"
             inst = rank_query("min", region, V, i)
             if rank_mode == "exact":
-                sols = {s: solve(replace(inst, sense=s), cfg) for s in ("min", "max")}
+                sols = {s: solve(replace(inst, sense=s), config) for s in ("min", "max")}
             else:
-                sols = {verdict: solve(replace(inst, sense=verdict, kappa=kappa), cfg)}
+                sols = {verdict: solve(replace(inst, sense=verdict, kappa=kappa), config)}
             # A settled optimizing search's bound is its optimum.
             for side, sol in sols.items():
                 ranks[side] = (max if side == "min" else min)(ranks[side], int(sol.bound))
@@ -202,7 +202,7 @@ def _certify_rows(
         reports.append(
             FlipReport(
                 row_id=row_ids[i],
-                baseline_rank=int(base.ranks[i]),
+                baseline_rank=int(base_ranks[i]),
                 min_rank=ranks["min"],
                 max_rank=ranks["max"],
                 flippable=flippable,

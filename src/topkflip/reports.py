@@ -42,7 +42,7 @@ class FlipReport:
     kappa as the exact extreme.
 
     A ``closed_form_flip`` witness ``w`` moves its row across the cut
-    under ``rank_descending(V @ w, kappa)``, the baseline's own ranking.
+    under ``rank_descending(V @ w) <= kappa``, the baseline's own ranking.
     A ``mip_certified`` witness moves it once scores tied at ``w`` are
     ordered in the row's favour: the optimistic tie counting the oracles
     use. An intercept-only ball model, for example, ties every row.

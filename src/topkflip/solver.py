@@ -692,8 +692,6 @@ class _PolyGeom:
         return True, np.array([a1, a2, 1.0 - a1 - a2])
 
     def free_ranges(self, state, ids):
-        if not state:
-            return None
         V = np.asarray(state)  # (m, 2)
         vals = V @ self.c12[:, ids] + self.c0[ids]  # (m, P)
         return vals.min(axis=0), vals.max(axis=0)

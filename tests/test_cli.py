@@ -126,12 +126,43 @@ def test_a_table_without_a_split_column_takes_the_seed_0_partition(table, tmp_pa
     assert set(tags) == {"train", "tune", "holdout"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--targets", "y1,y2"],
+        ["ambiguity-single", "--target", "y1", "--kappa", "5", "--epsilons", "0.1"],
+        ["ambiguity-multi", "--targets", "y1,y2", "--kappa", "5"],
+        ["stable-points", "--family", "rashomon", "--target", "y1", "--kappa-sweep", "5"],
+        ["stable-points", "--family", "index", "--targets", "y1,y2", "--kappa-sweep", "5"],
+    ],
+    ids=["fit", "ambiguity-single", "ambiguity-multi", "stable-points-rashomon", "stable-points-index"],
+)
+def test_every_analysis_command_needs_each_split(table, tmp_path, capsys, argv):
+    """A table whose tune rows are retagged as train is refused with the
+    data error fairness-range gives, before any output is written; no
+    command falls back to fitting and reporting on every row."""
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if row["split"] == "tune":
+            row["split"] = "train"
+    no_tune = tmp_path / "no_tune.csv"
+    with open(no_tune, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(no_tune), "--out", str(out)]) == EXIT_DATA
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "split 'tune' has no rows"
+    assert not out.exists()
+
+
 def _blend_preds(path, targets):
     """Standardized holdout predictions and ids of the blend family that
     the commands analyse on a table tagged train, tune and holdout."""
     ds = load_csv(path, targets)
-    train, tune, holdout = (ds.split_mask(tag) for tag in ("train", "tune", "holdout"))
-    assert train.any() and tune.any() and holdout.any()
+    train, tune, holdout = ds.split_masks()
     Y = np.column_stack([ds.target(t) for t in targets])
     ensemble = index_model.build_ensemble(
         ds.features[train], Y[train], ds.features[tune], target_names=targets

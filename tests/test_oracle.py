@@ -21,10 +21,10 @@ def _brute_ranks_ball(X, center, radius, m=20000, rng=None):
     # extremes live on the boundary circle; interior adds nothing for ranks
     for t in thetas:
         w = center + radius * np.array([np.cos(t), np.sin(t)])
-        r = rank_descending(X @ w, n).ranks
+        r = rank_descending(X @ w)
         lo = np.minimum(lo, r)
         hi = np.maximum(hi, r)
-    r0 = rank_descending(X @ center, n).ranks
+    r0 = rank_descending(X @ center)
     return np.minimum(lo, r0), np.maximum(hi, r0)
 
 
@@ -32,7 +32,7 @@ def test_angle_sweep_contains_center_ranks(rng):
     X = random_design(rng, 15, 2)
     center = rng.normal(size=2)
     lo, hi = angle_sweep_single(X, center, 0.4)
-    base = rank_descending(X @ center, 15).ranks
+    base = rank_descending(X @ center)
     assert np.all(lo <= base) and np.all(base <= hi)
 
 
@@ -65,7 +65,7 @@ def test_angle_sweep_zero_radius(rng):
     X = random_design(rng, 10, 2)
     center = rng.normal(size=2)
     lo, hi = angle_sweep_single(X, center, 0.0)
-    base = rank_descending(X @ center, 10).ranks
+    base = rank_descending(X @ center)
     np.testing.assert_array_equal(lo, base)
     np.testing.assert_array_equal(hi, base)
 
@@ -84,7 +84,7 @@ def test_simplex_sweep_vs_dense_grid(rng):
         lo = np.full(n, n + 1, dtype=int)
         hi = np.zeros(n, dtype=int)
         for t in np.linspace(0.0, 1.0, 8001):
-            r = rank_descending(P @ np.array([t, 1 - t]), n).ranks
+            r = rank_descending(P @ np.array([t, 1 - t]))
             lo = np.minimum(lo, r)
             hi = np.maximum(hi, r)
         assert np.all(sweep.min_ranks <= lo) and np.all(sweep.max_ranks >= hi)
@@ -99,7 +99,7 @@ def test_simplex_sweep_group_counts(rng):
     sweep = simplex_sweep_k2(P, 5, group_mask=mask)
     counts = set()
     for t in np.linspace(0.0, 1.0, 8001):
-        flags = rank_descending(P @ np.array([t, 1 - t]), 5).top_flags
+        flags = rank_descending(P @ np.array([t, 1 - t])) <= 5
         counts.add(int(np.count_nonzero(flags & mask)))
     assert sweep.group_min <= min(counts)
     assert sweep.group_max >= max(counts)
@@ -111,7 +111,7 @@ def test_simplex_sweep_vertices_are_included(rng):
     P = rng.normal(size=(12, 2))
     sweep = simplex_sweep_k2(P, 3)
     for col in (0, 1):
-        r = rank_descending(P[:, col], 12).ranks
+        r = rank_descending(P[:, col])
         assert np.all(sweep.min_ranks <= r) and np.all(r <= sweep.max_ranks)
 
 
@@ -138,10 +138,10 @@ def test_simplex_sweep_k3_brackets_dirichlet_sample(rng):
         hi = np.zeros(12, dtype=int)
         counts = set()
         for alpha in np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=4000)]):
-            rv = rank_descending(P @ alpha, 4)
-            lo = np.minimum(lo, rv.ranks)
-            hi = np.maximum(hi, rv.ranks)
-            counts.add(int(np.count_nonzero(rv.top_flags & mask)))
+            ranks = rank_descending(P @ alpha)
+            lo = np.minimum(lo, ranks)
+            hi = np.maximum(hi, ranks)
+            counts.add(int(np.count_nonzero((ranks <= 4) & mask)))
         assert np.all(sweep.min_ranks <= lo) and np.all(sweep.max_ranks >= hi)
         assert sweep.group_min <= min(counts) and sweep.group_max >= max(counts)
 

@@ -6,23 +6,22 @@ from topkflip.ranking import rank_descending, resolve_kappa
 
 
 def test_simple_ordering():
-    rv = rank_descending(np.array([3.0, 1.0, 2.0]), 2)
-    assert list(rv.ranks) == [1, 3, 2]
-    assert list(rv.top_flags) == [True, False, True]
+    ranks = rank_descending(np.array([3.0, 1.0, 2.0]))
+    assert list(ranks) == [1, 3, 2]
+    assert list(ranks <= 2) == [True, False, True]
 
 
 def test_index_tie_break_is_deterministic():
     # equal scores: the earlier row wins, ranks stay a permutation
-    rv = rank_descending(np.array([5.0, 5.0, 1.0]), 1)
-    assert list(rv.ranks) == [1, 2, 3]
-    assert list(rv.top_flags) == [True, False, False]
-    assert rv.tie_count == 2
+    ranks = rank_descending(np.array([5.0, 5.0, 1.0]))
+    assert list(ranks) == [1, 2, 3]
+    assert list(ranks <= 1) == [True, False, False]
 
 
 def test_tie_at_boundary_selects_exactly_kappa():
-    rv = rank_descending(np.array([2.0, 1.0, 1.0, 0.0]), 2)
-    assert int(rv.top_flags.sum()) == 2
-    assert rv.top_flags[0]
+    top = rank_descending(np.array([2.0, 1.0, 1.0, 0.0])) <= 2
+    assert int(top.sum()) == 2
+    assert top[0]
 
 
 def test_ranks_match_a_two_key_sort_on_tie_heavy_scores(rng):
@@ -34,7 +33,7 @@ def test_ranks_match_a_two_key_sort_on_tie_heavy_scores(rng):
         order = np.lexsort((np.arange(n), -scores))
         want = np.empty(n, dtype=np.int64)
         want[order] = np.arange(1, n + 1)
-        np.testing.assert_array_equal(rank_descending(scores, 1).ranks, want)
+        np.testing.assert_array_equal(rank_descending(scores), want)
 
 
 scores_strategy = st.lists(
@@ -46,15 +45,16 @@ scores_strategy = st.lists(
 def test_flags_count_and_rank_consistency(scores, kappa):
     scores = np.array(scores)
     kappa = min(kappa, len(scores))
-    rv = rank_descending(scores, kappa)
-    assert int(rv.top_flags.sum()) == kappa
+    ranks = rank_descending(scores)
+    top = ranks <= kappa
+    assert int(top.sum()) == kappa
     # a selected score is never strictly below an unselected one
     if kappa < len(scores):
-        assert scores[rv.top_flags].min() >= scores[~rv.top_flags].max() - 1e-9
+        assert scores[top].min() >= scores[~top].max() - 1e-9
     # ranks are a permutation of 1..n and the stable-sort leader is rank 1
-    assert sorted(rv.ranks) == list(range(1, len(scores) + 1))
+    assert sorted(ranks) == list(range(1, len(scores) + 1))
     order = np.argsort(-scores, kind="stable")
-    assert rv.ranks[order[0]] == 1
+    assert ranks[order[0]] == 1
 
 
 def test_resolve_kappa_forms():

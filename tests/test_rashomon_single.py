@@ -28,7 +28,7 @@ def test_screen_bounds_hold_at_sampled_ball_points(rng):
     for _ in range(300):
         u = rng.normal(size=3)
         u *= radius * rng.random() ** (1 / 3) / np.linalg.norm(u)
-        ranks = rank_descending(X @ (center + u), kappa).ranks
+        ranks = rank_descending(X @ (center + u))
         assert np.all(pr.outer_min <= ranks) and np.all(ranks <= pr.outer_max)
 
 
@@ -54,7 +54,7 @@ def _envelope_by_column(X, pool, kappa, in_top):
     scores = X @ pool.T
     cols = np.full(X.shape[0], -1)
     for col in range(scores.shape[1]):
-        moved = (rank_descending(scores[:, col], kappa).ranks <= kappa) != in_top
+        moved = (rank_descending(scores[:, col]) <= kappa) != in_top
         cols[(cols < 0) & moved] = col
     return cols
 
@@ -176,14 +176,14 @@ def test_witnesses_live_in_the_ball_and_realize_flips(rng):
     seen = {"closed_form_flip": 0, "mip_certified": 0}
 
     def check(V, baseline, reports, kappa, kind):
-        base_flags = rank_descending(V @ baseline, kappa).top_flags
+        base_flags = rank_descending(V @ baseline) <= kappa
         for i, rep in enumerate(reports):
             if not rep.flippable or rep.method not in seen:
                 continue
             assert rep.witness is not None and rep.witness_kind == kind
             seen[rep.method] += 1
             if rep.method == "closed_form_flip":
-                assert rank_descending(V @ rep.witness, kappa).top_flags[i] != base_flags[i]
+                assert (rank_descending(V @ rep.witness)[i] <= kappa) != base_flags[i]
             elif base_flags[i]:
                 assert rank_attained(V, rep.witness, i, "max", kappa + 1)
             else:

@@ -247,14 +247,25 @@ def _check(what: str, oracle, lo: int, hi: int) -> None:
         raise CertifyError(f"{what} mismatch: solver [{lo}, {hi}] vs sweep {oracle}")
 
 
-def _check_ranks(reports, min_ranks, max_ranks, where: str = "") -> None:
-    """Exact-mode rank rows against the oracle's. An undetermined row's
-    fields are outer bounds, so its range must contain both extremes."""
-    for rep, omin, omax in zip(reports, min_ranks, max_ranks):
+def _check_ranks(exact, written, kappa, min_ranks, max_ranks, where: str = "") -> None:
+    """One input's two searches against the oracle's ranges. An exact-mode
+    row must meet them, or contain both extremes where it is undetermined,
+    since its fields are then outer bounds. A written (status-mode) row's
+    range must contain them, and a decided verdict must be the oracle's,
+    ``min <= kappa < max``."""
+    for rep, out, omin, omax in zip(exact, written, min_ranks, max_ranks):
+        row = f"{where}, row {rep.row_id}"
         lo, hi = rep.min_rank, rep.max_rank
-        exact = rep.method != "undetermined"
-        _check(f"min rank{where}, row {rep.row_id}", omin, lo, lo if exact else hi)
-        _check(f"max rank{where}, row {rep.row_id}", omax, hi if exact else lo, hi)
+        settled = rep.method != "undetermined"
+        _check(f"min rank{row}", omin, lo, lo if settled else hi)
+        _check(f"max rank{row}", omax, hi if settled else lo, hi)
+        _check(f"written min rank{row}", omin, out.min_rank, out.max_rank)
+        _check(f"written max rank{row}", omax, out.min_rank, out.max_rank)
+        if out.flippable is not None and out.flippable != (omin <= kappa < omax):
+            raise CertifyError(
+                f"flippable{row} mismatch: solver {out.flippable} vs sweep "
+                f"[{omin}, {omax}] at kappa {kappa}"
+            )
 
 
 # --------------------------------------------------- ambiguity-single
@@ -265,21 +276,14 @@ def _cmd_ambiguity_single(args) -> int:
     q = _orthonormal_analysis(ds)
     kappa = resolve_kappa(_parse_kappa(args.kappa), q.n)
     epsilons = _parse_epsilons(args.epsilons)
-    # The CSV holds only ambiguity fractions, which status mode gives
-    # exactly; exact rank ranges are worth solving only for the oracle.
+    cfg = _solver_config(args)
     oracle = _oracle("ball", q.features.shape[1], q.n) if args.certify else None
-    curve = ambiguity_curve(
-        q.features,
-        q.target(args.target),
-        kappa,
-        epsilons,
-        rank_mode="exact" if oracle else "status",
-        config=_solver_config(args),
-    )
+    curve = ambiguity_curve(q.features, q.target(args.target), kappa, epsilons, config=cfg)
     if oracle:
         for point in curve:
             ranks = oracle(q.features, point.ball.center, point.ball.radius)
-            _check_ranks(point.reports, *ranks, where=f" at epsilon={point.epsilon}")
+            exact = flip_search(q.features, point.ball, kappa, rank_mode="exact", config=cfg)
+            _check_ranks(exact, point.reports, kappa, *ranks, where=f" at epsilon={point.epsilon}")
         _certify_note(
             f"{oracle.__name__} checked rank ranges at {len(curve)} epsilons on {q.n} rows"
         )
@@ -313,17 +317,13 @@ def _cmd_ambiguity_multi(args) -> int:
     preds, row_ids = _blend_analysis(ds, targets)
     n = preds.shape[0]
     kappa = resolve_kappa(_parse_kappa(args.kappa), n)
+    cfg = _solver_config(args)
     oracle = _oracle("blend", len(targets), n) if args.certify else None
-    reports = flip_search_multi(
-        preds,
-        kappa,
-        row_ids=row_ids,
-        rank_mode="exact" if args.certify else "status",
-        config=_solver_config(args),
-    )
+    reports = flip_search_multi(preds, kappa, row_ids=row_ids, config=cfg)
     if oracle:
         sweep = oracle(preds, kappa)
-        _check_ranks(reports, sweep.min_ranks, sweep.max_ranks)
+        exact = flip_search_multi(preds, kappa, row_ids=row_ids, rank_mode="exact", config=cfg)
+        _check_ranks(exact, reports, kappa, sweep.min_ranks, sweep.max_ranks)
         _certify_note(f"{oracle.__name__} checked rank ranges on {n} rows")
     meta = _base_meta(
         args,
@@ -489,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help=(
                 "check results against an exact sweep where the input is small and "
-                "low-dimensional enough; the flag also makes ambiguity-multi solve exact "
-                "rank ranges for every row, and ambiguity-single where its sweep applies"
+                "low-dimensional enough; the flag only checks, and never changes what "
+                "a command writes but its meta entry"
             ),
         ),
         "--drop-regex": dict(type=_regex, default=None, help="drop matching feature columns"),

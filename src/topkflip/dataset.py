@@ -164,7 +164,7 @@ def assign_splits(row_ids: "tuple[str, ...] | list[str]", seed: int) -> NDArray:
     return tags
 
 
-def _parse_numeric_block(rows, header_index, names, kind):
+def _parse_numeric_block(rows, header_index, names, kind, path):
     """Parse named columns to float, one column at a time; on a bad cell,
     name the first offending row and count the rows with any."""
     cols = [header_index[name] for name in names]
@@ -175,7 +175,7 @@ def _parse_numeric_block(rows, header_index, names, kind):
     except ValueError:
         bad_rows = [i for i, row in enumerate(rows) if not all(_is_float(row[c]) for c in cols)]
         raise ParseError(
-            f"{len(bad_rows)} row(s) with missing or non-numeric {kind} cells; "
+            f"{path}: {len(bad_rows)} row(s) with missing or non-numeric {kind} cells; "
             f"first at data row {bad_rows[0]}",
             row_index=bad_rows[0],
             bad_count=len(bad_rows),
@@ -258,7 +258,7 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
     header_index = {name: j for j, name in enumerate(header)}
     table = np.empty(len(rows), dtype)
     for names, kind in ((features, "feature"), (targets, "target")):
-        block = _parse_numeric_block(rows, header_index, names, kind)
+        block = _parse_numeric_block(rows, header_index, names, kind, path)
         for j, name in enumerate(names):
             table[f"f{header_index[name]}"] = block[:, j]
     for name in RESERVED_COLUMNS:

@@ -82,7 +82,6 @@ def ambiguity_curve(
     y: NDArray[np.float64],
     kappa: int,
     epsilons,
-    rank_mode: str = "status",
     config: SolverConfig | None = None,
 ) -> "list[CurvePoint]":
     """Ambiguity as the model tolerance grows.
@@ -111,7 +110,6 @@ def ambiguity_curve(
             X,
             ball,
             kappa,
-            rank_mode=rank_mode,
             config=config,
             extra_models=carried if carried else None,
             prune=screen,

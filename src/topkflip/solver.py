@@ -66,10 +66,6 @@ class BallRegion:
     center: NDArray[np.float64]
     radius: float
 
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
     def contains(self, w: NDArray[np.float64]) -> bool:
         delta = np.asarray(w, dtype=np.float64) - self.center
         return float(delta @ delta) <= self.radius**2 + MEMBERSHIP_TOL

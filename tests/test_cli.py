@@ -171,10 +171,11 @@ def _blend_preds(path, targets):
     return ensemble.predictions(ds.features[holdout]), row_ids
 
 
-@pytest.mark.parametrize("flags, rank_mode", [([], "status"), (["--certify"], "exact")])
-def test_ambiguity_multi_writes_the_library_search(table, tmp_path, flags, rank_mode):
-    """The command's report lines are those of the library search on the
-    blend family's standardized predictions."""
+@pytest.mark.parametrize("flags", [[], ["--certify"]], ids=["plain", "--certify"])
+def test_ambiguity_multi_writes_the_library_search(table, tmp_path, flags):
+    """The command's report lines are those of the library's status-mode
+    search on the blend family's standardized predictions, with or without
+    --certify."""
     out = tmp_path / "m.jsonl"
     assert main([
         "ambiguity-multi", "--data", str(table), "--targets", "y1,y2",
@@ -182,9 +183,7 @@ def test_ambiguity_multi_writes_the_library_search(table, tmp_path, flags, rank_
     ]) == EXIT_OK
     meta, _ = _read_jsonl(out)
     preds, row_ids = _blend_preds(table, ("y1", "y2"))
-    reports = index_model.flip_search_multi(
-        preds, meta["kappa_resolved"], row_ids=row_ids, rank_mode=rank_mode
-    )
+    reports = index_model.flip_search_multi(preds, meta["kappa_resolved"], row_ids=row_ids)
     expected = tmp_path / "lib.jsonl"
     write_reports_jsonl(reports, expected, meta)
     assert out.read_text() == expected.read_text()
@@ -211,9 +210,17 @@ def test_certify_smoke(table, tmp_path, monkeypatch):
         "ambiguity-multi", "--data", str(small), "--targets", "y1,y2",
         "--kappa", "8", "--certify", "--out", str(tmp_path / "cm.jsonl"),
     ]) == EXIT_OK
-    # The single-target check reads the curve's own exact reports: one
-    # certified pass and one sweep per epsilon.
-    searches = _count_calls(monkeypatch, rashomon_single.flip_search, metrics, rashomon_single)
+    # The curve's status-mode pass per epsilon is what the CSV holds; the
+    # check adds one exact-mode search and one sweep per epsilon.
+    modes = []
+    search = rashomon_single.flip_search
+
+    def recording(*args, **kwargs):
+        modes.append(kwargs.get("rank_mode", "status"))
+        return search(*args, **kwargs)
+
+    for mod in (metrics, cli):
+        monkeypatch.setattr(mod, "flip_search", recording)
     sweeps = []
     exact, cap = cli.ORACLES["ball", 2]
 
@@ -227,7 +234,31 @@ def test_certify_smoke(table, tmp_path, monkeypatch):
         "--epsilons", "0.02,0.1", "--certify", "--drop-regex", "visits|y2",
         "--out", str(tmp_path / "cs.csv"),
     ]) == EXIT_OK
-    assert len(searches) == len(sweeps) == 2
+    assert modes == ["status", "status", "exact", "exact"]
+    assert len(sweeps) == 2
+
+
+def test_certify_reaches_the_disc_sweeps_crossing_angles(tmp_path, capsys):
+    """The CI table's intercept-and-age design has a fitted slope of about
+    -5. The epsilon 0.02 ball (radius 0.33) holds only negative slopes, so
+    every model ranks the rows alike. The radius at epsilon 5 is 5.19, so
+    its boundary circle reaches positive slopes and every pair of rows
+    ties at two of its angles: the sweep's crossing branch runs, and every
+    row can cross the cut."""
+    data = tmp_path / "t.csv"
+    assert main(["synth", "--n", "60", "--b", "0.5", "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "c.csv"
+    assert main([
+        "ambiguity-single", "--data", str(data), "--target", "y1", "--kappa", "5%",
+        "--epsilons", "0.02,5,20", "--drop-regex", "^(visits|y2)$", "--certify",
+        "--out", str(out),
+    ]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "certify: angle_sweep_single checked rank ranges at 3 epsilons on 20 rows\n"
+    )
+    _, _, rows = read_csv_with_meta(out)
+    assert [(r[1], r[2]) for r in rows] == [("0.0", "0.0"), ("1.0", "1.0"), ("1.0", "1.0")]
 
 
 def test_certify_says_what_it_checked(tmp_path, capsys):
@@ -252,9 +283,9 @@ def test_certify_says_what_it_checked(tmp_path, capsys):
     )
 
 
-def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
-    """Three targets on a small clinical table: both the rank ranges and the
-    group count range are checked against the three-target sweep."""
+def _three_target_table(tmp_path):
+    """A clinical table whose holdout and tune splits fit under the
+    three-target sweep's cap; returns it and its path."""
     ds = generate_clinical(n=50)
     tune_rows = np.flatnonzero(ds.split_mask("tune"))
     keep = np.ones(ds.n, dtype=bool)
@@ -262,6 +293,13 @@ def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
     ds = ds.subset(keep)
     data = tmp_path / "clinical.csv"
     write_csv(ds, data)
+    return ds, data
+
+
+def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
+    """Three targets on a small clinical table: both the rank ranges and the
+    group count range are checked against the three-target sweep."""
+    ds, data = _three_target_table(tmp_path)
     targets = ",".join(ds.target_names)
     holdout = int(ds.split_mask("holdout").sum())
     tune = int(ds.split_mask("tune").sum())
@@ -334,8 +372,9 @@ def test_four_targets_run_the_lp_geometry_end_to_end(tmp_path, capsys, monkeypat
     assert lp_calls
     _, reports = _read_jsonl(tmp_path / "m.jsonl")
     assert reports and any(rep["flippable"] for rep in reports)
+    assert any(rep["method"] == "mip_certified" for rep in reports)
     for rep in reports:
-        assert rep["method"] == "mip_certified"
+        assert rep["method"] != "undetermined"
         assert rep["min_rank"] <= rep["baseline_rank"] <= rep["max_rank"]
         assert rep["flippable"] == (rep["min_rank"] <= kappa < rep["max_rank"])
         witness = rep.get("witness_alpha")
@@ -630,6 +669,23 @@ def test_data_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("abc,1.0,g", "missing or non-numeric feature cells"),
+        ("1.0,abc,g", "missing or non-numeric target cells"),
+        ("1.0,g", "wrong field count"),
+    ],
+    ids=["feature", "target", "short"],
+)
+def test_loader_errors_name_the_file(tmp_path, capsys, row, problem):
+    data = tmp_path / "cells.csv"
+    data.write_text("x,y,group\n" + "".join(f"{i},{i % 3},g\n" for i in range(6)) + row + "\n")
+    assert main(["fit", "--data", str(data), "--targets", "y", "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith(f"{data}: 1 row(s) with {problem}; first at data row 6")
+
+
+@pytest.mark.parametrize(
     "case, refusal",
     [
         ("data-is-a-directory", "IsADirectoryError"),
@@ -804,6 +860,94 @@ def test_certify_single_without_an_oracle_runs_in_status_mode(table, tmp_path, m
         counts.append(len(solves))
     assert counts[0] == counts[1] > 0
     assert texts[1].replace("# certify=True\n", "") == texts[0] != texts[1]
+
+
+_SINGLE = ["ambiguity-single", "--target", "y1", "--epsilons", "0.02,0.1", "--drop-regex", "visits|y2"]
+_MULTI = ["ambiguity-multi", "--targets", "y1,y2"]
+
+
+@pytest.mark.parametrize(
+    "data, command, note",
+    [
+        ("small", _SINGLE + ["--kappa", "8"], "angle_sweep_single checked"),
+        ("small", _MULTI + ["--kappa", "8"], "simplex_sweep_k2 checked"),
+        ("three", ["ambiguity-multi", "--targets", "cost_t,cost_avoidable_t,gagne_sum_t",
+                   "--kappa", "3"], "simplex_sweep_k3 checked"),
+        ("table", _SINGLE + ["--kappa", "10%"], "no oracle applies"),
+        ("table", _MULTI + ["--kappa", "10%"], "no oracle applies"),
+    ],
+    ids=["disc", "k2", "k3", "single-over-cap", "multi-over-cap"],
+)
+def test_certify_only_checks(request, tmp_path, capsys, monkeypatch, data, command, note):
+    """--certify changes no byte of an ambiguity output but the timestamp
+    and its own meta entry, whether an oracle checks the run or not, and
+    solves exact ranges only for an oracle to check."""
+    if data == "three":
+        path = _three_target_table(tmp_path)[1]
+    else:
+        path = request.getfixturevalue(data)
+    solves = _count_calls(monkeypatch, solver.solve, rashomon_single)
+    texts, counts = [], []
+    for extra in ([], ["--certify"]):
+        out = tmp_path / f"o{len(extra)}"
+        solves.clear()
+        assert main(command + ["--data", str(path), *extra, "--out", str(out)]) == EXIT_OK
+        texts.append(out.read_text())
+        counts.append(len(solves))
+    assert capsys.readouterr().err.startswith(f"certify: {note}")
+    assert (counts[1] > counts[0]) == note.endswith("checked")
+    assert counts[1] >= counts[0]
+    if command[0] == "ambiguity-multi":
+        (plain_meta, plain), (checked_meta, checked) = (t.split("\n", 1) for t in texts)
+        plain_meta, checked_meta = json.loads(plain_meta), json.loads(checked_meta)
+        assert checked_meta.pop("certify") is True
+        assert {**plain_meta, "timestamp": None} == {**checked_meta, "timestamp": None}
+    else:
+        plain, checked = (_strip_timestamp(t) for t in texts)
+        checked = checked.replace("# certify=True\n", "")
+    assert plain == checked and plain.count("\n") > 1
+
+
+def _corrupt_status_search(search, pick, change):
+    """``search`` with one report of each status-mode call changed: the
+    first that ``pick`` accepts gets the fields ``change`` returns."""
+
+    def corrupted(*args, **kwargs):
+        reports = search(*args, **kwargs)
+        if kwargs.get("rank_mode", "status") == "status":
+            i = next(i for i, rep in enumerate(reports) if pick(rep))
+            reports[i] = dataclasses.replace(reports[i], **change(reports[i]))
+        return reports
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "module, name, command, pick, change",
+    [
+        (
+            metrics, "flip_search", _SINGLE + ["--kappa", "8"],
+            lambda rep: rep.flippable is not None,
+            lambda rep: {"flippable": not rep.flippable},
+        ),
+        (
+            cli, "flip_search_multi", _MULTI + ["--kappa", "8"],
+            lambda rep: rep.flippable,
+            lambda rep: {"min_rank": rep.baseline_rank, "max_rank": rep.baseline_rank},
+        ),
+    ],
+    ids=["single-flippable", "multi-rank-range"],
+)
+def test_certify_checks_the_written_reports(
+    small, tmp_path, capsys, monkeypatch, module, name, command, pick, change
+):
+    """One corrupted report in the output a run writes fails the check,
+    though the exact-mode search it also runs is sound."""
+    monkeypatch.setattr(module, name, _corrupt_status_search(getattr(module, name), pick, change))
+    assert main(command + ["--data", str(small), "--certify", "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "CertifyError"
+    assert "mismatch" in err["message"]
 
 
 @pytest.mark.parametrize(

@@ -166,7 +166,7 @@ def test_parse_errors_name_the_first_bad_row_and_count_bad_rows(
         load_csv(p, ("y",))
     assert (err.value.row_index, err.value.bad_count) == (row_index, bad_count)
     assert str(err.value).endswith(f"first at data row {row_index}")
-    assert str(err.value).startswith(f"{bad_count} row(s) ")
+    assert str(err.value).startswith(f"{p}: {bad_count} row(s) ")
 
 
 _ROWS = ("r0,0.5,1,a,train", "r1,1.5,2,b,tune", "r2,2.5,3,a,holdout", "r3,3.5,4,b,train")
@@ -311,7 +311,7 @@ def _reference_load(path, targets):
                 bad.append(i)
         if bad:
             raise ParseError(
-                f"{len(bad)} row(s) with missing or non-numeric {kind} cells; "
+                f"{path}: {len(bad)} row(s) with missing or non-numeric {kind} cells; "
                 f"first at data row {bad[0]}",
                 bad[0], len(bad),
             )

@@ -59,8 +59,7 @@ def test_curve_matches_pointwise_reports(rng):
         assert pt.ambiguity_all == pytest.approx(flips / 25)
 
 
-@pytest.mark.parametrize("rank_mode", ["status", "exact"])
-def test_curve_passes_equal_independent_searches(rng, rank_mode):
+def test_curve_passes_equal_independent_searches(rng):
     """One screen for all tolerances changes no report: each point equals
     a search over its own ball that screens for itself and gets the same
     carried witnesses. Duplicated rows make exact ties."""
@@ -68,12 +67,12 @@ def test_curve_passes_equal_independent_searches(rng, rank_mode):
     X = np.vstack([Q, Q]) / np.sqrt(2.0)
     y = X @ np.array([0.0, 3.0, -2.0]) + rng.normal(size=40)
     eps = [0.0, 0.01, 0.05, 0.05, 0.2]
-    curve = ambiguity_curve(X, y, 8, eps, rank_mode=rank_mode)
+    curve = ambiguity_curve(X, y, 8, eps)
     model = fit_ols(X, y)
     carried = []
     for e, pt in zip(eps, curve):
         ball = make_ball(model, X, y, e)
-        reports = flip_search(X, ball, 8, rank_mode=rank_mode, extra_models=carried or None)
+        reports = flip_search(X, ball, 8, extra_models=carried or None)
         assert_reports_equal(pt.reports, reports)
         carried += [rep.witness for rep in reports if rep.witness is not None]
     assert curve[0].ambiguity_all == 0.0 < curve[-1].ambiguity_all

@@ -412,7 +412,7 @@ def test_blockwise_screen_matches_the_dense_screen(n, rng):
         SimplexRegion(dim=5),
     ]
     for region in regions:
-        dim = region.dim
+        dim = region.center.shape[0] if isinstance(region, BallRegion) else region.dim
         V = np.round(rng.normal(size=(n, dim)), 1)
         V[rng.permutation(n)[: n // 4]] = V[rng.integers(0, n, size=n // 4)]
         want = _dense_prune(_dense_gap_sup(region, V))

@@ -19,13 +19,17 @@ branches on orientations, checking region nonemptiness exactly:
 * more targets: small feasibility LPs.
 
 After the root presolve fixes the sign-definite pairs, the search runs on
-a compact state: the free pairs only, permuted once into the static
-branch order, and one loss count per objective row (the focal row, or
-each distinct group row) plus a catch-all slot that nothing reads, each
-with its reach, the losses plus the open pairs that could still charge
-it. Rank and group queries differ only in their value formula and in one
-sign, whether a loss on an objective row helps the sense; a group query
-also drops the open pairs between rows whose membership is settled.
+a compact state: the free pairs only, permuted once into a static order,
+and one loss count per objective row (the focal row, or each distinct
+group row) plus a catch-all slot that nothing reads, each with its
+reach, the losses plus the open pairs that could still charge it. A node
+branches on the open pair whose gap range is most evenly split around
+zero: on the node's own region where the geometry gives exact ranges
+(the interval and the polygon), else over the whole region, which is the
+static order. Rank and group queries differ only in their value formula
+and in one sign, whether a loss on an objective row helps the sense; a
+group query also drops the open pairs between rows whose membership is
+settled.
 
 Bounds are admissible counting arguments, incumbents come from feasibility
 witnesses with a safety margin so a reported value is always attainable,
@@ -524,7 +528,7 @@ class _BallGeom:
         self.center = np.asarray(region.center, dtype=np.float64)
         self.radius = float(region.radius)
         # Halfspace slack in normalized-gap units; one tie-tolerance band.
-        self.ktol = 1e-9 * max(1.0, float(np.linalg.norm(self.center)) + self.radius)
+        self.ktol = 1e-9 * (float(np.linalg.norm(self.center)) + self.radius)
 
     def root(self):
         return (), self.center
@@ -734,10 +738,18 @@ class _LPGeom:
         return None
 
 
+def _unevenness(lo, hi, tiny: float) -> NDArray[np.float64]:
+    """How far each gap range [lo, hi] is from an even split around zero,
+    ``|hi / (hi - lo) - 1/2|``. A range no wider than ``tiny`` (a wild pair,
+    or one the region has pinned) reads inf, so its pair branches last."""
+    span = hi - lo
+    return np.where(span > tiny, np.abs(hi / np.where(span > 0, span, 1.0) - 0.5), np.inf)
+
+
 def _make_geom(region, tol, gaps):
     """The region's geometry; ``tol`` is the simplex constraint slack in
     gap units (the ball keeps its own tie band). ``gaps`` holds the free
-    pairs' gap rows in branch order; ``child(state, pair, sign, witness)``
+    pairs' gap rows in static order; ``child(state, pair, sign, witness)``
     adds the halfspace ``sign * gaps[pair] @ param <= 0``, and
     ``free_ranges(state, ids)`` gives the exact gap ranges of the listed
     pairs on a node's region, or None when the geometry has no cheap
@@ -759,7 +771,7 @@ def _make_geom(region, tol, gaps):
 
 @dataclass
 class _Node:
-    open: NDArray[np.int64]  # ids of the open free pairs in branch order, ascending
+    open: NDArray[np.int64]  # ids of the open free pairs, ascending in static order
     losses: NDArray[np.int64]  # per objective slot, then the catch-all slot
     reach: NDArray[np.int64]  # per slot, losses plus one per open pair end
     region_state: object
@@ -842,21 +854,18 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     base_losses = charge(forced1, forced0) + count(onto[greedy])
     free &= ~greedy
 
-    # Static branch order: most evenly split gap range first, then larger
-    # reach, then index for determinism. The search runs on the free pairs
-    # permuted into this order, so the first open pair is the branch pair.
+    # Static order: most evenly split gap range over the whole region
+    # first, then larger |upper gap|, then index for determinism. The
+    # search runs on the free pairs permuted into this order, and a node
+    # keeps its open pairs in it. A node branches on the first of its open
+    # pairs most evenly split on its own region, or on its first open pair
+    # where the geometry has no ranges.
     free_idx = np.flatnonzero(free)
     F = free_idx.shape[0]
-    fr_lo = glo[free_idx]
     fr_hi = ghi[free_idx]
-    span = fr_hi - fr_lo
-    # Zero-span (wild) pairs carry no geometry; branch them last.
-    fracdev = np.where(
-        span > 1e-12 * scale,
-        np.abs(fr_hi / np.where(span > 0, span, 1.0) - 0.5),
-        np.inf,
-    )
-    order = free_idx[np.lexsort((free_idx, -np.abs(fr_hi), fracdev))]
+    tiny_span = 1e-12 * scale
+    unevenness = _unevenness(glo[free_idx], fr_hi, tiny_span)
+    order = free_idx[np.lexsort((free_idx, -np.abs(fr_hi), unevenness))]
     G = G[order]
     wild = wild[order]
     s_above = s_above[order]
@@ -911,8 +920,9 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         to_beat = incumbent_value if target is None else target
         return to_beat is None or better(bound_val, to_beat)
 
-    def make_child(node: _Node, orientation: int, param) -> _Node:
-        c = node.open[0]
+    def make_child(node: _Node, c, rest, orientation: int, param) -> _Node:
+        """Orient the branch pair ``c``; ``rest`` is the node's other open
+        pairs, which both children share."""
         win, lose = (s_above[c], s_below[c]) if orientation == 1 else (s_below[c], s_above[c])
         losses = node.losses.copy()
         losses[lose] += 1
@@ -927,47 +937,55 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         else:
             # Orientation 1 asks gap >= 0, the halfspace -gap <= 0.
             state = geom.child(node.region_state, c, -1.0 if orientation == 1 else 1.0, param)
-        return _Node(open=node.open[1:], losses=losses, reach=reach, region_state=state, settling=settling)
+        return _Node(open=rest, losses=losses, reach=reach, region_state=state, settling=settling)
 
     def propagate(node: _Node):
         """Force orientations whose gap became sign-definite on the current
         region and drop them from the node's open pairs. Forced halfspaces
         are redundant there, so the region state stays put and one pass
-        suffices."""
+        suffices. Returns the unevenness of each remaining open pair's gap
+        range on the region, or None when the geometry has no exact ranges
+        (the node then branches in static order)."""
         if not node.open.shape[0]:
-            return
+            return None
         ranges = geom.free_ranges(node.region_state, node.open)
         if ranges is None:
-            return
+            return None
         r_lo, r_hi = ranges
         hit1 = r_lo > tol_forced
         hit0 = r_hi < -tol_forced
-        if not (hit1.any() or hit0.any()):
-            return
-        node.losses += charge(node.open[hit1], node.open[hit0])
-        node.reach -= charge(node.open[hit0], node.open[hit1])
-        node.open = node.open[~(hit1 | hit0)]
-        node.settling = True
+        hit = hit1 | hit0
+        if hit.any():
+            node.losses += charge(node.open[hit1], node.open[hit0])
+            node.reach -= charge(node.open[hit0], node.open[hit1])
+            node.open = node.open[~hit]
+            node.settling = True
+            r_lo, r_hi = r_lo[~hit], r_hi[~hit]
+        return _unevenness(r_lo, r_hi, tiny_span)
 
-    def drop_settled(node: _Node):
+    def drop_settled(node: _Node, unevenness):
         """Group queries: drop the open pairs whose two ends are both
         settled. A row is settled when it is no group row (the catch-all
         slot), already out (losses of at least kappa), or surely in (its
         losses plus its open pairs stay below kappa). Losses only grow, so
         a settled row stays settled, and a dropped pair charges only
         settled rows: every value, bound and witness value stays the same,
-        and only subtrees that cannot change the count disappear."""
+        and only subtrees that cannot change the count disappear. Returns
+        ``unevenness`` (per open pair, or None) for the pairs kept."""
         if not (node.settling and node.open.shape[0]):
-            return
+            return unevenness
         settled = (node.losses >= inst.kappa) | (node.reach < inst.kappa)
         if not settled[:m].any():
-            return
+            return unevenness
         settled[m] = True
         both = settled[s_above[node.open]] & settled[s_below[node.open]]
         if both.any():
             drop = node.open[both]
             node.reach -= charge(drop, drop)
             node.open = node.open[~both]
+            if unevenness is not None:
+                unevenness = unevenness[~both]
+        return unevenness
 
     root_open = np.arange(F, dtype=np.int64)
     stack = [
@@ -998,9 +1016,9 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             continue
         if not ok:
             continue
-        propagate(node)
+        unevenness = propagate(node)
         if not rank:
-            drop_settled(node)
+            unevenness = drop_settled(node, unevenness)
         witness_update(node, param)
         if target is not None and better(incumbent_value, target):
             crossed = True
@@ -1012,9 +1030,14 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         if not can_beat(b):
             pruned = b if pruned is None else extreme(pruned, b)
             continue
-        pref = int(preferred[node.open[0]])
-        stack.append(make_child(node, 1 - pref, param))
-        stack.append(make_child(node, pref, param))
+        # Branch where the node's own region splits most evenly; argmin
+        # takes the first of equals, so ties keep the static order.
+        j = 0 if unevenness is None else int(np.argmin(unevenness))
+        c = node.open[j]
+        rest = node.open[1:] if j == 0 else np.delete(node.open, j)
+        pref = int(preferred[c])
+        stack.append(make_child(node, c, rest, 1 - pref, param))
+        stack.append(make_child(node, c, rest, pref, param))
 
     outer = extreme(undecided_bounds + [node_bound(nd) for nd in stack], default=None)
     settled = crossed or outer is None or not can_beat(outer)

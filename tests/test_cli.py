@@ -328,6 +328,59 @@ def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
     )
 
 
+def test_certify_skips_a_tie_class_too_large_to_enumerate(tmp_path, capsys):
+    """``visits`` is a count, so at some blend 17 of the 40-row table's
+    tune rows tie on the cut, and the three-target sweep refuses to
+    enumerate their orientations. The run says so, as it does for a row
+    count over the cap, and writes what it writes without --certify."""
+    data = tmp_path / "t40.csv"
+    assert main(["synth", "--n", "40", "--b", "0.5", "--out", str(data)]) == EXIT_OK
+    argv = [
+        "fairness-range", "--data", str(data), "--targets", "y1,y2,visits",
+        "--group", "protected", "--kappa", "20%", "--direction", "both",
+    ]
+    assert main(argv + ["--out", str(tmp_path / "f.json")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + ["--certify", "--out", str(tmp_path / "cf.json")]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "certify: no oracle applies "
+        "(simplex_sweep_k3: tie class of size 17; tournament enumeration capped at 6)\n"
+    )
+    plain, checked = (json.loads((tmp_path / f).read_text()) for f in ("f.json", "cf.json"))
+    assert checked.pop("meta")["certify"] is True
+    plain.pop("meta")
+    assert checked == plain
+    plain_table, checked_table = (
+        [ln for ln in (tmp_path / f).read_text().splitlines() if not ln.startswith("#")]
+        for f in ("f_models.csv", "cf_models.csv")
+    )
+    assert checked_table == plain_table
+
+
+def test_a_target_in_tiny_units_gives_the_same_curve(tmp_path):
+    """The ball's tie band is relative to the ball's own scale. Under a
+    floor of 1e-9 it was absolute below unit scale, as wide as the scores
+    themselves for a target times 1e-9, and a certified verdict at
+    epsilon 0.2 came out flippable where it is not: the curve read
+    0.0292 / 0.611 instead of 0.0274 / 0.556 and the run exited 4."""
+    ds = generate_clinical(1800)
+    k = ds.target_names.index("gagne_sum_t")
+    curves = []
+    for c in (1.0, 1e-9):
+        targets = ds.targets.copy()
+        targets[:, k] *= c
+        data, out = tmp_path / f"t{c}.csv", tmp_path / f"c{c}.csv"
+        write_csv(dataclasses.replace(ds, targets=targets), data)
+        assert main([
+            "ambiguity-single", "--data", str(data), "--target", "gagne_sum_t",
+            "--drop-regex", "^cost(_avoidable)?_t$", "--kappa", "3%",
+            "--epsilons", "0.02,0.06,0.2", "--out", str(out),
+        ]) == EXIT_OK
+        curves.append(read_csv_with_meta(out)[2])
+    assert curves[1] == curves[0]
+    assert curves[0][2][1:3] == ["0.0274442538593482", "0.5555555555555556"]
+
+
 def _four_target_table(tmp_path):
     """A clinical table with a fourth target; returns its path and targets."""
     ds = generate_clinical(n=90)

@@ -8,7 +8,7 @@ from topkflip.index_model import (
     witness_pool_alphas,
 )
 from topkflip.linear_fit import fit_on_rows
-from topkflip.oracle import simplex_sweep_k2
+from topkflip.oracle import simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import rank_descending
 
 
@@ -113,6 +113,35 @@ def test_status_mode_matches_exact_verdicts(K, rng):
                 seen_closed_form += 1
                 assert (rank_descending(P @ f.witness)[i] <= kappa) != base_flags[i]
     assert seen_closed_form > 0
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_status_mode_matches_the_sweep(K):
+    """Status-mode staging against the blend sweep on random predictions,
+    half of them one-decimal with duplicated rows: every row is decided,
+    its verdict is the sweep's, ``min <= kappa < max``, and its written
+    range contains the sweep's extremes. Some rows reach the verdict
+    search, so this checks that search's bounds as well as the screen's
+    and the pool's."""
+    rng = np.random.default_rng(31 + K)
+    sweep_of = simplex_sweep_k2 if K == 2 else simplex_sweep_k3
+    searched = 0
+    for trial in range(12):
+        n = int(rng.integers(10, 17))
+        P = rng.normal(size=(n, K))
+        if trial % 2:
+            P = np.round(P, 1)
+            P[rng.permutation(n)[:3]] = P[rng.integers(0, n, size=3)]
+        kappa = int(rng.integers(2, n // 2 + 1))
+        sweep = sweep_of(P, kappa)
+        for i, rep in enumerate(flip_search_multi(P, kappa)):
+            lo, hi = int(sweep.min_ranks[i]), int(sweep.max_ranks[i])
+            where = (trial, i, rep.method)
+            assert rep.min_rank <= lo and hi <= rep.max_rank, where
+            assert rep.flippable is not None, where
+            assert rep.flippable == (lo <= kappa < hi), where
+            searched += rep.method == "mip_certified"
+    assert searched > 0
 
 
 def test_identical_targets_pin_every_rank(rng):

@@ -728,21 +728,21 @@ PINNED_SEARCH = {
     (1, 'ball', 'rank', 'max'): ('optimal', 12, 12, 17, 0, 11),
     (1, 'ball', 'group', 'max'): ('optimal', 1, 1, 25, 6, 15),
     (2, 'interval', 'rank', 'min'): ('optimal', 2, 2, 3, 10, 5),
-    (2, 'interval', 'group', 'min'): ('optimal', 4, 4, 43, 40, 44),
+    (2, 'interval', 'group', 'min'): ('optimal', 4, 4, 15, 40, 44),
     (2, 'interval', 'rank', 'max'): ('optimal', 4, 4, 9, 10, 5),
-    (2, 'interval', 'group', 'max'): ('optimal', 4, 4, 43, 40, 44),
-    (3, 'interval', 'rank', 'min'): ('optimal', 4, 4, 9, 8, 7),
-    (3, 'interval', 'group', 'min'): ('optimal', 1, 1, 15, 32, 43),
-    (3, 'interval', 'rank', 'max'): ('optimal', 6, 6, 7, 8, 7),
-    (3, 'interval', 'group', 'max'): ('optimal', 2, 2, 39, 32, 43),
-    (4, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 19, 3, 12),
+    (2, 'interval', 'group', 'max'): ('optimal', 4, 4, 15, 40, 44),
+    (3, 'interval', 'rank', 'min'): ('optimal', 4, 4, 7, 8, 7),
+    (3, 'interval', 'group', 'min'): ('optimal', 1, 1, 7, 32, 43),
+    (3, 'interval', 'rank', 'max'): ('optimal', 6, 6, 5, 8, 7),
+    (3, 'interval', 'group', 'max'): ('optimal', 2, 2, 17, 32, 43),
+    (4, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 9, 3, 12),
     (4, 'polygon', 'group', 'min'): ('optimal', 0, 0, 5, 9, 45),
-    (4, 'polygon', 'rank', 'max'): ('optimal', 16, 16, 9, 3, 12),
-    (4, 'polygon', 'group', 'max'): ('optimal', 2, 2, 39, 9, 45),
-    (5, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 19, 5, 10),
-    (5, 'polygon', 'group', 'min'): ('budget_exhausted', 3, 0, 300, 23, 76),
-    (5, 'polygon', 'rank', 'max'): ('optimal', 11, 11, 17, 5, 10),
-    (5, 'polygon', 'group', 'max'): ('optimal', 7, 7, 283, 23, 76),
+    (4, 'polygon', 'rank', 'max'): ('optimal', 16, 16, 5, 3, 12),
+    (4, 'polygon', 'group', 'max'): ('optimal', 2, 2, 25, 9, 45),
+    (5, 'polygon', 'rank', 'min'): ('optimal', 5, 5, 9, 5, 10),
+    (5, 'polygon', 'group', 'min'): ('optimal', 2, 2, 285, 23, 76),
+    (5, 'polygon', 'rank', 'max'): ('optimal', 11, 11, 11, 5, 10),
+    (5, 'polygon', 'group', 'max'): ('budget_exhausted', 5, 9, 300, 23, 76),
     (6, 'lp', 'rank', 'min'): ('optimal', 1, 1, 1, 0, 8),
     (6, 'lp', 'group', 'min'): ('budget_exhausted', 1, 0, 300, 3, 18),
     (6, 'lp', 'rank', 'max'): ('optimal', 9, 9, 7, 0, 8),
@@ -809,17 +809,17 @@ PINNED_VERDICTS = {
     (3, 'interval', 'max', 15): ('optimal', 4, 9, 1),
     (4, 'polygon', 'min', 1): ('optimal', 14, 4, 1),
     (4, 'polygon', 'min', 2): ('optimal', 14, 4, 1),
-    (4, 'polygon', 'min', 5): ('budget_exhausted', 8, 5, 5),
+    (4, 'polygon', 'min', 5): ('optimal', 5, 5, 5),
     (4, 'polygon', 'min', 8): ('optimal', 8, 5, 2),
     (4, 'polygon', 'min', 15): ('optimal', 14, 4, 1),
     (4, 'polygon', 'max', 1): ('optimal', 14, 16, 1),
     (4, 'polygon', 'max', 2): ('optimal', 14, 16, 1),
     (4, 'polygon', 'max', 5): ('optimal', 14, 16, 1),
     (4, 'polygon', 'max', 8): ('optimal', 14, 16, 1),
-    (4, 'polygon', 'max', 15): ('optimal', 16, 16, 5),
+    (4, 'polygon', 'max', 15): ('optimal', 16, 16, 3),
     (5, 'polygon', 'min', 1): ('optimal', 10, 3, 1),
     (5, 'polygon', 'min', 2): ('optimal', 10, 3, 1),
-    (5, 'polygon', 'min', 5): ('budget_exhausted', 7, 4, 5),
+    (5, 'polygon', 'min', 5): ('optimal', 5, 4, 5),
     (5, 'polygon', 'min', 8): ('optimal', 7, 3, 2),
     (5, 'polygon', 'min', 15): ('optimal', 10, 3, 1),
     (5, 'polygon', 'max', 1): ('optimal', 10, 13, 1),

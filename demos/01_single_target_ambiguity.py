@@ -23,7 +23,8 @@ KAPPA = 12
 
 def main():
     ds = generate(n=240, b=0.5, seed=11)
-    holdout = ds.subset(ds.split_mask("holdout"))
+    _, _, holdout_rows = ds.split_masks()
+    holdout = ds.subset(holdout_rows)
     q = orthonormalize(holdout)
     X, y = q.features, q.target("y1")
     print(f"holdout rows: {q.n}, selecting top {KAPPA} by target 'y1'")

@@ -357,15 +357,8 @@ def _cmd_fairness_range(args) -> int:
     )
     # The tune rows are the workflow's to choose, so the lookup follows it.
     oracle = _oracle("blend", len(targets), bundle.n_tune) if args.certify else None
-    sweep = None
     if oracle:
-        try:
-            sweep = oracle(bundle.tune_preds, bundle.kappa_tune, group_mask=bundle.tune_group)
-        except NotImplementedError as exc:
-            # A tie class too large to enumerate refuses the sweep, as a
-            # row count over its cap does.
-            _certify_note(f"no oracle applies ({oracle.__name__}: {exc})")
-    if sweep is not None:
+        sweep = oracle(bundle.tune_preds, bundle.kappa_tune, group_mask=bundle.tune_group)
         # A side spans from its proven bound to its achieved count; the two
         # meet when the side is certified. --direction may leave one out.
         rep = bundle.tune_report

@@ -118,11 +118,6 @@ class Dataset:
     def group_mask(self, label: str) -> NDArray[np.bool_]:
         return self.groups == label
 
-    def split_mask(self, tag: str) -> NDArray[np.bool_]:
-        if tag not in SPLIT_VALUES:
-            raise ValueError(f"split tag must be one of {SPLIT_VALUES}")
-        return self.split_tags == tag
-
     def split_masks(self) -> "tuple[NDArray[np.bool_], ...]":
         """The (train, tune, holdout) row masks: models fit on train, freeze
         their scaling on tune and are analyzed on holdout.

@@ -26,26 +26,26 @@ from numpy.typing import NDArray
 
 TIE_REL_TOL = 1e-9
 
-# Tie classes larger than this would need 2^C(m,2) tournament orientations.
-MAX_TIE_CLASS = 6
 
-
-def _tie_tol(scores: NDArray[np.float64]) -> float:
-    return TIE_REL_TOL * max(1.0, float(np.max(np.abs(scores))))
+def _tie_tol(M: NDArray[np.float64], w: NDArray[np.float64]) -> float:
+    """Tie tolerance for the scores ``M @ w``: ``TIE_REL_TOL`` times the
+    largest row sum of |M_ij w_j|, the size of the terms whose rounding
+    the scores carry. It has no floor, so it scales with the units, and
+    scores that cancel to rounding noise (a blend at which every row
+    ties) still tie. At w = 0 it is 0 and only exact ties count."""
+    return TIE_REL_TOL * float(np.max(np.abs(M) @ np.abs(w)))
 
 
 def optimistic_rank_bounds(
-    scores: NDArray[np.float64],
+    scores: NDArray[np.float64], tol: float
 ) -> "tuple[NDArray[np.int64], NDArray[np.int64]]":
     """Best and worst attainable rank per row at one scoring of the rows.
 
     A tied pair can be ordered either way, independently per queried row, so
     the best rank is 1 + #(strictly higher rows) and the worst is
-    1 + #(rows higher or tied). Rows closer than ``TIE_REL_TOL`` times
-    max(1, largest |score|) count as tied.
+    1 + #(rows higher or tied). Rows at most ``tol`` apart count as tied.
     """
     s = np.asarray(scores, dtype=np.float64)
-    tol = _tie_tol(s)
     diff = s[None, :] - s[:, None]  # diff[i, j] = s_j - s_i
     strict = np.sum(diff > tol, axis=1)
     weak = np.sum(diff >= -tol, axis=1) - 1  # the diagonal counts itself once
@@ -105,68 +105,52 @@ def angle_sweep_single(
             eval_angles = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi]
         for theta in eval_angles:
             candidates.append(w0 + radius * np.array([np.cos(theta), np.sin(theta)]))
-    if float(w0 @ w0) <= radius * radius + 1e-15:
+    if float(w0 @ w0) <= radius * radius * (1.0 + 1e-12):
         candidates.append(np.zeros(2))
 
     min_ranks = np.full(n, n + 1, dtype=np.int64)
     max_ranks = np.zeros(n, dtype=np.int64)
     for w in candidates:
-        lo, hi = optimistic_rank_bounds(X @ w)
+        lo, hi = optimistic_rank_bounds(X @ w, _tie_tol(X, w))
         np.minimum(min_ranks, lo, out=min_ranks)
         np.maximum(max_ranks, hi, out=max_ranks)
     return min_ranks, max_ranks
-
-
-def attainable_group_counts(
-    group_flags: NDArray[np.bool_], allowed_losses: int
-) -> NDArray[np.int64]:
-    """Group-member selection counts realizable inside one tie class.
-
-    Members of a tie class are ordered by an arbitrary orientation of each
-    pair (a tournament); a member is selected when it loses at most
-    ``allowed_losses`` of its in-class comparisons. Enumerates every
-    tournament on the class and returns the sorted distinct counts of
-    selected group members. Class size is capped at MAX_TIE_CLASS.
-    """
-    flags = np.asarray(group_flags, dtype=bool)
-    m = flags.shape[0]
-    if allowed_losses < 0:
-        return np.array([0], dtype=np.int64)
-    if allowed_losses >= m - 1:
-        return np.array([int(flags.sum())], dtype=np.int64)
-    if m > MAX_TIE_CLASS:
-        raise NotImplementedError(
-            f"tie class of size {m}; tournament enumeration capped at {MAX_TIE_CLASS}"
-        )
-    pairs = list(itertools.combinations(range(m), 2))
-    n_pairs = len(pairs)
-    codes = np.arange(1 << n_pairs, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n_pairs)) & 1  # 1: first member wins
-    losses = np.zeros((codes.shape[0], m), dtype=np.int16)
-    for p, (a, b) in enumerate(pairs):
-        losses[:, b] += bits[:, p].astype(np.int16)
-        losses[:, a] += (1 - bits[:, p]).astype(np.int16)
-    selected = losses <= allowed_losses
-    return np.unique(selected[:, flags].sum(axis=1)).astype(np.int64)
 
 
 def group_count_range(
     scores: NDArray[np.float64],
     kappa: int,
     group_mask: NDArray[np.bool_],
+    tol: float,
 ) -> "tuple[int, int]":
     """Range of group members in the top kappa at one scoring of the rows.
 
-    Rows are partitioned into tie classes; each class straddling the
-    selection boundary contributes whatever tournament orientations allow.
-    Choices in different classes are independent, so the totals add.
+    Rows are partitioned into tie classes: in score order, each class holds
+    the rows at most ``tol`` below its top row. The pairs inside a class
+    may be oriented either way (a tournament), and a member is selected
+    when it loses at most ``a = kappa - 1 - (rows above the class)`` of
+    its in-class comparisons. Choices in different classes are
+    independent, so the totals add. A class of m rows, g of them in the
+    group, gives:
+
+    - max = clamp(2a + 1, 0, g). S rows can all be selected when they beat
+      the rest of the class and none loses more than a among them. Their
+      C(S, 2) losses average (S - 1) / 2 a row, and a near-regular
+      tournament (a score sequence by Landau's theorem) gives each at most
+      ceil((S - 1) / 2), so S <= 2a + 1.
+    - min = g - clamp(2(m - a) - 3, 0, g). T rows can all miss the cut when
+      each loses to the m - T rows outside them and a + 1 - (m - T) among
+      them; by the same average a near-regular tournament gives each at
+      least floor((T - 1) / 2), the most all can have, so T <= 2(m - a) - 3.
+
+    Both give g when the whole class is in (a >= m - 1), 0 when it is out
+    (a < 0).
     """
     s = np.asarray(scores, dtype=np.float64)
     gmask = np.asarray(group_mask, dtype=bool)
     n = s.shape[0]
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-    tol = _tie_tol(s)
     order = np.argsort(-s, kind="stable")
     gmin = 0
     gmax = 0
@@ -176,17 +160,11 @@ def group_count_range(
         stop = start + 1
         while stop < n and s[order[start]] - s[order[stop]] <= tol:
             stop += 1
-        members = order[start:stop]
         m = stop - start
-        g = int(gmask[members].sum())
-        allowed = kappa - 1 - cum
-        if allowed >= m - 1:
-            gmin += g
-            gmax += g
-        elif allowed >= 0:
-            counts = attainable_group_counts(gmask[members], allowed)
-            gmin += int(counts[0])
-            gmax += int(counts[-1])
+        g = int(gmask[order[start:stop]].sum())
+        a = kappa - 1 - cum
+        gmin += g - min(max(2 * (m - a) - 3, 0), g)
+        gmax += min(max(2 * a + 1, 0), g)
         cum += m
         start = stop
     return gmin, gmax
@@ -212,11 +190,12 @@ def _sweep_scores(P, alphas, kappa, group_mask) -> SimplexSweep:
     group_hi: int | None = None
     for alpha in alphas:
         s = P @ alpha
-        lo, hi = optimistic_rank_bounds(s)
+        tol = _tie_tol(P, alpha)
+        lo, hi = optimistic_rank_bounds(s, tol)
         np.minimum(min_ranks, lo, out=min_ranks)
         np.maximum(max_ranks, hi, out=max_ranks)
         if group_mask is not None:
-            glo, ghi = group_count_range(s, kappa, group_mask)
+            glo, ghi = group_count_range(s, kappa, group_mask, tol)
             group_lo = glo if group_lo is None else min(group_lo, glo)
             group_hi = ghi if group_hi is None else max(group_hi, ghi)
     return SimplexSweep(

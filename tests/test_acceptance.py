@@ -41,7 +41,7 @@ def _verdict(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def holdout_ortho(clinical_subset):
-    sub = clinical_subset.subset(clinical_subset.split_mask("holdout"))
+    sub = clinical_subset.subset(clinical_subset.split_masks()[2])
     q = orthonormalize(sub)
     return q
 
@@ -104,13 +104,12 @@ def multi_instances():
 def clinical_preds(clinical_subset):
     """The blend family's standardized holdout predictions."""
     ds = clinical_subset
-    tr = ds.split_mask("train")
-    tu = ds.split_mask("tune")
+    tr, tu, ho = ds.split_masks()
     Y = np.column_stack([ds.target(t) for t in ds.target_names])
     ens = build_ensemble(
         ds.features[tr], Y[tr], ds.features[tu], target_names=ds.target_names
     )
-    return ens.predictions(ds.features[ds.split_mask("holdout")])
+    return ens.predictions(ds.features[ho])
 
 
 def test_c01_loss_identity_after_orthonormalization(rng):

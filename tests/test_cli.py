@@ -14,6 +14,8 @@ from topkflip import cli, fairness, index_model, metrics, rashomon_single, solve
 from topkflip.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topkflip.dataset import assign_splits, load_csv, orthonormalize, write_csv
 from topkflip.linear_fit import fit_ols, make_ball
+from topkflip.oracle import angle_sweep_single
+from topkflip.ranking import resolve_kappa
 from topkflip.reports import read_csv_with_meta, write_reports_jsonl
 from topkflip.synth import generate, generate_clinical
 
@@ -287,7 +289,7 @@ def _three_target_table(tmp_path):
     """A clinical table whose holdout and tune splits fit under the
     three-target sweep's cap; returns it and its path."""
     ds = generate_clinical(n=50)
-    tune_rows = np.flatnonzero(ds.split_mask("tune"))
+    tune_rows = np.flatnonzero(ds.split_masks()[1])
     keep = np.ones(ds.n, dtype=bool)
     keep[tune_rows[cli.ORACLES["blend", 3][1] - 2:]] = False
     ds = ds.subset(keep)
@@ -301,8 +303,7 @@ def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
     group count range are checked against the three-target sweep."""
     ds, data = _three_target_table(tmp_path)
     targets = ",".join(ds.target_names)
-    holdout = int(ds.split_mask("holdout").sum())
-    tune = int(ds.split_mask("tune").sum())
+    _, tune, holdout = (int(m.sum()) for m in ds.split_masks())
     assert max(holdout, tune) <= cli.ORACLES["blend", 3][1]
     assert main([
         "ambiguity-multi", "--data", str(data), "--targets", targets,
@@ -328,11 +329,11 @@ def test_certify_runs_the_three_target_sweep(tmp_path, capsys):
     )
 
 
-def test_certify_skips_a_tie_class_too_large_to_enumerate(tmp_path, capsys):
+def test_certify_checks_a_seventeen_row_tie_class(tmp_path, capsys):
     """``visits`` is a count, so at some blend 17 of the 40-row table's
-    tune rows tie on the cut, and the three-target sweep refuses to
-    enumerate their orientations. The run says so, as it does for a row
-    count over the cap, and writes what it writes without --certify."""
+    tune rows tie on the cut. The three-target sweep counts that class's
+    group extremes in closed form, checks the range, and the run writes
+    what it writes without --certify."""
     data = tmp_path / "t40.csv"
     assert main(["synth", "--n", "40", "--b", "0.5", "--out", str(data)]) == EXIT_OK
     argv = [
@@ -343,8 +344,7 @@ def test_certify_skips_a_tie_class_too_large_to_enumerate(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv + ["--certify", "--out", str(tmp_path / "cf.json")]) == EXIT_OK
     assert capsys.readouterr().err == (
-        "certify: no oracle applies "
-        "(simplex_sweep_k3: tie class of size 17; tournament enumeration capped at 6)\n"
+        "certify: simplex_sweep_k3 checked the group count range on 17 rows\n"
     )
     plain, checked = (json.loads((tmp_path / f).read_text()) for f in ("f.json", "cf.json"))
     assert checked.pop("meta")["certify"] is True
@@ -379,6 +379,41 @@ def test_a_target_in_tiny_units_gives_the_same_curve(tmp_path):
         curves.append(read_csv_with_meta(out)[2])
     assert curves[1] == curves[0]
     assert curves[0][2][1:3] == ["0.0274442538593482", "0.5555555555555556"]
+
+
+def test_a_target_in_tiny_units_certifies_the_disc_sweep(tmp_path, capsys):
+    """The disc sweep's tie tolerance and its test for covering the origin
+    are relative to the disc's own scale. Under a floor of 1 and an
+    absolute origin slack, a target times 1e-9 tied every row and
+    --certify failed with a false mismatch: "min rank at epsilon=0.02,
+    row 0 mismatch: solver [2, 2] vs sweep 1"."""
+    ds = generate(n=60, b=0.5, seed=0)
+    k = ds.target_names.index("y1")
+    drop = "^(visits|y2)$"
+    results = {}
+    for e in range(-12, 13, 3):
+        c = 10.0**e
+        targets = ds.targets.copy()
+        targets[:, k] *= c
+        data, out = tmp_path / f"t{c}.csv", tmp_path / f"c{c}.csv"
+        write_csv(dataclasses.replace(ds, targets=targets), data)
+        q = cli._orthonormal_analysis(cli._load_table(data, ("y1",), drop))
+        kappa = resolve_kappa("5%", q.n)
+        ranges = []
+        for point in metrics.ambiguity_curve(q.features, q.target("y1"), kappa, [0.02, 0.04, 5.0]):
+            swept = angle_sweep_single(q.features, point.ball.center, point.ball.radius)
+            exact = rashomon_single.flip_search(q.features, point.ball, kappa, rank_mode="exact")
+            ranges.append((
+                [r.tolist() for r in swept],
+                [(r.min_rank, r.max_rank) for r in exact],
+            ))
+        assert main([
+            "ambiguity-single", "--data", str(data), "--target", "y1", "--kappa", "5%",
+            "--epsilons", "0.02,0.04,5", "--drop-regex", drop, "--certify", "--out", str(out),
+        ]) == EXIT_OK
+        assert capsys.readouterr().err.startswith("certify: angle_sweep_single checked ")
+        results[e] = (ranges, read_csv_with_meta(out)[2])
+    assert all(r == results[0] for r in results.values())
 
 
 def _four_target_table(tmp_path):
@@ -560,7 +595,7 @@ def test_stable_points_screens_once_per_sweep(table, tmp_path, monkeypatch, fami
 
     if family == "rashomon":
         ds = load_csv(table, ("y1",))
-        q = orthonormalize(ds.subset(ds.split_mask("holdout")))
+        q = orthonormalize(ds.subset(ds.split_masks()[2]))
         y = q.target("y1")
         ball = make_ball(fit_ols(q.features, y), q.features, y, 0.05)
         sets = [

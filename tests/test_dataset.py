@@ -500,11 +500,9 @@ def test_column_filters(table):
 
 def test_subset_masks(table):
     ds, _ = table
-    m = ds.split_mask("tune")
+    m = ds.split_masks()[1]
     sub = ds.subset(m)
     assert sub.n == int(m.sum())
     assert all(tag == "tune" for tag in sub.split_tags)
     # unknown labels give an empty mask; emptiness checks live with callers
     assert not ds.group_mask("never-a-group").any()
-    with pytest.raises(ValueError):
-        ds.split_mask("validation")

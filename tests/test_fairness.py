@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from topkflip.fairness import (
     write_fairness_csv,
     write_fairness_json,
 )
-from topkflip.oracle import simplex_sweep_k2
+from topkflip.oracle import simplex_sweep_k2, simplex_sweep_k3
 from topkflip.ranking import rank_descending
 from topkflip.reports import meta_record, read_csv_with_meta
 from topkflip.solver import SolverConfig
@@ -26,6 +28,44 @@ def test_extremes_match_sweep_k2(rng):
         sweep = simplex_sweep_k2(P, kappa, group_mask=mask)
         assert rep.min_count == int(sweep.group_min)
         assert rep.max_count == int(sweep.group_max)
+
+
+def _largest_cut_tie(P, kappa):
+    """The most rows that tie exactly across the cut at any one-hot blend,
+    a candidate every sweep scores."""
+    largest = 0
+    for s in P.T:
+        cut = np.sort(s)[::-1][kappa - 1]
+        above, tied = int(np.sum(s > cut)), int(np.sum(s == cut))
+        if above + tied > kappa:
+            largest = max(largest, tied)
+    return largest
+
+
+def test_extremes_match_the_sweeps_on_tie_heavy_predictions():
+    """Count-valued and one-decimal predictions tie many rows at the cut.
+    Every certified side must equal the sweep's count, including where a
+    tie class on the cut has more than 6 rows."""
+    rng = np.random.default_rng(7)
+    sweeps = {2: simplex_sweep_k2, 3: simplex_sweep_k3}
+    largest = 0
+    for K, decimals, _ in itertools.product((2, 3), (0, 1), range(4)):
+        n = int(rng.integers(8, 16))
+        if decimals:
+            P = np.round(rng.normal(scale=0.2, size=(n, K)), 1)
+        else:
+            P = rng.poisson(0.6, size=(n, K)).astype(float)
+        kappa = int(rng.integers(2, n - 1))
+        mask = rng.random(n) < 0.5
+        mask[0] = True
+        rep = group_rate_extremes(P, kappa, mask)
+        sweep = sweeps[K](P, kappa, group_mask=mask)
+        if rep.status_min == "optimal":
+            assert rep.min_count == sweep.group_min, (K, decimals, n, kappa)
+        if rep.status_max == "optimal":
+            assert rep.max_count == sweep.group_max, (K, decimals, n, kappa)
+        largest = max(largest, _largest_cut_tie(P, kappa))
+    assert largest > 6
 
 
 def test_one_hots_sit_inside_the_range(rng):

@@ -3,10 +3,17 @@ against, so they get their own independent check: dense brute force over
 the parameter space, which can only under-cover extremes, never invent
 them."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from topkflip.oracle import angle_sweep_single, simplex_sweep_k2, simplex_sweep_k3
+from topkflip.oracle import (
+    angle_sweep_single,
+    group_count_range,
+    simplex_sweep_k2,
+    simplex_sweep_k3,
+)
 from topkflip.ranking import rank_descending
 
 from conftest import random_design
@@ -149,3 +156,45 @@ def test_simplex_sweep_k3_brackets_dirichlet_sample(rng):
 def test_simplex_sweep_k3_rejects_wrong_width(rng):
     with pytest.raises(ValueError):
         simplex_sweep_k3(rng.normal(size=(6, 2)), 2)
+
+
+def _tournament_losses(m):
+    """Each row's in-class losses under every tournament on m rows: one
+    row per tournament, 2^C(m, 2) of them."""
+    pairs = list(itertools.combinations(range(m), 2))
+    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1  # 1: i wins
+    losses = np.zeros((bits.shape[0], m), dtype=np.int64)
+    for p, (i, j) in enumerate(pairs):
+        losses[:, j] += bits[:, p]
+        losses[:, i] += 1 - bits[:, p]
+    return losses
+
+
+def test_group_count_range_matches_tournament_enumeration():
+    """One tie class of m rows, g of them in the group, between one row
+    above and one below: the closed-form extremes equal the fewest and
+    most group rows that lose at most a = kappa - 2 in-class comparisons,
+    over every tournament on the class."""
+    for m in range(1, 7):
+        losses = _tournament_losses(m)
+        scores = np.concatenate([[2.0], np.ones(m), [0.0]])
+        for a in range(-1, m + 1):
+            selected = losses <= a
+            for g in range(m + 1):
+                mask = np.zeros(m + 2, dtype=bool)
+                mask[1 : g + 1] = True
+                counts = selected[:, :g].sum(axis=1)
+                expected = (int(counts.min()), int(counts.max()))
+                assert group_count_range(scores, a + 2, mask, 0.0) == expected, (m, g, a)
+
+
+def test_group_count_range_on_a_seventeen_row_tie():
+    """All 17 rows tie, 9 of them in the group. At kappa 3 (a = 2) at most
+    2a + 1 = 5 group rows fit; at kappa 15 (a = 14) at most
+    2(m - a) - 3 = 3 group rows can miss the cut."""
+    mask = np.zeros(17, dtype=bool)
+    mask[::2] = True
+    scores = np.full(17, 0.3)
+    assert group_count_range(scores, 3, mask, 0.0) == (0, 5)
+    assert group_count_range(scores, 15, mask, 0.0) == (6, 9)
+    assert group_count_range(scores, 17, mask, 0.0) == (9, 9)

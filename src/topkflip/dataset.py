@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 INTERCEPT_NAME = "intercept"
@@ -433,10 +432,11 @@ def drop_columns_matching(ds: Dataset, patterns) -> Dataset:
 def orthonormalize(ds: Dataset) -> Dataset:
     """Orthonormalize the design with the intercept pinned first.
 
-    Runs a column-pivoted QR on the non-intercept columns after projecting
-    out the intercept direction. Columns whose pivot magnitude falls below
-    ``PIVOT_DROP_REL_TOL`` times the largest pivot are dropped as collinear.
-    Returns the transformed Dataset, whose features satisfy X^T X = I.
+    Runs a column-pivoted QR (:func:`_pivot_order`) on the non-intercept
+    columns after projecting out the intercept direction. Columns whose
+    pivot magnitude falls below ``PIVOT_DROP_REL_TOL`` times the largest
+    pivot are dropped as collinear. Returns the transformed Dataset, whose
+    features satisfy X^T X = I.
     """
     X = ds.features
     n, p = X.shape
@@ -451,8 +451,7 @@ def orthonormalize(ds: Dataset) -> Dataset:
 
     # Column-pivoted QR orders columns by residual norm, exposing collinear
     # ones at the tail of the R diagonal.
-    R_r, piv = scipy.linalg.qr(rest_proj, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R_r))
+    piv, diag = _pivot_order(rest_proj)
     largest = max(float(diag.max(initial=0.0)), sqrt_n)
     keep_count = int(np.sum(diag >= PIVOT_DROP_REL_TOL * largest))
     rank = keep_count + 1
@@ -472,3 +471,29 @@ def orthonormalize(ds: Dataset) -> Dataset:
         feature_names=new_names,
         features=X_orth,
     )
+
+
+def _pivot_order(A: NDArray[np.float64]) -> "tuple[NDArray[np.intp], NDArray[np.float64]]":
+    """Column order and pivot magnitudes |R[j, j]| of a column-pivoted QR.
+
+    Gram-Schmidt with column pivoting: each step takes the remaining column
+    of largest residual norm, recomputed from the residuals rather than
+    downdated, the first of equal norms winning as LAPACK's ``idamax``
+    picks, and projects its direction out of the columns still to come.
+    """
+    R = np.array(A, dtype=np.float64)
+    k = R.shape[1]
+    piv = np.arange(k)
+    diag = np.zeros(min(R.shape))
+    for j in range(diag.shape[0]):
+        norms = np.linalg.norm(R[:, j:], axis=0)
+        q = j + int(np.argmax(norms))
+        diag[j] = norms[q - j]
+        if diag[j] == 0:
+            break
+        R[:, [j, q]] = R[:, [q, j]]
+        piv[[j, q]] = piv[[q, j]]
+        u = R[:, j] / diag[j]
+        # Reduced column by column, so equal columns stay equal and tie.
+        R[:, j + 1 :] -= np.outer(u, np.einsum("i,ij->j", u, R[:, j + 1 :]))
+    return piv, diag

@@ -164,20 +164,29 @@ def _certify_rows(
         flip_cols[(flip_cols == c) & ~moved] = -1
 
     reports: list[FlipReport] = []
-    for i in range(n):
-        ranks = {"min": int(prune.outer_min[i]), "max": int(prune.outer_max[i])}
+    # Python scalars per row: indexing NumPy arrays row by row costs more
+    # than the rows' own work.
+    rows = zip(
+        prune.outer_min.tolist(),
+        prune.outer_max.tolist(),
+        base_ranks.tolist(),
+        in_base_top.tolist(),
+        fixed.tolist(),
+        flip_cols.tolist(),
+    )
+    for i, (outer_min, outer_max, base_rank, in_top, is_fixed, flip_col) in enumerate(rows):
+        ranks = {"min": outer_min, "max": outer_max}
         # A fixed row has no flip column; always_top implies in_top, as the
         # baseline lies in the region.
-        if rank_mode == "status" and (fixed[i] or flip_cols[i] >= 0):
-            flippable = bool(flip_cols[i] >= 0)
+        if rank_mode == "status" and (is_fixed or flip_col >= 0):
+            flippable = flip_col >= 0
             method = "closed_form_flip" if flippable else "pruned_unflippable"
-            wit = pool[flip_cols[i]] if flippable else None
+            wit = pool[flip_col] if flippable else None
         else:
             # A baseline-top row flips exactly when its max rank exceeds
             # kappa, any other row exactly when its min rank is at most
             # kappa. Status mode asks only that side, as a verdict query
             # against kappa; the other side keeps the screen's bound.
-            in_top = bool(in_base_top[i])
             verdict = "max" if in_top else "min"
             inst = rank_query("min", region, V, i)
             if rank_mode == "exact":
@@ -202,7 +211,7 @@ def _certify_rows(
         reports.append(
             FlipReport(
                 row_id=row_ids[i],
-                baseline_rank=int(base_ranks[i]),
+                baseline_rank=base_rank,
                 min_rank=ranks["min"],
                 max_rank=ranks["max"],
                 flippable=flippable,

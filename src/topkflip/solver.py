@@ -9,11 +9,11 @@ definite sign), and the objective depends only on orientations. The search
 branches on orientations, checking region nonemptiness exactly:
 
 * ball: distance from the center to the intersection of homogeneous
-  halfspaces via a compiled nonnegative least-squares projection onto the
-  polar cone (bounded-variable least squares as the fallback), with a
-  Farkas-style certificate when infeasible; a child whose new halfspace
-  its parent's certified witness already meets inherits that witness and
-  skips the projection;
+  halfspaces via a Lawson-Hanson nonnegative least-squares projection onto
+  the polar cone, written in NumPy (SciPy's bounded-variable least squares
+  as the fallback), with a Farkas-style certificate when infeasible; a
+  child whose new halfspace its parent's certified witness already meets
+  inherits that witness and skips the projection;
 * two-target simplex: an interval in the first blend weight;
 * three targets: polygon clipping;
 * more targets: small feasibility LPs.
@@ -24,9 +24,10 @@ and one loss count per objective row (the focal row, or each distinct
 group row) plus a catch-all slot that nothing reads, each with its
 reach, the losses plus the open pairs that could still charge it. A node
 branches on the open pair whose gap range is most evenly split around
-zero: on the node's own region where the geometry gives exact ranges
-(the interval and the polygon), else over the whole region, which is the
-static order. Rank and group queries differ only in their value formula
+zero on the node's own region: exact ranges on the interval and the
+polygon, outer ranges propagated from each imposed halfspace on the ball.
+The root, and every node of the four-or-more-target simplex, use the
+ranges over the whole region, which is the static order. Rank and group queries differ only in their value formula
 and in one sign, whether a loss on an objective row helps the sense; a
 group query also drops the open pairs between rows whose membership is
 settled.
@@ -43,13 +44,12 @@ search.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog, lsq_linear, nnls
-from scipy.spatial.distance import cdist
 
 DEFAULT_NODE_BUDGET = 1_000_000
 DEFAULT_TIME_BUDGET = 60.0
@@ -420,9 +420,11 @@ def screen_ball(V: NDArray[np.float64], center: NDArray[np.float64], radii) -> "
 
     The supremum of score(i) - score(j) over a ball is the center gap
     plus the radius times the row distance; the rule compares the
-    computed ``radius * D + (s_i - s_j)`` with ``-tol``. Most pairs are
-    ordered by their center gap alone, so the rows are sorted by center
-    score once and each pair is settled in one of two ways:
+    computed ``radius * D + (s_i - s_j)`` with ``-tol``, where D is the
+    Euclidean distance summed over the columns in order, the value
+    ``scipy.spatial.distance.cdist`` gives. Most pairs are ordered by
+    their center gap alone, so the rows are sorted by center score once
+    and each pair is settled in one of two ways:
 
     * in bulk: no distance from row i exceeds ``norm_i + max norm``, so a
       partner whose computed score difference exceeds
@@ -431,16 +433,19 @@ def screen_ball(V: NDArray[np.float64], center: NDArray[np.float64], radii) -> "
       :func:`_strict_cut` finds in score order where those partners
       start on either side of each row;
     * exactly: each block of ``BALL_BLOCK`` consecutive rows of the order
-      forms ``cdist`` against the band of positions its rows leave open
-      at some radius, and each radius compares inside its own band,
-      which narrows with the radius.
+      takes its distances to the band of positions its rows leave open at
+      some radius from one BLAS product and the squared row norms, and
+      each radius compares inside its own band, which narrows with the
+      radius. Those distances carry a proven error bound, and every entry
+      whose comparison lies within it of ``-tol`` is compared again on its
+      exact distance, so each comparison is the exact rule's.
 
     A row counts both directions from its own scan: a pair is ordered
     when ``radius * D - |s_i - s_j|`` is below ``-tol``, the rule's
     expression for whichever row scores lower, since the computed
     differences ``s_i - s_j`` and ``s_j - s_i`` are negatives of each
-    other and ``cdist`` is symmetric bit for bit. Every count equals the
-    dense rule's, in O(BALL_BLOCK * n) memory.
+    other and the exact distance is symmetric bit for bit. Every count
+    equals the dense rule's, in O(BALL_BLOCK * n) memory.
     """
     V = np.asarray(V, dtype=np.float64)
     _require_finite(V)
@@ -455,11 +460,13 @@ def screen_ball(V: NDArray[np.float64], center: NDArray[np.float64], radii) -> "
 
     order = np.argsort(scores, kind="stable")
     s, Vs = scores[order], V[order]
+    eps = np.finfo(np.float64).eps
     # Relative slack over the rounding of the norms and distances (about
     # dim + 4 roundings each) and of the few products and sums that form h
     # or meet it.
-    slack = 1.0 + 2 * (dim + 8) * np.finfo(np.float64).eps
-    reach_bound = norms[order] + norms.max(initial=0.0)
+    slack = 1.0 + 2 * (dim + 8) * eps
+    sorted_norms = norms[order]
+    reach_bound = sorted_norms + norms.max(initial=0.0)
     # Per radius and block of score positions, the band the block's rows
     # leave open: every partner before it is surely below each of them,
     # and every partner from its end on surely above.
@@ -471,12 +478,29 @@ def screen_ball(V: NDArray[np.float64], center: NDArray[np.float64], radii) -> "
         hi = np.maximum.reduceat(_strict_cut(s, s, h), starts)
         open_bands.append(zip(lo.tolist(), hi.tolist()))
 
+    # One product gives each block's squared distances |u|^2 + |v|^2 -
+    # 2 u.v: rows [-2u, |u|^2, 1] against columns [v, 1, |v|^2]. Its error:
+    # a dot product errs by at most its length times eps times the sum of
+    # its terms' magnitudes, so the squared norms err by dim eps |u|^2 and
+    # the product by (dim + 2) eps (|u| + |v|)^2, together at most
+    # (2 dim + 2) eps (|u| + |v|)^2; a square root moves by at most the
+    # root of that, and rounds by eps D. The exact distance C (squares
+    # summed over the columns in order) is within (dim + 3) eps (|u| + |v|)
+    # of |u - v|. Hence |D - C| <= 2 sqrt((dim + 4) eps) (|u| + |v|), and a
+    # block bounds |u| + |v| by its rows' largest norm plus its band's.
+    dist_unit = 2.0 * math.sqrt((dim + 4) * eps)
+    score_bound = float(np.abs(s).max(initial=0.0))
+    sq_norms = np.einsum("ij,ij->i", Vs, Vs)
+    ones = np.ones(n)
+    left = np.column_stack([-2.0 * Vs, sq_norms, ones])
+    right = np.column_stack([Vs, ones, sq_norms]).T
     # Scratch that every block reuses, viewed at the block's band width.
     size = min(n, BALL_BLOCK) * n
     dist_buf, gap_buf, margin_buf = np.empty(size), np.empty(size), np.empty(size)
-    ordered_buf = np.empty(size, dtype=bool)
+    ordered_buf, unsure_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     earlier = np.tri(BALL_BLOCK, k=-1, dtype=bool)  # earlier[i, q]: q < i
     later = earlier.T
+    diag = np.arange(BALL_BLOCK)
     count_above = np.zeros((len(tols), n), dtype=np.int64)
     count_below = np.zeros((len(tols), n), dtype=np.int64)
     for p0, bands in zip(starts.tolist(), zip(*open_bands)):
@@ -485,14 +509,32 @@ def screen_ball(V: NDArray[np.float64], center: NDArray[np.float64], radii) -> "
         # Distances and gaps over the union of the radii's bands.
         w0 = min(lo for lo, _ in bands)
         w1 = max(hi for _, hi in bands)
-        D = cdist(Vs[p0:p1], Vs[w0:w1], out=_block(dist_buf, b, w1 - w0))
+        D = np.matmul(left[p0:p1], right[:, w0:w1], out=_block(dist_buf, b, w1 - w0))
+        np.maximum(D, 0.0, out=D)
+        np.sqrt(D, out=D)
+        # A row's distance to itself is exactly 0, as is the exact one.
+        D[diag[:b], p0 - w0 + diag[:b]] = 0.0
+        dist_reach = float(sorted_norms[p0:p1].max() + sorted_norms[w0:w1].max())
         gap = np.subtract(s[p0:p1, None], s[None, w0:w1], out=_block(gap_buf, b, w1 - w0))
         np.abs(gap, out=gap)
         for t, (radius, tol, (lo, hi)) in enumerate(zip(radii, tols, bands)):
             cols = slice(lo - w0, hi - w0)
             margin = np.multiply(D[:, cols], radius, out=_block(margin_buf, b, hi - lo))
             margin -= gap[:, cols]
-            ordered = np.less(margin, -tol, out=_block(ordered_buf, b, hi - lo))
+            # margin + tol has the sign of margin - (-tol): rounding keeps signs.
+            margin += tol
+            ordered = np.less(margin, 0.0, out=_block(ordered_buf, b, hi - lo))
+            # fl(radius * D) - gap is monotone in D, so the exact distance,
+            # within the bound, moves it by at most radius times the bound
+            # plus a few roundings of its terms; doubled for safety.
+            band = 2.0 * (radius * dist_reach * (dist_unit + 4 * eps) + 4 * eps * (2 * score_bound + tol))
+            np.abs(margin, out=margin)
+            unsure = np.less_equal(margin, band, out=_block(unsure_buf, b, hi - lo))
+            unsure[diag[:b], p0 - lo + diag[:b]] = False
+            if unsure.any():
+                ii, jj = np.nonzero(unsure)
+                exact = _row_distances(Vs[p0 + ii], Vs[lo + jj])
+                ordered[ii, jj] = exact * radius - gap[ii, lo - w0 + jj] < -tol
             # A partner before the block, or before the row inside it,
             # scores no higher, so an ordered pair there is one below the
             # row; a partner after it scores no lower.
@@ -508,9 +550,204 @@ def screen_ball(V: NDArray[np.float64], center: NDArray[np.float64], radii) -> "
     ]
 
 
+def _row_distances(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Euclidean distance of each row of A to the same row of B, its
+    squares summed over the columns in order: ``cdist``'s value, bit for
+    bit."""
+    diff = A - B
+    total = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        total += diff[:, k] * diff[:, k]
+    return np.sqrt(total)
+
+
 def _block(buf: NDArray, rows: int, cols: int) -> NDArray:
     """A C-contiguous (rows, cols) view of the front of a flat buffer."""
     return buf[: rows * cols].reshape(rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# Projections and feasibility LPs. The NNLS is NumPy's; SciPy is imported
+# only by the rare calls below, BVLS when NNLS fails on a ball node and
+# HiGHS on the four-or-more-target simplex, so no other run loads it.
+
+# A column joins the NNLS passive set only when its Cholesky pivot on the
+# set exceeds this share of the set's largest: else it is dependent on the
+# set to working precision.
+NNLS_RANK_TOL = 1e-7
+# Passive-set solves NNLS may take per column before it gives up.
+NNLS_SOLVES_PER_COLUMN = 3
+
+
+def nnls(A: NDArray[np.float64], b: NDArray[np.float64], start) -> "tuple[NDArray[np.float64], float]":
+    """Nonnegative least squares, the x >= 0 minimizing |A x - b|.
+
+    The active-set method of Lawson and Hanson (*Solving Least Squares
+    Problems*, 1974) on the normal equations. The column whose gradient
+    ``A^T (b - A x)`` is largest, and beyond that gradient's rounding
+    bound, joins the passive set, whose Cholesky factor grows by one row.
+    As in Lawson and Hanson, a column dependent on the set to working
+    precision, or whose coefficient would not come out positive, is passed
+    over until x next changes. Returns ``(x, rnorm)`` as
+    ``scipy.optimize.nnls`` does.
+
+    ``start`` lists columns to begin from, the support of a nearby
+    problem's solution (empty for a cold start): the ones independent to
+    working precision form the first passive set, which sheds every
+    column whose least-squares coefficient is not positive until all are,
+    a point the method can continue from. A ball node's projection starts
+    from its nearest projected ancestor's support, which it shares but
+    for a column or two.
+
+    The passive sets of the ball's projections hold a handful of columns,
+    so the factor and its solves run on Python floats, which beat NumPy's
+    per-call overhead at that size.
+
+    Raises
+    ------
+    RuntimeError
+        After ``NNLS_SOLVES_PER_COLUMN`` passive-set solves per column, or
+        when a passive set turns rank-deficient, so that its solve would
+        certify nothing.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, n = A.shape
+    AtA = A.T @ A
+    gram = AtA.tolist()
+    Atb = (A.T @ b).tolist()
+    col_norm = np.sqrt(np.diagonal(AtA)).tolist()
+    # The gradient's rounding bound per unit of |b| + sum |a_p| x_p.
+    unit = 10 * max(m, n) * np.finfo(np.float64).eps * max(col_norm)
+    b_norm = float(np.linalg.norm(b))
+    budget = NNLS_SOLVES_PER_COLUMN * n
+    passive: list[int] = []  # in the order the columns joined
+    factor: list[list[float]] = []  # Cholesky rows of the passive normal matrix
+    for j in start:
+        row = _cholesky_row(gram, passive, factor, j)
+        if row is not None:
+            passive.append(j)
+            factor.append(row)
+    z: list[float] = []  # the solution on the passive set
+    while passive:
+        budget -= 1
+        z = _cholesky_solve(factor, [Atb[p] for p in passive])
+        if min(z) > 0:
+            break
+        passive = [p for p, zp in zip(passive, z) if zp > 0]
+        factor = _cholesky(gram, passive)
+        z = []
+        if factor is None:  # a subset of an independent set, up to rounding
+            raise RuntimeError("nnls: rank-deficient passive set")
+    closed = list(passive)  # passive or passed-over columns
+    residual = b - A[:, passive] @ z if passive else b
+    while True:
+        w = A.T @ residual
+        if closed:
+            w[closed] = -np.inf
+        j = int(w.argmax())
+        if not w[j] > unit * (b_norm + sum(col_norm[p] * zp for p, zp in zip(passive, z))):
+            break
+        row = _cholesky_row(gram, passive, factor, j)
+        trial = None if row is None else _cholesky_solve(factor + [row], [Atb[p] for p in passive + [j]])
+        if trial is None or not trial[-1] > 0:
+            closed.append(j)
+            continue
+        passive.append(j)
+        factor.append(row)
+        x = z + [0.0]
+        while True:
+            budget -= 1
+            if budget < 0:
+                raise RuntimeError("nnls: iteration cap reached")
+            if min(trial) > 0:
+                break
+            # Step from x toward the trial solution until the first passive
+            # entry reaches zero, and return the entries at zero to the
+            # active set.
+            alpha, first = min((xk / (xk - tk), k) for k, (xk, tk) in enumerate(zip(x, trial)) if tk <= 0)
+            x = [xk + alpha * (tk - xk) for xk, tk in zip(x, trial)]
+            x[first] = 0.0
+            kept = [k for k, xk in enumerate(x) if xk > 0]
+            passive = [passive[k] for k in kept]
+            x = [x[k] for k in kept]
+            factor = _cholesky(gram, passive)
+            if factor is None:
+                raise RuntimeError("nnls: rank-deficient passive set")
+            trial = _cholesky_solve(factor, [Atb[p] for p in passive])
+        z = trial
+        closed = list(passive)
+        residual = b - A[:, passive] @ z
+    x = np.zeros(n)
+    x[passive] = z
+    return x, float(np.linalg.norm(residual))
+
+
+def _cholesky_row(gram, cols, factor, j) -> "list[float] | None":
+    """The row that column ``j`` adds to the Cholesky factor of the normal
+    matrix on ``cols``, or None when its pivot is not above
+    ``NNLS_RANK_TOL`` times the factor's largest."""
+    row: list[float] = []
+    gram_j = gram[j]
+    for i, p in enumerate(cols):
+        f_i = factor[i]
+        s = gram_j[p]
+        for k in range(i):
+            s -= f_i[k] * row[k]
+        row.append(s / f_i[i])
+    pivot_sq = gram_j[j] - sum(v * v for v in row)
+    if not pivot_sq > 0:
+        return None
+    pivot = math.sqrt(pivot_sq)
+    if pivot <= NNLS_RANK_TOL * max([factor[i][i] for i in range(len(cols))] + [pivot]):
+        return None
+    row.append(pivot)
+    return row
+
+
+def _cholesky(gram, cols) -> "list[list[float]] | None":
+    """The Cholesky factor of the normal matrix on ``cols``, or None when a
+    pivot fails :func:`_cholesky_row`'s test."""
+    factor: list[list[float]] = []
+    for t in range(len(cols)):
+        row = _cholesky_row(gram, cols[:t], factor, cols[t])
+        if row is None:
+            return None
+        factor.append(row)
+    return factor
+
+
+def _cholesky_solve(factor, rhs) -> "list[float]":
+    """Solve ``F F^T z = rhs`` for the lower-triangular rows ``factor``."""
+    k = len(factor)
+    y: list[float] = []
+    for i in range(k):
+        f_i = factor[i]
+        s = rhs[i]
+        for t in range(i):
+            s -= f_i[t] * y[t]
+        y.append(s / f_i[i])
+    z = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        s = y[i]
+        for t in range(i + 1, k):
+            s -= factor[t][i] * z[t]
+        z[i] = s / factor[i][i]
+    return z
+
+
+def lsq_linear(*args, **kwargs):
+    """``scipy.optimize.lsq_linear``, imported when first called."""
+    from scipy.optimize import lsq_linear as bounded_lsq
+
+    return bounded_lsq(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported when first called."""
+    from scipy.optimize import linprog as highs_lp
+
+    return highs_lp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -519,30 +756,105 @@ def _block(buf: NDArray, rows: int, cols: int) -> NDArray:
 # certificate settles it either way) and, when True, a witness point.
 
 
+@dataclass
+class _BallState:
+    """A ball node's region: its halfspace rows, a certified point when one
+    is known, its outer gap ranges, and the support of the nearest NNLS
+    projection on its path, which :meth:`_BallGeom.feasible` updates."""
+
+    rows: tuple
+    witness: "NDArray[np.float64] | None"
+    lo: NDArray[np.float64]
+    hi: NDArray[np.float64]
+    support: list
+
+
 class _BallGeom:
-    """Ball state: the imposed halfspace rows plus, when known, a certified
-    point of the region they cut (inherited from the parent node)."""
+    """The ball's geometry. A node's :class:`_BallState` holds its imposed
+    halfspace rows, a certified point of the region they cut when one is
+    known (inherited from the parent node), and outer gap ranges of the
+    free pairs on that region.
+
+    Over the ball cut by one halfspace ``a . w <= 0``, the extremes of a
+    gap ``g . w`` have a closed form in the plane of g and â = a / |a|.
+    With w = c + x, the cap is |x| <= r, â . x <= b for b = -â . c; write
+    γ = g . â, s = |g - γ â| and ρ = sqrt(r^2 - b^2). The maximum is
+    g . c + r |g| when the ball's own maximizer meets the halfspace
+    (r γ <= b |g|), else g . c + γ b + s ρ, on the cut's disc; the minimum
+    is the same with -g. A child's ranges are its parent's intersected
+    with the new cap's, which bound the gap on the region since it lies
+    in every cap; this is domain propagation in MIP terms (Achterberg,
+    *Constraint Integer Programming*, 2007).
+
+    Rounding: s^2 = |g|^2 - γ^2 and ρ^2 = r^2 - b^2 lose their relative
+    accuracy to cancellation when g is near parallel to â or the cut near
+    tangent, and a square root halves it once more. So each enters its
+    root with its rounding bound added, ``4 (p + 2) eps |g|^2`` and
+    ``4 (p + 2) eps (r^2 + |c|^2)`` in dimension p (a dot product of
+    length p errs by at most p eps times the product of the norms), which
+    only widens the range. The remaining terms err by a few eps of
+    ``|g . c| + r |g|`` (the disc formula applies only where |b| <= r),
+    and by p eps |g| |c| where g . c and b are formed; each bound is
+    padded by ``1e-9 (|g . c| + r |g|) + 1e-12``, far more than the
+    first, plus ``4 (p + 2) eps |g| |c|`` for the second. Where the case
+    test itself rounds the wrong way, the two formulas agree to second
+    order, since the cap's maximum is flat in b where they meet.
+    """
 
     def __init__(self, region: BallRegion, gaps):
         self.gaps = gaps
         self.center = np.asarray(region.center, dtype=np.float64)
         self.radius = float(region.radius)
+        center_norm = float(np.linalg.norm(self.center))
         # Halfspace slack in normalized-gap units; one tie-tolerance band.
-        self.ktol = 1e-9 * (float(np.linalg.norm(self.center)) + self.radius)
+        self.ktol = 1e-9 * (center_norm + self.radius)
+        eps = np.finfo(np.float64).eps
+        dim = self.center.shape[0]
+        self.g_center = gaps @ self.center
+        self.g_sq = np.einsum("ij,ij->i", gaps, gaps)
+        self.g_norm = np.sqrt(self.g_sq)
+        reach = self.radius * self.g_norm
+        rounding = 4 * (dim + 2) * eps
+        self.pad = 1e-9 * (np.abs(self.g_center) + reach) + 1e-12 + rounding * self.g_norm * center_norm
+        self.s_sq_err = rounding * self.g_sq
+        self.rho_sq_err = rounding * (self.radius**2 + center_norm**2)
+        self.ball_lo = self.g_center - reach - self.pad
+        self.ball_hi = self.g_center + reach + self.pad
 
     def root(self):
-        return (), self.center
+        return _BallState(rows=(), witness=self.center, lo=self.ball_lo, hi=self.ball_hi, support=[])
 
     def child(self, state, pair, sign, witness):
-        """The parent's rows plus one more. The parent's certified witness
-        stays certified when it meets the new halfspace within the tie
-        band ``_certify`` accepts. Sibling halfspaces are opposite, so at
-        least one of the two always inherits."""
-        rows, _ = state
+        """The parent's rows plus one more, and the parent's gap ranges cut
+        to the new halfspace's cap. The parent's certified witness stays
+        certified when it meets the new halfspace within the tie band
+        ``_certify`` accepts. Sibling halfspaces are opposite, so at least
+        one of the two always inherits."""
         halfspace_row = sign * self.gaps[pair]
+        rows = state.rows + (halfspace_row,)
         norm = float(np.linalg.norm(halfspace_row))
-        slack = float((halfspace_row / norm) @ witness) if norm > 0 else 0.0
-        return rows + (halfspace_row,), (witness if slack <= self.ktol else None)
+        if norm == 0:  # 0 <= 0 holds everywhere
+            return _BallState(rows=rows, witness=witness, lo=state.lo, hi=state.hi, support=state.support)
+        unit = halfspace_row / norm
+        slack = float(unit @ witness)
+        b = -float(unit @ self.center)
+        r = self.radius
+        rho = math.sqrt(max(r * r - b * b, 0.0) + self.rho_sq_err)
+        gamma = self.gaps @ unit
+        s = np.sqrt(np.maximum(self.g_sq - gamma * gamma, 0.0) + self.s_sq_err)
+        disc_mid = self.g_center + gamma * b
+        disc_half = s * rho + self.pad
+        r_gamma = r * gamma
+        b_norm = b * self.g_norm
+        cap_hi = np.where(r_gamma <= b_norm, self.ball_hi, disc_mid + disc_half)
+        cap_lo = np.where(-r_gamma <= b_norm, self.ball_lo, disc_mid - disc_half)
+        return _BallState(
+            rows=rows,
+            witness=witness if slack <= self.ktol else None,
+            lo=np.maximum(state.lo, cap_lo),
+            hi=np.minimum(state.hi, cap_hi),
+            support=state.support,
+        )
 
     def _certify(self, An, lam):
         """Try both one-sided certificates for a candidate multiplier.
@@ -577,24 +889,26 @@ class _BallGeom:
         """Ball-cone intersection test via polar projection, certified.
 
         An inherited witness answers at once. Otherwise columns are
-        normalized so the multipliers stay tame and the compiled
-        Lawson-Hanson NNLS projects the center onto the polar cone. BVLS
-        is the fallback when NNLS hits its iteration cap or its multipliers
-        certify neither side. Either way the answer is accepted only with
-        its certificate, and a cone that defeats both solvers is undecided
-        (None) instead of guessed.
+        normalized so the multipliers stay tame and the Lawson-Hanson
+        :func:`nnls` projects the center onto the polar cone. BVLS is the
+        fallback when NNLS raises (its iteration cap, or a rank-deficient
+        passive set) or its multipliers certify neither side. Either way
+        the answer is accepted only with its certificate, and a cone that
+        defeats both solvers is undecided (None) instead of guessed. NNLS
+        starts from the support of the nearest projection on the node's
+        path, and leaves its own for the node's children.
         """
-        rows, witness = state
-        if witness is not None:
-            return True, witness
-        A_T = np.column_stack(rows)  # (p, m)
+        if state.witness is not None:
+            return True, state.witness
+        A_T = np.column_stack(state.rows)  # (p, m)
         norms = np.linalg.norm(A_T, axis=0)
         An = A_T / np.where(norms > 0, norms, 1.0)
         try:
-            lam, _ = nnls(An, self.center)
-        except RuntimeError:  # iteration cap
+            lam, _ = nnls(An, self.center, state.support)
+        except RuntimeError:
             verdict = None
         else:
+            state.support = np.flatnonzero(lam > 0).tolist()
             verdict, point = self._certify(An, lam)
         if verdict is None:
             res = lsq_linear(An, self.center, bounds=(0.0, np.inf), method="bvls", tol=1e-14)
@@ -602,7 +916,9 @@ class _BallGeom:
         return verdict, point
 
     def free_ranges(self, state, ids):
-        return None  # no cheap exact refinement inside the cone
+        """Outer gap ranges on the node's region; None at the root, whose
+        ranges are the presolve's and order the pairs statically."""
+        return (state.lo[ids], state.hi[ids]) if state.rows else None
 
 
 class _IntervalGeom:
@@ -751,9 +1067,10 @@ def _make_geom(region, tol, gaps):
     gap units (the ball keeps its own tie band). ``gaps`` holds the free
     pairs' gap rows in static order; ``child(state, pair, sign, witness)``
     adds the halfspace ``sign * gaps[pair] @ param <= 0``, and
-    ``free_ranges(state, ids)`` gives the exact gap ranges of the listed
-    pairs on a node's region, or None when the geometry has no cheap
-    exact refinement."""
+    ``free_ranges(state, ids)`` gives gap ranges of the listed pairs that
+    contain their values on a node's region (exact on the interval and the
+    polygon, outer on the ball), or None when the node has no ranges of
+    its own."""
     if isinstance(region, BallRegion):
         return _BallGeom(region, gaps)
     if isinstance(region, SimplexRegion):
@@ -843,9 +1160,11 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
     # Root presolve: orientations forced by a sign-definite gap range.
     forced1 = glo > tol_forced
     forced0 = ghi < -tol_forced
-    gap_norm = np.max(np.abs(G), axis=1) if P else np.zeros(0)
-    wild = gap_norm <= 1e-12 * scale  # identical score vectors; never constrains
     free = ~(forced1 | forced0)
+    # Identical score vectors; never constrains. Only free pairs read it, so
+    # it is reduced over those alone, column by column.
+    wild = np.zeros(P, dtype=bool)
+    wild[free] = functools.reduce(np.maximum, np.abs(G[free]).T) <= 1e-12 * scale
     # A wild pair touching exactly one objective row is greedy: its loss
     # goes onto that row when a loss helps, else onto the other end. Wild
     # pairs between two group rows are genuinely combinatorial and stay.
@@ -944,8 +1263,8 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
         region and drop them from the node's open pairs. Forced halfspaces
         are redundant there, so the region state stays put and one pass
         suffices. Returns the unevenness of each remaining open pair's gap
-        range on the region, or None when the geometry has no exact ranges
-        (the node then branches in static order)."""
+        range on the region, or None when the node has no ranges of its own
+        (it then branches in static order)."""
         if not node.open.shape[0]:
             return None
         ranges = geom.free_ranges(node.region_state, node.open)
@@ -953,7 +1272,9 @@ def solve(inst: MipInstance, config: SolverConfig | None = None) -> MipSolution:
             return None
         r_lo, r_hi = ranges
         hit1 = r_lo > tol_forced
-        hit0 = r_hi < -tol_forced
+        # Outer ranges cross only on a node whose exact region is empty,
+        # accepted within the tie band; force such a pair once.
+        hit0 = (r_hi < -tol_forced) & ~hit1
         hit = hit1 | hit0
         if hit.any():
             node.losses += charge(node.open[hit1], node.open[hit0])

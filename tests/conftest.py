@@ -70,6 +70,16 @@ def random_design(rng, n, d):
     return Q * signs
 
 
+def stacked_design(seed, half, p):
+    """A one-decimal design stacked on itself and run through QR, with a
+    one-decimal target: the copies of a row differ only by rounding, so a
+    score product of another shape can order them the other way."""
+    rng = np.random.default_rng(seed)
+    A = np.round(rng.normal(size=(half, p)), 1)
+    Q = np.linalg.qr(np.column_stack([np.ones(2 * half), np.vstack([A, A])]))[0]
+    return Q, np.round(rng.normal(size=2 * half), 1)
+
+
 def rank_attained(V, w, row, sense, rank):
     """Whether scores ``V @ w`` give ``row`` the rank ``rank`` or one
     further in the sense's direction once scores tied within a 1e-8

@@ -4,6 +4,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -866,7 +869,7 @@ def test_budget_exhaustion_still_writes(table, tmp_path):
 def test_undecided_ball_nodes_exit_4_not_1(table, tmp_path, monkeypatch):
     """A ball node that no certificate settles ends its query undecided;
     the curve is still written and the run exits 4 instead of raising."""
-    monkeypatch.setattr(solver, "nnls", lambda A, b: (np.zeros(A.shape[1]), 0.0))
+    monkeypatch.setattr(solver, "nnls", lambda A, b, start: (np.zeros(A.shape[1]), 0.0))
     monkeypatch.setattr(
         solver, "lsq_linear", lambda A, b, **kw: SimpleNamespace(x=np.zeros(A.shape[1]))
     )
@@ -1259,3 +1262,47 @@ def test_bad_synth_flags_are_usage_errors(tmp_path, capsys, n, b, message):
     assert error["exit_code"] == EXIT_USAGE
     assert error["message"].startswith(f"--n {n} --b {float(b)}: {message}")
     assert not out.exists()
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+
+from topkflip import solver
+from topkflip.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), ("import", scipy_modules())
+projections = []
+nnls = solver.nnls
+solver.nnls = lambda *a, **k: projections.append(1) or nnls(*a, **k)
+data, out = sys.argv[1], sys.argv[2]
+targets = "cost_t,cost_avoidable_t,gagne_sum_t"
+runs = [
+    ["ambiguity-single", "--target", "gagne_sum_t", "--drop-regex", "^cost(_avoidable)?_t$",
+     "--kappa", "10%", "--epsilons", "0.02,0.1", "--out", out + "/c.csv"],
+    ["ambiguity-multi", "--targets", targets, "--kappa", "10%", "--out", out + "/b.jsonl"],
+    ["fairness-range", "--targets", targets, "--group", "black", "--kappa", "10%",
+     "--direction", "both", "--out", out + "/f.json"],
+]
+for argv in runs:
+    assert main(argv[:1] + ["--data", data] + argv[1:]) == 0, argv[0]
+    assert not scipy_modules(), (argv[0], scipy_modules())
+assert projections  # the curve ran ball projections
+"""
+
+
+def test_workload_commands_never_import_scipy(tmp_path):
+    """SciPy serves only the BVLS fallback and blends of four or more
+    targets. A fresh interpreter that imports the CLI, then runs the ball
+    curve with a dropped column, a three-target blend and a group range,
+    loads no scipy module at any point."""
+    data = tmp_path / "clinical.csv"
+    write_csv(generate_clinical(n=400), data)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(data), str(tmp_path)],
+        env=env, check=True, timeout=300,
+    )

@@ -489,6 +489,41 @@ def test_orthonormalize_keeps_a_near_collinear_column_orthonormal():
     fit_ols(q.features, y)
 
 
+def test_pivot_order_matches_lapack_pivoted_qr():
+    """The NumPy pivoting picks LAPACK's columns: on seeded designs with
+    collinear columns (exact combinations, a 1e-9 near repeat, one-decimal
+    rounding), the kept pivot order and the kept count under
+    ``PIVOT_DROP_REL_TOL`` equal ``scipy.linalg.qr(..., pivoting=True)``'s,
+    and the kept pivot magnitudes agree to 1e-8."""
+    import scipy.linalg
+
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n, k = int(rng.integers(5, 200)), int(rng.integers(1, 12))
+        A = rng.normal(size=(n, k)) * rng.uniform(0.01, 100.0, size=k)
+        if k > 2 and trial % 2:
+            A[:, k - 1] = 2 * A[:, 0] - A[:, 1]
+        if k > 3 and trial % 3 == 0:
+            A[:, 2] = 3 * A[:, 1] + A[:, 0]
+        if k > 4 and trial % 7 == 0:
+            A[:, 4] = A[:, 3] + 1e-9 * rng.normal(size=n)
+        if trial % 5 == 0:
+            A = np.round(A, 1)
+        A -= A.mean(axis=0)
+        R, want_piv = scipy.linalg.qr(A, mode="r", pivoting=True)
+        want = np.abs(np.diag(R))
+        piv, got = dataset._pivot_order(A)
+
+        def kept(diag):
+            largest = max(float(diag.max(initial=0.0)), np.sqrt(n))
+            return int(np.sum(diag >= dataset.PIVOT_DROP_REL_TOL * largest))
+
+        keep = kept(want)
+        assert kept(got) == keep, trial
+        assert piv[:keep].tolist() == want_piv[:keep].tolist(), trial
+        np.testing.assert_allclose(got[:keep], want[:keep], rtol=1e-8)
+
+
 def test_column_filters(table):
     ds, _ = table
     dropped = drop_columns_matching(ds, ["visits"])

@@ -16,7 +16,7 @@ from topkflip.rashomon_single import (
 )
 from topkflip.solver import BallRegion, PruneResult, SimplexRegion, SolverConfig, screen_membership
 
-from conftest import assert_reports_equal, random_design, rank_attained
+from conftest import assert_reports_equal, random_design, rank_attained, stacked_design
 
 
 def test_screen_bounds_hold_at_sampled_ball_points(rng):
@@ -148,16 +148,6 @@ def test_status_mode_matches_exact_verdicts(rng):
         assert f.min_rank <= s.min_rank and f.max_rank >= s.max_rank
 
 
-def _stacked_design(seed, half, p):
-    """A one-decimal design stacked on itself and run through QR, with a
-    one-decimal target: the copies of a row differ only by rounding, so a
-    score product of another shape can order them the other way."""
-    rng = np.random.default_rng(seed)
-    A = np.round(rng.normal(size=(half, p)), 1)
-    Q = np.linalg.qr(np.column_stack([np.ones(2 * half), np.vstack([A, A])]))[0]
-    return Q, np.round(rng.normal(size=2 * half), 1)
-
-
 def test_witnesses_live_in_the_ball_and_realize_flips(rng):
     """Pool witnesses realize the flip outright under the baseline's own
     product. MIP witnesses, in status and exact mode, move their row
@@ -170,8 +160,8 @@ def test_witnesses_live_in_the_ball_and_realize_flips(rng):
     y = rng.normal(size=20)
     cases = [
         (X, y, 0.3, 5),
-        (*_stacked_design(1, 21, 2), 0.0, 21),
-        (*_stacked_design(46, 21, 3), 0.3, 21),
+        (*stacked_design(1, 21, 2), 0.0, 21),
+        (*stacked_design(46, 21, 3), 0.3, 21),
     ]
     seen = {"closed_form_flip": 0, "mip_certified": 0}
 

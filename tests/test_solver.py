@@ -5,6 +5,7 @@ independent (if only probabilistic) route to the same extremes; the
 exact-oracle comparisons live with the acceptance checks.
 """
 
+import decimal
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -31,7 +32,7 @@ from topkflip.solver import (
     solve,
 )
 
-from conftest import fail_lps_after_the_first, random_design, rank_attained
+from conftest import fail_lps_after_the_first, random_design, rank_attained, stacked_design
 
 
 def _sampled_rank_range(V, centers, focal, kappa=None):
@@ -237,11 +238,11 @@ def test_ball_children_inherit_the_parent_witness(monkeypatch):
     assert len(calls) < 0.75 * nodes
 
 
-def _nnls_hits_its_cap(A, b):
+def _nnls_hits_its_cap(A, b, start):
     raise RuntimeError("Maximum number of iterations reached.")
 
 
-def _nnls_certifies_nothing(A, b):
+def _nnls_certifies_nothing(A, b, start):
     return np.zeros(A.shape[1]), float(np.linalg.norm(b))
 
 
@@ -253,6 +254,138 @@ def test_ball_projection_falls_back_to_bvls(broken, monkeypatch):
     calls = _counting(monkeypatch, "lsq_linear")
     _two_column_ball_solves()
     assert calls
+
+
+def _nnls_problems(rng):
+    """Seeded NNLS problems at scales 1e-3 to 1e3: wide ones, and tall ones
+    with more rows than columns; some repeat a column, some end in a zero
+    column."""
+    for trial in range(300):
+        m, n = int(rng.integers(1, 13)), int(rng.integers(1, 30))
+        if trial % 2:
+            m = n + int(rng.integers(1, 8))
+        A = rng.normal(size=(m, n)) * 10.0 ** int(rng.integers(-3, 4))
+        if n > 2 and trial % 3 == 0:
+            A[:, 1] = A[:, 0]
+        if trial % 5 == 0:
+            A[:, -1] = 0.0
+        yield A, rng.normal(size=m)
+
+
+def test_nnls_matches_scipy(rng):
+    """The NumPy Lawson-Hanson NNLS projects as SciPy's does, from a cold
+    start and from any start: ``A @ x`` agrees within 1e-10 of the
+    problem's scale ``| |b| + |A| x |``, which is ``|b|``'s order on the
+    tall problems."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    for A, b in _nnls_problems(rng):
+        want, _ = scipy_nnls(A, b)
+        scale = np.linalg.norm(np.abs(b) + np.abs(A) @ want)
+        n = A.shape[1]
+        some = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+        for start in ((), some, np.flatnonzero(want > 0).tolist()):
+            x, rnorm = solver.nnls(A, b, start)
+            assert x.shape == want.shape and (x >= 0).all()
+            assert np.linalg.norm(A @ x - A @ want) <= 1e-10 * scale
+            assert abs(rnorm - np.linalg.norm(A @ x - b)) <= 1e-12 * scale
+
+
+def test_nnls_fails_only_with_runtime_error(monkeypatch):
+    """Rank-deficient passive sets are never solved: a column dependent on
+    the set is passed over, so singular problems still project, and what
+    cannot be solved raises RuntimeError, the one error the ball's BVLS
+    fallback catches, never LinAlgError."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    b = np.array([1.0, 2.0, 3.0])
+    rank_one = np.outer(np.array([1.0, 2.0, 2.5]), np.array([1.0, 2.0, 2.0, 3.0]))
+    for A in (np.zeros((3, 4)), np.ones((3, 5)), rank_one, np.hstack([np.eye(3), np.eye(3)])):
+        x, _ = solver.nnls(A, b, ())
+        assert np.allclose(A @ x, A @ scipy_nnls(A, b)[0], rtol=0, atol=1e-12)
+    # Four unit columns spanning the plane need more than one solve.
+    A = np.array([[1.0, 0.0, 1.0, -1.0], [0.0, 1.0, 1.0, 1.0]])
+    monkeypatch.setattr(solver, "NNLS_SOLVES_PER_COLUMN", 0.25)
+    with pytest.raises(RuntimeError):
+        solver.nnls(A, np.array([1.0, 3.0]), ())
+
+
+def _exact_cap_range(g, a, center, r):
+    """The gap g's range over the ball around ``center`` of radius r cut by
+    a . w <= 0, from the closed form evaluated in 50 decimal digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = [list(map(decimal.Decimal, map(float, v))) for v in (g, a, center)]
+        g, a, c = D
+        r = decimal.Decimal(float(r))
+
+        def dot(u, v):
+            return sum(x * y for x, y in zip(u, v))
+
+        a_norm = dot(a, a).sqrt()
+        b = -dot(a, c) / a_norm
+        gamma = dot(g, a) / a_norm
+        g_norm = dot(g, g).sqrt()
+        s = max(dot(g, g) - gamma * gamma, decimal.Decimal(0)).sqrt()
+        rho = max(r * r - b * b, decimal.Decimal(0)).sqrt()
+        mid = dot(g, c)
+        hi = mid + (r * g_norm if r * gamma <= b * g_norm else gamma * b + s * rho)
+        lo = mid - (r * g_norm if -r * gamma <= b * g_norm else -gamma * b + s * rho)
+        return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_cap_ranges_contain_the_brute_force_extremes(dim):
+    """A ball node cut by one halfspace bounds each gap by its range over
+    the cap. The range contains the gap's extremes over the cap, found by
+    brute force over the cap's extreme points (sampled points of its
+    sphere inside the halfspace and of the rim of its cut), and is tight
+    up to the sampling. Tangent cuts (b = +-r, the whole ball or a single
+    point) and gaps parallel to the cut's normal are included."""
+    rng = np.random.default_rng(20 + dim)
+    if dim == 2:
+        t = np.linspace(0.0, 2 * np.pi, 20_001)
+        sphere = np.column_stack([np.cos(t), np.sin(t)])
+    else:
+        k = np.arange(40_000) + 0.5  # a Fibonacci lattice on the sphere
+        z = 1 - 2 * k / k.shape[0]
+        t = np.pi * (1 + 5**0.5) * k
+        sphere = np.column_stack([np.sqrt(1 - z * z) * np.cos(t), np.sqrt(1 - z * z) * np.sin(t), z])
+    for trial in range(40):
+        r = float(rng.uniform(0.2, 2.0))
+        a = rng.normal(size=dim)
+        a /= np.linalg.norm(a)
+        b = {0: r, 1: -r}.get(trial % 5, float(rng.uniform(-0.95, 0.95)) * r)
+        perp = rng.normal(size=dim)
+        perp -= (perp @ a) * a
+        center = -b * a + perp * rng.uniform(0.0, 3.0)
+        G = rng.normal(size=(10, dim))
+        G[0] = 1.7 * a  # parallel to the normal, against it, and nearly so
+        G[1] = -0.4 * a
+        G[2] = a + 1e-8 * perp / max(np.linalg.norm(perp), 1e-300)
+        G = np.vstack([G, a])  # the halfspace a . w <= 0 is pair 10's
+        geom = solver._BallGeom(BallRegion(center=center, radius=r), G)
+        cut = geom.child(geom.root(), 10, 1.0, center)
+        lo, hi = cut.lo, cut.hi
+        # The closed form in 50 digits is the exact range: the float one
+        # must contain it, near-parallel rows and near-tangent cuts included.
+        for g, g_lo, g_hi in zip(G, lo, hi):
+            want_lo, want_hi = _exact_cap_range(g, a, center, r)
+            assert g_lo <= want_lo and g_hi >= want_hi, trial
+        # Extreme points of the cap, as offsets x from the center.
+        rho = np.sqrt(max(r * r - b * b, 0.0))
+        rim_dirs = np.linalg.svd(a[None, :])[2][1:]  # orthonormal, normal to a
+        if dim == 2:
+            rim = b * a + rho * np.array([rim_dirs[0], -rim_dirs[0]])
+        else:
+            u = np.linspace(0.0, 2 * np.pi, 4_001)
+            rim = b * a + rho * (np.outer(np.cos(u), rim_dirs[0]) + np.outer(np.sin(u), rim_dirs[1]))
+        inside = r * sphere[r * sphere @ a <= b]
+        vals = (center + np.vstack([rim, inside])) @ G.T
+        scale = np.abs(G @ center) + r * np.linalg.norm(G, axis=1)
+        assert (lo <= vals.min(axis=0)).all() and (hi >= vals.max(axis=0)).all(), trial
+        assert (vals.min(axis=0) - lo <= 1e-4 * scale).all(), trial
+        assert (hi - vals.max(axis=0) <= 1e-4 * scale).all(), trial
 
 
 def _certify_nothing(monkeypatch):
@@ -547,6 +680,24 @@ def test_band_screen_matches_the_dense_rule(n, scale, rng):
     assert (wide.outer_min == 1).all() and (wide.outer_max == n).all()
 
 
+def test_band_screen_decides_near_duplicates_on_exact_distances(rng, monkeypatch):
+    """Near-duplicate rows put distances near zero, where the BLAS
+    product's distances are only about sqrt(eps) accurate and the rule's
+    edge lies within that error. Those comparisons are made again on the
+    exact distance, so every count still equals the dense ``cdist`` rule's:
+    on one-decimal rows repeated with a 1e-9 jitter, and on the stacked
+    design, whose copies of a row differ by QR rounding alone."""
+    calls = _counting(monkeypatch, "_row_distances")
+    V = np.round(rng.normal(size=(3 * solver.BALL_BLOCK, 4)), 1)
+    V[::3] = V[1::3] + 1e-9 * rng.normal(size=V[1::3].shape)
+    center = rng.normal(size=4)
+    _assert_ball_screen_is_dense(V, center, (0.0, 1e-9, 0.02, 0.3), (1, 10, V.shape[0]))
+    Q, y = stacked_design(0, 60, 4)
+    center = Q.T @ y
+    _assert_ball_screen_is_dense(Q, center, (0.0, 0.01, 0.5), (1, 12, 60))
+    assert calls  # the exact path ran
+
+
 def test_band_screen_cuts_exactly_at_the_tolerance(rng):
     """Pairs on the edge of either rule are counted as the dense rule
     counts them, with each edge pair split across two blocks so that only
@@ -582,14 +733,19 @@ def test_band_screen_cuts_exactly_at_the_tolerance(rng):
 
 
 def test_cdist_is_symmetric_bit_for_bit(rng):
-    """The ball screen reads each pair's distance from one row's scan only,
-    so it relies on ``cdist(A, B) == cdist(B, A).T`` bit for bit, and on
-    each entry not depending on the other rows of the call."""
+    """The ball screen reads each pair's distance from one row's scan only
+    and re-forms a distance near the rule's edge exactly, so it relies on
+    that exact distance equalling ``cdist``'s bit for bit, on
+    ``cdist(A, B) == cdist(B, A).T`` bit for bit, and on each entry not
+    depending on the other rows of the call."""
     for dim in (1, 3, 11, 40):
         A = rng.normal(size=(37, dim)) * 10.0 ** rng.integers(-6, 7, size=(37, 1))
         B = rng.normal(size=(29, dim))
         assert np.array_equal(cdist(A, B), cdist(B, A).T)
         assert np.array_equal(cdist(A, A)[5:20, 11:30], cdist(A[5:20], A[11:30]))
+        i, j = (g.ravel() for g in np.indices((37, 29)))
+        assert np.array_equal(solver._row_distances(A[i], B[j]).reshape(37, 29), cdist(A, B))
+        assert np.array_equal(solver._row_distances(B[j], A[i]).reshape(37, 29), cdist(A, B))
 
 
 def test_screen_memory_stays_linear_in_rows():
@@ -722,11 +878,11 @@ PINNED_SEARCH = {
     (0, 'ball', 'rank', 'min'): ('optimal', 1, 1, 23, 0, 11),
     (0, 'ball', 'group', 'min'): ('optimal', 0, 0, 71, 0, 56),
     (0, 'ball', 'rank', 'max'): ('optimal', 12, 12, 23, 0, 11),
-    (0, 'ball', 'group', 'max'): ('optimal', 7, 7, 145, 0, 56),
-    (1, 'ball', 'rank', 'min'): ('optimal', 1, 1, 23, 0, 11),
-    (1, 'ball', 'group', 'min'): ('optimal', 0, 0, 71, 6, 15),
-    (1, 'ball', 'rank', 'max'): ('optimal', 12, 12, 17, 0, 11),
-    (1, 'ball', 'group', 'max'): ('optimal', 1, 1, 25, 6, 15),
+    (0, 'ball', 'group', 'max'): ('optimal', 7, 7, 143, 0, 56),
+    (1, 'ball', 'rank', 'min'): ('optimal', 1, 1, 11, 0, 11),
+    (1, 'ball', 'group', 'min'): ('optimal', 0, 0, 5, 6, 15),
+    (1, 'ball', 'rank', 'max'): ('optimal', 12, 12, 9, 0, 11),
+    (1, 'ball', 'group', 'max'): ('optimal', 1, 1, 3, 6, 15),
     (2, 'interval', 'rank', 'min'): ('optimal', 2, 2, 3, 10, 5),
     (2, 'interval', 'group', 'min'): ('optimal', 4, 4, 15, 40, 44),
     (2, 'interval', 'rank', 'max'): ('optimal', 4, 4, 9, 10, 5),
@@ -777,16 +933,16 @@ PINNED_VERDICTS = {
     (0, 'ball', 'max', 4): ('optimal', 11, 12, 1),
     (0, 'ball', 'max', 6): ('optimal', 11, 12, 1),
     (0, 'ball', 'max', 11): ('budget_exhausted', 11, 12, 5),
-    (1, 'ball', 'min', 1): ('budget_exhausted', 5, 1, 5),
-    (1, 'ball', 'min', 2): ('budget_exhausted', 5, 1, 5),
-    (1, 'ball', 'min', 4): ('budget_exhausted', 5, 1, 5),
-    (1, 'ball', 'min', 6): ('optimal', 6, 1, 4),
+    (1, 'ball', 'min', 1): ('budget_exhausted', 2, 1, 5),
+    (1, 'ball', 'min', 2): ('optimal', 2, 1, 5),
+    (1, 'ball', 'min', 4): ('optimal', 4, 1, 3),
+    (1, 'ball', 'min', 6): ('optimal', 4, 1, 3),
     (1, 'ball', 'min', 11): ('optimal', 9, 1, 1),
     (1, 'ball', 'max', 1): ('optimal', 9, 12, 1),
     (1, 'ball', 'max', 2): ('optimal', 9, 12, 1),
     (1, 'ball', 'max', 4): ('optimal', 9, 12, 1),
     (1, 'ball', 'max', 6): ('optimal', 9, 12, 1),
-    (1, 'ball', 'max', 11): ('budget_exhausted', 9, 12, 5),
+    (1, 'ball', 'max', 11): ('optimal', 12, 12, 5),
     (2, 'interval', 'min', 1): ('optimal', 2, 2, 3),
     (2, 'interval', 'min', 2): ('optimal', 2, 2, 2),
     (2, 'interval', 'min', 5): ('optimal', 3, 1, 1),

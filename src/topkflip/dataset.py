@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
-import io
 import re
 from dataclasses import dataclass
 
@@ -151,6 +149,10 @@ def assign_splits(row_ids: "tuple[str, ...] | list[str]", seed: int) -> NDArray:
     The hash covers the seed, so different seeds give different partitions
     while any one (seed, row_id) pair is stable across platforms and runs.
     """
+    # Imported here: tables with a split column, every workload's among
+    # them, never load OpenSSL.
+    import hashlib
+
     tags = np.empty(len(row_ids), dtype="<U7")
     for i, rid in enumerate(row_ids):
         digest = hashlib.sha256(f"{seed}:{rid}".encode()).digest()
@@ -189,41 +191,108 @@ def _is_float(cell: str) -> bool:
 # but float() refuses such a cell, so a body holding one is read row by row.
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
+# The bulk parse reads the body from the file in pieces of this many
+# characters, so no copy of the whole body is ever held.
+_CHUNK_CHARS = 1 << 20
 
-def _read_body(body: str, header, features, targets, path) -> np.ndarray:
-    """Parse the data rows into a structured array with one field per
-    header column, ``f0``, ``f1``, ... in header order: float64 for the
-    feature and target columns, str objects for the reserved ones.
+
+class _Refused(Exception):
+    """The body holds what the bulk parse must not read."""
+
+
+class _BodyLines:
+    """The body's lines, read from ``fh`` in ``_CHUNK_CHARS`` pieces and
+    split at ``"\\n"`` as iterating ``io.StringIO(body)`` splits them.
+
+    Each piece is checked whole before any of its lines is handed on, and
+    ``_Refused`` ends the iteration at a piece holding a
+    ``_NUMPY_ONLY_SPACE`` separator or a comma-free stretch of half csv's
+    field limit, or at the end of a body with no non-blank line. A cell over
+    the limit holding no comma is such a stretch: the run of characters
+    since the last comma is carried across pieces, so a stretch that spans
+    pieces and lines is caught too. ``quoted`` says whether a quote appeared.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.quoted = False
+
+    def __iter__(self):
+        size = max(1, csv.field_size_limit() // 2)
+        run = 0  # characters since the last comma
+        blank = True
+        head = []  # the pieces of the line still open
+        while chunk := self.fh.read(_CHUNK_CHARS):
+            if any(ch in chunk for ch in _NUMPY_ONLY_SPACE):
+                raise _Refused
+            first = chunk.find(",")
+            if first < 0:
+                run += len(chunk)
+            else:
+                # Between the first and last comma, any stretch of 2 * size - 1
+                # characters covers one of these blocks of size.
+                last = chunk.rfind(",")
+                if run + first >= size or any(
+                    chunk.find(",", i, i + size) < 0 for i in range(first + 1, last - size + 1, size)
+                ):
+                    raise _Refused
+                run = len(chunk) - 1 - last
+            if run >= size:
+                raise _Refused
+            self.quoted = self.quoted or '"' in chunk
+            blank = blank and chunk.isspace()
+            lines = chunk.split("\n")
+            head.append(lines[0])
+            if len(lines) > 1:
+                lines[0] = "".join(head)
+                head = [lines.pop()]
+                yield from [line + "\n" for line in lines]
+        if blank:
+            raise _Refused
+        tail = "".join(head)
+        if tail:
+            yield tail
+
+
+def _read_body(fh, header, features, targets, path) -> np.ndarray:
+    """Parse the data rows that follow the header in the open file ``fh``
+    into a structured array with one field per header column, ``f0``,
+    ``f1``, ... in header order: float64 for the feature and target
+    columns, str objects for the reserved ones.
 
     One ``np.loadtxt`` call reads most tables in the grammar ``load_csv``
-    documents. The rest go row by row through ``csv.reader`` and
-    ``float()``: a body NumPy refuses, an empty one, and one holding a
-    ``_NUMPY_ONLY_SPACE`` separator or a cell over csv's field limit.
-    That path also accepts ``1_000``, Unicode digits and lone ``\\r``
-    line ends, and it names the first bad row of a body no reader accepts.
+    documents, streamed from the file through ``_BodyLines``, so no copy
+    of the whole body is held. The rest are read again from the start of
+    the file, row by row through ``csv.reader`` and ``float()``: a body
+    NumPy refuses, a blank one, and one holding a ``_NUMPY_ONLY_SPACE``
+    separator or a cell over csv's field limit. That path also accepts
+    ``1_000``, Unicode digits and lone ``\\r`` line ends, and it names the
+    first bad row of a body no reader accepts.
     """
     dtype = np.dtype(
         [(f"f{j}", object if name in RESERVED_COLUMNS else np.float64) for j, name in enumerate(header)]
     )
-    if body.strip() and not any(ch in body for ch in _NUMPY_ONLY_SPACE) and not _long_stretch(body):
-        try:
-            table = np.loadtxt(
-                io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-        except ValueError:
-            pass
-        else:
-            # A quoted reserved cell may hold commas: check its parsed length.
-            # With no quote, every cell is a comma-free stretch, and
-            # ``_long_stretch`` already sent any over the limit row by row.
-            limit = csv.field_size_limit()
-            reserved = [f"f{j}" for j, name in enumerate(header) if name in RESERVED_COLUMNS]
-            if '"' not in body or not any(len(cell) > limit for f in reserved for cell in table[f]):
-                _check_row_count(len(table), path)
-                return table
+    lines = _BodyLines(fh)
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except UnicodeDecodeError:
+        raise  # not a refusal: the file is not UTF-8
+    except (_Refused, ValueError):
+        pass
+    else:
+        # A quoted reserved cell may hold commas: check its parsed length.
+        # With no quote, every cell is a comma-free stretch, and
+        # ``_BodyLines`` already refused any over the limit.
+        limit = csv.field_size_limit()
+        reserved = [f"f{j}" for j, name in enumerate(header) if name in RESERVED_COLUMNS]
+        if not lines.quoted or not any(len(cell) > limit for f in reserved for cell in table[f]):
+            _check_row_count(len(table), path)
+            return table
 
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)  # the header, read once already
     rows, refused = [], []
-    reader = csv.reader(io.StringIO(body, newline=""))
     while True:
         try:
             row = next(reader, None)
@@ -261,17 +330,30 @@ def _read_body(body: str, header, features, targets, path) -> np.ndarray:
     return table
 
 
-def _long_stretch(body: str) -> bool:
-    """Whether ``body`` may hold a comma-free stretch, such as a cell NumPy
-    parses as a number (it may span lines), over csv's field limit: any
-    such stretch covers an aligned block of half the limit with no comma."""
-    size = max(1, csv.field_size_limit() // 2)
-    return any(body.find(",", i, i + size) < 0 for i in range(0, len(body) - size + 1, size))
-
-
 def _check_row_count(n: int, path) -> None:
     if n < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {n}")
+
+
+def _feature_columns(header, targets, path) -> "tuple[str, ...]":
+    """The header's feature columns, once the header fits the layout."""
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: column name(s) {repeated} repeat in the header")
+    missing = [t for t in targets if t not in header]
+    if missing:
+        raise SchemaError(f"{path}: target column(s) {missing} not in header")
+    reserved = [t for t in targets if t in RESERVED_COLUMNS]
+    if reserved:
+        raise SchemaError(f"{path}: target column(s) {reserved} are reserved {RESERVED_COLUMNS}")
+    if "group" not in header:
+        raise SchemaError(f"{path}: expected a 'group' column")
+    features = tuple(c for c in header if c not in targets and c not in RESERVED_COLUMNS)
+    if not features:
+        raise SchemaError(f"{path}: no feature columns left after reserving {RESERVED_COLUMNS}")
+    if INTERCEPT_NAME in features:
+        raise SchemaError(f"{path}: {INTERCEPT_NAME!r} is a reserved feature name")
+    return features
 
 
 def load_csv(path, targets) -> Dataset:
@@ -288,6 +370,11 @@ def load_csv(path, targets) -> Dataset:
     A leading byte-order mark is dropped and blank lines are skipped.
     Feature and target cells take Python ``float()`` syntax; a split cell
     must be exactly ``train``, ``tune`` or ``holdout``.
+
+    The body is streamed from the open file into one ``np.loadtxt`` call,
+    so the load holds no copy of the whole text. A body that call cannot
+    read exactly as the grammar says is read again from the start of the
+    file, row by row (see ``_read_body``).
 
     Parameters
     ----------
@@ -324,26 +411,9 @@ def load_csv(path, targets) -> Dataset:
             raise SchemaError(f"{path}: the csv reader refuses the header ({exc})") from None
         if header is None:
             raise SchemaError(f"{path}: empty file")
-        body = fh.read()
+        features = _feature_columns(header, targets, path)
+        table = _read_body(fh, header, features, targets, path)
 
-    repeated = sorted({name for name in header if header.count(name) > 1})
-    if repeated:
-        raise SchemaError(f"{path}: column name(s) {repeated} repeat in the header")
-    missing = [t for t in targets if t not in header]
-    if missing:
-        raise SchemaError(f"{path}: target column(s) {missing} not in header")
-    reserved = [t for t in targets if t in RESERVED_COLUMNS]
-    if reserved:
-        raise SchemaError(f"{path}: target column(s) {reserved} are reserved {RESERVED_COLUMNS}")
-    if "group" not in header:
-        raise SchemaError(f"{path}: expected a 'group' column")
-    features = tuple(c for c in header if c not in targets and c not in RESERVED_COLUMNS)
-    if not features:
-        raise SchemaError(f"{path}: no feature columns left after reserving {RESERVED_COLUMNS}")
-    if INTERCEPT_NAME in features:
-        raise SchemaError(f"{path}: {INTERCEPT_NAME!r} is a reserved feature name")
-
-    table = _read_body(body, header, features, targets, path)
     n = len(table)
     column = {name: table[f"f{j}"] for j, name in enumerate(header)}
 

@@ -208,16 +208,17 @@ def _certify_rows(
             # The verdict side's incumbent attains its value, so one across
             # the cut witnesses the flip even when a search stopped short.
             wit = sol.witness if flippable else None
+        # In FlipReport's field order: keywords double the cost of a report.
         reports.append(
             FlipReport(
-                row_id=row_ids[i],
-                baseline_rank=base_rank,
-                min_rank=ranks["min"],
-                max_rank=ranks["max"],
-                flippable=flippable,
-                method=method,
-                witness=wit,
-                witness_kind=None if wit is None else witness_kind,
+                row_ids[i],
+                base_rank,
+                ranks["min"],
+                ranks["max"],
+                flippable,
+                method,
+                wit,
+                None if wit is None else witness_kind,
             )
         )
     return reports

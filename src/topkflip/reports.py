@@ -28,7 +28,7 @@ METHODS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FlipReport:
     """Certified rank range for one row under one model family.
 

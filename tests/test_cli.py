@@ -1270,10 +1270,11 @@ import sys
 from topkflip import solver
 from topkflip.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    # hashlib and OpenSSL behind it serve only tables without a split column.
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "hashlib", "_hashlib"))
 
-assert not scipy_modules(), ("import", scipy_modules())
+assert not unwanted_modules(), ("import", unwanted_modules())
 projections = []
 nnls = solver.nnls
 solver.nnls = lambda *a, **k: projections.append(1) or nnls(*a, **k)
@@ -1288,16 +1289,17 @@ runs = [
 ]
 for argv in runs:
     assert main(argv[:1] + ["--data", data] + argv[1:]) == 0, argv[0]
-    assert not scipy_modules(), (argv[0], scipy_modules())
+    assert not unwanted_modules(), (argv[0], unwanted_modules())
 assert projections  # the curve ran ball projections
 """
 
 
 def test_workload_commands_never_import_scipy(tmp_path):
     """SciPy serves only the BVLS fallback and blends of four or more
-    targets. A fresh interpreter that imports the CLI, then runs the ball
-    curve with a dropped column, a three-target blend and a group range,
-    loads no scipy module at any point."""
+    targets, and hashlib only tables without a split column. A fresh
+    interpreter that imports the CLI, then runs the ball curve with a
+    dropped column, a three-target blend and a group range on a table with
+    a split column, loads no scipy or hashlib module at any point."""
     data = tmp_path / "clinical.csv"
     write_csv(generate_clinical(n=400), data)
     src = os.path.dirname(os.path.dirname(cli.__file__))

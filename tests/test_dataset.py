@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from topkflip.dataset import (
     write_csv,
 )
 from topkflip.linear_fit import fit_ols
-from topkflip.synth import generate
+from topkflip.synth import generate, generate_clinical
 
 
 @pytest.fixture
@@ -229,6 +230,11 @@ def test_loader_refusals(tmp_path, capsys, body, error, message, row_index, bad_
 
 _LONG = 200_000
 
+# The bulk parse reads the body in pieces of ``_CHUNK_CHARS`` characters.
+# Besides the default, these sizes split cells and lines, and every
+# outcome must be the same at each.
+_CHUNK_SIZES = (dataset._CHUNK_CHARS, 4096, 7)
+
 
 @pytest.mark.parametrize(
     "row0",
@@ -241,30 +247,104 @@ _LONG = 200_000
     ],
 )
 @pytest.mark.parametrize("row1", ["r1,1.5,2,b,tune", "r1,1_000,2,b,tune"], ids=["bulk", "row-by-row"])
-def test_cells_over_the_field_limit_are_refused_on_either_path(tmp_path, capsys, row0, row1):
-    """Whether a cell over csv's field limit is refused does not depend on
-    which path reads the rest of the table."""
+def test_cells_over_the_field_limit_are_refused_on_either_path(tmp_path, capsys, monkeypatch, row0, row1):
+    """Whether a cell over csv's field limit is refused depends neither on
+    which path reads the rest of the table nor on the piece size."""
     p = tmp_path / "long.csv"
     p.write_text(f"row_id,x,y,group,split\n{row0}\n{row1}\n")
     message = (
         "1 row(s) the csv reader refuses (field larger than field limit (131072)); "
         "first at data row 0"
     )
-    with pytest.raises(ParseError) as err:
-        load_csv(p, ("y",))
-    assert str(err.value) == f"{p}: {message}"
-    assert (err.value.row_index, err.value.bad_count) == (0, 1)
-    assert main(["fit", "--data", str(p), "--targets", "y", "--out", str(tmp_path / "o.json")]) == EXIT_DATA
-    assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{p}: {message}"
+    for chunk in _CHUNK_SIZES:
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk)
+        with pytest.raises(ParseError) as err:
+            load_csv(p, ("y",))
+        assert str(err.value) == f"{p}: {message}", chunk
+        assert (err.value.row_index, err.value.bad_count) == (0, 1)
+        assert main(["fit", "--data", str(p), "--targets", "y", "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{p}: {message}"
 
 
 @pytest.mark.parametrize("row1", ["r1,1.5,2,b,tune", "r1,1_000,2,b,tune"], ids=["bulk", "row-by-row"])
-def test_cells_under_the_field_limit_load_on_either_path(tmp_path, row1):
+def test_cells_under_the_field_limit_load_on_either_path(tmp_path, monkeypatch, row1):
     p = tmp_path / "long.csv"
     group = '"' + "a," * 50_000 + '"'
     p.write_text(f"row_id,x,y,group,split\n{'r' * 100_000},0.5,1,{group},train\n{row1}\n")
-    ds = load_csv(p, ("y",))
-    assert (len(ds.row_ids[0]), len(ds.groups[0])) == (100_000, 100_000)
+    for chunk in _CHUNK_SIZES:
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk)
+        ds = load_csv(p, ("y",))
+        assert (len(ds.row_ids[0]), len(ds.groups[0])) == (100_000, 100_000), chunk
+
+
+@pytest.mark.parametrize("chunk", _CHUNK_SIZES, ids=["default", "4096", "7"])
+@pytest.mark.parametrize(
+    "cell",
+    [
+        pytest.param("r" * _LONG + ",0.5,1,a,train", id="one-line"),
+        # NumPy strips the line breaks around the number; each line is
+        # shorter than half the limit.
+        pytest.param('r,"' + f"{' ' * (_LONG // 5)}\n" * 5 + '0.5",1,a,train', id="quoted-line-breaks"),
+    ],
+)
+def test_a_long_cell_across_a_piece_boundary_is_refused(tmp_path, monkeypatch, chunk, cell):
+    """A comma-free cell over csv's field limit that straddles a piece
+    boundary is caught: the run since the last comma carries across pieces
+    and across the line breaks inside a quoted cell."""
+    monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk)
+    filler = "r,0.5,1,a,train\n"
+    # Enough rows that the first piece ends in the middle of the long cell.
+    rows = max(2, (chunk - _LONG // 2) // len(filler))
+    p = tmp_path / "straddle.csv"
+    p.write_text("row_id,x,y,group,split\n" + filler * rows + cell + "\n" + filler)
+    with pytest.raises(ParseError) as err:
+        load_csv(p, ("y",))
+    assert str(err.value) == (
+        f"{p}: 1 row(s) the csv reader refuses (field larger than field limit (131072)); "
+        f"first at data row {rows}"
+    )
+    assert (err.value.row_index, err.value.bad_count) == (rows, 1)
+
+
+def test_loading_holds_no_copy_of_the_whole_body(tmp_path):
+    """The body streams into NumPy: the memory a load allocates and frees
+    again stays under three times the file's size."""
+    p = tmp_path / "clinical.csv"
+    write_csv(generate_clinical(n=12_000), p)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ds = load_csv(p, ("cost_t", "cost_avoidable_t", "gagne_sum_t"))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert ds.n == 12_000
+    transient = peak - kept
+    assert transient < 3 * p.stat().st_size, (transient, p.stat().st_size)
+
+
+def test_a_byte_that_is_not_utf8_mid_body_is_a_data_error(tmp_path, capsys):
+    """A stray byte in the middle of the body exits 3 with the decoder's
+    own message, as reading the whole body at once reports it."""
+    p = tmp_path / "clinical.csv"
+    write_csv(generate_clinical(n=1800), p)
+    data = bytearray(p.read_bytes())
+    data[len(data) // 2] = 0xFF
+    p.write_bytes(bytes(data))
+    with open(p, newline="", encoding="utf-8-sig") as fh:
+        next(csv.reader(fh))
+        with pytest.raises(UnicodeDecodeError) as whole:
+            fh.read()
+    with pytest.raises(UnicodeDecodeError) as err:
+        load_csv(p, ("cost_t",))
+    assert str(err.value) == str(whole.value)
+    code = main(["fit", "--data", str(p), "--targets", "cost_t", "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_DATA
+    doc = json.loads(capsys.readouterr().err)
+    assert (doc["error"]["type"], doc["error"]["message"]) == ("UnicodeDecodeError", str(whole.value))
 
 
 @pytest.mark.parametrize("tag", ["holdout_old", "trainXYZ"])
@@ -404,33 +484,39 @@ def _outcome(load, path):
         return exc
 
 
-def test_loader_matches_the_cell_by_cell_reference(tmp_path):
+def test_loader_matches_the_cell_by_cell_reference(tmp_path, monkeypatch):
     rng = random.Random(20240117)
     kinds = []
     for k in range(400):
         p = tmp_path / f"t{k}.csv"
         p.write_bytes(_hostile_table(rng).encode("utf-8"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _outcome(load_csv, p)
         want = _outcome(_reference_load, p)
-        assert type(got) is type(want), (p.read_bytes(), got, want)
+        for chunk in _CHUNK_SIZES:
+            monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(load_csv, p)
+            _assert_same_outcome(got, want, (p.read_bytes(), chunk))
         kinds.append(type(want).__name__)
-        if isinstance(want, DataError):
-            assert str(got) == str(want)
-            for attr in ("row_index", "bad_count"):
-                assert getattr(got, attr, None) == getattr(want, attr, None)
-            continue
-        assert (got.feature_names, got.target_names) == (want.feature_names, want.target_names)
-        assert got.row_ids == want.row_ids
-        for name in ("features", "targets", "groups", "split_tags"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            # Bytes, so -0.0 and 0.0 differ; str objects compare by value.
-            assert a.tobytes() == b.tobytes() if a.dtype != object else a.tolist() == b.tolist()
     # The corpus reaches every outcome.
     assert {"Dataset", "ParseError", "DataError"} <= set(kinds)
     assert kinds.count("Dataset") >= 100
+
+
+def _assert_same_outcome(got, want, context):
+    assert type(got) is type(want), (context, got, want)
+    if isinstance(want, DataError):
+        assert str(got) == str(want)
+        for attr in ("row_index", "bad_count"):
+            assert getattr(got, attr, None) == getattr(want, attr, None)
+        return
+    assert (got.feature_names, got.target_names) == (want.feature_names, want.target_names)
+    assert got.row_ids == want.row_ids
+    for name in ("features", "targets", "groups", "split_tags"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        # Bytes, so -0.0 and 0.0 differ; str objects compare by value.
+        assert a.tobytes() == b.tobytes() if a.dtype != object else a.tolist() == b.tolist()
 
 
 def test_missing_split_column_assigns_deterministically(tmp_path):
